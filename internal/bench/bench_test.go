@@ -367,11 +367,14 @@ func TestGrainAblationSmall(t *testing.T) {
 	sz := Small()
 	sz.DedupBytes = 128 << 10
 	tbl := GrainAblation(nil, 2, sz)
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want Grain(1)/Grain(4)/Grain(16)/adaptive", len(tbl.Rows))
+	if len(tbl.Rows) != 5 {
+		t.Fatalf("rows = %d, want Grain(1)/Grain(4)/Grain(16)/Grain(64)/adaptive", len(tbl.Rows))
 	}
-	if tbl.Rows[0][0] != "Grain(1)" || tbl.Rows[3][0] != "adaptive" {
+	if tbl.Rows[0][0] != "Grain(1)" || tbl.Rows[4][0] != "adaptive" {
 		t.Fatalf("unexpected config column: %v", tbl.Rows)
+	}
+	if got := len(tbl.Rows[0]); got != len(tbl.Header) {
+		t.Fatalf("row has %d cells for %d columns", got, len(tbl.Header))
 	}
 }
 

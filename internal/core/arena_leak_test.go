@@ -162,7 +162,7 @@ func TestArenaDrainsAfterBodyPanic(t *testing.T) {
 		r := a.Get(4096)
 		defer r.Release()
 		it.Continue(1)
-		if i == 5 {
+		if it.Index() == 4 { // not i: past stage 0 the next iteration's cond writes it
 			panic("mid-pipeline failure with a live region")
 		}
 		it.Wait(2)

@@ -3,13 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
 
 // Tests for batched inline execution with grain control: claim/release
-// accounting, the adaptive policy's growth and backoff, split semantics
-// under real suspensions, and the Grain(1) equivalence contract.
+// accounting, the cost-bounded claim policy, split semantics under real
+// suspensions, and the Grain(1) equivalence contract.
 
 func TestGrainNormalization(t *testing.T) {
 	cases := []struct {
@@ -69,15 +71,7 @@ func TestAdaptiveGrainGrowsWhenAlone(t *testing.T) {
 // output ordering.
 func TestGrainOneMatchesUnbatched(t *testing.T) {
 	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.Grain = 1 })
-	var order []int64
-	i := 0
-	rep := e.RunPipeline(0, func() bool { return i < 500 }, func(it *Iter) {
-		i++
-		it.Continue(1)
-		v := it.Index()
-		it.Wait(2)
-		order = append(order, v)
-	})
+	rep := runSPS(t, e, 500, func(int64) {})
 	if rep.FinalGrain != 1 {
 		t.Errorf("FinalGrain = %d, want 1", rep.FinalGrain)
 	}
@@ -86,12 +80,6 @@ func TestGrainOneMatchesUnbatched(t *testing.T) {
 		t.Errorf("Grain(1) batched: BatchedIterations=%d BatchSplits=%d, want 0/0",
 			s.BatchedIterations, s.BatchSplits)
 	}
-	for k, v := range order {
-		if v != int64(k) {
-			t.Fatalf("order violated at %d: %d", k, v)
-		}
-	}
-	checkEngineDrained(t, e)
 }
 
 // TestFixedGrainBatchesAndOrders: a fixed Grain(8) pipeline with a serial
@@ -99,31 +87,10 @@ func TestGrainOneMatchesUnbatched(t *testing.T) {
 // serial-stage ordering invariant bit for bit.
 func TestFixedGrainBatchesAndOrders(t *testing.T) {
 	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.Grain = 8 })
-	var order []int64
-	i := 0
-	const n = 800
-	rep := e.RunPipeline(0, func() bool { return i < n }, func(it *Iter) {
-		i++
-		it.Continue(1)
-		v := it.Index()
-		it.Wait(2)
-		order = append(order, v)
-	})
-	if rep.Iterations != n {
-		t.Fatalf("Iterations = %d, want %d", rep.Iterations, n)
-	}
-	if len(order) != n {
-		t.Fatalf("%d outputs, want %d", len(order), n)
-	}
-	for k, v := range order {
-		if v != int64(k) {
-			t.Fatalf("serial stage order violated at %d: %d", k, v)
-		}
-	}
+	runSPS(t, e, 800, func(int64) {})
 	if s := e.Stats(); s.BatchedIterations == 0 {
 		t.Error("fixed Grain(8) produced no deferred batch slots")
 	}
-	checkEngineDrained(t, e)
 }
 
 // TestBatchSplitsOnBlockedEdge: iteration 0, claimed as the first slot of
@@ -289,4 +256,206 @@ func TestInstrumentedPinsGrain(t *testing.T) {
 		t.Errorf("BatchedIterations = %d during an instrumented run, want 0", s.BatchedIterations)
 	}
 	checkEngineDrained(t, e)
+}
+
+// busyFor spins on the scheduler's own clock for d: a body cost that holds
+// whatever the host's speed and under the race detector, which a unit
+// count of arithmetic does not.
+func busyFor(d time.Duration) {
+	for end := nowNs() + int64(d); nowNs() < end; {
+	}
+}
+
+// claimRecorder reconstructs every batch's size from the hook points:
+// hookIteration fires once per batch and hookBatchSlot once per further
+// slot, both under control-frame ownership. Only meaningful while a single
+// pipeline runs on the engine. A non-nil inner hook set runs behind it, so
+// the same scenario can run perturbed.
+type claimRecorder struct {
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (r *claimRecorder) hooks(inner *schedHooks) *schedHooks {
+	h := &schedHooks{}
+	if inner != nil {
+		*h = *inner
+	}
+	h.point = func(p hookPoint) {
+		r.mu.Lock()
+		switch p {
+		case hookIteration:
+			r.sizes = append(r.sizes, 1)
+		case hookBatchSlot:
+			r.sizes[len(r.sizes)-1]++
+		}
+		r.mu.Unlock()
+		if inner != nil && inner.point != nil {
+			inner.point(p)
+		}
+	}
+	return h
+}
+
+// batches returns the recorded claim sizes and, for each, the index of its
+// first iteration.
+func (r *claimRecorder) batches() (sizes []int, first []int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	at := 0
+	for _, n := range r.sizes {
+		sizes, first = append(sizes, n), append(first, at)
+		at += n
+	}
+	return sizes, first
+}
+
+// costTiers runs f unperturbed and then under both tiers of the
+// perturbation matrix (compiled and interpreted dispatch, seeded hooks).
+// Perturbation only ever adds cost, and so does the race detector — it
+// multiplies the per-iteration protocol itself past coarseIterNs, so
+// every adaptive pipeline measures as coarse under -race. f therefore
+// asserts the counts that pin cheap bodies only when exact is set (no
+// hooks, no race detector), and what must hold on any schedule —
+// completion, order, a drained engine, coarse bodies at claim 1 —
+// everywhere.
+func costTiers(t *testing.T, f func(t *testing.T, opts Options, exact bool)) {
+	t.Run("plain", func(t *testing.T) { f(t, DefaultOptions(), !raceEnabled) })
+	for _, compiled := range []bool{true, false} {
+		name := "perturbed-compiled"
+		if !compiled {
+			name = "perturbed-interp"
+		}
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				opts := DefaultOptions()
+				opts.CompilePlans = compiled
+				opts.hooks = newPerturber(seed * 0x51ed)
+				f(t, opts, false)
+			}
+		})
+	}
+}
+
+// runSPS runs n iterations of a serial/parallel/serial pipeline whose
+// parallel stage costs work(i), and checks the serial stage saw every
+// iteration in order.
+func runSPS(t *testing.T, e *Engine, n int, work func(i int64)) PipelineReport {
+	t.Helper()
+	var order []int64
+	i := 0
+	rep := e.RunPipeline(0, func() bool { return i < n }, func(it *Iter) {
+		i++
+		it.Continue(1)
+		work(it.Index())
+		it.Wait(2)
+		order = append(order, it.Index())
+	})
+	if rep.Iterations != int64(n) || len(order) != n {
+		t.Fatalf("ran %d iterations with %d outputs, want %d", rep.Iterations, len(order), n)
+	}
+	for k, v := range order {
+		if v != int64(k) {
+			t.Fatalf("serial stage order violated at %d: %d", k, v)
+		}
+	}
+	checkEngineDrained(t, e)
+	return rep
+}
+
+// TestCoarseBodyRunsUnbatched: once iterations cost tens of microseconds
+// the claim is 1 — the continuation is released at every stage-0 exit and
+// the second worker lives off it. This test fails on the parent commit,
+// where a fixed two-worker pool let the grain climb to 64: nearly every
+// iteration ran as a deferred slot and a run saw about one steal.
+func TestCoarseBodyRunsUnbatched(t *testing.T) {
+	costTiers(t, func(t *testing.T, opts Options, exact bool) {
+		opts.Workers = 2
+		e := NewEngine(opts)
+		defer e.Close()
+		const n = 1500
+		rep := runSPS(t, e, n, func(int64) { busyFor(20 * time.Microsecond) })
+		s := e.Stats()
+		if rep.FinalGrain != 1 {
+			t.Errorf("FinalGrain = %d, want 1 for 20 µs bodies", rep.FinalGrain)
+		}
+		if s.BatchedIterations*20 >= n {
+			t.Errorf("BatchedIterations = %d of %d, want under 5 %%", s.BatchedIterations, n)
+		}
+		if !exact || runtime.GOMAXPROCS(0) < 2 {
+			return // steal counts need a second CPU and an undisturbed thief
+		}
+		// Every steal a thief misses costs a park, and on a virtualized
+		// host each wake stalls the waker long enough for the thief to run
+		// into the throttle and park again, so a healthy run can sit
+		// anywhere between one steal per twenty iterations and one per
+		// iteration. The parent had about one per run.
+		if got := s.Steals + s.ThiefEnables; got < n/100 {
+			t.Errorf("Steals + ThiefEnables = %d over %d iterations, want >= %d", got, n, n/100)
+		}
+	})
+}
+
+// TestCheapBodyStillBatches: the cost rule must leave cheap bodies alone.
+// An empty SPS body on two workers — the continuation is released and a
+// thief is there to take it — still climbs to the GrainMax ceiling. One
+// stall of a millisecond inside a batch legitimately resets the ramp, so
+// a run that ends below the ceiling is retried before it counts.
+func TestCheapBodyStillBatches(t *testing.T) {
+	costTiers(t, func(t *testing.T, opts Options, exact bool) {
+		opts.Workers = 2
+		e := NewEngine(opts)
+		defer e.Close()
+		const n = 20000
+		var rep PipelineReport
+		for try := 0; try < 5; try++ {
+			before := e.Stats().BatchedIterations
+			rep = runSPS(t, e, n, func(int64) {})
+			if !exact {
+				return // the bodies are not cheap any more: order and drain only
+			}
+			if got := e.Stats().BatchedIterations - before; rep.FinalGrain == defaultGrainMax && got >= n*9/10 {
+				return
+			}
+		}
+		t.Errorf("FinalGrain = %d, want %d with at least 90 %% of iterations batched", rep.FinalGrain, defaultGrainMax)
+	})
+}
+
+// TestCostStepDropsClaim: a pipeline whose body steps from cheap to coarse
+// mid-run is at claim 1 within two batches of the step — the batch the
+// step landed in, whose mean cost may still read cheap, and one more.
+func TestCostStepDropsClaim(t *testing.T) {
+	costTiers(t, func(t *testing.T, opts Options, exact bool) {
+		for _, workers := range []int{1, 2} {
+			opts.Workers = workers
+			opts.GrainMax = 16
+			var rec claimRecorder
+			opts.hooks = rec.hooks(opts.hooks)
+			e := NewEngine(opts)
+			const n, step = 3000, 2000
+			runSPS(t, e, n, func(i int64) {
+				if i >= step {
+					busyFor(20 * time.Microsecond)
+				}
+			})
+			e.Close()
+			sizes, first := rec.batches()
+			hit, peak := -1, 0
+			for b := range sizes {
+				if first[b] <= step {
+					hit, peak = b, max(peak, sizes[b])
+				}
+			}
+			if exact && peak != 16 {
+				t.Errorf("P=%d: largest claim before the step = %d, want the ceiling 16", workers, peak)
+			}
+			for b := hit + 2; b < len(sizes); b++ {
+				if sizes[b] != 1 {
+					t.Fatalf("P=%d: batch %d (iteration %d) claimed %d; the step at %d fell in batch %d, so every batch from %d on must claim 1",
+						workers, b, first[b], sizes[b], step, hit, hit+2)
+				}
+			}
+		}
+	})
 }

@@ -83,12 +83,13 @@ type Options struct {
 	// batch splits at the first iteration that must actually block, so
 	// promotion semantics, cancellation, and serial-stage ordering are
 	// unchanged. Grain(1) reproduces the unbatched per-iteration protocol
-	// exactly. 0 (the default) selects adaptive grain: each pipeline
-	// starts at 1 and grows geometrically up to GrainMax while batches
-	// complete without promotions and no worker sits idle, shrinking when
-	// either signal appears. Only meaningful with InlineFastPath.
+	// exactly. 0 (the default) selects the cost-bounded claim: each
+	// pipeline starts at 1 and, while its iterations are measured to cost
+	// under coarseIterNs, doubles up to GrainMax; costlier iterations run
+	// claim 1 (see pipeline.openBatch). Only meaningful with
+	// InlineFastPath.
 	Grain int
-	// GrainMax caps adaptive grain growth (0 means 64). Ignored when
+	// GrainMax caps the cost-bounded claim (0 means 64). Ignored when
 	// Grain > 0 fixes the run length.
 	GrainMax int
 	// CompilePlans enables the pipeline plan compiler (on by default via
@@ -96,8 +97,8 @@ type Options struct {
 	// under the interpreter with a trace recorder attached, and if it
 	// retires cleanly its transition shape is compiled into a specialized
 	// plan — fused short serial stages, a precomputed cross-edge wait
-	// table, elided per-boundary checks, and a static grain seed — that
-	// later iterations dispatch on, deoptimizing back to the interpreter
+	// table, and elided per-boundary checks — that later iterations
+	// dispatch on, deoptimizing back to the interpreter
 	// the moment any iteration diverges from the recorded shape. Disable
 	// only for ablation: every iteration then re-derives the stage
 	// structure per boundary, as in the previous runtime. Plans are only
@@ -120,10 +121,10 @@ type Options struct {
 	hooks *schedHooks
 }
 
-// defaultGrainMax bounds adaptive grain growth when GrainMax is unset. A
+// defaultGrainMax bounds the cost-bounded claim when GrainMax is unset. A
 // full batch serializes G iterations on one worker between control-frame
 // releases, so the ceiling trades amortization against how long the
-// pipe_while continuation stays unstealable.
+// pipe_while continuation stays unstealable: at most G·coarseIterNs.
 const defaultGrainMax = 64
 
 // DefaultOptions returns the paper-faithful configuration.
@@ -322,6 +323,7 @@ func NewEngine(opts Options) *Engine {
 			parkCh: make(chan struct{}, 1),
 			rng:    workload.NewRNG(uint64(i)*0x9e3779b9 + 1),
 		}
+		e.workers[i].takeoverFn = e.workers[i].takeover
 	}
 	for i := 0; i < opts.Workers; i++ {
 		e.workers[i].state.Store(workerLive)
@@ -586,8 +588,8 @@ type PipelineReport struct {
 	// only for RunPipelineAdaptive).
 	FinalThrottle int64
 	// FinalGrain is the batched-execution run length G at completion: the
-	// fixed Options.Grain, or where the adaptive policy settled (see
-	// frame.runInlineBatch). 1 for serial and coroutine-tier runs.
+	// fixed Options.Grain, or the cost-bounded policy's last claim (see
+	// pipeline.openBatch). 1 for serial and coroutine-tier runs.
 	FinalGrain int64
 	// WorkNs and SpanNs are the measured work T1 and span T∞ of the
 	// pipeline dag in nanoseconds, populated only by ProfilePipeline
@@ -919,6 +921,14 @@ type worker struct {
 	// lazily allocated so fixed-P engines (and floor workers) never carry
 	// one.
 	retireTimer *time.Timer
+	// promoted hands the frame of a promoting iteration to the takeover
+	// goroutine, and takeoverFn is w.takeover bound once: a go statement
+	// with arguments allocates a closure, and a coarse pipeline at claim 1
+	// promotes on most of its iterations. Only the goroutine holding the
+	// worker role promotes, and the role moves on only once takeover has
+	// read the field, so one slot per worker suffices.
+	promoted   *frame
+	takeoverFn func()
 
 	// assigned is loaded by every thief's sweep (the check-right on a
 	// victim's running iteration) and stored twice per executed segment by
@@ -971,7 +981,8 @@ func (w *worker) run(f *frame) {
 // simply blocks until the body's next suspension or completion — the
 // ordinary driver contract — and w.assigned keeps pointing at f so
 // thieves can check-right it meanwhile.
-func (w *worker) takeover(f *frame) {
+func (w *worker) takeover() {
+	f := w.promoted
 	msg := <-f.co.yield
 	w.assigned.Store(nil)
 	var nf *frame
@@ -1204,16 +1215,38 @@ func (w *worker) stealSweep() *frame {
 	return nil
 }
 
-// findWork implements the thief loop: scan all work sources, then park
-// until a signal delivers a wake token. Parking is precise — a worker
-// registers in the idle set and re-scans before blocking, pairing with
-// signal's publish-work-then-claim order, so no wakeup is lost and no
-// polling timer is needed.
+// spinBeforeParkNs bounds the re-sweep a thief runs before it parks. At
+// claim 1 a pipeline's control frame is off the deques only while the next
+// iteration runs its stage 0 — a few microseconds — whereas a park costs a
+// futex sleep, a ~50 µs wake, and on a virtualized host a stall of that
+// order for the worker that issues the wake: a thief that swept inside the
+// window would come back to find the owner has taken the continuation
+// again. The bound stays at the steal and stage-0 time scale on purpose:
+// spinning for a wake's length takes CPUs from whatever else the process
+// runs (20 µs cost the serve-open benchmark a fifth of its throughput,
+// 5 and 10 µs nothing; on dedup 10 µs leaves a quarter of the parks 5 µs
+// does).
+const spinBeforeParkNs = 10000
+
+// findWork implements the thief loop: scan all work sources, re-sweep for
+// spinBeforeParkNs while a pipeline is live and another worker could be
+// about to release its continuation, then park until a signal delivers a
+// wake token. Parking is precise — a worker registers in the idle set and
+// re-scans before blocking, pairing with signal's publish-work-then-claim
+// order, so no wakeup is lost and no polling timer is needed; the spin
+// runs wholly before registration and changes none of that.
 func (w *worker) findWork() *frame {
 	e := w.eng
 	for {
 		if f := w.pollWork(); f != nil {
 			return f
+		}
+		if e.liveN.Load() > 1 && e.pools.livePipeline.Load() > 0 {
+			for end := nowNs() + spinBeforeParkNs; !e.closed.Load() && nowNs() < end; {
+				if f := w.pollWork(); f != nil {
+					return f
+				}
+			}
 		}
 		if e.closed.Load() {
 			// Drain before exiting: a launch that won the submitMu race

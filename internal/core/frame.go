@@ -562,15 +562,12 @@ func (f *frame) promote() {
 		// The control frame is still frozen below us — an unreleased
 		// stage-0 prefix, or a batch slot that deferred its release — so
 		// hand it to the deque first and the pipeline keeps unfolding
-		// while we park. A blocked slot also ends its batch (the residual
-		// claim is abandoned by runInlineBatch) and backs the adaptive
-		// grain off, both while the control frame is still exclusively
-		// ours.
+		// while we park. A blocked slot also ends its batch: the residual
+		// claim is abandoned by runInlineBatch.
 		if f.batched {
 			f.batched = false
 			e.stats.batchSplits.Add(1)
 		}
-		f.pl.grainOnSplit()
 		f.releaseControl()
 	}
 	f.inline = false
@@ -578,8 +575,9 @@ func (f *frame) promote() {
 		f.co = e.acquireCoTail()
 	}
 	f.started = true
+	w.promoted = f
 	//piper:allow-go bounded by the pipeline: takeover drives this frame to stageDone, which the pipe_while drain awaits
-	go w.takeover(f)
+	go w.takeoverFn()
 }
 
 // releaseControl ends the iteration's serial stage-0 prefix on the inline

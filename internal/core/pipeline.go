@@ -55,37 +55,36 @@ type pipeline struct {
 	phase    int8
 	prevIter *frame
 
-	// Batched inline execution (see frame.runInlineBatch). All four words
+	// Batched inline execution (see frame.runInlineBatch). All five words
 	// are control-frame state like phase: serialized by frame ownership,
 	// so the adaptive policy needs no atomics. grain is the current run
-	// length G a batch claims; grainHold suppresses the next growth step
-	// (set at acquisition, so a fresh pipeline probes at its starting
-	// grain, and by grainOnSplit after a promotion ended a batch early).
+	// length G a batch claims; openNs and openIndex are the clock and
+	// nextIndex at the previous batch open, from which the next open
+	// derives the measured per-iteration cost (see openBatch).
 	grain      int64
 	grainMax   int64
 	grainFixed bool
-	grainHold  bool
+	openNs     int64
+	openIndex  int64
 
 	// Compiled-plan state (see plan.go). plan is the published compiled
 	// shape: stored once by the recording iteration's seal, swapped to nil
 	// by deopt, loaded by the control frame when binding new iterations.
 	// planEligible caches the option gate; rec is the embedded iteration-0
-	// recorder (touched only by that iteration's runner). planSeeded,
-	// serialPlan, and lastStealStamp are control-frame state like grain;
+	// recorder (touched only by that iteration's runner). planSeen and
+	// serialPlan are control-frame state like grain;
 	// planCompiled/planStages/planFused are written once at seal and read
 	// by report after completion (ordered by the pipeline's join/done
 	// handshake, like grain).
-	plan           atomic.Pointer[plan]
-	planEligible   bool
-	planSeeded     bool
-	serialPlan     *plan
-	lastStealStamp int64
-	sawSteals      bool
-	rec            planRecorder
-	planCompiled   bool
-	planStages     int64
-	planFused      int64
-	planDeopts     atomic.Int64
+	plan         atomic.Pointer[plan]
+	planEligible bool
+	planSeen     bool
+	serialPlan   *plan
+	rec          planRecorder
+	planCompiled bool
+	planStages   int64
+	planFused    int64
+	planDeopts   atomic.Int64
 
 	// Work/span instrumentation (see instrument.go).
 	instrument bool
@@ -500,108 +499,61 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 	}
 }
 
-// openBatch runs the per-batch grain adaptation step and returns the
-// claim length for the next inline batch. Called by step with
-// control-frame ownership, once per batch. The policy: grow geometrically
-// (×2, up to grainMax) while batches complete without a split and no
-// worker is both idle and able to profit from the released continuation
-// (idleThieves), and shrink (÷2) as soon as such workers appear — idle
-// thieves mean the pipeline should be releasing its stealable
-// continuation more often, not less, so batching must never starve
-// parallelism to buy amortization. A freshly sealed plan is folded in
-// here (the control frame owns all grain state): a serial-only plan
-// installs the batched fast retire loop, and the recorded iteration cost
-// seeds the adaptive grain, replacing the cold G=1 ramp for bodies the
-// recording proves short. Instrumented and traced runs pin the claim
-// to 1: per-node work/span accounting chains critical paths through real
-// predecessor frames, and trace consumers expect one segment per
-// iteration.
+// coarseIterNs is the per-iteration cost above which a pipeline runs claim
+// 1. Batching amortizes the ~150 ns per-iteration protocol, which is under
+// 4 % of a body this long, while a batch serializes its slots on one
+// worker and keeps the pipe_while continuation off the deques for all but
+// the last of them. Measured at P=2 on SPS bodies (README "Grain
+// control"): below ~4 µs a full batch beats the unbatched protocol, above
+// it the stolen continuation does, and every fixed grain in between loses
+// to both, so the policy has no middle setting.
+const coarseIterNs = 4000
+
+// openBatch returns the claim length for the next inline batch. Called by
+// step with control-frame ownership, once per batch, after newIter. The
+// claim is a function of measured cost alone: one clock read per open, and
+// the time since the previous open divided by the iterations started in
+// between is what one iteration cost. Above coarseIterNs the claim drops
+// to 1 — the continuation is released at every stage-0 exit, the paper's
+// protocol — and otherwise it doubles up to grainMax, from 1 on a fresh
+// pipeline. A one-slot sample taken while an older iteration is still live
+// (join > 1: the continuation was stolen, or its iteration suspended)
+// covers only the time the control frame took to change hands, so it can
+// prove a body coarse but not cheap, and the claim stays where it is; from
+// two slots up the window holds every slot but the last in full. A
+// freshly sealed serial-only plan installs the batched fast retire loop
+// here (the control frame owns all grain state). Instrumented and traced
+// runs pin the claim to 1: per-node work/span accounting chains critical
+// paths through real predecessor frames, and trace consumers expect one
+// segment per iteration.
 func (pl *pipeline) openBatch() int64 {
-	g := pl.grain
 	if pl.instrument || pl.eng.tracing.Load() {
 		return 1
 	}
-	if !pl.planSeeded {
+	if !pl.planSeen {
 		if p := pl.plan.Load(); p != nil {
-			pl.planSeeded = true
+			pl.planSeen = true
 			if p.serialOnly {
 				pl.serialPlan = p
 			}
-			if !pl.grainFixed && p.seedGrain > g {
-				g = minInt64(p.seedGrain, pl.grainMax)
-				pl.grain = g
-				pl.grainHold = true
-			}
 		}
 	}
+	g := pl.grain
 	if pl.grainFixed {
 		return g
 	}
-	if pl.eng.idle.Load() > 0 && pl.idleThieves() {
-		if g > 1 {
-			g >>= 1
-			pl.grain = g
-		}
-		pl.grainHold = false
-		return g
+	now, slots := nowNs(), pl.nextIndex-1-pl.openIndex
+	cost := (now - pl.openNs) / maxInt64(slots, 1)
+	pl.openNs, pl.openIndex = now, pl.nextIndex-1
+	switch {
+	case slots == 0: // first open: probe at the starting grain
+	case cost > coarseIterNs:
+		g = 1
+	case slots > 1 || pl.join.Load() == 1:
+		g = minInt64(2*g, pl.grainMax)
 	}
-	if pl.grainHold {
-		pl.grainHold = false
-		return g
-	}
-	if g < pl.grainMax {
-		g <<= 1
-		if g > pl.grainMax {
-			g = pl.grainMax
-		}
-		pl.grain = g
-	}
+	pl.grain = g
 	return g
-}
-
-// idleThieves decides whether the idle workers behind a prospective grain
-// shrink could actually use a more-often-released continuation. A bare
-// idle count cannot: with MinWorkers > 1 (or any fixed pool wider than
-// the offered load) a permanently parked floor worker would otherwise pin
-// every pipeline at G=1 forever — the spare steals nothing whether or not
-// the continuation is released, so shrinking buys no parallelism and
-// costs all of the batch amortization. The same holds for a worker the
-// elastic pool spawned at launch that never found anything to raid. What
-// qualifies the idleness is proven contention: steal activity or other
-// pipelines launched since the last batch open mean workers genuinely
-// compete for this engine right now, and once any such signal has been
-// observed in this pipeline's lifetime (sawSteals), surplus workers
-// still hanging around are treated as thieves-in-waiting — they were
-// spawned for real load and retire when the grace expires, so deferring
-// to them is transient by construction. A parked worker on an engine
-// where this pipeline only ever ran alone shows neither signal, and the
-// grain climbs as it would on a single-worker pool.
-func (pl *pipeline) idleThieves() bool {
-	e := pl.eng
-	stamp := e.stats.steals.Load() + e.stats.thiefEnables.Load() +
-		e.stats.pipelines.Load()
-	if stamp != pl.lastStealStamp {
-		pl.lastStealStamp = stamp
-		pl.sawSteals = true
-		return true
-	}
-	return pl.sawSteals && int(e.liveN.Load()) > e.opts.MinWorkers
-}
-
-// grainOnSplit backs the adaptive grain off after a promotion that ended
-// a batch early (or blocked an unreleased stage-0 prefix): the pipeline
-// is hitting real suspensions, so long claims would keep splitting while
-// holding the continuation hostage. Called from promote with the control
-// frame still owned by the promoting goroutine, which is what makes the
-// unsynchronized grain write safe.
-func (pl *pipeline) grainOnSplit() {
-	if pl.grainFixed {
-		return
-	}
-	if g := pl.grain; g > 1 {
-		pl.grain = g >> 1
-	}
-	pl.grainHold = true
 }
 
 // releaseChain drops the pipeline's reference on the most recent

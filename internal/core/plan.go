@@ -43,9 +43,7 @@ import (
 // A plan whose recorded iteration never left stage 0 (serialOnly) enables
 // the strongest specialization: runInlineBatchSerial (frame.go) retires
 // whole batches with one published stage/status transition, and the
-// control step elides the throttle gate while no iteration is live. The
-// recorded per-stage costs also seed the adaptive grain (plan.seedGrain),
-// replacing the cold G=1 ramp for bodies the recording proves short.
+// control step elides the throttle gate while no iteration is live.
 //
 // Plans are compiled only when Options.CompilePlans is set together with
 // DependencyFolding and lazy enabling (the compiled dispatch subsumes the
@@ -89,9 +87,6 @@ type plan struct {
 	maxWait int64
 	// fused counts fused transitions, for Stats and the report.
 	fused int64
-	// seedGrain is the initial adaptive-grain hint derived from the
-	// recorded iteration cost (0: no hint; start at G=1 as before).
-	seedGrain int64
 }
 
 // planRecorder captures iteration 0's transitions. It is embedded in the
@@ -179,17 +174,6 @@ func compilePlan(r *planRecorder, end int64) *plan {
 		if fusable[t+1] {
 			p.fused++
 		}
-	}
-	total := maxInt64(end-r.start, 0)
-	switch {
-	case p.serialOnly && total < fuseThresholdNs:
-		// A short pure-serial body: the recording proves the per-iteration
-		// bookkeeping dominates, so start the batch ramp at the ceiling.
-		p.seedGrain = defaultGrainMax
-	case total < fuseThresholdNs:
-		p.seedGrain = 8
-	case total < 5*fuseThresholdNs:
-		p.seedGrain = 4
 	}
 	return p
 }

@@ -235,9 +235,9 @@ func (e *Engine) acquirePipeline() *pipeline {
 	pl.phase = phaseLoop
 	pl.prevIter = nil
 	// Grain state: a fixed Options.Grain pins the claim; otherwise the
-	// adaptive policy starts every pipeline at 1 (probing, via grainHold,
-	// before the first growth step) and grows toward GrainMax. The
-	// coroutine tier never batches, so its reports honestly pin 1.
+	// cost-bounded policy starts every pipeline at 1 and lets openBatch
+	// take it from there. The coroutine tier never batches, so its reports
+	// honestly pin 1.
 	switch {
 	case !e.opts.InlineFastPath:
 		pl.grain, pl.grainMax, pl.grainFixed = 1, 1, true
@@ -246,22 +246,16 @@ func (e *Engine) acquirePipeline() *pipeline {
 	default:
 		pl.grain, pl.grainMax, pl.grainFixed = 1, int64(e.opts.GrainMax), false
 	}
-	pl.grainHold = true
+	pl.openNs, pl.openIndex = 0, 0
 	// Plan-compiler state. Eligibility is decided once per execution: the
 	// compiled dispatch subsumes the fold cache and never performs eager
 	// check-rights, so the ablations that disable those interpret instead
-	// (see plan.go). planSeeded short-circuits openBatch's one-time seed
-	// check for ineligible pipelines.
+	// (see plan.go). planSeen short-circuits openBatch's one-time
+	// serial-plan check for ineligible pipelines.
 	pl.plan.Store(nil)
 	pl.planEligible = e.opts.CompilePlans && e.opts.DependencyFolding && !e.opts.EagerEnabling
-	pl.planSeeded = !pl.planEligible
+	pl.planSeen = !pl.planEligible
 	pl.serialPlan = nil
-	// The +1 pre-pays this pipeline's own stats.pipelines increment, which
-	// newPipeline performs right after this acquire returns; without it the
-	// first batch open would read a self-inflicted contention signal.
-	pl.lastStealStamp = e.stats.steals.Load() + e.stats.thiefEnables.Load() +
-		e.stats.pipelines.Load() + 1
-	pl.sawSteals = false
 	pl.planCompiled = false
 	pl.planStages, pl.planFused = 0, 0
 	pl.planDeopts.Store(0)

@@ -200,28 +200,33 @@ func PoolFrames(enabled bool) Option {
 }
 
 // Grain fixes the batched inline execution run length G (default 0,
-// adaptive). The inline fast path claims up to G consecutive iterations
-// into one control frame and runs their bodies back-to-back through one
-// recycled iteration frame, paying one frame acquisition and one deque
-// release per batch instead of per iteration; the batch splits at the
-// first iteration that must actually block, so promotion, cancellation,
-// and serial-stage ordering semantics are unchanged. Grain(1) reproduces
-// the unbatched per-iteration protocol exactly. A batch serializes its
-// claimed run on one worker between releases of the stealable pipe_while
-// continuation, so large fixed grains trade parallelism for lower
-// scheduling overhead — exactly TBB-style grain control; the adaptive
-// default makes that trade per pipeline, backing off whenever workers go
-// idle or batches split. Instrumented (Profile*) and traced runs always
+// cost-bounded). The inline fast path claims up to G consecutive
+// iterations into one control frame and runs their bodies back-to-back
+// through one recycled iteration frame, paying one frame acquisition and
+// one deque release per batch instead of per iteration; the batch splits
+// at the first iteration that must actually block, so promotion,
+// cancellation, and serial-stage ordering semantics are unchanged.
+// Grain(1) reproduces the unbatched per-iteration protocol exactly. A
+// batch serializes its claimed run on one worker and keeps the stealable
+// pipe_while continuation off the deques for all but its last slot, so a
+// fixed grain above 1 is right only for bodies too cheap to be worth
+// stealing. The default decides that per pipeline from what its
+// iterations are measured to cost (one clock read per batch): under a
+// few microseconds the claim doubles from 1 up to GrainMax, which
+// amortizes the ~150 ns per-iteration protocol; above that the pipeline
+// runs claim 1, the paper's protocol, and the continuation is released
+// at every stage-0 exit. Instrumented (Profile*) and traced runs always
 // execute with grain 1 so work/span accounting stays exact. Only
 // meaningful while InlineFastPath is enabled.
 func Grain(g int) Option {
 	return func(o *core.Options) { o.Grain = g }
 }
 
-// GrainMax caps adaptive grain growth (default 64): each pipeline's run
-// length starts at 1 and doubles up to this ceiling while its batches
-// complete cleanly with every worker busy. Ignored when Grain fixes the
-// run length.
+// GrainMax caps the cost-bounded claim (default 64): the ceiling a
+// pipeline of cheap iterations doubles up to, and so, with the few
+// microseconds an iteration may cost and still batch, the longest a batch
+// keeps the continuation to itself. Ignored when Grain fixes the run
+// length.
 func GrainMax(g int) Option {
 	return func(o *core.Options) { o.GrainMax = g }
 }
@@ -232,15 +237,15 @@ func GrainMax(g int) Option {
 // is compiled into a specialized execution plan — per-transition argument
 // validation, instrumentation branches, and the fold-cache compare chain
 // are hoisted out of the dispatch; adjacent short serial stages are
-// fused so their boundary bookkeeping disappears entirely; a recorded
-// pure-serial body enables whole-batch retirement with one published
-// completion; and the recorded iteration cost seeds the adaptive grain
-// ramp. An iteration whose transitions diverge from the recorded shape
-// deopts the pipeline back to the interpreter mid-flight, so shape-
-// unstable programs pay one retraction and nothing after. Semantics are
-// identical in both modes — compiled dispatch preserves cross-edge
-// ordering, throttling, cancellation, and the Grain(1) per-iteration
-// protocol exactly — so disabling is only for ablation measurements.
+// fused so their boundary bookkeeping disappears entirely; and a
+// recorded pure-serial body enables whole-batch retirement with one
+// published completion. An iteration whose transitions diverge from the
+// recorded shape deopts the pipeline back to the interpreter mid-flight,
+// so shape-unstable programs pay one retraction and nothing after.
+// Semantics are identical in both modes — compiled dispatch preserves
+// cross-edge ordering, throttling, cancellation, and the Grain(1)
+// per-iteration protocol exactly — so disabling is only for ablation
+// measurements.
 // Plans require DependencyFolding and LazyEnabling (the ablations that
 // disable those measure the interpreter) and are never compiled for
 // instrumented (Profile*) runs.
