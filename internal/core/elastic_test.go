@@ -381,9 +381,13 @@ func TestCloseUnderChurn(t *testing.T) {
 // continuation for milliseconds, far past what the cost rule allows a
 // claim to cost, so the claim that follows it is a single slot, and the
 // ramp restarts from there: batching may hold the continuation hostage
-// once, not twice.
+// once, not twice. A costClock declares the costs — the stall five
+// milliseconds, every other body nothing — so the claim sizes are exact.
 func TestElasticScaleUpServesBehindBlockedBatch(t *testing.T) {
-	e := NewEngine(elasticOpts(1, 4, 5*time.Second))
+	var clk costClock
+	opts := elasticOpts(1, 4, 5*time.Second)
+	opts.hooks = withClock(nil, clk.ns.Load)
+	e := NewEngine(opts)
 	defer e.Close()
 
 	const n, stall = 2000, 600
@@ -402,14 +406,13 @@ func TestElasticScaleUpServesBehindBlockedBatch(t *testing.T) {
 			if it.Index() == stall {
 				close(reached)
 				<-gate
+				clk.spend(5 * time.Millisecond)
 			}
 		})
 	}()
 
 	<-reached
-	// Under the race detector the per-iteration protocol alone costs more
-	// than coarseIterNs, so nothing ramps; completion still has to hold.
-	if s := e.Stats(); !raceEnabled && s.BatchedIterations < stall/2 {
+	if s := e.Stats(); s.BatchedIterations < stall/2 {
 		t.Errorf("BatchedIterations = %d before the burst, want >= %d (the claim never grew while alone)", s.BatchedIterations, stall/2)
 	}
 	for _, h := range burstSubmit(e, 20, 1000) {
@@ -433,9 +436,6 @@ func TestElasticScaleUpServesBehindBlockedBatch(t *testing.T) {
 	if rep.Iterations != n {
 		t.Fatalf("Iterations = %d, want %d", rep.Iterations, n)
 	}
-	if raceEnabled {
-		return
-	}
 	// b is the first iteration past the stalled batch: a one-slot claim
 	// defers nothing, the two-slot claim after it defers one, and that one
 	// shows when the four-slot claim opens at b+3.
@@ -458,17 +458,14 @@ func TestElasticScaleUpServesBehindBlockedBatch(t *testing.T) {
 
 // TestIdleSpareDoesNotPinGrain: a floor worker that idles because the
 // offered load is one serial pipeline is not a reason to hold the claim
-// down. A bare idle count once vetoed growth, so a 2-worker engine running
-// one serial-only pipeline — the spare parked forever, stealing nothing —
-// pinned the grain at 1 and batching never engaged. The claim is a
-// function of measured cost alone now, so the grain must climb exactly as
-// it does alone on a single-worker pool, on a fixed pool and on an
-// elastic floor alike. CompilePlans is disabled so the interpreted batch
-// loop is the one that ramps.
+// down. A 2-worker engine running one serial-only pipeline — the spare
+// parked throughout, stealing nothing — must let the grain climb exactly
+// as it does alone on a single-worker pool, on a fixed pool and on an
+// elastic floor alike: the claim is a function of cost, which a costClock
+// declares here (the sleep that parks the spare costs what it takes,
+// every other body nothing), and no idle count enters it. CompilePlans is
+// disabled so the interpreted batch loop is the one that ramps, from 1.
 func TestIdleSpareDoesNotPinGrain(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector the per-iteration protocol alone costs more than coarseIterNs, so no pipeline ramps")
-	}
 	cases := []struct {
 		name string
 		opts Options
@@ -482,7 +479,9 @@ func TestIdleSpareDoesNotPinGrain(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			var clk costClock
 			c.opts.CompilePlans = false
+			c.opts.hooks = withClock(nil, clk.ns.Load)
 			e := NewEngine(c.opts)
 			defer e.Close()
 
@@ -495,6 +494,7 @@ func TestIdleSpareDoesNotPinGrain(t *testing.T) {
 					// of the run then opens every batch against a nonzero idle
 					// count, which must not matter.
 					time.Sleep(10 * time.Millisecond)
+					clk.spend(10 * time.Millisecond)
 				}
 			})
 			if rep.Iterations != n {

@@ -97,14 +97,15 @@ type Options struct {
 	// under the interpreter with a trace recorder attached, and if it
 	// retires cleanly its transition shape is compiled into a specialized
 	// plan — fused short serial stages, a precomputed cross-edge wait
-	// table, and elided per-boundary checks — that later iterations
-	// dispatch on, deoptimizing back to the interpreter
-	// the moment any iteration diverges from the recorded shape. Disable
-	// only for ablation: every iteration then re-derives the stage
-	// structure per boundary, as in the previous runtime. Plans are only
-	// compiled while DependencyFolding is on and EagerEnabling is off
-	// (the compiled dispatch subsumes the fold cache and never performs
-	// eager check-rights), and never for instrumented pipelines.
+	// table, elided per-boundary checks, and a claim seed for cheap
+	// serial bodies — that later iterations dispatch on, deoptimizing
+	// back to the interpreter the moment any iteration diverges from the
+	// recorded shape. Disable only for ablation: every iteration then
+	// re-derives the stage structure per boundary, as in the previous
+	// runtime. Plans are only compiled while DependencyFolding is on and
+	// EagerEnabling is off (the compiled dispatch subsumes the fold cache
+	// and never performs eager check-rights), and never for instrumented
+	// pipelines.
 	CompilePlans bool
 	// ArenaBuffers enables the engine's recycled payload-buffer arena
 	// (on by default via DefaultOptions; see Engine.Arena and
@@ -236,13 +237,17 @@ type Engine struct {
 	// Hot cross-worker words, padded apart from each other and from the
 	// mutex-guarded cold state around them: injectRR is bumped by every
 	// producer, idle is loaded by every pushWork (via signal) and written
-	// on park/unpark, and overflowN is polled by every work scan. Sharing
-	// a line among them — or with idleMu, whose lock word churns whenever
-	// a worker parks — would make each writer invalidate every reader.
+	// on park/unpark, spinners (the workers in their pre-park spin) is
+	// written twice per spin, and overflowN is polled by every work scan.
+	// Sharing a line among them — or with idleMu, whose lock word churns
+	// whenever a worker parks — would make each writer invalidate every
+	// reader.
 	_         cacheLinePad
 	injectRR  atomic.Uint32
 	_         cacheLinePad
 	idle      atomic.Int64
+	_         cacheLinePad
+	spinners  atomic.Int32
 	_         cacheLinePad
 	overflowN atomic.Int32
 	_         cacheLinePad
@@ -812,10 +817,11 @@ func (e *Engine) popOverflow() *frame {
 // worker's rescan observes the work.
 func (e *Engine) signal() {
 	if e.idle.Load() == 0 {
-		// Work is queued but no worker is parked to take it — the other
-		// scale-up trigger. canGrow is an immutable bool, so fixed-P
-		// engines pay one predictable branch here and nothing more.
-		if e.canGrow {
+		// Work is queued but no worker is parked to take it, nor sweeping
+		// for it in its pre-park spin — the other scale-up trigger. canGrow
+		// is an immutable bool, so fixed-P engines pay one predictable
+		// branch here and nothing more.
+		if e.canGrow && e.spinners.Load() == 0 {
 			e.maybeSpawn()
 		}
 		return
@@ -1234,7 +1240,9 @@ const spinBeforeParkNs = 10000
 // wake token. Parking is precise — a worker registers in the idle set and
 // re-scans before blocking, pairing with signal's publish-work-then-claim
 // order, so no wakeup is lost and no polling timer is needed; the spin
-// runs wholly before registration and changes none of that.
+// runs wholly before registration and changes none of that. A spinner is
+// counted (spinners) so that the two readers of idleness, signal's
+// scale-up and the adaptive throttle, see it as the waiting worker it is.
 func (w *worker) findWork() *frame {
 	e := w.eng
 	for {
@@ -1242,10 +1250,14 @@ func (w *worker) findWork() *frame {
 			return f
 		}
 		if e.liveN.Load() > 1 && e.pools.livePipeline.Load() > 0 {
-			for end := nowNs() + spinBeforeParkNs; !e.closed.Load() && nowNs() < end; {
-				if f := w.pollWork(); f != nil {
-					return f
-				}
+			var f *frame
+			e.spinners.Add(1)
+			for end := nowNs() + spinBeforeParkNs; f == nil && !e.closed.Load() && nowNs() < end; {
+				f = w.pollWork()
+			}
+			e.spinners.Add(-1)
+			if f != nil {
+				return f
 			}
 		}
 		if e.closed.Load() {

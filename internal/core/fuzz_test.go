@@ -226,8 +226,9 @@ func FuzzPipelineSchedule(f *testing.F) {
 		// no dependency folding, allocate-per-use frames, always-coroutine
 		// execution), both execution tiers crossed with PoolFrames=false,
 		// and the batching extremes — unbatched Grain(1), a fixed G=4
-		// claim, and a tight adaptive ceiling that forces the grow/shrink
-		// policy to act within small programs. The promotion, recycling,
+		// claim, and a tight adaptive ceiling on a clock seeded from the
+		// input, so the claim grows and drops within small programs and
+		// the fuzzer's mutations move where. The promotion, recycling,
 		// and batch split/defer paths must agree with the oracle under
 		// every combination.
 		ablated := DefaultOptions()
@@ -246,6 +247,11 @@ func FuzzPipelineSchedule(f *testing.F) {
 		grain4.Grain = 4
 		adaptiveTight := DefaultOptions()
 		adaptiveTight.GrainMax = 4
+		clockSeed := uint64(len(data))
+		for _, b := range data {
+			clockSeed = clockSeed*1099511628211 ^ uint64(b)
+		}
+		adaptiveTight.hooks = &schedHooks{clock: seededClock(clockSeed)}
 		// CompilePlans defaults on, so every config above except "ablated"
 		// (which disables dependency folding, a plan prerequisite) runs
 		// compiled dispatch; the interp twins ablate the compiler so the same

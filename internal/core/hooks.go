@@ -47,6 +47,10 @@ type schedHooks struct {
 	// stealFirst makes a worker's scan raid the other shards before its
 	// own deque, scrambling the preferred LIFO order.
 	stealFirst func() bool
+	// clock replaces the clock openBatch derives per-iteration cost from,
+	// so a test can make the claim sequence a function of declared cost
+	// (or of a seed) instead of the host's speed.
+	clock func() int64
 }
 
 // hookAt runs the point hook if one is installed. Kept out-of-line so the
@@ -55,4 +59,12 @@ func (e *Engine) hookAt(p hookPoint) {
 	if h := e.hooks; h != nil && h.point != nil {
 		h.point(p)
 	}
+}
+
+// batchClock is openBatch's clock read: the clock hook if one is installed.
+func (e *Engine) batchClock() int64 {
+	if h := e.hooks; h != nil && h.clock != nil {
+		return h.clock()
+	}
+	return nowNs()
 }

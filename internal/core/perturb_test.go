@@ -50,6 +50,26 @@ func newPerturber(seed uint64) *schedHooks {
 		},
 		forceOverflow: func() bool { return roll(8) == 0 },
 		stealFirst:    func() bool { return roll(4) == 0 },
+		clock:         seededClock(seed),
+	}
+}
+
+// seededClock makes the cost-bounded claim part of a seeded schedule: a
+// virtual clock for openBatch that every read advances by a power of two
+// between 1 ns and 131 µs, so a one-slot claim measures coarse about one
+// time in three and an eight-slot one about one in six, and an adaptive
+// pipeline ramps and drops by the seed alone — under the race detector
+// too, where the real per-iteration protocol costs more than coarseIterNs
+// and nothing would ever batch.
+func seededClock(seed uint64) func() int64 {
+	var mu sync.Mutex
+	rng := workload.NewRNG(seed ^ 0xc10c)
+	var now int64
+	return func() int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		now += 1 << rng.Intn(18)
+		return now
 	}
 }
 

@@ -365,14 +365,14 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			// routes back through the full gate.
 			if n := pl.join.Load(); pl.serialPlan == nil || n > 0 {
 				if k := pl.K.Load(); n >= k {
-					// Adaptive throttling: if the machine is starving (idle
-					// workers) while this pipeline is window-bound, trade
+					// Adaptive throttling: if the machine is starving (workers
+					// parked or spinning) while this pipeline is window-bound, trade
 					// space for parallelism, up to kMax. This is the
 					// Section 11 trade-off made explicit: on the Figure 10
 					// pathology a Θ(P) window caps speedup near 3, and any
 					// scheduler that does better must hold more iterations
 					// live.
-					if k < pl.kMax && pl.eng.idle.Load() > 0 {
+					if k < pl.kMax && pl.eng.idle.Load()+int64(pl.eng.spinners.Load()) > 0 {
 						pl.K.Store(minInt64(2*k, pl.kMax))
 						pl.eng.stats.throttleGrows.Add(1)
 						continue
@@ -522,19 +522,24 @@ const coarseIterNs = 4000
 // prove a body coarse but not cheap, and the claim stays where it is; from
 // two slots up the window holds every slot but the last in full. A
 // freshly sealed serial-only plan installs the batched fast retire loop
-// here (the control frame owns all grain state). Instrumented and traced
-// runs pin the claim to 1: per-node work/span accounting chains critical
-// paths through real predecessor frames, and trace consumers expect one
-// segment per iteration.
+// here (the control frame owns all grain state), and its recorded cost
+// stands in for the sample at that open: the recorder timed iteration 0's
+// body alone, and a body that never leaves stage 0 has no continuation to
+// release mid-iteration, so a cheap one starts at grainMax instead of
+// ramping. Instrumented and traced runs pin the claim to 1: per-node
+// work/span accounting chains critical paths through real predecessor
+// frames, and trace consumers expect one segment per iteration.
 func (pl *pipeline) openBatch() int64 {
 	if pl.instrument || pl.eng.tracing.Load() {
 		return 1
 	}
+	seeded := false
 	if !pl.planSeen {
 		if p := pl.plan.Load(); p != nil {
 			pl.planSeen = true
 			if p.serialOnly {
 				pl.serialPlan = p
+				seeded = p.costNs <= coarseIterNs
 			}
 		}
 	}
@@ -542,10 +547,12 @@ func (pl *pipeline) openBatch() int64 {
 	if pl.grainFixed {
 		return g
 	}
-	now, slots := nowNs(), pl.nextIndex-1-pl.openIndex
+	now, slots := pl.eng.batchClock(), pl.nextIndex-1-pl.openIndex
 	cost := (now - pl.openNs) / maxInt64(slots, 1)
 	pl.openNs, pl.openIndex = now, pl.nextIndex-1
 	switch {
+	case seeded:
+		g = pl.grainMax
 	case slots == 0: // first open: probe at the starting grain
 	case cost > coarseIterNs:
 		g = 1

@@ -43,7 +43,9 @@ import (
 // A plan whose recorded iteration never left stage 0 (serialOnly) enables
 // the strongest specialization: runInlineBatchSerial (frame.go) retires
 // whole batches with one published stage/status transition, and the
-// control step elides the throttle gate while no iteration is live.
+// control step elides the throttle gate while no iteration is live. The
+// recorded cost also seeds such a pipeline's claim (see openBatch),
+// replacing the cold ramp from 1 for bodies the recording proves cheap.
 //
 // Plans are compiled only when Options.CompilePlans is set together with
 // DependencyFolding and lazy enabling (the compiled dispatch subsumes the
@@ -87,6 +89,9 @@ type plan struct {
 	maxWait int64
 	// fused counts fused transitions, for Stats and the report.
 	fused int64
+	// costNs is what the recorded iteration took from bind to retirement;
+	// openBatch seeds a serial-only plan's claim from it.
+	costNs int64
 }
 
 // planRecorder captures iteration 0's transitions. It is embedded in the
@@ -168,6 +173,7 @@ func compilePlan(r *planRecorder, end int64) *plan {
 		nodes:      make([]planNode, r.n),
 		serialOnly: r.n == 0,
 		maxWait:    dag.MaxCross(nodes),
+		costNs:     maxInt64(end-r.start, 0),
 	}
 	for t := 0; t < r.n; t++ {
 		p.nodes[t] = planNode{stage: r.stages[t], wait: r.waits[t], fused: fusable[t+1]}

@@ -163,16 +163,20 @@ func TestPlanDeoptOnShapeChange(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
-// TestSerialPlanBatches: a pure-serial body compiles to a serial-only
-// plan, and its measured cost — a few nanoseconds — lets the claim ramp,
-// so the batched fast retire loop carries nearly the whole run.
-func TestSerialPlanBatches(t *testing.T) {
+// TestSerialPlanSeedsGrain: a short pure-serial body's recorded cost
+// seeds the claim at the ceiling, so batching engages right after the
+// recording iteration instead of ramping from 1 — the difference is
+// visible on a run too short for the cold ramp to finish. The batches
+// after the seed are measured on a costClock, on which the empty bodies
+// cost nothing whatever the host is doing.
+func TestSerialPlanSeedsGrain(t *testing.T) {
 	opts := planOpts(true)
 	opts.Workers = 1
+	opts.hooks = withClock(nil, new(costClock).ns.Load)
 	e := NewEngine(opts)
 	defer e.Close()
 
-	const n = 1000
+	const n = 100
 	i := 0
 	rep := e.RunPipeline(0, func() bool { return i < n }, func(it *Iter) { i++ })
 	if rep.Iterations != n {
@@ -181,11 +185,11 @@ func TestSerialPlanBatches(t *testing.T) {
 	if !rep.PlanCompiled || rep.PlanStages != 1 {
 		t.Errorf("serial plan not compiled: %+v", rep)
 	}
-	if rep.FinalGrain <= 1 {
-		t.Errorf("FinalGrain = %d, want > 1 for an empty serial body", rep.FinalGrain)
+	if rep.FinalGrain != defaultGrainMax {
+		t.Errorf("FinalGrain = %d, want the seeded ceiling %d", rep.FinalGrain, int64(defaultGrainMax))
 	}
 	if s := e.Stats(); s.BatchedIterations < n/2 {
-		t.Errorf("BatchedIterations = %d, want >= %d (the serial loop should batch nearly the whole run)",
+		t.Errorf("BatchedIterations = %d, want >= %d (seeding should batch nearly the whole run)",
 			s.BatchedIterations, n/2)
 	}
 	checkEngineDrained(t, e)

@@ -239,13 +239,14 @@ func GrainMax(g int) Option {
 // are hoisted out of the dispatch; adjacent short serial stages are
 // fused so their boundary bookkeeping disappears entirely; and a
 // recorded pure-serial body enables whole-batch retirement with one
-// published completion. An iteration whose transitions diverge from the
-// recorded shape deopts the pipeline back to the interpreter mid-flight,
-// so shape-unstable programs pay one retraction and nothing after.
-// Semantics are identical in both modes — compiled dispatch preserves
-// cross-edge ordering, throttling, cancellation, and the Grain(1)
-// per-iteration protocol exactly — so disabling is only for ablation
-// measurements.
+// published completion and, when the recording shows it to be cheap,
+// starts at the GrainMax claim instead of ramping up to it. An iteration
+// whose transitions diverge from the recorded shape deopts the pipeline
+// back to the interpreter mid-flight, so shape-unstable programs pay one
+// retraction and nothing after. Semantics are identical in both modes —
+// compiled dispatch preserves cross-edge ordering, throttling,
+// cancellation, and the Grain(1) per-iteration protocol exactly — so
+// disabling is only for ablation measurements.
 // Plans require DependencyFolding and LazyEnabling (the ablations that
 // disable those measure the interpreter) and are never compiled for
 // instrumented (Profile*) runs.
