@@ -29,99 +29,8 @@ func main() {
 		size       = flag.String("size", "small", "small|native")
 		plist      = flag.String("plist", "", "comma-separated worker counts (default 1,2,...,NumCPU)")
 		pmax       = flag.Int("pmax", runtime.NumCPU(), "worker count for single-P experiments")
-		jsonOut    = flag.String("json", "", "write the machine-readable benchmark suite to this file (e.g. BENCH_piper.json) and exit; a -only filter matching no rows exits nonzero and lists the available names")
-		only       = flag.String("only", "", "with -json: run only benchmarks whose name contains one of these comma-separated substrings (duplicates rejected)")
-		baseline   = flag.String("baseline", "", "with -json: compare the guarded benchmark(s) against this checked-in report and exit nonzero on regression")
-		guard      = flag.String("guard", "SerialOverheadPerIter/P1", "with -baseline: comma-separated benchmark name(s) to guard (duplicates rejected)")
-		maxregress = flag.Float64("maxregress", 15, "with -baseline: fail if a guarded benchmark is more than this percent slower")
-		metricg    = flag.String("metricguard", "", "with -baseline: comma-separated name:metric:slack entries guarding allocs_per_op/bytes_per_op/ns_per_op with the -maxregress bound plus an absolute slack (e.g. \"Dedup1MiB/P2:allocs_per_op:16\")")
-		procs      = flag.String("procs", "", "with -json: record speedup curves over these comma-separated GOMAXPROCS values, or \"auto\" for 1,2,4,...,NumCPU; values above NumCPU require -virtual")
-		virtual    = flag.Bool("virtual", false, "with -procs: simulate worker counts above NumCPU through the deterministic virtual-schedule mode (auto adds P=8..64)")
-		speedupg   = flag.String("speedupguard", "LZStream", "with -baseline and -procs: comma-separated workload curve(s) whose speedup at the highest real P must not regress (duplicates rejected)")
 	)
 	flag.Parse()
-
-	if *jsonOut != "" {
-		filters, err := bench.SplitNames("-only", *only)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "piperbench: %v\n", err)
-			os.Exit(2)
-		}
-		realPs, virtPs, err := bench.ParseProcs(*procs, runtime.NumCPU(), *virtual)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "piperbench: %v\n", err)
-			os.Exit(2)
-		}
-		guards, err := bench.SplitNames("-guard", *guard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "piperbench: %v\n", err)
-			os.Exit(2)
-		}
-		speedupGuards, err := bench.SplitNames("-speedupguard", *speedupg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "piperbench: %v\n", err)
-			os.Exit(2)
-		}
-		cfg := bench.SuiteConfig{Filters: filters, RealProcs: realPs, VirtProcs: virtPs}
-		if err := bench.WriteJSONFile(*jsonOut, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "piperbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-		if *baseline != "" {
-			failed := false
-			checked := 0
-			for _, name := range guards {
-				checked++
-				if err := bench.CheckRegression(*jsonOut, *baseline, name, *maxregress); err != nil {
-					fmt.Fprintf(os.Stderr, "piperbench: benchmark regression: %v\n", err)
-					failed = true
-				}
-			}
-			if len(realPs) > 0 || len(virtPs) > 0 {
-				for _, name := range speedupGuards {
-					checked++
-					if err := bench.CheckSpeedupRegression(*jsonOut, *baseline, name, *maxregress); err != nil {
-						fmt.Fprintf(os.Stderr, "piperbench: speedup regression: %v\n", err)
-						failed = true
-					}
-				}
-			}
-			for _, entry := range strings.Split(*metricg, ",") {
-				entry = strings.TrimSpace(entry)
-				if entry == "" {
-					continue
-				}
-				parts := strings.Split(entry, ":")
-				if len(parts) != 3 {
-					fmt.Fprintf(os.Stderr, "piperbench: bad -metricguard entry %q (want name:metric:slack)\n", entry)
-					failed = true
-					continue
-				}
-				slack, err := strconv.ParseFloat(parts[2], 64)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "piperbench: bad -metricguard slack in %q: %v\n", entry, err)
-					failed = true
-					continue
-				}
-				checked++
-				if err := bench.CheckMetricRegression(*jsonOut, *baseline, parts[0], parts[1], *maxregress, slack); err != nil {
-					fmt.Fprintf(os.Stderr, "piperbench: benchmark regression: %v\n", err)
-					failed = true
-				}
-			}
-			if checked == 0 {
-				// Empty guards must not pass as a vacuous success: a CI
-				// step that guards nothing is a misconfiguration.
-				fmt.Fprintf(os.Stderr, "piperbench: -baseline given but -guard %q and -metricguard %q name no benchmarks\n", *guard, *metricg)
-				failed = true
-			}
-			if failed {
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	sz := bench.Small()
 	if *size == "native" {

@@ -2,9 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -94,196 +91,11 @@ func TestAblationsSmall(t *testing.T) {
 	sz := Small()
 	sz.PipeFibN = 800
 	tbl := Ablations(nil, 2, sz)
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("rows = %d, want baseline + the paper's three switches", len(tbl.Rows))
 	}
 	if tbl.Rows[0][2] != "1.00" {
 		t.Fatalf("baseline slowdown should be 1.00, got %s", tbl.Rows[0][2])
-	}
-}
-
-// TestCheckRegression exercises the CI benchmark guard against doctored
-// reports: within the limit passes, beyond it fails, and a missing
-// benchmark name is an error rather than a silent pass.
-func TestCheckRegression(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, ns float64) string {
-		rep := JSONReport{Benchmarks: []JSONBenchmark{{Name: "X/P1", NsPerOp: ns}}}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base := write("base.json", 100)
-	okFresh := write("ok.json", 110)
-	badFresh := write("bad.json", 130)
-	if err := CheckRegression(okFresh, base, "X/P1", 15); err != nil {
-		t.Fatalf("10%% drift within 15%% limit failed: %v", err)
-	}
-	if err := CheckRegression(badFresh, base, "X/P1", 15); err == nil {
-		t.Fatal("30% regression passed the 15% guard")
-	}
-	if err := CheckRegression(okFresh, base, "Missing", 15); err == nil {
-		t.Fatal("missing benchmark name passed")
-	}
-
-	// A zero or missing baseline metric must be an error, not a silent
-	// pass: 100*(x-0)/0 is +Inf (or NaN for x=0), and NaN never exceeds
-	// maxPct, so a garbage baseline would wave real regressions through.
-	zeroBase := write("zerobase.json", 0)
-	if err := CheckRegression(badFresh, zeroBase, "X/P1", 15); err == nil {
-		t.Fatal("zero baseline ns_per_op passed the guard")
-	}
-	negBase := write("negbase.json", -5)
-	if err := CheckRegression(badFresh, negBase, "X/P1", 15); err == nil {
-		t.Fatal("negative baseline ns_per_op passed the guard")
-	}
-	// A record present under the guarded name but with the metric field
-	// absent decodes as 0 — the "missing metric" shape of the same bug.
-	missingMetric := filepath.Join(dir, "missingmetric.json")
-	if err := os.WriteFile(missingMetric, []byte(`{"benchmarks":[{"name":"X/P1"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckRegression(badFresh, missingMetric, "X/P1", 15); err == nil {
-		t.Fatal("missing baseline metric passed the guard")
-	}
-	// And the fresh side: a bogus (non-positive) fresh reading makes the
-	// drift -100%, which would also pass silently.
-	zeroFresh := write("zerofresh.json", 0)
-	if err := CheckRegression(zeroFresh, base, "X/P1", 15); err == nil {
-		t.Fatal("zero fresh ns_per_op passed the guard")
-	}
-}
-
-// TestCheckMetricRegression exercises the generalized guard on the
-// counting metrics: the absolute slack must carry zero/near-zero
-// baselines (an arena-backed pipeline's allocs_per_op), the percentage
-// bound must still catch blowups, and garbage metrics must error.
-func TestCheckMetricRegression(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, allocs, bytes float64) string {
-		rep := JSONReport{Benchmarks: []JSONBenchmark{{Name: "X/P1", NsPerOp: 100, AllocsPerOp: allocs, BytesPerOp: bytes}}}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base := write("base.json", 30, 50000)
-	okFresh := write("ok.json", 40, 55000)
-	badFresh := write("bad.json", 700, 4e6)
-	if err := CheckMetricRegression(okFresh, base, "X/P1", "allocs_per_op", 15, 16); err != nil {
-		t.Fatalf("within percentage+slack failed: %v", err)
-	}
-	if err := CheckMetricRegression(badFresh, base, "X/P1", "allocs_per_op", 15, 16); err == nil {
-		t.Fatal("20× alloc blowup passed the guard")
-	}
-	if err := CheckMetricRegression(badFresh, base, "X/P1", "bytes_per_op", 15, 4096); err == nil {
-		t.Fatal("80× bytes blowup passed the guard")
-	}
-	if err := CheckMetricRegression(okFresh, base, "X/P1", "parks_per_op", 15, 1); err == nil {
-		t.Fatal("unknown metric name passed")
-	}
-
-	// Zero baselines: legitimate for counters when slack supplies the
-	// tolerance, an error when it does not (a pure percentage bound on a
-	// zero baseline tolerates nothing and flaps on warm-up noise).
-	zeroBase := write("zerobase.json", 0, 0)
-	zeroFresh := write("zerofresh.json", 0, 0)
-	smallFresh := write("smallfresh.json", 10, 1000)
-	if err := CheckMetricRegression(zeroFresh, zeroBase, "X/P1", "allocs_per_op", 15, 16); err != nil {
-		t.Fatalf("zero fresh vs zero baseline with slack failed: %v", err)
-	}
-	if err := CheckMetricRegression(smallFresh, zeroBase, "X/P1", "allocs_per_op", 15, 16); err != nil {
-		t.Fatalf("within-slack drift off a zero baseline failed: %v", err)
-	}
-	if err := CheckMetricRegression(smallFresh, zeroBase, "X/P1", "allocs_per_op", 15, 0); err == nil {
-		t.Fatal("zero baseline with zero slack must refuse to guard")
-	}
-	if err := CheckMetricRegression(smallFresh, zeroBase, "X/P1", "bytes_per_op", 15, 16); err == nil {
-		t.Fatal("1000 fresh bytes over a zero baseline with slack 16 passed")
-	}
-	// ns_per_op keeps its stricter positivity contract through the
-	// generalized path: a decoded-as-zero row is a missing row, not a win.
-	zeroNs := filepath.Join(dir, "zerons.json")
-	if err := os.WriteFile(zeroNs, []byte(`{"benchmarks":[{"name":"X/P1","allocs_per_op":5}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckMetricRegression(okFresh, zeroNs, "X/P1", "ns_per_op", 15, 5); err == nil {
-		t.Fatal("zero baseline ns_per_op passed the generalized guard")
-	}
-}
-
-// TestGuardMissingRowListsAvailable pins the guard's missing-row contract
-// in both directions: when the guarded name is absent from the baseline
-// report or from the fresh report, the error must name the rows that
-// report does contain — the same affordance the suite's zero-match filter
-// error gives — so a renamed guard entry against a stale baseline is
-// diagnosable from the failure alone.
-func TestGuardMissingRowListsAvailable(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rows ...string) string {
-		rep := JSONReport{}
-		for _, r := range rows {
-			rep.Benchmarks = append(rep.Benchmarks, JSONBenchmark{Name: r, NsPerOp: 100})
-		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	full := write("full.json", "X/P1", "X/P1/CompilePlans=false", "Y/P2")
-	stale := write("stale.json", "X/P1", "Y/P2")
-	empty := write("empty.json")
-
-	// Direction 1: the row exists in the fresh run but the baseline
-	// predates it — the error must blame the baseline path and list the
-	// baseline's rows.
-	err := CheckMetricRegression(full, stale, "X/P1/CompilePlans=false", "ns_per_op", 15, 0)
-	if err == nil {
-		t.Fatal("row missing from baseline passed the guard")
-	}
-	for _, want := range []string{"X/P1/CompilePlans=false", "stale.json", "available", "X/P1", "Y/P2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("baseline-direction error %q does not mention %q", err, want)
-		}
-	}
-	if strings.Contains(err.Error(), "full.json") {
-		t.Errorf("baseline-direction error %q blames the fresh report", err)
-	}
-
-	// Direction 2: the baseline has the row but the fresh run (e.g. run
-	// with a narrower -only filter) does not — the error must blame the
-	// fresh path instead.
-	err = CheckRegression(stale, full, "X/P1/CompilePlans=false", 15)
-	if err == nil {
-		t.Fatal("row missing from fresh report passed the guard")
-	}
-	for _, want := range []string{"X/P1/CompilePlans=false", "stale.json", "available", "X/P1", "Y/P2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("fresh-direction error %q does not mention %q", err, want)
-		}
-	}
-
-	// A rowless report says so explicitly rather than emitting a dangling
-	// "available:" with nothing after it.
-	err = CheckMetricRegression(full, empty, "X/P1", "ns_per_op", 15, 0)
-	if err == nil || !strings.Contains(err.Error(), "no rows") {
-		t.Errorf("empty-report error = %v, want a no-rows diagnosis", err)
 	}
 }
 
@@ -338,30 +150,6 @@ func TestArenaAblationSmall(t *testing.T) {
 	}
 }
 
-// TestJSONSuiteFilterMatchesNothing pins the -only contract: a filter
-// that selects zero rows must error (naming the available rows) instead
-// of silently writing an empty report, and WriteJSONFile must not leave a
-// truncated artifact behind.
-func TestJSONSuiteFilterMatchesNothing(t *testing.T) {
-	var buf bytes.Buffer
-	err := JSONSuite(&buf, SuiteConfig{Filters: []string{"NoSuchBenchmarkRow"}})
-	if err == nil {
-		t.Fatal("zero-match filter produced no error")
-	}
-	for _, want := range []string{"NoSuchBenchmarkRow", "SerialOverheadPerIter/P1", "BatchedSerialOverhead/P1", elasticRowName} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "out.json")
-	if err := WriteJSONFile(path, SuiteConfig{Filters: []string{"NoSuchBenchmarkRow"}}); err == nil {
-		t.Fatal("WriteJSONFile accepted a zero-match filter")
-	}
-	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-		t.Errorf("zero-match filter left %s behind", path)
-	}
-}
-
 // TestGrainAblationSmall renders the grain table at a tiny size.
 func TestGrainAblationSmall(t *testing.T) {
 	sz := Small()
@@ -389,16 +177,6 @@ func TestElasticitySmall(t *testing.T) {
 	}
 	if len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], "scale-up latency") {
 		t.Errorf("missing scale-up latency note: %v", tbl.Notes)
-	}
-}
-
-func TestElasticScaleUpRow(t *testing.T) {
-	row := elasticScaleUpRow()
-	if row.Name != elasticRowName {
-		t.Fatalf("row name = %q", row.Name)
-	}
-	if !(row.NsPerOp > 0) {
-		t.Fatalf("scale-up latency = %v, want > 0", row.NsPerOp)
 	}
 }
 

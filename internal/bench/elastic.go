@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -130,25 +129,4 @@ func Elasticity(w io.Writer, pmax int, sz SizeSpec) *Table {
 		tbl.Fprint(w)
 	}
 	return tbl
-}
-
-// elasticScaleUpRow is the machine-readable elasticity record for
-// BENCH_piper.json: the median scale-up latency over several rounds, so
-// the perf trajectory tracks how fast the pool reacts to a burst. The
-// 1→4 shape is fixed (not NumCPU-dependent) to keep reports comparable
-// across hosts.
-const elasticRowName = "ElasticScaleUp/Min1Max4"
-
-func elasticScaleUpRow() JSONBenchmark {
-	const rounds, maxW = 5, 4
-	lats := make([]float64, 0, rounds)
-	for r := 0; r < rounds; r++ {
-		lats = append(lats, float64(MeasureScaleUp(maxW, 1500)))
-	}
-	sort.Float64s(lats)
-	return JSONBenchmark{
-		Name:    elasticRowName,
-		N:       rounds,
-		NsPerOp: lats[rounds/2],
-	}
 }

@@ -202,7 +202,6 @@ func Ablations(w io.Writer, p int, sz SizeSpec) *Table {
 		{"no dependency folding", []piper.Option{piper.DependencyFolding(false)}},
 		{"eager enabling", []piper.Option{piper.LazyEnabling(false)}},
 		{"no tail swap", []piper.Option{piper.TailSwap(false)}},
-		{"no inline fast path", []piper.Option{piper.InlineFastPath(false)}},
 	}
 	tbl := &Table{
 		Title:  fmt.Sprintf("Section 9 ablations on pipe-fib (n=%d, P=%d)", n, p),

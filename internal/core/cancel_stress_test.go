@@ -18,18 +18,13 @@ import (
 // return the context error or nil, no goroutine may leak, and every frame
 // must drain back to the pools.
 func TestCancelStressRandomized(t *testing.T) {
-	// Both execution tiers, and the batched inline tier at both grain
-	// extremes: cancellation must behave identically whether iterations
-	// run inline (promoting only on a real suspension), on coroutine
-	// runners throughout, one per frame acquisition (Grain 1), or many
-	// per recycled batch frame (fixed Grain 8) — and in every case the
-	// gauge sweep must show the batch-frame state draining back to the
-	// pools after the storm.
+	// The default claim policy and both grain extremes: cancellation must
+	// behave identically whether iterations run one per frame acquisition
+	// (Grain 1) or many per recycled batch frame (fixed Grain 8) — and in
+	// every case the gauge sweep must show the batch-frame state draining
+	// back to the pools after the storm.
 	t.Run("inline", func(t *testing.T) {
 		cancelStressRandomized(t, func(o *Options) {})
-	})
-	t.Run("coroutine", func(t *testing.T) {
-		cancelStressRandomized(t, func(o *Options) { o.InlineFastPath = false })
 	})
 	t.Run("grain1", func(t *testing.T) {
 		cancelStressRandomized(t, func(o *Options) { o.Grain = 1 })
@@ -126,9 +121,6 @@ func cancelStressRandomized(t *testing.T, mutate func(*Options)) {
 func TestCancelStressNestedForkJoin(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
 		cancelStressNestedForkJoin(t, func(o *Options) {})
-	})
-	t.Run("coroutine", func(t *testing.T) {
-		cancelStressNestedForkJoin(t, func(o *Options) { o.InlineFastPath = false })
 	})
 	// The nested pipelines force a split in every claimed batch, driving
 	// the abort paths through the split/release machinery.

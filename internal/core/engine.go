@@ -62,19 +62,6 @@ type Options struct {
 	// TailSwap enables the tail-swap rule at iteration completion
 	// (on by default via DefaultOptions).
 	TailSwap bool
-	// PoolFrames enables recycling of frame structs, their coroutine
-	// channels and goroutines, and pipeline control state through
-	// sync.Pools (on by default via DefaultOptions; see pool.go). Disable
-	// only for ablation: every frame is then allocated fresh, as in the
-	// unoptimized runtime.
-	PoolFrames bool
-	// InlineFastPath enables tier-1 inline execution (on by default via
-	// DefaultOptions; see frame.go): a worker drives each iteration as a
-	// direct call on its own stack and promotes it to a coroutine frame
-	// only when it must actually block. Disable only for ablation: every
-	// iteration then runs on a coroutine runner with a channel handshake
-	// per segment, as in the previous runtime.
-	InlineFastPath bool
 	// Grain fixes the batched inline execution run length G: a worker's
 	// fast path claims up to G consecutive iterations into one control
 	// frame and executes their bodies back-to-back through one pooled
@@ -86,8 +73,7 @@ type Options struct {
 	// exactly. 0 (the default) selects the cost-bounded claim: each
 	// pipeline starts at 1 and, while its iterations are measured to cost
 	// under coarseIterNs, doubles up to GrainMax; costlier iterations run
-	// claim 1 (see pipeline.openBatch). Only meaningful with
-	// InlineFastPath.
+	// claim 1 (see pipeline.openBatch).
 	Grain int
 	// GrainMax caps the cost-bounded claim (0 means 64). Ignored when
 	// Grain > 0 fixes the run length.
@@ -136,8 +122,6 @@ func DefaultOptions() Options {
 		DependencyFolding: true,
 		EagerEnabling:     false,
 		TailSwap:          true,
-		PoolFrames:        true,
-		InlineFastPath:    true,
 		CompilePlans:      true,
 		ArenaBuffers:      true,
 	}
@@ -287,7 +271,6 @@ type Engine struct {
 	// Handle.Wait would hang forever.
 	submitMu sync.RWMutex
 	closed   atomic.Bool
-	closedCh chan struct{}
 	wg       sync.WaitGroup
 
 	// adm is the admission queue (see admission.go): nil when the engine
@@ -311,11 +294,10 @@ type Engine struct {
 func NewEngine(opts Options) *Engine {
 	opts.normalize()
 	e := &Engine{
-		opts:     opts,
-		closedCh: make(chan struct{}),
-		canGrow:  opts.elastic(),
-		hooks:    opts.hooks,
-		arena:    arena.New(opts.ArenaBuffers),
+		opts:    opts,
+		canGrow: opts.elastic(),
+		hooks:   opts.hooks,
+		arena:   arena.New(opts.ArenaBuffers),
 	}
 	e.adm = newAdmitter(e, &opts)
 	e.workers = make([]*worker, opts.MaxWorkers)
@@ -509,8 +491,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Close shuts the engine down. It must not be called while pipelines are
-// still running (Wait every outstanding Handle first). Closing also
-// releases every pooled coroutine runner parked for reuse. A Submit or
+// still running (Wait every outstanding Handle first). A Submit or
 // PipeWhile launch racing Close either completes normally (the last
 // exiting worker drains it) or observes the closed engine; its work is
 // never silently stranded.
@@ -557,11 +538,6 @@ func (e *Engine) Close() {
 		w.parkCh <- struct{}{}
 	}
 	e.wg.Wait()
-	// Release the pooled coroutine runners only after the workers are
-	// gone: frames acquired from the pools during the drain must still
-	// have live runners, and the resume handshake must never race a
-	// runner's shutdown (corun's select would drop the resume).
-	close(e.closedCh)
 }
 
 // PipeWhile executes an on-the-fly pipeline: while cond() reports true, an
@@ -594,7 +570,7 @@ type PipelineReport struct {
 	FinalThrottle int64
 	// FinalGrain is the batched-execution run length G at completion: the
 	// fixed Options.Grain, or the cost-bounded policy's last claim (see
-	// pipeline.openBatch). 1 for serial and coroutine-tier runs.
+	// pipeline.openBatch). 1 for serial runs.
 	FinalGrain int64
 	// WorkNs and SpanNs are the measured work T1 and span T∞ of the
 	// pipeline dag in nanoseconds, populated only by ProfilePipeline
@@ -1044,12 +1020,6 @@ func (w *worker) execute(f *frame) bool {
 			w.assigned.Store(nil)
 			w.traceSegment(tracing, traceKind, traceIndex, traceStart)
 			switch msg.kind {
-			case ySpawn:
-				// The control frame is the continuation: push it for
-				// thieves (they will run iteration i+1's stage 0) and
-				// adopt the freshly spawned iteration, child-first.
-				w.pushWork(f)
-				f = msg.child
 			case yInlineDone:
 				// An iteration ran to completion inline after releasing
 				// the control frame mid-body; retire it here. The control
@@ -1286,9 +1256,8 @@ func (w *worker) findWork() *frame {
 			continue // final drain scan at the loop top, then exit
 		}
 		e.stats.parks.Add(1)
-		// No closedCh case: Close only closes that channel after wg.Wait,
-		// by which point no worker is parked — a parked worker is always
-		// released by a wake token, from signal or from Close's sweep.
+		// A parked worker is always released by a wake token, from signal
+		// or from Close's sweep.
 		if !w.parkAwait() {
 			return nil // retired: the worker role ends here
 		}

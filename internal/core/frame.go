@@ -34,10 +34,6 @@
 // by resuming the runner over the channel pair and blocking until it
 // yields, preserving PIPER's bind-to-element structure, throttling, and
 // deque discipline.
-//
-// The Options.InlineFastPath ablation switch restores the always-coroutine
-// model: every iteration then runs on a (pooled) runner goroutine with a
-// resume/yield handshake per segment, as in the previous runtime.
 package core
 
 import (
@@ -72,16 +68,14 @@ type yieldKind int8
 
 const (
 	yDone       yieldKind = iota // frame finished
-	ySpawn                       // control: a runnable iteration left stage 0
 	ySuspend                     // frame parked (status says why)
-	yLeftStage0                  // iteration: left the serial stage-0 prefix, still runnable
 	yInlineDone                  // control: an inline iteration completed after releasing the control frame
 	yPromoted                    // control: the goroutine promoted away; the worker role moved on
 )
 
 type yieldMsg struct {
 	kind  yieldKind
-	child *frame // for ySpawn and yInlineDone
+	child *frame // for yInlineDone
 }
 
 const stageDone = math.MaxInt64
@@ -94,11 +88,9 @@ type cacheLinePad = [64]byte
 
 // coTail is the coroutine half of an iteration frame: the unbuffered
 // channel pair over which a runner goroutine and its driver hand control
-// back and forth. With the inline fast path enabled the tail is attached
-// only on promotion (from its own pool — see pool.go) and detached again
-// at retirement, so unblocked iterations never carry one; with the fast
-// path ablated every iteration frame owns a tail for its whole pooled
-// lifetime, together with a runner goroutine that parks for reuse.
+// back and forth. The tail is attached only on promotion (from its own
+// pool — see pool.go) and detached again at retirement, so unblocked
+// iterations never carry one.
 type coTail struct {
 	resume chan struct{}
 	yield  chan yieldMsg
@@ -114,17 +106,9 @@ type frame struct {
 	eng  *Engine
 
 	// co is the coroutine machinery (iteration frames); see coTail for
-	// when it is attached. With pooling (and the inline fast path off) the
-	// tail and the runner goroutine outlive individual incarnations.
+	// when it is attached. Non-nil exactly while the frame is promoted: the
+	// goroutine that promoted is its runner.
 	co *coTail
-	// started is true while a runner goroutine serves this frame: the
-	// driver must resume it rather than spawn one. Promotion sets it (the
-	// promoting goroutine is the runner); retirement of a promoted frame
-	// clears it as the tail detaches.
-	started bool
-	// reusable is immutable: true iff the frame recycles through a pool,
-	// which also makes a corun runner loop instead of exiting.
-	reusable bool
 	// inline is true while the iteration body runs as a direct call on the
 	// worker's goroutine (tier 1). Runner-local; cleared by promotion or at
 	// inline completion.
@@ -214,56 +198,21 @@ type frame struct {
 }
 
 // driveSegment resumes the frame's coroutine and blocks until it yields.
-// It may be called from a worker's goroutine or, for an iteration's
-// stage-0 segment under the InlineFastPath ablation, from the control
-// frame's step. With the fast path on it is only ever called on promoted
-// frames, whose runner (the goroutine that promoted) is already live.
+// It is only ever called on promoted frames, whose runner (the goroutine
+// that promoted) is already live and parked on the resume channel.
 func (f *frame) driveSegment(w *worker) yieldMsg {
 	f.w = w
 	w.eng.stats.segments.Add(1)
-	if !f.started {
-		f.started = true
-		//piper:allow-go bounded by the frame: corun exits when the body returns, and the driver holds the yield handshake until then
-		go f.corun()
-	}
 	f.co.resume <- struct{}{}
 	return <-f.co.yield
-}
-
-// corun is the body of a frame's spawned runner goroutine (InlineFastPath
-// off). A reusable runner loops: after yielding yDone it parks on the
-// resume channel and serves the frame's next incarnation, whose reset
-// state it observes through the channel handshake. The engine's close
-// channel releases runners whose frame sits idle in the pool (or was
-// dropped from it by the GC) when the engine shuts down.
-func (f *frame) corun() {
-	for {
-		select {
-		case <-f.co.resume:
-		case <-f.eng.closedCh:
-			return
-		}
-		f.runOnce()
-		f.co.yield <- yieldMsg{kind: yDone}
-		if !f.reusable {
-			return
-		}
-	}
-}
-
-// runOnce executes one incarnation of the iteration body on a spawned
-// runner goroutine.
-func (f *frame) runOnce() {
-	f.runBody()
-	f.finishIter()
 }
 
 // runBody executes the iteration body, converting a user panic into
 // pipeline panic state. An abortUnwind sentinel (a cancel observed at a
 // stage boundary) exits through the same path without recording a panic.
-// Shared by the coroutine runner (runOnce) and the inline fast path
-// (runInlineBatch), so cancellation and panic capture behave identically
-// in both execution tiers.
+// A promotion mid-body does not leave it — the promoting goroutine keeps
+// the body on its stack — so cancellation and panic capture behave
+// identically whether or not the iteration ever suspends.
 func (f *frame) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -359,9 +308,8 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 			// Promoted mid-body: this goroutine is the frame's runner now,
 			// and a driver (the takeover goroutine or whichever worker
 			// resumed us last) is blocked on the yield channel. Hand it the
-			// retired frame and unwind; unlike a pooled corun runner we do
-			// not park for reuse — the tail detaches at the frame's last
-			// unref and the next incarnation starts inline again.
+			// retired frame and unwind; the tail detaches at the frame's
+			// last unref and the next incarnation starts inline again.
 			flush()
 			f.co.yield <- yieldMsg{kind: yDone}
 			return inlinePromoted
@@ -571,10 +519,7 @@ func (f *frame) promote() {
 		f.releaseControl()
 	}
 	f.inline = false
-	if f.co == nil {
-		f.co = e.acquireCoTail()
-	}
-	f.started = true
+	f.co = e.acquireCoTail()
 	w.promoted = f
 	//piper:allow-go bounded by the pipeline: takeover drives this frame to stageDone, which the pipe_while drain awaits
 	go w.takeoverFn()
@@ -584,9 +529,9 @@ func (f *frame) promote() {
 // path: the control frame — whose step call sits frozen below us on this
 // goroutine's stack — is pushed to the deque, where a thief (or this
 // worker, once the inline body completes) picks it up to run iteration
-// i+1's stage 0. This is the inline analogue of the yLeftStage0/ySpawn
-// handoff: the continuation becomes stealable and the worker keeps the
-// child, preserving the spawned-child-first discipline. The frozen step
+// i+1's stage 0, unfolding the pipeline: the continuation becomes
+// stealable and the worker keeps the child, preserving the
+// spawned-child-first discipline. The frozen step
 // invocation learns of the release through runInlineBatch's result and
 // unwinds without touching the pipeline again.
 func (f *frame) releaseControl() {
@@ -598,8 +543,8 @@ func (f *frame) releaseControl() {
 }
 
 // abortCheck unwinds the iteration if its submission has been canceled.
-// Called at stage boundaries — the cooperative preemption points — in
-// both execution tiers.
+// Called at stage boundaries — the cooperative preemption points —
+// inline and promoted alike.
 func (f *frame) abortCheck() {
 	if f.pl.abortRequested() {
 		panic(abortUnwind{})

@@ -123,8 +123,9 @@ func oracleIteration(p fuzzProgram, i int) uint64 {
 
 // runFuzzProgram executes the program on a real engine and checks the
 // serial-stage ordering invariant on the fly. It returns the
-// per-iteration values for the differential comparison.
-func runFuzzProgram(t *testing.T, p fuzzProgram, opts Options) []uint64 {
+// per-iteration values for the differential comparison and the engine's
+// final counters.
+func runFuzzProgram(t *testing.T, p fuzzProgram, opts Options) ([]uint64, Stats) {
 	t.Helper()
 	opts.Workers = p.workers
 	e := NewEngine(opts)
@@ -200,7 +201,7 @@ func runFuzzProgram(t *testing.T, p fuzzProgram, opts Options) []uint64 {
 		t.Errorf("MaxLiveIterations = %d exceeds throttle K=%d", rep.MaxLiveIterations, p.throttle)
 	}
 	checkEngineDrained(t, e)
-	return out
+	return out, e.Stats()
 }
 
 func FuzzPipelineSchedule(f *testing.F) {
@@ -221,26 +222,18 @@ func FuzzPipelineSchedule(f *testing.F) {
 		}
 
 		// Differential runs across the scheduler configuration matrix: the
-		// paper-faithful default (inline fast path + pooling + adaptive
-		// grain), the fully ablated runtime (eager enabling, no tail swap,
-		// no dependency folding, allocate-per-use frames, always-coroutine
-		// execution), both execution tiers crossed with PoolFrames=false,
-		// and the batching extremes — unbatched Grain(1), a fixed G=4
-		// claim, and a tight adaptive ceiling on a clock seeded from the
-		// input, so the claim grows and drops within small programs and
-		// the fuzzer's mutations move where. The promotion, recycling,
-		// and batch split/defer paths must agree with the oracle under
-		// every combination.
+		// paper-faithful default (adaptive grain), the paper's own switches
+		// all ablated (eager enabling, no tail swap, no dependency
+		// folding), and the batching extremes — unbatched Grain(1), a
+		// fixed G=4 claim, and a tight adaptive ceiling on a clock seeded
+		// from the input, so the claim grows and drops within small
+		// programs and the fuzzer's mutations move where. The promotion,
+		// recycling, and batch split/defer paths must agree with the
+		// oracle under every combination.
 		ablated := DefaultOptions()
 		ablated.EagerEnabling = true
 		ablated.TailSwap = false
 		ablated.DependencyFolding = false
-		ablated.PoolFrames = false
-		ablated.InlineFastPath = false
-		inlineNoPool := DefaultOptions()
-		inlineNoPool.PoolFrames = false
-		coroutinePooled := DefaultOptions()
-		coroutinePooled.InlineFastPath = false
 		grain1 := DefaultOptions()
 		grain1.Grain = 1
 		grain4 := DefaultOptions()
@@ -262,24 +255,19 @@ func FuzzPipelineSchedule(f *testing.F) {
 		interpDefault.CompilePlans = false
 		interpGrain1 := grain1
 		interpGrain1.CompilePlans = false
-		interpCoroutine := coroutinePooled
-		interpCoroutine.CompilePlans = false
 		for _, cfg := range []struct {
 			name string
 			opts Options
 		}{
 			{"default", DefaultOptions()},
 			{"ablated", ablated},
-			{"inline-nopool", inlineNoPool},
-			{"coroutine-pooled", coroutinePooled},
 			{"grain1", grain1},
 			{"grain4", grain4},
 			{"adaptive-g4", adaptiveTight},
 			{"interp-default", interpDefault},
 			{"interp-grain1", interpGrain1},
-			{"interp-coroutine", interpCoroutine},
 		} {
-			got := runFuzzProgram(t, p, cfg.opts)
+			got, _ := runFuzzProgram(t, p, cfg.opts)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("iteration %d (%s): engine produced %#x, oracle %#x (program %+v)",

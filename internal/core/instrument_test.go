@@ -27,7 +27,7 @@ func retryTiming(t *testing.T, attempt func() string) {
 }
 
 func TestProfileSerialChain(t *testing.T) {
-	if raceEnabled {
+	if workload.RaceEnabled {
 		t.Skip("wall-clock assertions are meaningless under the race detector")
 	}
 	e := newTestEngine(t, 2)
@@ -60,7 +60,7 @@ func TestProfileSerialChain(t *testing.T) {
 // wall-clock node timing is only faithful without CPU contention (the
 // paper's Cilkview also measures a serial execution).
 func TestProfileSPSParallelism(t *testing.T) {
-	if raceEnabled {
+	if workload.RaceEnabled {
 		t.Skip("wall-clock assertions are meaningless under the race detector")
 	}
 	e := newTestEngine(t, 1)
@@ -96,7 +96,7 @@ func TestProfileSPSParallelism(t *testing.T) {
 // TestProfileWorkMatchesSerialTime: the measured work must be in the
 // ballpark of the nominal spin time.
 func TestProfileWorkMatchesSerialTime(t *testing.T) {
-	if raceEnabled {
+	if workload.RaceEnabled {
 		t.Skip("wall-clock assertions are meaningless under the race detector")
 	}
 	opts := DefaultOptions()

@@ -15,8 +15,8 @@ import (
 // interleaving space the differential comparison explores. Batching
 // changes *which* interleavings occur — deferred control releases remove
 // steal opportunities, splits reintroduce them at new places — so the
-// perturbed matrix runs the same oracle programs over Grain(1), adaptive
-// grain, and the coroutine tier (InlineFastPath off), plus a forced
+// perturbed matrix runs the same oracle programs over Grain(1) and
+// adaptive grain, compiled and interpreted, plus a forced
 // injection-overflow storm, and requires bit-identical results, intact
 // serial-stage ordering, and a fully drained engine every time.
 
@@ -85,25 +85,37 @@ func perturbPrograms() []fuzzProgram {
 		{0, 1, 24, 5, fopWait, 2, fopContinue, 2, fopWait, 0, fopWait, 1, fopCompute, 3},
 		{3, 2, 24, 2, fopFork, 2, fopWait, 1, fopNested, 1, fopWait, 2},
 	}
-	ps := make([]fuzzProgram, 0, len(inputs))
+	ps := make([]fuzzProgram, 0, len(inputs)+1)
 	for _, in := range inputs {
 		ps = append(ps, decodeProgram(in))
 	}
-	return ps
+	// The decoder pads an exhausted input with empty iterations, so the
+	// programs above put their ops in iteration 0 and never wait on a busy
+	// predecessor. This one waits in every iteration, so that a successor
+	// reaching a Wait its perturbed predecessor has not passed must promote,
+	// park, and be found by a check-right (65 or more cross suspends per
+	// configuration when it was added, at GOMAXPROCS 1, 2 and 4).
+	chain := fuzzProgram{workers: 4, throttle: 8, iters: make([][]fuzzOp, 200)}
+	for i := range chain.iters {
+		chain.iters[i] = []fuzzOp{{fopWait, 0}, {fopCompute, byte(i)}, {fopWait, 0}, {fopFork, 1}, {fopWait, 1}}
+	}
+	return append(ps, chain)
 }
 
 // TestSchedulePerturbationMatrix is the perturbed differential matrix:
 // every program must reproduce its sequential oracle bit for bit under
 // every configuration and seed, with the serial-stage ordering invariant
-// checked on the fly by runFuzzProgram.
+// checked on the fly by runFuzzProgram. Every iteration starts inline, so
+// the suspend path (promote, parkOnCross, driveSegment, tryWakeRight) is
+// walked only when an edge is really unsatisfied; each configuration must
+// therefore show, summed over its seeds, that iterations promoted, parked
+// on cross edges, and were found and resumed by a check-right.
 func TestSchedulePerturbationMatrix(t *testing.T) {
 	grain1 := DefaultOptions()
 	grain1.Grain = 1
 	adaptive := DefaultOptions()
 	adaptive.GrainMax = 8
-	coroutine := DefaultOptions()
-	coroutine.InlineFastPath = false
-	// CompilePlans defaults on, so the three base configs exercise compiled
+	// CompilePlans defaults on, so the two base configs exercise compiled
 	// dispatch (the oracle programs are shape-stable, so their plans seal on
 	// iteration 0); the -interp twins ablate the compiler so every program
 	// also runs under the pure interpreter with identical perturbation
@@ -119,15 +131,14 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 	}{
 		{"grain1", grain1},
 		{"adaptive", adaptive},
-		{"coroutine", coroutine},
 		{"grain1-interp", interp(grain1)},
 		{"adaptive-interp", interp(adaptive)},
-		{"coroutine-interp", interp(coroutine)},
 	}
 	programs := perturbPrograms()
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
+			var promotions, crossSuspends, checkRightWakes int64
 			for seed := uint64(1); seed <= 3; seed++ {
 				for pi, p := range programs {
 					want := make([]uint64, len(p.iters))
@@ -136,7 +147,10 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 					}
 					opts := cfg.opts
 					opts.hooks = newPerturber(seed*0x9e37 + uint64(pi))
-					got := runFuzzProgram(t, p, opts)
+					got, st := runFuzzProgram(t, p, opts)
+					promotions += st.Promotions
+					crossSuspends += st.CrossSuspends
+					checkRightWakes += st.LazyEnables + st.ThiefEnables
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("program %d seed %d iteration %d: engine produced %#x, oracle %#x",
@@ -144,6 +158,10 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 						}
 					}
 				}
+			}
+			t.Logf("Promotions=%d CrossSuspends=%d LazyEnables+ThiefEnables=%d", promotions, crossSuspends, checkRightWakes)
+			if promotions == 0 || crossSuspends == 0 || checkRightWakes == 0 {
+				t.Error("suspend path not walked: want all three > 0")
 			}
 		})
 	}

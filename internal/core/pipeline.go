@@ -187,8 +187,8 @@ func (it *Iter) Wait(j int64) {
 	f.abortCheck()
 	f.instrEndNode(j)
 	f.advance(j)
-	if f.inline {
-		if !f.crossSatisfied(j) {
+	if !f.crossSatisfied(j) {
+		if f.inline {
 			// The edge is (probably) unsatisfied — the one event the
 			// inline fast path cannot ride out. Promote to a coroutine
 			// frame and park under the standard protocol; its
@@ -196,33 +196,17 @@ func (it *Iter) Wait(j int64) {
 			// resolved between the inline check and the promotion just
 			// continues the body with the takeover goroutine as driver.
 			f.promote()
-			f.parkOnCross(j)
-			// A park can outlast a cancel request (the wake arrives when
-			// the aborting predecessor publishes stageDone); do not start
-			// stage j's user code in that case.
-			f.abortCheck()
-		} else if f.inStage0 {
-			f.leaveStage0Inline()
 		}
-		f.instrBeginNode(true, j)
-		return
+		f.parkOnCross(j)
+		// A park can outlast a cancel request (the wake arrives when
+		// the aborting predecessor publishes stageDone); do not start
+		// stage j's user code in that case.
+		f.abortCheck()
+	} else if f.inStage0 {
+		// Only an inline frame is ever in stage 0: promotion releases the
+		// control frame first.
+		f.leaveStage0Inline()
 	}
-	left0 := f.inStage0
-	f.inStage0 = false
-	if f.crossSatisfied(j) {
-		if left0 {
-			// Hand control back to the pipe_while loop so iteration i+1's
-			// serial stage 0 can start; the driving worker re-adopts us as
-			// its assigned frame (spawned-child-first discipline).
-			f.park(yieldMsg{kind: yLeftStage0})
-		}
-		f.instrBeginNode(true, j)
-		return
-	}
-	f.parkOnCross(j)
-	// See the inline branch above for why this re-check must follow the
-	// park.
-	f.abortCheck()
 	f.instrBeginNode(true, j)
 }
 
@@ -246,16 +230,8 @@ func (it *Iter) Continue(j int64) {
 	f.abortCheck()
 	f.instrEndNode(j)
 	f.advance(j)
-	if f.inline {
-		if f.inStage0 {
-			f.leaveStage0Inline()
-		}
-		f.instrBeginNode(false, j)
-		return
-	}
 	if f.inStage0 {
-		f.inStage0 = false
-		f.park(yieldMsg{kind: yLeftStage0})
+		f.leaveStage0Inline()
 	}
 	f.instrBeginNode(false, j)
 }
@@ -330,17 +306,15 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 // prefix in order, spawns the remainder of the iteration, enforces the
 // throttling limit, and finally syncs on all outstanding iterations.
 //
-// step returns ySpawn{child} when a runnable iteration left stage 0 (the
-// caller pushes the control frame and adopts the child), ySuspend when
-// the control frame parked (throttled or syncing; a waker will redeliver
-// it, possibly while this call is still unwinding — the caller must not
-// touch the frame after a suspend), and yDone at pipeline completion.
-// With the inline fast path, step may instead return yInlineDone{child}
-// (an iteration completed inline after releasing the control frame; the
-// caller retires the child and must not touch the control frame) or
-// yPromoted (an inline iteration promoted mid-body; the calling goroutine
-// already served as its runner, the worker role moved to a takeover
-// goroutine, and the caller must unwind touching nothing).
+// step returns ySuspend when the control frame parked (throttled or
+// syncing; a waker will redeliver it, possibly while this call is still
+// unwinding — the caller must not touch the frame after a suspend), yDone
+// at pipeline completion, yInlineDone{child} when an iteration completed
+// inline after releasing the control frame (the caller retires the child
+// and must not touch the control frame), and yPromoted when an inline
+// iteration promoted mid-body (the calling goroutine already served as its
+// runner, the worker role moved to a takeover goroutine, and the caller
+// must unwind touching nothing).
 func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 	cf.w = w
 	pl.eng.stats.segments.Add(1)
@@ -413,74 +387,52 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			pl.prevIter = it
 			// Drive the iteration from here; stage 0 runs serially in
 			// iteration order, exactly as the pipe_while transformation in
-			// the paper prescribes.
-			if pl.eng.opts.InlineFastPath {
-				// Tier-1 fast path: claim a batch of up to openBatch()
-				// consecutive iterations and run their bodies as direct
-				// calls on this goroutine, all through the one frame just
-				// acquired. The batch's final slot releases this control
-				// frame to the deque at its stage-0 exit (thieves pick it
-				// up to run the next iteration's stage 0), and any slot
-				// that must block promotes to a coroutine frame and
-				// performs that release itself — after either event this
-				// step invocation no longer owns the pipeline and must
-				// unwind through the returned message without touching it.
-				tracing := pl.eng.tracing.Load()
-				var traceStart int64
-				if tracing {
-					traceStart = nowNs()
-				}
-				claim := pl.openBatch()
-				var res inlineResult
-				if sp := pl.serialPlan; sp != nil && it.plan == sp {
-					// Serial-only compiled plan: the batched fast retire
-					// loop elides per-slot stage/status publication (see
-					// runInlineBatchSerial).
-					res = it.runInlineBatchSerial(w, claim)
-				} else {
-					if pl.serialPlan != nil && pl.plan.Load() == nil {
-						// The plan deopted; retract the serial fast loop.
-						pl.serialPlan = nil
-					}
-					res = it.runInlineBatch(w, claim)
-				}
-				switch res {
-				case inlineDoneOwned:
-					// The batch ran to completion without releasing the
-					// control frame (its final body never left stage 0, or
-					// the loop exhausted/aborted mid-claim): retire the
-					// frame inline. The chain slot (pl.prevIter) keeps its
-					// reference until the next iteration links past it.
-					w.traceSegment(tracing, kindIter, it.index, traceStart)
-					pl.join.Add(-1)
-					it.unref()
-					continue
-				case inlineDoneReleased:
-					w.traceSegment(tracing, kindIter, it.index, traceStart)
-					return yieldMsg{kind: yInlineDone, child: it}
-				default: // inlinePromoted
-					return yieldMsg{kind: yPromoted}
-				}
+			// the paper prescribes. Claim a batch of up to openBatch()
+			// consecutive iterations and run their bodies as direct calls
+			// on this goroutine, all through the one frame just acquired.
+			// The batch's final slot releases this control frame to the
+			// deque at its stage-0 exit (thieves pick it up to run the next
+			// iteration's stage 0), and any slot that must block promotes
+			// to a coroutine frame and performs that release itself — after
+			// either event this step invocation no longer owns the pipeline
+			// and must unwind through the returned message without
+			// touching it.
+			tracing := pl.eng.tracing.Load()
+			var traceStart int64
+			if tracing {
+				traceStart = nowNs()
 			}
-			msg := it.driveSegment(w)
-			switch msg.kind {
-			case yDone:
-				// The whole body was stage 0 (or it panicked): retire
-				// inline. The chain slot (pl.prevIter) keeps its
+			claim := pl.openBatch()
+			var res inlineResult
+			if sp := pl.serialPlan; sp != nil && it.plan == sp {
+				// Serial-only compiled plan: the batched fast retire
+				// loop elides per-slot stage/status publication (see
+				// runInlineBatchSerial).
+				res = it.runInlineBatchSerial(w, claim)
+			} else {
+				if pl.serialPlan != nil && pl.plan.Load() == nil {
+					// The plan deopted; retract the serial fast loop.
+					pl.serialPlan = nil
+				}
+				res = it.runInlineBatch(w, claim)
+			}
+			switch res {
+			case inlineDoneOwned:
+				// The batch ran to completion without releasing the
+				// control frame (its final body never left stage 0, or
+				// the loop exhausted/aborted mid-claim): retire the
+				// frame inline. The chain slot (pl.prevIter) keeps its
 				// reference until the next iteration links past it.
+				w.traceSegment(tracing, kindIter, it.index, traceStart)
 				pl.join.Add(-1)
 				it.unref()
-			case ySuspend:
-				// Parked straight out of stage 0 on a cross edge; a
-				// future check-right will resume it. Keep looping.
-			case yLeftStage0:
-				// Runnable beyond stage 0: the worker pushes this control
-				// frame (the continuation) and adopts the iteration —
-				// thieves steal the continuation and run iteration i+1's
-				// stage 0, unfolding the pipeline.
-				return yieldMsg{kind: ySpawn, child: it}
+				continue
+			case inlineDoneReleased:
+				w.traceSegment(tracing, kindIter, it.index, traceStart)
+				return yieldMsg{kind: yInlineDone, child: it}
+			default: // inlinePromoted
+				return yieldMsg{kind: yPromoted}
 			}
-			continue
 		}
 		// phaseDrain — cilk_sync: wait for outstanding iterations.
 		if pl.join.Load() > 0 {

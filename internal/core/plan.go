@@ -206,41 +206,17 @@ func (f *frame) planStep(p *plan, j int64, wait bool) bool {
 	}
 	f.abortCheck()
 	f.stage.Store(j)
-	if !wait {
+	if wait && !f.planCrossSatisfied(p, j) {
 		if f.inline {
-			if f.inStage0 {
-				f.leaveStage0Inline()
-			}
-			return true
-		}
-		if f.inStage0 {
-			f.inStage0 = false
-			f.park(yieldMsg{kind: yLeftStage0})
-		}
-		return true
-	}
-	if f.inline {
-		if !f.planCrossSatisfied(p, j) {
 			// Same promotion protocol as the interpreted Wait: the park's
 			// publish-then-recheck re-validates the edge.
 			f.promote()
-			f.parkOnCross(j)
-			f.abortCheck()
-		} else if f.inStage0 {
-			f.leaveStage0Inline()
 		}
-		return true
+		f.parkOnCross(j)
+		f.abortCheck()
+	} else if f.inStage0 {
+		f.leaveStage0Inline()
 	}
-	left0 := f.inStage0
-	f.inStage0 = false
-	if f.planCrossSatisfied(p, j) {
-		if left0 {
-			f.park(yieldMsg{kind: yLeftStage0})
-		}
-		return true
-	}
-	f.parkOnCross(j)
-	f.abortCheck()
 	return true
 }
 

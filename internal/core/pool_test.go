@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"piper/internal/workload"
 )
 
 func newEngineOpts(t testing.TB, mutate func(*Options)) *Engine {
@@ -18,59 +20,36 @@ func newEngineOpts(t testing.TB, mutate func(*Options)) *Engine {
 }
 
 // TestSteadyStateAllocs guards the pooling win with testing.AllocsPerRun
-// on a steady-state SPS pipeline: with PoolFrames on, recycled frames,
-// channels and goroutines must cut per-iteration allocations at least 2×
-// versus the allocate-fresh ablation (in practice the pooled number is
-// near zero). The fresh baseline ablates the inline fast path too — with
-// it on, even allocate-per-use iterations cost only the bare inline
-// header, which a separate assertion pins down.
+// on a steady-state SPS pipeline: recycled frames, coroutine tails and
+// pipeline state keep per-iteration allocations near zero (recorded
+// 0.0014–0.0016 allocs/iteration; an unpooled iteration costs at least
+// its ~400-byte header, one allocation each).
 func TestSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if workload.RaceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
 	const iters = 2000
-	measure := func(e *Engine) float64 {
-		var sink atomic.Int64
-		run := func() {
-			i := 0
-			e.PipeWhile(func() bool { return i < iters }, func(it *Iter) {
-				i++
-				it.Continue(1)
-				sink.Add(it.Index())
-				it.Wait(2)
-			})
-		}
-		run() // warm the pools and the workers
-		return testing.AllocsPerRun(5, run) / iters
+	e := newEngineOpts(t, func(o *Options) { o.Workers = 2 })
+	var sink atomic.Int64
+	run := func() {
+		i := 0
+		e.PipeWhile(func() bool { return i < iters }, func(it *Iter) {
+			i++
+			it.Continue(1)
+			sink.Add(it.Index())
+			it.Wait(2)
+		})
 	}
-
-	pooled := measure(newEngineOpts(t, func(o *Options) { o.Workers = 2 }))
-	fresh := measure(newEngineOpts(t, func(o *Options) {
-		o.Workers = 2
-		o.PoolFrames = false
-		o.InlineFastPath = false
-	}))
-	inlineFresh := measure(newEngineOpts(t, func(o *Options) { o.Workers = 2; o.PoolFrames = false }))
-	t.Logf("allocs/iteration: pooled=%.3f fresh=%.3f inline-fresh=%.3f", pooled, fresh, inlineFresh)
-	if fresh < 2 {
-		t.Fatalf("fresh-allocation baseline implausibly low (%.3f allocs/iter): measurement broken?", fresh)
-	}
-	if pooled*2 > fresh {
-		t.Errorf("pooling saves less than 2x: pooled=%.3f fresh=%.3f allocs/iter", pooled, fresh)
-	}
-	if pooled > 1 {
-		t.Errorf("pooled steady state allocates %.3f/iter, want < 1", pooled)
-	}
-	// An unpooled inline iteration that never blocks allocates just its
-	// header frame: no channels, no runner goroutine.
-	if inlineFresh > 1.5 {
-		t.Errorf("inline unpooled iteration allocates %.3f/iter, want ~1 (header only)", inlineFresh)
+	run() // warm the pools and the workers
+	pooled := testing.AllocsPerRun(5, run) / iters
+	t.Logf("allocs/iteration: %.4f", pooled)
+	if pooled > 0.1 {
+		t.Errorf("pooled steady state allocates %.3f/iter, want <= 0.1", pooled)
 	}
 }
 
 // TestPoolStatsCount checks that steady-state iteration frames are served
-// from the pool (hits dominate misses) and that the ablation switch
-// really disables recycling.
+// from the pool (hits dominate misses).
 func TestPoolStatsCount(t *testing.T) {
 	e := newEngineOpts(t, func(o *Options) { o.Workers = 2 })
 	for rep := 0; rep < 5; rep++ {
@@ -90,14 +69,6 @@ func TestPoolStatsCount(t *testing.T) {
 	// recycling dominates.
 	if s.FramePoolHits < s.FramePoolMisses {
 		t.Errorf("pool hit rate too low: hits=%d misses=%d", s.FramePoolHits, s.FramePoolMisses)
-	}
-
-	off := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.PoolFrames = false })
-	i := 0
-	off.PipeWhile(func() bool { return i < 100 }, func(it *Iter) { i++; it.Continue(1); it.Wait(2) })
-	if s := off.Stats(); s.FramePoolHits != 0 || s.FramePoolMisses != 0 {
-		t.Errorf("PoolFrames(false) still touched the pool: hits=%d misses=%d",
-			s.FramePoolHits, s.FramePoolMisses)
 	}
 }
 
@@ -218,34 +189,6 @@ func TestPoolReuseAfterPanic(t *testing.T) {
 			if v != int64(k) {
 				t.Fatalf("rep %d: order[%d] = %d after panic recovery", rep, k, v)
 			}
-		}
-	}
-}
-
-// TestPooledEquivalence runs the same dependency-heavy pipeline with
-// pooling on and off and checks identical results — the ablation switch
-// must not change semantics.
-func TestPooledEquivalence(t *testing.T) {
-	run := func(e *Engine) []int64 {
-		var out []int64
-		i := 0
-		e.PipeWhile(func() bool { return i < 300 }, func(it *Iter) {
-			i++
-			it.Continue(1)
-			x := it.Index() * 3
-			it.Wait(2)
-			out = append(out, x)
-		})
-		return out
-	}
-	a := run(newEngineOpts(t, func(o *Options) { o.Workers = 4 }))
-	b := run(newEngineOpts(t, func(o *Options) { o.Workers = 4; o.PoolFrames = false }))
-	if len(a) != len(b) {
-		t.Fatalf("length mismatch: pooled=%d fresh=%d", len(a), len(b))
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			t.Fatalf("output[%d]: pooled=%d fresh=%d", k, a[k], b[k])
 		}
 	}
 }

@@ -111,7 +111,7 @@ func (f *frame) syncScope(sc *scope) {
 	defer func() {
 		// Rethrow the first child panic at the sync point. Record it into
 		// the pipeline first, under the child's own stack: the recover up
-		// in runOnce also records, but its CAS loses to this one, so the
+		// in runBody also records, but its CAS loses to this one, so the
 		// *PanicError surfaced on a Handle names the panicking closure
 		// rather than this sync site.
 		if pb := sc.panicVal.Load(); pb != nil {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"piper/internal/workload"
 )
@@ -136,47 +138,83 @@ func TestAdaptiveFixedWhenBoundsEqual(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGrowsUnderStarvation: the Figure 10 pathology with idle
-// workers must widen the window beyond the minimum. The growth trigger
-// (idle workers while window-bound) is scheduling-dependent, so the test
-// retries with increasingly heavy iterations under host load. It runs on
-// the coroutine tier: the per-segment handshakes interleave the workers
-// enough to surface window-boundness even at GOMAXPROCS < P, whereas the
-// inline tier may legitimately serialize the whole pipeline there (greedy
-// inline iterations never block, so starvation cannot arise to trigger
-// growth).
+// TestAdaptiveGrowsUnderStarvation: a window-bound pipeline must widen its
+// window beyond the minimum when workers sit parked. step evaluates the
+// growth trigger (idle or spinning workers while live >= K) only at the
+// instant the control frame arrives at the throttle gate, so the schedule
+// is built from gates, not durations: the control frame is held inside
+// iteration 1's serial stage 0 until the test has seen two workers parked,
+// and the release that lets it reach the gate with live == kMin wakes
+// exactly one of them.
 func TestAdaptiveGrowsUnderStarvation(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 4; o.InlineFastPath = false })
-	attempt := func(heavyMicros int64) bool {
-		// One heavy iteration blocks the serial tail stage while light
-		// ones pile up: with kMin=2 the pipeline starves 3 of 4 workers.
+	const (
+		workers    = 4
+		kMin, kMax = 2, 8
+		n          = 32
+	)
+	e := newEngineOpts(t, func(o *Options) { o.Workers = workers })
+	var (
+		heavyIn, lightIn0 atomic.Bool
+		stage0Go          = make(chan struct{})
+		drain             = make(chan struct{})
+		done              = make(chan PipelineReport, 1)
+	)
+	go func() {
 		i := 0
-		const n = 120
-		rep := e.RunPipelineAdaptive(2, 64, func() bool { return i < n }, func(it *Iter) {
+		done <- e.RunPipelineAdaptive(kMin, kMax, func() bool { return i < n }, func(it *Iter) {
 			idx := it.Index()
 			i++
+			if idx == 1 {
+				// Holds the control frame: stage 0 is the serial prefix.
+				lightIn0.Store(true)
+				<-stage0Go
+			}
 			it.Continue(1)
-			if idx%30 == 0 {
-				workload.SpinMicros(heavyMicros)
-			} else {
-				workload.SpinMicros(50) // light
+			if idx == 0 {
+				heavyIn.Store(true)
 			}
-			it.Wait(2) // serial tail: everyone queues behind the heavy one
+			// Every body holds its worker until the growth was observed;
+			// iteration 0 thereby holds the serial tail.
+			<-drain
+			it.Wait(2)
 		})
-		if rep.MaxLiveIterations > 64 {
-			t.Fatalf("adaptive window exceeded kMax: %d", rep.MaxLiveIterations)
-		}
-		return rep.MaxLiveIterations > 2
+	}()
+	// finish runs once, at the end of the schedule below or at a timeout,
+	// which must let the pipeline complete before the engine closes.
+	var open0 sync.Once
+	leaveStage0 := func() { open0.Do(func() { close(stage0Go) }) }
+	finish := func() PipelineReport {
+		leaveStage0()
+		close(drain)
+		return <-done
 	}
-	for _, heavy := range []int64{3000, 10000, 30000} {
-		if attempt(heavy) {
-			if e.Stats().ThrottleGrows == 0 {
-				t.Fatal("window grew but ThrottleGrows == 0")
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				finish()
+				t.Fatalf("timed out waiting for %s (idle=%d grows=%d)", what, e.idle.Load(), e.stats.throttleGrows.Load())
 			}
-			return
 		}
 	}
-	t.Fatal("adaptive window never grew despite starvation")
+	// Iteration 0 is in stage 1 on one worker, iteration 1 in stage 0 on a
+	// second with the control frame frozen beneath it; nothing is queued, so
+	// the other two park and stay parked until somebody signals.
+	await("two parked workers", func() bool {
+		return heavyIn.Load() && lightIn0.Load() && e.idle.Load() == workers-2
+	})
+	// Iteration 1 leaves stage 0: its release of the control frame is the
+	// one signal, waking one sleeper, which takes the control frame to the
+	// gate with live == kMin while the other still sleeps.
+	leaveStage0()
+	await("window growth", func() bool { return e.stats.throttleGrows.Load() > 0 })
+	rep := finish()
+	if rep.MaxLiveIterations <= kMin || rep.MaxLiveIterations > kMax {
+		t.Fatalf("MaxLiveIterations = %d, want in (%d, %d]", rep.MaxLiveIterations, kMin, kMax)
+	}
+	if rep.Iterations != n {
+		t.Fatalf("Iterations = %d, want %d", rep.Iterations, n)
+	}
 }
 
 // TestAdaptiveNeverExceedsMax under a pile-up workload.

@@ -46,7 +46,6 @@ type Stats struct {
 	// InlineIterations counts iterations started on the tier-1 inline
 	// fast path: the body begins as a direct call on the worker's
 	// goroutine, with no coroutine machinery (see frame.runInlineBatch).
-	// Always zero when Options.InlineFastPath is false.
 	InlineIterations int64
 	// Promotions counts inline iterations that had to block — an
 	// unsatisfied cross edge, a fork-join sync on stolen children, a
@@ -86,7 +85,6 @@ type Stats struct {
 	Injects int64
 	// FramePoolHits and FramePoolMisses count acquisitions served from
 	// the frame/pipeline pools versus fresh allocations (see pool.go).
-	// Always zero when Options.PoolFrames is false.
 	FramePoolHits, FramePoolMisses int64
 	// InjectOverflows counts root-frame injections that found every
 	// per-worker ring full and spilled to the mutex-guarded overflow

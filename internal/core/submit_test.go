@@ -402,24 +402,3 @@ func TestSubmitCancelAfterCompletion(t *testing.T) {
 	}
 	checkEngineDrained(t, e)
 }
-
-// TestSubmitUnpooledAbort: the abort paths must retire frames correctly
-// under the PoolFrames=false ablation as well.
-func TestSubmitUnpooledAbort(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.PoolFrames = false })
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var once atomic.Bool
-	h := e.Submit(ctx, func() bool { return true }, func(it *Iter) {
-		if once.CompareAndSwap(false, true) {
-			close(started)
-		}
-		it.Wait(1)
-	})
-	<-started
-	cancel()
-	if err := h.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v", err)
-	}
-	checkEngineDrained(t, e)
-}

@@ -2,6 +2,9 @@ package dedup
 
 import (
 	"bytes"
+	"io"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -205,5 +208,61 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	mut[len(mut)/2] ^= 0xff
 	if restored, err := Restore(mut); err == nil && bytes.Equal(restored, data) {
 		t.Error("corrupted archive restored to identical data")
+	}
+}
+
+// steadyStateAllocs reports what one run allocates once pools, arena and
+// workers are warm: the allocation count from testing.AllocsPerRun, and the
+// bytes from the runtime's cumulative counter as the least of three rounds
+// of as many runs. A sync.Pool that hands a worker on another P an empty
+// slot makes one round in a few pay for a fresh deflate state (~1.2 MB),
+// which recycling did not cause; a per-chunk allocation shows in every
+// round.
+func steadyStateAllocs(run func()) (allocs, bytes float64) {
+	const runs = 5
+	run()
+	allocs = testing.AllocsPerRun(runs, run)
+	bytes = math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	return allocs, bytes
+}
+
+// TestCompressPiperSteadyStateAllocs keeps the arena data plane near
+// allocation-free: 1 MiB through the Figure 4 pipeline at P=2 read 30
+// allocations and 38 KB a run when the ceilings were set, and they allow
+// that reading +25 % plus 32 allocations and 256 KiB for pool warm-up
+// noise. The same input without arena recycling (340 allocations, 1.8 MB)
+// must break both, which is what shows the ceilings bind.
+func TestCompressPiperSteadyStateAllocs(t *testing.T) {
+	if workload.RaceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	const (
+		maxAllocs = 30*1.25 + 32
+		maxBytes  = 37971*1.25 + 256<<10
+	)
+	data := testData(1234, 1<<20, 0.35)
+	measure := func(arena bool) (float64, float64) {
+		eng := piper.NewEngine(piper.Workers(2), piper.ArenaBuffers(arena))
+		defer eng.Close()
+		return steadyStateAllocs(func() { _ = CompressPiper(eng, 8, data, io.Discard) })
+	}
+	allocs, bytes := measure(true)
+	t.Logf("arena on: %.0f allocs, %.0f bytes per run", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("steady state allocates %.0f allocs / %.0f bytes per run, want <= %.0f / %.0f", allocs, bytes, float64(maxAllocs), float64(maxBytes))
+	}
+	allocs, bytes = measure(false)
+	t.Logf("arena off: %.0f allocs, %.0f bytes per run", allocs, bytes)
+	if allocs <= maxAllocs || bytes <= maxBytes {
+		t.Errorf("ArenaBuffers(false) stays under a ceiling (%.0f allocs / %.0f bytes per run against %.0f / %.0f): the ceilings do not bind", allocs, bytes, float64(maxAllocs), float64(maxBytes))
 	}
 }

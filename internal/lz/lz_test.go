@@ -2,6 +2,8 @@ package lz
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"piper"
@@ -109,7 +111,6 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		{"P4-adaptive", []piper.Option{piper.Workers(4)}},
 		{"P4-grain1", []piper.Option{piper.Workers(4), piper.Grain(1)}},
 		{"P4-grain4", []piper.Option{piper.Workers(4), piper.Grain(4)}},
-		{"P2-coroutine", []piper.Option{piper.Workers(2), piper.InlineFastPath(false)}},
 	}
 	for _, cfg := range cfgs {
 		eng := piper.NewEngine(cfg.opts...)
@@ -182,5 +183,59 @@ func BenchmarkFactorize64K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Factorize(data)
+	}
+}
+
+// steadyStateAllocs reports what one run allocates once pools, arena and
+// workers are warm: the allocation count from testing.AllocsPerRun, and the
+// bytes from the runtime's cumulative counter as the least of three rounds
+// of as many runs (a sync.Pool refill lands in one round in a few; a
+// per-block allocation shows in every round).
+func steadyStateAllocs(run func()) (allocs, bytes float64) {
+	const runs = 5
+	run()
+	allocs = testing.AllocsPerRun(runs, run)
+	bytes = math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	return allocs, bytes
+}
+
+// TestCompressSteadyStateAllocs keeps block factorization in recycled
+// arena regions: 1 MiB in 16 KiB blocks at P=2 read 14 allocations and
+// 1.12 MB a run (the returned stream and its growth) when the ceilings were
+// set, and they allow that reading +25 % plus 32 allocations and 256 KiB.
+// The same input without arena recycling (400 allocations, 52 MB) must
+// break both, which is what shows the ceilings bind.
+func TestCompressSteadyStateAllocs(t *testing.T) {
+	if workload.RaceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	const (
+		maxAllocs = 14*1.25 + 32
+		maxBytes  = 1123741*1.25 + 256<<10
+	)
+	data := workload.TextStream(1234, 1<<20, 4096, 0.35)
+	measure := func(arena bool) (float64, float64) {
+		eng := piper.NewEngine(piper.Workers(2), piper.ArenaBuffers(arena))
+		defer eng.Close()
+		return steadyStateAllocs(func() { _ = Compress(eng, 0, data, 16<<10) })
+	}
+	allocs, bytes := measure(true)
+	t.Logf("arena on: %.0f allocs, %.0f bytes per run", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("steady state allocates %.0f allocs / %.0f bytes per run, want <= %.0f / %.0f", allocs, bytes, float64(maxAllocs), float64(maxBytes))
+	}
+	allocs, bytes = measure(false)
+	t.Logf("arena off: %.0f allocs, %.0f bytes per run", allocs, bytes)
+	if allocs <= maxAllocs || bytes <= maxBytes {
+		t.Errorf("ArenaBuffers(false) stays under a ceiling (%.0f allocs / %.0f bytes per run against %.0f / %.0f): the ceilings do not bind", allocs, bytes, float64(maxAllocs), float64(maxBytes))
 	}
 }

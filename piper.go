@@ -16,8 +16,11 @@
 // The scheduler automatically throttles each pipeline to at most K live
 // iterations (default 4·P), precluding runaway pipelines, and implements
 // the paper's lazy enabling, dependency folding, and tail-swap
-// optimizations — plus frame/coroutine pooling for an allocation-free
-// steady state — each individually switchable for ablation studies.
+// optimizations, each individually switchable for ablation studies.
+// Iterations run inline on their worker and become coroutines only when a
+// cross edge is really unsatisfied, and frames, coroutine tails and
+// pipeline state are pooled for an allocation-free steady state; neither
+// has a switch.
 //
 // Beyond the blocking PipeWhile, Engine.Submit launches pipelines
 // asynchronously for serving workloads: many concurrent pipelines per
@@ -189,18 +192,8 @@ func TailSwap(enabled bool) Option {
 	return func(o *core.Options) { o.TailSwap = enabled }
 }
 
-// PoolFrames toggles frame, coroutine, and pipeline recycling (default
-// on): iteration frames return to a sync.Pool together with their resume/
-// yield channel pair and their runner goroutine, so the steady state of a
-// throttled pipeline allocates nothing per iteration. Disable only for
-// ablation measurements — every frame is then allocated (and its
-// goroutine spawned) fresh, as in the unoptimized runtime.
-func PoolFrames(enabled bool) Option {
-	return func(o *core.Options) { o.PoolFrames = enabled }
-}
-
 // Grain fixes the batched inline execution run length G (default 0,
-// cost-bounded). The inline fast path claims up to G consecutive
+// cost-bounded). A worker claims up to G consecutive
 // iterations into one control frame and runs their bodies back-to-back
 // through one recycled iteration frame, paying one frame acquisition and
 // one deque release per batch instead of per iteration; the batch splits
@@ -216,8 +209,7 @@ func PoolFrames(enabled bool) Option {
 // amortizes the ~150 ns per-iteration protocol; above that the pipeline
 // runs claim 1, the paper's protocol, and the continuation is released
 // at every stage-0 exit. Instrumented (Profile*) and traced runs always
-// execute with grain 1 so work/span accounting stays exact. Only
-// meaningful while InlineFastPath is enabled.
+// execute with grain 1 so work/span accounting stays exact.
 func Grain(g int) Option {
 	return func(o *core.Options) { o.Grain = g }
 }
@@ -264,18 +256,6 @@ func CompilePlans(enabled bool) Option {
 // which is the ablation configuration for measuring what recycling buys.
 func ArenaBuffers(enabled bool) Option {
 	return func(o *core.Options) { o.ArenaBuffers = enabled }
-}
-
-// InlineFastPath toggles tier-1 inline execution (default on): a worker
-// first drives each iteration as direct function calls on its own stack —
-// no runner goroutine, no channel handshake — and promotes it to a full
-// coroutine frame only when it must actually block (an unsatisfied cross
-// edge, a fork-join sync on stolen children, a nested pipeline). Disable
-// only for ablation measurements — every iteration then runs on a pooled
-// coroutine runner with a resume/yield handshake per segment, as in the
-// previous runtime.
-func InlineFastPath(enabled bool) Option {
-	return func(o *core.Options) { o.InlineFastPath = enabled }
 }
 
 // NewEngine starts a scheduler with the given options.

@@ -7,15 +7,14 @@ import (
 )
 
 // Zero-iteration pipelines: the degenerate case where the loop condition
-// fails before the first iteration. Both execution tiers must handle it
-// without starting an iteration, promoting a frame, or leaking a gauge.
+// fails before the first iteration. The engine must handle it without
+// starting an iteration, promoting a frame, or leaking a gauge.
 func TestZeroIterationPipelines(t *testing.T) {
 	tiers := []struct {
 		name string
 		opts []piper.Option
 	}{
 		{"inline", []piper.Option{piper.Workers(2)}},
-		{"coroutine", []piper.Option{piper.Workers(2), piper.InlineFastPath(false)}},
 	}
 	for _, tier := range tiers {
 		t.Run(tier.name, func(t *testing.T) {
