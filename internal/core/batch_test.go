@@ -483,21 +483,66 @@ func TestCoarseBodyRunsUnbatched(t *testing.T) {
 }
 
 // TestCheapBodyStillBatches: the cost rule must leave cheap bodies alone.
-// An SPS body declared to cost 200 ns, on two workers — the continuation
-// is released and a thief is there to take it — still climbs to the
-// GrainMax ceiling and stays there.
+// An SPS body declared to cost 200 ns climbs to the GrainMax ceiling and,
+// once a second worker is there to take the released continuation, stays
+// there. The test reads the claims openBatch returns (schedHooks.claim),
+// not how many slots a schedule ran deferred: a thief whose first slot
+// finds the previous batch's last iteration unretired splits the batch,
+// which costs deferred slots and is no decision of the policy. The ramp
+// runs while a gated pipeline holds the second worker, so every open sees
+// join == 1 and doubles; a thief taking the continuation at a one-slot open
+// would leave the claim at 1 for good (ROADMAP item 7).
 func TestCheapBodyStillBatches(t *testing.T) {
 	costTiers(t, func(t *testing.T, opts Options) {
 		var clk costClock
+		var mu sync.Mutex
+		var claims []int64
+		started, gate := make(chan struct{}), make(chan struct{})
+		var release sync.Once
 		opts.Workers = 2
 		opts.hooks = withClock(opts.hooks, clk.ns.Load)
+		opts.hooks.claim = func(c int64) {
+			mu.Lock()
+			claims = append(claims, c)
+			mu.Unlock()
+			if c == defaultGrainMax {
+				release.Do(func() { close(gate) })
+			}
+		}
 		e := NewEngine(opts)
 		defer e.Close()
+		defer release.Do(func() { close(gate) })
+		i := 0
+		blocker := e.Submit(nil, func() bool { i++; return i == 1 }, func(it *Iter) {
+			it.Continue(1)
+			close(started)
+			<-gate
+		})
+		<-started
+		mu.Lock()
+		claims = nil // the blocker's own claim
+		mu.Unlock()
 		const n = 5000
 		rep := runSPS(t, e, n, func(int64) { clk.spend(200 * time.Nanosecond) })
-		if got := e.Stats().BatchedIterations; rep.FinalGrain != defaultGrainMax || got < n*9/10 {
-			t.Errorf("FinalGrain = %d with %d of %d iterations batched, want %d and at least 90 %%",
-				rep.FinalGrain, got, n, defaultGrainMax)
+		if err := blocker.Wait(); err != nil {
+			t.Fatalf("blocker pipeline failed: %v", err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		want := []int64{1, 2, 4, 8, 16, 32, defaultGrainMax}
+		for k, c := range claims {
+			w := int64(defaultGrainMax)
+			if k < len(want) {
+				w = want[k]
+			}
+			if c != w {
+				t.Fatalf("claim %d = %d, want %d: the ramp %v, then the ceiling throughout (claims from 0: %v)",
+					k, c, w, want, claims[:min(len(claims), k+8)])
+			}
+		}
+		if len(claims) < len(want) || rep.FinalGrain != defaultGrainMax {
+			t.Errorf("%d claims ending at FinalGrain %d, want the ramp %v and FinalGrain %d",
+				len(claims), rep.FinalGrain, want, defaultGrainMax)
 		}
 	})
 }

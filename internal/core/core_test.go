@@ -476,8 +476,13 @@ func TestEagerEnablingAblation(t *testing.T) {
 		it.Wait(3)
 	})
 	// Correctness alone is the point; the counter just confirms the path ran.
-	if e.Stats().EagerEnables == 0 && e.Stats().CrossSuspends > 0 {
+	s := e.Stats()
+	if s.EagerEnables == 0 && s.CrossSuspends > 0 {
 		t.Log("note: no eager enables despite suspends (scheduling-dependent)")
+	}
+	// The ablation's wakes stay its own, parked worker or not.
+	if s.ParkedEnables != 0 {
+		t.Errorf("ParkedEnables = %d under EagerEnabling, want 0", s.ParkedEnables)
 	}
 }
 

@@ -57,7 +57,8 @@ type Options struct {
 	// (on by default via DefaultOptions).
 	DependencyFolding bool
 	// EagerEnabling disables lazy enabling: every stage advance performs
-	// a check-right immediately. For ablation only.
+	// a check-right immediately, not only while a worker is parked (see
+	// frame.advance). For ablation only.
 	EagerEnabling bool
 	// TailSwap enables the tail-swap rule at iteration completion
 	// (on by default via DefaultOptions).
@@ -90,8 +91,8 @@ type Options struct {
 	// re-derives the stage structure per boundary, as in the previous
 	// runtime. Plans are only compiled while DependencyFolding is on and
 	// EagerEnabling is off (the compiled dispatch subsumes the fold cache
-	// and never performs eager check-rights), and never for instrumented
-	// pipelines.
+	// and checks right only while a worker is parked, like the
+	// interpreter), and never for instrumented pipelines.
 	CompilePlans bool
 	// ArenaBuffers enables the engine's recycled payload-buffer arena
 	// (on by default via DefaultOptions; see Engine.Arena and
@@ -863,7 +864,8 @@ func (e *Engine) cancelIdle(w *worker) bool {
 
 // tryWakeRight performs PIPER's check-right on behalf of iteration f: if
 // iteration f.index+1 is parked on a cross edge that f's progress has
-// satisfied, claim it. The caller must deliver the returned frame.
+// satisfied, claim it. The caller must deliver the returned frame. Run at
+// segment boundaries, by thieves (stealFrom), and by frame.advance.
 func (e *Engine) tryWakeRight(f *frame) *frame {
 	nxt := f.next.Load()
 	if nxt == nil || nxt.status.Load() != statusWaitCross {

@@ -593,15 +593,28 @@ func (f *frame) park(msg yieldMsg) {
 // --- Cross-edge protocol -------------------------------------------------
 
 // advance moves the iteration's stage counter to j, completing all nodes
-// with stage < j. Under the EagerEnabling ablation it also performs the
-// check-right that PIPER's lazy enabling would defer.
+// with stage < j: the one stage-publication rule of both dispatchers (the
+// interpreted Wait/Continue and planStep's unfused transitions). After the
+// store it performs the check-right that lazy enabling defers, on every
+// advance under the EagerEnabling ablation and otherwise only while a
+// worker is parked. Lazy enabling counts on awake thieves to find a
+// satisfied waiter through stealFrom's check-right; ours park, and with one
+// asleep nobody else may look, so the claimed waiter goes through pushWork,
+// whose signal wakes the sleeper. next sits on this frame's just-written
+// line, so an in-batch slot (next == nil) pays one owned load and a branch.
 func (f *frame) advance(j int64) {
 	f.stage.Store(j)
-	if f.eng.opts.EagerEnabling {
-		if nxt := f.eng.tryWakeRight(f); nxt != nil {
-			f.eng.stats.eagerEnables.Add(1)
-			f.w.pushWork(nxt)
+	e := f.eng
+	if f.next.Load() == nil || e.idle.Load() == 0 && !e.opts.EagerEnabling {
+		return
+	}
+	if nxt := e.tryWakeRight(f); nxt != nil {
+		if e.opts.EagerEnabling {
+			e.stats.eagerEnables.Add(1)
+		} else {
+			e.stats.parkedEnables.Add(1)
 		}
+		f.w.pushWork(nxt)
 	}
 }
 

@@ -51,6 +51,9 @@ type schedHooks struct {
 	// so a test can make the claim sequence a function of declared cost
 	// (or of a seed) instead of the host's speed.
 	clock func() int64
+	// claim receives every claim openBatch returns, under control-frame
+	// ownership, so a test can assert the policy's decisions themselves.
+	claim func(int64)
 }
 
 // hookAt runs the point hook if one is installed. Kept out-of-line so the

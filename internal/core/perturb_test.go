@@ -150,7 +150,7 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 					got, st := runFuzzProgram(t, p, opts)
 					promotions += st.Promotions
 					crossSuspends += st.CrossSuspends
-					checkRightWakes += st.LazyEnables + st.ThiefEnables
+					checkRightWakes += st.LazyEnables + st.ThiefEnables + st.ParkedEnables
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("program %d seed %d iteration %d: engine produced %#x, oracle %#x",
@@ -159,7 +159,7 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("Promotions=%d CrossSuspends=%d LazyEnables+ThiefEnables=%d", promotions, crossSuspends, checkRightWakes)
+			t.Logf("Promotions=%d CrossSuspends=%d LazyEnables+ThiefEnables+ParkedEnables=%d", promotions, crossSuspends, checkRightWakes)
 			if promotions == 0 || crossSuspends == 0 || checkRightWakes == 0 {
 				t.Error("suspend path not walked: want all three > 0")
 			}

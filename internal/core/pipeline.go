@@ -403,6 +403,9 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 				traceStart = nowNs()
 			}
 			claim := pl.openBatch()
+			if h := pl.eng.hooks; h != nil && h.claim != nil {
+				h.claim(claim)
+			}
 			var res inlineResult
 			if sp := pl.serialPlan; sp != nil && it.plan == sp {
 				// Serial-only compiled plan: the batched fast retire

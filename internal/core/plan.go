@@ -10,7 +10,7 @@ import (
 // iteration announces its transitions by calling Wait and Continue — so
 // the interpreter re-derives static facts at every stage boundary:
 // argument validation, cross-edge structure, fold-cache state, and the
-// instrumentation and eager-enabling branches. For the overwhelmingly
+// instrumentation branches. For the overwhelmingly
 // common case of a shape-stable pipeline (every iteration takes the same
 // transitions), all of that is decidable once.
 //
@@ -49,7 +49,8 @@ import (
 //
 // Plans are compiled only when Options.CompilePlans is set together with
 // DependencyFolding and lazy enabling (the compiled dispatch subsumes the
-// fold cache and never performs eager check-rights, so the ablations that
+// fold cache, and its unfused transitions publish through frame.advance
+// with the interpreter's parked-worker check-right, so the ablations that
 // disable those must measure the interpreter), and never for instrumented
 // pipelines (work/span accounting needs every node boundary observed).
 // Tracing needs no such gate: its events are iteration-level segments,
@@ -205,7 +206,7 @@ func (f *frame) planStep(p *plan, j int64, wait bool) bool {
 		return true
 	}
 	f.abortCheck()
-	f.stage.Store(j)
+	f.advance(j)
 	if wait && !f.planCrossSatisfied(p, j) {
 		if f.inline {
 			// Same promotion protocol as the interpreted Wait: the park's

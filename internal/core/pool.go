@@ -198,9 +198,9 @@ func (e *Engine) acquirePipeline() *pipeline {
 	}
 	pl.openNs, pl.openIndex = 0, 0
 	// Plan-compiler state. Eligibility is decided once per execution: the
-	// compiled dispatch subsumes the fold cache and never performs eager
-	// check-rights, so the ablations that disable those interpret instead
-	// (see plan.go). planSeen short-circuits openBatch's one-time
+	// compiled dispatch subsumes the fold cache and checks right only while
+	// a worker is parked, so the ablations that disable those interpret
+	// instead (see plan.go). planSeen short-circuits openBatch's one-time
 	// serial-plan check for ineligible pipelines.
 	pl.plan.Store(nil)
 	pl.planEligible = e.opts.CompilePlans && e.opts.DependencyFolding && !e.opts.EagerEnabling

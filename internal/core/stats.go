@@ -20,6 +20,9 @@ type Stats struct {
 	// EagerEnables counts wakeups performed inside Wait/Continue when the
 	// EagerEnabling ablation option is set.
 	EagerEnables int64
+	// ParkedEnables counts wakeups performed inside Wait/Continue under
+	// lazy enabling because a worker was parked (see frame.advance).
+	ParkedEnables int64
 	// TailSwaps counts iteration completions where both the right
 	// neighbour and the throttled control frame were enabled and the
 	// worker kept the neighbour, pushing the control frame for thieves.
@@ -168,6 +171,7 @@ type statCounters struct {
 	lazyEnables     atomic.Int64
 	thiefEnables    atomic.Int64
 	eagerEnables    atomic.Int64
+	parkedEnables   atomic.Int64
 	tailSwaps       atomic.Int64
 	crossSuspends   atomic.Int64
 	throttleParks   atomic.Int64
@@ -208,6 +212,7 @@ func (c *statCounters) snapshot() Stats {
 		LazyEnables:       c.lazyEnables.Load(),
 		ThiefEnables:      c.thiefEnables.Load(),
 		EagerEnables:      c.eagerEnables.Load(),
+		ParkedEnables:     c.parkedEnables.Load(),
 		TailSwaps:         c.tailSwaps.Load(),
 		CrossSuspends:     c.crossSuspends.Load(),
 		ThrottleParks:     c.throttleParks.Load(),

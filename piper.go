@@ -181,7 +181,11 @@ func DependencyFolding(enabled bool) Option {
 }
 
 // LazyEnabling toggles lazy enabling (default on). When disabled, every
-// stage advance eagerly checks and wakes the right neighbour.
+// stage advance eagerly checks and wakes the right neighbour. When enabled,
+// a stage advance checks right only while a worker is parked: the paper's
+// thieves never sleep and find a satisfied waiter by check-right on their
+// victim, while a parked worker cannot, so the advancing one does it and
+// wakes the sleeper (Stats.ParkedEnables counts those wakes).
 func LazyEnabling(enabled bool) Option {
 	return func(o *core.Options) { o.EagerEnabling = !enabled }
 }
@@ -240,8 +244,9 @@ func GrainMax(g int) Option {
 // cancellation, and the Grain(1) per-iteration protocol exactly — so
 // disabling is only for ablation measurements.
 // Plans require DependencyFolding and LazyEnabling (the ablations that
-// disable those measure the interpreter) and are never compiled for
-// instrumented (Profile*) runs.
+// disable those measure the interpreter; compiled stage advances apply the
+// same parked-worker check-right as interpreted ones) and are never
+// compiled for instrumented (Profile*) runs.
 func CompilePlans(enabled bool) Option {
 	return func(o *core.Options) { o.CompilePlans = enabled }
 }
