@@ -173,19 +173,17 @@ func TestPipeserveQoS(t *testing.T) {
 	}
 }
 
-func TestPipeserveBurstElastic(t *testing.T) {
+func TestPipeserveBurst(t *testing.T) {
 	dir := t.TempDir()
 	bin := build(t, dir, "pipeserve")
-	// Bursty multi-tenant traffic against an elastic 1..4 pool with a
-	// small admission budget under the blocking policy. The driver exits
-	// nonzero unless the pool scaled up AND retired back to the floor
-	// (scaled=true), every request was admitted (SubmitWait loses none),
-	// and the engine drained.
+	// Bursty multi-tenant traffic with quiet gaps (the workers park between
+	// waves) against a small admission budget under the blocking policy.
+	// The driver exits nonzero unless every request was accounted for and
+	// the engine drained; SubmitWait must admit every request.
 	stdout, _ := run(t, bin,
-		"-p", "1", "-min", "1", "-max", "4", "-burst", "3", "-idle", "30ms",
-		"-retire", "2ms", "-maxpending", "8", "-waitadmit",
+		"-p", "2", "-burst", "3", "-idle", "30ms", "-maxpending", "8", "-waitadmit",
 		"-tenants", "4", "-requests", "400", "-cancel", "0.1", "-work", "300")
-	for _, want := range []string{"failures=0", "rejected=0", "drained=true", "scaled=true"} {
+	for _, want := range []string{"failures=0", "rejected=0", "drained=true"} {
 		if !strings.Contains(stdout, want) {
 			t.Fatalf("missing %q in pipeserve burst output:\n%s", want, stdout)
 		}

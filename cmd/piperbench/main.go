@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig6|fig7|fig8|fig9|thm12|fig10|ablate|adaptive|elastic|grain|arena|plan|all")
+		experiment = flag.String("experiment", "all", "fig6|fig7|fig8|fig9|thm12|fig10|ablate|adaptive|grain|arena|plan|all")
 		size       = flag.String("size", "small", "small|native")
 		plist      = flag.String("plist", "", "comma-separated worker counts (default 1,2,...,NumCPU)")
 		pmax       = flag.Int("pmax", runtime.NumCPU(), "worker count for single-P experiments")
@@ -59,13 +59,12 @@ func main() {
 		"fig10":    func() { bench.Fig10Pathological(os.Stdout, *pmax, sz) },
 		"ablate":   func() { bench.Ablations(os.Stdout, *pmax, sz) },
 		"adaptive": func() { bench.AdaptiveThrottle(os.Stdout, *pmax, sz) },
-		"elastic":  func() { bench.Elasticity(os.Stdout, *pmax, sz) },
 		"grain":    func() { bench.GrainAblation(os.Stdout, *pmax, sz) },
 		"arena":    func() { bench.ArenaAblation(os.Stdout, *pmax, sz) },
 		"plan":     func() { bench.PlanAblation(os.Stdout, *pmax, sz) },
 	}
 	if *experiment == "all" {
-		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "thm12", "fig10", "ablate", "adaptive", "elastic", "grain", "arena", "plan"} {
+		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "thm12", "fig10", "ablate", "adaptive", "grain", "arena", "plan"} {
 			run[name]()
 		}
 		return

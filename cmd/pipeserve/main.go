@@ -12,15 +12,12 @@
 // report the context error, everything else completes, and the
 // scheduler's live-frame gauges return to zero.
 //
-// Elastic/backpressure mode: with -min/-max the engine scales its worker
-// pool with the load, and -burst makes each tenant issue its requests in
-// waves separated by -idle quiet gaps — traffic the driver does not
-// control smoothly, which is exactly what the elastic pool is for. The
-// engine must scale up during a wave and retire back down during the
-// gaps; in that mode the driver fails (exit 1) unless both were observed.
-// -maxpending bounds admitted-but-unfinished pipelines: -waitadmit queues
-// submissions under backpressure (SubmitWait), while without it requests
-// that find the budget full are rejected with ErrSaturated and counted.
+// Burst/backpressure mode: -burst makes each tenant issue its requests in
+// waves separated by -idle quiet gaps, so the workers park between waves
+// and must be woken by the next flood. -maxpending bounds admitted-but-
+// unfinished pipelines: -waitadmit queues submissions under backpressure
+// (SubmitWait), while without it requests that find the budget full are
+// rejected with ErrSaturated and counted.
 //
 // Arrival control: -rate paces each tenant's submissions (requests per
 // second per tenant; 0 issues as fast as the in-flight window allows),
@@ -43,8 +40,8 @@
 // Usage:
 //
 //	pipeserve -p 8 -tenants 16 -requests 5000 -cancel 0.2
-//	pipeserve -p 1 -min 1 -max 4 -burst 3 -idle 30ms -retire 2ms \
-//	          -maxpending 8 -waitadmit -tenants 4 -requests 400
+//	pipeserve -p 2 -burst 3 -idle 30ms -maxpending 8 -waitadmit \
+//	          -tenants 4 -requests 400
 //	pipeserve -qos -p 2 -maxpending 4 -requests 2000 -work 800 -seed 7
 package main
 
@@ -64,10 +61,7 @@ import (
 )
 
 var (
-	p        = flag.Int("p", runtime.GOMAXPROCS(0), "initial scheduler workers")
-	minW     = flag.Int("min", 0, "elastic pool floor (0: fixed at -p)")
-	maxW     = flag.Int("max", 0, "elastic pool ceiling (0: fixed at -p)")
-	retire   = flag.Duration("retire", 5*time.Millisecond, "idle grace before a surplus worker retires")
+	p        = flag.Int("p", runtime.GOMAXPROCS(0), "scheduler workers")
 	maxPend  = flag.Int("maxpending", 0, "admission budget: max pending pipelines (0: unlimited)")
 	waitAdm  = flag.Bool("waitadmit", false, "block for admission (SubmitWait) instead of rejecting with ErrSaturated")
 	bursts   = flag.Int("burst", 0, "issue each tenant's requests in this many waves separated by -idle gaps (0: steady)")
@@ -150,9 +144,8 @@ func (r *runner) runTenant(spec tenantSpec) {
 	next := time.Now()
 	var tw sync.WaitGroup
 	// Burst mode slices the quota into waves; wave boundaries wait for
-	// the tenant's in-flight work and then go quiet, giving surplus
-	// workers their idle grace to retire before the next flood forces the
-	// pool back up.
+	// the tenant's in-flight work and then go quiet, long enough for the
+	// workers to park before the next flood wakes them.
 	waves := 1
 	if spec.bursts > 0 {
 		waves = spec.bursts
@@ -237,15 +230,6 @@ func (r *runner) runTenant(spec tenantSpec) {
 // engineOpts assembles the engine configuration from the shared flags.
 func engineOpts(extra ...piper.Option) []piper.Option {
 	opts := []piper.Option{piper.Workers(*p)}
-	if *minW > 0 {
-		opts = append(opts, piper.MinWorkers(*minW))
-	}
-	if *maxW > 0 {
-		opts = append(opts, piper.MaxWorkers(*maxW))
-	}
-	if *minW > 0 || *maxW > 0 {
-		opts = append(opts, piper.RetireAfter(*retire))
-	}
 	if *maxPend > 0 {
 		opts = append(opts, piper.MaxPending(*maxPend))
 	}
@@ -331,8 +315,6 @@ func summarize(r *runner, total, nTenants int, elapsed time.Duration, s piper.St
 		s.Submits, s.CancelRequests, s.AbortedPipelines, s.AbortedIterations)
 	fmt.Printf("  iterations=%d steals=%d poolHits=%d poolMisses=%d overflows=%d\n",
 		s.Iterations, s.Steals, s.FramePoolHits, s.FramePoolMisses, s.InjectOverflows)
-	fmt.Printf("  workers live=%d spawns=%d retires=%d\n",
-		s.LiveWorkers, s.WorkerSpawns, s.WorkerRetires)
 	fmt.Printf("  admission saturations=%d waitMs=%.2f pending=%d\n",
 		s.Saturations, float64(s.AdmissionWaitNs)/1e6, s.PendingAdmitted)
 	acct := printTenantStats(r)
@@ -355,13 +337,6 @@ func (r *runner) allServedSorted() []time.Duration {
 // issuers sharing the default class.
 func runLoad() int {
 	eng := piper.NewEngine(engineOpts()...)
-	// Judge elasticity from the engine's normalized bounds, not the raw
-	// flags: option reconciliation can collapse the requested range into a
-	// fixed pool (e.g. -max at or below the floor), and a fixed pool must
-	// not be held to the scaled-up/scaled-down exit criteria below.
-	norm := eng.Options()
-	elastic := norm.MinWorkers < norm.MaxWorkers
-
 	r := newRunner(eng)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -392,30 +367,9 @@ func runLoad() int {
 	elapsed := time.Since(start)
 
 	s, drained := awaitDrain(eng)
-	// An elastic pool must also come back down once the traffic stops.
-	scaledDown := true
-	if elastic {
-		scaledDown = false
-		deadline := time.Now().Add(2*time.Second + 10**retire)
-		for !scaledDown && time.Now().Before(deadline) {
-			s = eng.Stats()
-			scaledDown = s.LiveWorkers <= int64(norm.MinWorkers)
-			if !scaledDown {
-				time.Sleep(*retire)
-			}
-		}
-	}
 	eng.Close()
 
-	ok := summarize(r, *requests, *tenants, elapsed, s, drained)
-	// Elastic burst mode must actually exercise the pool: at least one
-	// scale-up, at least one retire, and a return to the floor.
-	if elastic && *bursts > 0 {
-		scaled := s.WorkerSpawns >= 1 && s.WorkerRetires >= 1 && scaledDown
-		fmt.Printf("  scaled=%v\n", scaled)
-		ok = ok && scaled
-	}
-	if !ok {
+	if !summarize(r, *requests, *tenants, elapsed, s, drained) {
 		return 1
 	}
 	return 0

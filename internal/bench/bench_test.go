@@ -166,20 +166,6 @@ func TestGrainAblationSmall(t *testing.T) {
 	}
 }
 
-func TestElasticitySmall(t *testing.T) {
-	sz := Small()
-	tbl := Elasticity(nil, 2, sz)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want fixed + elastic", len(tbl.Rows))
-	}
-	if tbl.Rows[1][2] == "0" {
-		t.Errorf("elastic config recorded no worker spawns: %v", tbl.Rows[1])
-	}
-	if len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], "scale-up latency") {
-		t.Errorf("missing scale-up latency note: %v", tbl.Notes)
-	}
-}
-
 func TestAdaptiveThrottleSmall(t *testing.T) {
 	sz := Small()
 	tbl := AdaptiveThrottle(nil, 2, sz)

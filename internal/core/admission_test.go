@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"piper/internal/workload"
 )
 
 // waitTenant polls the named class's snapshot until pred holds, failing
@@ -417,5 +420,220 @@ func TestTenantCloseReleasesWaiters(t *testing.T) {
 	}
 	if ts.Submitted != ts.Admitted+ts.Rejected+ts.Canceled {
 		t.Errorf("per-class sum: %+v, want Submitted == Admitted+Rejected+Canceled", ts)
+	}
+}
+
+// gatedSubmit submits a pipeline that blocks until gate closes, pinning
+// one admission slot (and one worker) for the duration.
+func gatedSubmit(e *Engine, gate <-chan struct{}) *Handle {
+	i := 0
+	return e.Submit(nil, func() bool { i++; return i == 1 }, func(it *Iter) {
+		it.Continue(1)
+		<-gate
+	})
+}
+
+func TestSubmitRejectSaturated(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 1
+	e := NewEngine(opts)
+	defer e.Close()
+
+	gate := make(chan struct{})
+	h1 := gatedSubmit(e, gate)
+
+	h2 := e.Submit(nil, func() bool { return false }, func(*Iter) {})
+	if err := h2.Wait(); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("second Submit on a full budget: err = %v, want ErrSaturated", err)
+	}
+	if s := e.Stats(); s.Saturations != 1 {
+		t.Errorf("Saturations = %d, want 1", s.Saturations)
+	}
+	if s := e.Stats(); s.PendingAdmitted != 1 {
+		t.Errorf("PendingAdmitted = %d, want 1 while the gated pipeline runs", s.PendingAdmitted)
+	}
+
+	close(gate)
+	if err := h1.Wait(); err != nil {
+		t.Fatalf("gated pipeline failed: %v", err)
+	}
+	// The slot is released before the Handle completes, so a new Submit
+	// is admitted immediately.
+	h3 := e.Submit(nil, func() bool { return false }, func(*Iter) {})
+	if err := h3.Wait(); err != nil {
+		t.Fatalf("Submit after release: err = %v, want nil", err)
+	}
+	if s := e.Stats(); s.PendingAdmitted != 0 {
+		t.Errorf("PendingAdmitted = %d after completion, want 0", s.PendingAdmitted)
+	}
+	checkEngineDrained(t, e)
+}
+
+func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 1
+	e := NewEngine(opts)
+	defer e.Close()
+
+	gate := make(chan struct{})
+	h1 := gatedSubmit(e, gate)
+
+	admitted := make(chan *Handle, 1)
+	go func() {
+		var n atomic.Int64
+		i := 0
+		admitted <- e.SubmitWait(nil, func() bool { i++; return i <= 3 }, func(*Iter) { n.Add(1) })
+	}()
+	select {
+	case <-admitted:
+		t.Fatal("SubmitWait returned while the budget was exhausted")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	close(gate)
+	if err := h1.Wait(); err != nil {
+		t.Fatalf("gated pipeline failed: %v", err)
+	}
+	var h2 *Handle
+	select {
+	case h2 = <-admitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SubmitWait still blocked after the slot freed")
+	}
+	if err := h2.Wait(); err != nil {
+		t.Fatalf("SubmitWait pipeline failed: %v", err)
+	}
+	if s := e.Stats(); s.AdmissionWaitNs <= 0 {
+		t.Errorf("AdmissionWaitNs = %d, want > 0 after a blocked admission", s.AdmissionWaitNs)
+	}
+	checkEngineDrained(t, e)
+}
+
+func TestSubmitWaitContextDeadline(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 1
+	e := NewEngine(opts)
+	defer e.Close()
+
+	gate := make(chan struct{})
+	h1 := gatedSubmit(e, gate)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+	defer cancel()
+	h2 := e.SubmitWait(ctx, func() bool { return true }, func(*Iter) {})
+	if err := h2.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline admission: err = %v, want DeadlineExceeded", err)
+	}
+	if s := e.Stats(); s.Saturations < 1 {
+		t.Errorf("Saturations = %d, want >= 1 after an expired admission", s.Saturations)
+	}
+
+	close(gate)
+	if err := h1.Wait(); err != nil {
+		t.Fatalf("gated pipeline failed: %v", err)
+	}
+	checkEngineDrained(t, e)
+}
+
+// TestSubmitWaitAdmitsAll drives far more pipelines than the budget
+// allows through concurrent SubmitWait callers: every handle must resolve
+// successfully — saturation delays work, it never loses it.
+func TestSubmitWaitAdmitsAll(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 2
+	e := NewEngine(opts)
+	defer e.Close()
+
+	const callers, per = 8, 25
+	var completed atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := 0; q < per; q++ {
+				i := 0
+				var sink atomic.Uint64
+				h := e.SubmitWait(nil, func() bool { i++; return i <= 3 }, func(it *Iter) {
+					sink.Add(workload.Spin(200))
+					it.Continue(1)
+					sink.Add(workload.Spin(200))
+				})
+				if err := h.Wait(); err != nil {
+					t.Errorf("SubmitWait pipeline failed: %v", err)
+					return
+				}
+				completed.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := completed.Load(); got != callers*per {
+		t.Errorf("completed %d pipelines, want %d", got, callers*per)
+	}
+	s := e.Stats()
+	if s.PendingAdmitted != 0 {
+		t.Errorf("PendingAdmitted = %d after drain, want 0", s.PendingAdmitted)
+	}
+	checkEngineDrained(t, e)
+}
+
+// TestCloseUnderChurn races Engine.Close against park/wake churn and
+// SubmitWait admission: every handle must resolve (completed or
+// ErrEngineClosed) and Close must return — the wake sweep may not strand a
+// worker that un-idles or parks between its claim and its wake token (see
+// the audit comment in Close).
+func TestCloseUnderChurn(t *testing.T) {
+	for round := 0; round < 40; round++ {
+		opts := DefaultOptions()
+		opts.Workers = 2
+		opts.MaxPending = 2
+		e := NewEngine(opts)
+		const submitters = 4
+		var handles [submitters][3]*Handle
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for s := 0; s < submitters; s++ {
+			s := s
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for q := 0; q < 3; q++ {
+					i := 0
+					handles[s][q] = e.SubmitWait(nil, func() bool { i++; return i <= 2 }, func(it *Iter) {
+						it.Continue(1)
+					})
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			e.Close()
+		}()
+		close(start)
+		wg.Wait()
+		done := make(chan struct{})
+		go func() {
+			for s := range handles {
+				for _, h := range handles[s] {
+					if err := h.Wait(); err != nil && !errors.Is(err, ErrEngineClosed) {
+						t.Errorf("round %d: unexpected handle error: %v", round, err)
+					}
+				}
+			}
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: a handle hung across Close under churn", round)
+		}
 	}
 }

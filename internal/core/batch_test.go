@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"piper/internal/workload"
 )
 
 // Tests for batched inline execution with grain control: claim/release
@@ -591,4 +593,158 @@ func TestCostStepDropsClaim(t *testing.T) {
 			}
 		}
 	})
+}
+
+// burstSubmit launches n spin-work pipelines and returns their handles.
+func burstSubmit(e *Engine, n int, spin int64) []*Handle {
+	handles := make([]*Handle, 0, n)
+	for s := 0; s < n; s++ {
+		i := 0
+		var sink atomic.Uint64
+		h := e.Submit(nil, func() bool { i++; return i <= 6 }, func(it *Iter) {
+			sink.Add(workload.Spin(spin))
+			it.Continue(1)
+			sink.Add(workload.Spin(spin))
+			it.Wait(2)
+			sink.Add(workload.Spin(spin / 4))
+		})
+		handles = append(handles, h)
+	}
+	return handles
+}
+
+// TestBurstServedBehindBlockedBatch: on a two-worker engine an
+// empty-body pipeline's claim climbs, then one slot blocks on a gate,
+// holding its worker and the pipe_while continuation with it. A burst of
+// submissions must still complete while it is stuck, served by the other
+// worker, and the pipeline must run to completion afterwards. The stalled
+// batch held the
+// continuation for milliseconds, far past what the cost rule allows a
+// claim to cost, so the claim that follows it is a single slot, and the
+// ramp restarts from there: batching may hold the continuation hostage
+// once, not twice. A costClock declares the costs — the stall five
+// milliseconds, every other body nothing — so the claim sizes are exact.
+func TestBurstServedBehindBlockedBatch(t *testing.T) {
+	var clk costClock
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.hooks = withClock(nil, clk.ns.Load)
+	e := NewEngine(opts)
+	defer e.Close()
+
+	const n, stall = 2000, 600
+	reached := make(chan struct{})
+	gate := make(chan struct{})
+	// seen[k] is the engine's deferred-slot count as iteration k starts. A
+	// batch adds its deferred slots (its size minus one) when it ends, so
+	// the count steps exactly at batch boundaries.
+	seen := make([]int64, n)
+	i := 0
+	done := make(chan PipelineReport, 1)
+	go func() {
+		done <- e.RunPipeline(0, func() bool { return i < n }, func(it *Iter) {
+			i++
+			seen[it.Index()] = e.stats.batchedIters.Load()
+			if it.Index() == stall {
+				close(reached)
+				<-gate
+				clk.spend(5 * time.Millisecond)
+			}
+		})
+	}()
+
+	<-reached
+	if s := e.Stats(); s.BatchedIterations < stall/2 {
+		t.Errorf("BatchedIterations = %d before the burst, want >= %d (the claim never grew while alone)", s.BatchedIterations, stall/2)
+	}
+	for _, h := range burstSubmit(e, 20, 1000) {
+		if err := h.Wait(); err != nil {
+			t.Fatalf("burst pipeline failed behind the blocked batch: %v", err)
+		}
+	}
+	// The burst is over, so from here on only this pipeline moves the count.
+	quiet := e.stats.batchedIters.Load()
+	close(gate)
+
+	var rep PipelineReport
+	select {
+	case rep = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("pipeline hung after the burst")
+	}
+	if rep.Iterations != n {
+		t.Fatalf("Iterations = %d, want %d", rep.Iterations, n)
+	}
+	// b is the first iteration past the stalled batch: a one-slot claim
+	// defers nothing, the two-slot claim after it defers one, and that one
+	// shows when the four-slot claim opens at b+3.
+	b := stall + 1
+	for b < n && seen[b] == quiet {
+		b++
+	}
+	if b+3 >= n {
+		t.Fatalf("the stalled batch ran to iteration %d of %d", b, n)
+	}
+	if got := seen[b+3] - seen[b]; got != 1 {
+		t.Errorf("the three iterations after the stalled batch (from %d) deferred %d slots, want 1: claims of 1 and 2",
+			b, got)
+	}
+	if rep.FinalGrain <= 1 {
+		t.Errorf("FinalGrain = %d, want > 1 (empty bodies must ramp back up)", rep.FinalGrain)
+	}
+	checkEngineDrained(t, e)
+}
+
+// TestIdleSpareDoesNotPinGrain: a floor worker that idles because the
+// offered load is one serial pipeline is not a reason to hold the claim
+// down. A 2-worker engine running one serial-only pipeline — the spare
+// parked throughout, stealing nothing — must let the grain climb exactly
+// as it does alone on a single-worker pool: the claim is a function of
+// cost, which a costClock
+// declares here (the sleep that parks the spare costs what it takes,
+// every other body nothing), and no idle count enters it. CompilePlans is
+// disabled so the interpreted batch loop is the one that ramps, from 1.
+func TestIdleSpareDoesNotPinGrain(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"fixed-spare", func() Options {
+			o := DefaultOptions()
+			o.Workers = 2
+			return o
+		}()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var clk costClock
+			c.opts.CompilePlans = false
+			c.opts.hooks = withClock(nil, clk.ns.Load)
+			e := NewEngine(c.opts)
+			defer e.Close()
+
+			const n = 2000
+			i := 0
+			rep := e.RunPipeline(0, func() bool { return i < n }, func(it *Iter) {
+				i++
+				if it.Index() == 0 {
+					// Let the spare worker exhaust its scan and park: the rest
+					// of the run then opens every batch against a nonzero idle
+					// count, which must not matter.
+					time.Sleep(10 * time.Millisecond)
+					clk.spend(10 * time.Millisecond)
+				}
+			})
+			if rep.Iterations != n {
+				t.Fatalf("Iterations = %d, want %d", rep.Iterations, n)
+			}
+			if rep.FinalGrain <= 1 {
+				t.Errorf("FinalGrain = %d, want > 1 (a parked floor worker must not pin the grain)", rep.FinalGrain)
+			}
+			if s := e.Stats(); s.BatchedIterations == 0 {
+				t.Errorf("BatchedIterations = 0, want > 0 (batching never engaged)")
+			}
+			checkEngineDrained(t, e)
+		})
+	}
 }

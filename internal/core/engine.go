@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"piper/internal/arena"
 	"piper/internal/deque"
@@ -14,22 +13,9 @@ import (
 // Options configures an Engine. The ablation switches correspond to the
 // runtime optimizations of Section 9 of the paper.
 type Options struct {
-	// Workers is the number of scheduling workers P the engine starts
-	// with. Defaults to runtime.GOMAXPROCS(0).
+	// Workers is the number of scheduling workers P, fixed for the
+	// engine's lifetime. Defaults to runtime.GOMAXPROCS(0).
 	Workers int
-	// MinWorkers and MaxWorkers bound the elastic worker pool. The engine
-	// spawns extra workers (up to MaxWorkers) when work is published while
-	// the idle set is empty or when the injection rings overflow, and
-	// retires surplus workers (down to MinWorkers) after they sit parked
-	// for RetireAfter. Both default to Workers, which disables elasticity
-	// and reproduces the fixed-P scheduler of the paper exactly: no timer
-	// arms on the park path and no scale check runs on the signal path.
-	MinWorkers int
-	MaxWorkers int
-	// RetireAfter is the idle grace period before a surplus worker (live
-	// count above MinWorkers) retires. 0 means 10ms. Only consulted when
-	// MaxWorkers > MinWorkers.
-	RetireAfter time.Duration
 	// MaxPending bounds the number of top-level pipelines admitted through
 	// Submit/SubmitWait and not yet completed — the serving layer's
 	// backpressure budget. 0 means unlimited. When the budget is
@@ -50,8 +36,7 @@ type Options struct {
 	// per-class accounting.
 	Tenants []TenantClass
 	// Throttle is the default throttling limit K for pipelines started on
-	// this engine; 0 means 4·P, the paper's recommended setting (with P
-	// the pool ceiling MaxWorkers on an elastic engine).
+	// this engine; 0 means 4·P, the paper's recommended setting.
 	Throttle int
 	// DependencyFolding enables the cached-stage-counter optimization
 	// (on by default via DefaultOptions).
@@ -132,41 +117,8 @@ func (o *Options) normalize() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	// Elastic bounds: both default to Workers (a fixed pool). MaxWorkers
-	// resolves first and caps the MinWorkers default, so an explicit
-	// ceiling below the (possibly defaulted) Workers is honored — it
-	// shrinks the pool rather than being silently raised by the Min
-	// default. An explicit Min > Max still wins (the floor is a promise),
-	// and the initial count is clamped into [MinWorkers, MaxWorkers] so
-	// every combination of the three knobs yields a consistent pool.
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = o.Workers
-	}
-	if o.MinWorkers <= 0 {
-		o.MinWorkers = o.Workers
-		if o.MinWorkers > o.MaxWorkers {
-			o.MinWorkers = o.MaxWorkers
-		}
-	}
-	if o.MaxWorkers < o.MinWorkers {
-		o.MaxWorkers = o.MinWorkers
-	}
-	if o.Workers < o.MinWorkers {
-		o.Workers = o.MinWorkers
-	}
-	if o.Workers > o.MaxWorkers {
-		o.Workers = o.MaxWorkers
-	}
-	if o.RetireAfter <= 0 {
-		o.RetireAfter = 10 * time.Millisecond
-	}
 	if o.Throttle <= 0 {
-		// 4·P, the paper's recommended setting — with P the pool ceiling,
-		// not the initial count: an elastic engine that scaled to
-		// MaxWorkers must not have its pipelines window-bound at 4× the
-		// (possibly much smaller) starting size. Fixed pools are
-		// unaffected (MaxWorkers == Workers).
-		o.Throttle = 4 * o.MaxWorkers
+		o.Throttle = 4 * o.Workers // the paper's recommended setting
 	}
 	if o.MaxPending < 0 {
 		o.MaxPending = 0
@@ -183,9 +135,6 @@ func (o *Options) normalize() {
 	}
 }
 
-// elastic reports whether the worker pool can change size at all.
-func (o *Options) elastic() bool { return o.MaxWorkers > o.MinWorkers }
-
 // injectRingCap is the per-worker injection ring capacity. Root-frame
 // injection is one event per top-level pipeline, so overflow — which
 // falls back to a mutex-guarded list — is effectively unreachable outside
@@ -196,16 +145,14 @@ const injectRingCap = 64
 // a work-stealing deque and an injection ring, executing pipeline programs
 // submitted through PipeWhile.
 //
-// The pool is elastic between Options.MinWorkers and Options.MaxWorkers:
-// workers is a fixed slot array of MaxWorkers entries allocated up front,
-// and each slot is either live (its goroutine runs the scheduling loop) or
-// dormant. Slots are never added or removed, so thieves sweep the array
-// with no synchronization and a shard's injection ring never deregisters:
-// producers merely skip dormant shards, and any frame that races into one
-// stays reachable through the ordinary steal sweep (see worker.pollWork).
+// The pool is fixed: workers holds Options.Workers entries for the
+// engine's lifetime, each running the scheduling loop, so thieves and
+// producers sweep the array with no synchronization. An idle worker costs
+// nothing after its pre-park spin: it parks on its channel until a signal
+// hands it work (see worker.findWork).
 type Engine struct {
 	opts    Options
-	workers []*worker // MaxWorkers slots; liveN of them are running
+	workers []*worker
 	stats   statCounters
 	pools   framePools
 
@@ -213,11 +160,6 @@ type Engine struct {
 	// recycled, cache-aligned, ref-counted regions the data-plane
 	// workloads flow through pipeline stages. Immutable after NewEngine.
 	arena *arena.Arena
-
-	// canGrow caches opts.elastic(): checked on the signal path when the
-	// idle set is empty, a plain immutable bool so the fixed-P fast path
-	// pays nothing for elasticity.
-	canGrow bool
 
 	// Hot cross-worker words, padded apart from each other and from the
 	// mutex-guarded cold state around them: injectRR is bumped by every
@@ -236,15 +178,6 @@ type Engine struct {
 	_         cacheLinePad
 	overflowN atomic.Int32
 	_         cacheLinePad
-	// liveN is the live-worker gauge. Written only under scaleMu (spawn
-	// and retire are rare events); read lock-free on the scale checks.
-	liveN atomic.Int32
-	_     cacheLinePad
-
-	// scaleMu serializes worker spawn and retire decisions. It is never
-	// taken on a scheduling fast path — only when the pool actually
-	// changes size, so contention is bounded by the scale event rate.
-	scaleMu sync.Mutex
 
 	// Root-frame injection is sharded: each worker owns a lock-free MPMC
 	// ring (see deque.Inject) that producers fill round-robin; rings that
@@ -295,13 +228,12 @@ type Engine struct {
 func NewEngine(opts Options) *Engine {
 	opts.normalize()
 	e := &Engine{
-		opts:    opts,
-		canGrow: opts.elastic(),
-		hooks:   opts.hooks,
-		arena:   arena.New(opts.ArenaBuffers),
+		opts:  opts,
+		hooks: opts.hooks,
+		arena: arena.New(opts.ArenaBuffers),
 	}
 	e.adm = newAdmitter(e, &opts)
-	e.workers = make([]*worker, opts.MaxWorkers)
+	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
 		e.workers[i] = &worker{
 			eng:    e,
@@ -313,99 +245,18 @@ func NewEngine(opts Options) *Engine {
 		}
 		e.workers[i].takeoverFn = e.workers[i].takeover
 	}
-	for i := 0; i < opts.Workers; i++ {
-		e.workers[i].state.Store(workerLive)
-	}
-	e.liveN.Store(int32(opts.Workers))
-	for i := 0; i < opts.Workers; i++ {
+	for _, w := range e.workers {
 		e.wg.Add(1)
 		//piper:allow-go accounted: the wg.Add above pairs with loop's deferred wg.Done, drained by Close
-		go e.workers[i].loop()
+		go w.loop()
 	}
 	return e
-}
-
-// maybeSpawn wakes a dormant worker slot if the pool may still grow. The
-// lock-free gate makes the call free once the pool is at MaxWorkers (and
-// the caller already gated on canGrow, so fixed-P engines never get here).
-func (e *Engine) maybeSpawn() {
-	if int(e.liveN.Load()) >= e.opts.MaxWorkers || e.closed.Load() {
-		return
-	}
-	e.scaleMu.Lock()
-	defer e.scaleMu.Unlock()
-	// Re-check under the lock; Close may have flipped in between. A spawn
-	// is safe against Close's wg.Wait: either the caller holds the read
-	// side of submitMu with closed still false (injection paths), so the
-	// whole spawn happens-before the flag flips, or the caller is a live
-	// worker whose own WaitGroup slot keeps the counter positive.
-	if e.closed.Load() || int(e.liveN.Load()) >= e.opts.MaxWorkers {
-		return
-	}
-	for _, w := range e.workers {
-		if w.state.Load() == workerDormant {
-			w.state.Store(workerLive)
-			e.liveN.Add(1)
-			e.stats.workerSpawns.Add(1)
-			e.wg.Add(1)
-			//piper:allow-go accounted: the wg.Add above pairs with loop's deferred wg.Done, drained by Close
-			go w.loop()
-			return
-		}
-	}
-}
-
-// retire commits worker w's retirement after its idle grace expired: it
-// reports false (and the worker keeps running) if the pool is already at
-// MinWorkers or the engine is closing. On success the slot flips dormant —
-// producers stop choosing its injection ring — and any residual frames in
-// its deque or ring transfer to the overflow list, where every live
-// worker's scan finds them. Frames a stale-live producer races into the
-// dormant ring afterwards stay reachable too: the steal sweep covers
-// dormant slots, and the producer's own signal wakes a worker to run it.
-func (e *Engine) retire(w *worker) bool {
-	e.scaleMu.Lock()
-	if e.closed.Load() || int(e.liveN.Load()) <= e.opts.MinWorkers {
-		e.scaleMu.Unlock()
-		return false
-	}
-	w.state.Store(workerDormant)
-	e.liveN.Add(-1)
-	e.stats.workerRetires.Add(1)
-	// Drain before releasing scaleMu: maybeSpawn can reactivate this slot
-	// the instant the lock drops, and the respawned goroutine would then
-	// Pop the deque concurrently with this drain — deque.Pop is
-	// owner-only. Under the lock the slot cannot gain a new owner. The
-	// drain is short: the deque is empty in practice (this worker parked
-	// only after a full scan found nothing) and the ring holds at most
-	// injectRingCap racy leftovers.
-	var moved []*frame
-	for {
-		f := w.deque.Pop()
-		if f == nil {
-			break
-		}
-		moved = append(moved, f)
-	}
-	w.inbox.Drain(func(f *frame) { moved = append(moved, f) })
-	if len(moved) > 0 {
-		e.overflowMu.Lock()
-		e.overflow = append(e.overflow, moved...)
-		e.overflowN.Add(int32(len(moved)))
-		e.overflowMu.Unlock()
-	}
-	e.scaleMu.Unlock()
-	if len(moved) > 0 {
-		e.signal()
-	}
-	return true
 }
 
 // Options reports the engine's (normalized) configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// Workers reports the initial worker count P. An elastic engine's current
-// pool size is Stats().LiveWorkers.
+// Workers reports the worker count P.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Arena returns the engine's payload-buffer arena: recycled, cache-line-
@@ -423,7 +274,7 @@ func (e *Engine) Arena() *arena.Arena { return e.arena }
 type statGauges struct {
 	poolHits, poolMisses              int64
 	liveIter, liveClosure, livePipes  int64
-	liveWorkers, pendingAdmitted      int64
+	pendingAdmitted                   int64
 	arenaLive, arenaRecycled          int64
 	arenaGets, arenaPuts, arenaMisses int64
 }
@@ -435,7 +286,6 @@ func (e *Engine) readGauges() statGauges {
 		liveIter:    e.pools.liveIter.Load(),
 		liveClosure: e.pools.liveClosure.Load(),
 		livePipes:   e.pools.livePipeline.Load(),
-		liveWorkers: int64(e.liveN.Load()),
 	}
 	if e.adm != nil {
 		g.pendingAdmitted = e.adm.totalGauge.Load()
@@ -453,7 +303,7 @@ func (e *Engine) readGauges() statGauges {
 //
 // Consistency contract: the monotone event counters are each exact at
 // their own read instant (they only ever grow within an engine lifetime).
-// The gauges — Live*Frames, LiveWorkers, PendingAdmitted, and the arena
+// The gauges — Live*Frames, PendingAdmitted, and the arena
 // fields — describe a single instant only when that instant is stable:
 // they are read through a bounded double-read loop that retries until two
 // consecutive passes over the whole gauge vector agree, so a snapshot
@@ -481,7 +331,6 @@ func (e *Engine) Stats() Stats {
 	s.LiveIterFrames = g.liveIter
 	s.LiveClosureFrames = g.liveClosure
 	s.LivePipelines = g.livePipes
-	s.LiveWorkers = g.liveWorkers
 	s.PendingAdmitted = g.pendingAdmitted
 	s.LiveArenaBytes = g.arenaLive
 	s.ArenaBytesRecycled = g.arenaRecycled
@@ -526,11 +375,7 @@ func (e *Engine) Close() {
 	// re-checks the closed flag — ordered after its registration, and the
 	// flag flipped before the sweep began — and self-cancels, so it can
 	// neither park forever nor leave a claimed-but-untokened slot behind.
-	// Elastic pools add one more un-idle transition, the retire timer:
-	// its cancelIdle likewise absorbs an in-flight token and treats the
-	// timeout as an ordinary wake, and retire() itself refuses once the
-	// closed flag is up, so a retiring worker always reaches the ordinary
-	// drain-and-exit path. TestCloseUnderChurn exercises all three races.
+	// TestCloseUnderChurn exercises both races.
 	for {
 		w := e.claimIdle()
 		if w == nil {
@@ -723,25 +568,19 @@ func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter), depth in
 }
 
 // inject queues a root frame for any worker to pick up: round-robin over
-// the live per-worker injection rings, spilling to the overflow list only
-// when every live ring is full. A spill is a scale-up trigger: the live
-// workers are not draining their rings fast enough, so an elastic engine
-// wakes another slot.
+// the per-worker injection rings, spilling to the overflow list only when
+// every ring is full.
 func (e *Engine) inject(f *frame) {
 	if h := e.hooks; h != nil && h.forceOverflow != nil && h.forceOverflow() {
 		// Perturbation: skip the rings and take the overflow spill path, as
-		// if every live ring were full.
+		// if every ring were full.
 		e.spillOverflow(f)
 		return
 	}
 	n := uint32(len(e.workers))
 	start := e.injectRR.Add(1)
 	for i := uint32(0); i < n; i++ {
-		w := e.workers[(start+i)%n]
-		if e.canGrow && w.state.Load() != workerLive {
-			continue
-		}
-		if w.inbox.Offer(f) {
+		if e.workers[(start+i)%n].inbox.Offer(f) {
 			e.stats.injects.Add(1)
 			e.signal()
 			return
@@ -751,10 +590,9 @@ func (e *Engine) inject(f *frame) {
 }
 
 // spillOverflow publishes an injected root frame through the mutex-guarded
-// overflow list — the every-ring-full fallback, also a scale-up trigger
-// (the live workers are not draining their rings fast enough). Shared by
-// the real full-ring path and the forceOverflow perturbation hook so the
-// two can never drift apart.
+// overflow list — the every-ring-full fallback. Shared by the real
+// full-ring path and the forceOverflow perturbation hook so the two can
+// never drift apart.
 func (e *Engine) spillOverflow(f *frame) {
 	e.overflowMu.Lock()
 	e.overflow = append(e.overflow, f)
@@ -762,9 +600,6 @@ func (e *Engine) spillOverflow(f *frame) {
 	e.overflowMu.Unlock()
 	e.stats.injects.Add(1)
 	e.stats.injectOverflows.Add(1)
-	if e.canGrow {
-		e.maybeSpawn()
-	}
 	e.signal()
 }
 
@@ -794,13 +629,6 @@ func (e *Engine) popOverflow() *frame {
 // worker's rescan observes the work.
 func (e *Engine) signal() {
 	if e.idle.Load() == 0 {
-		// Work is queued but no worker is parked to take it, nor sweeping
-		// for it in its pre-park spin — the other scale-up trigger. canGrow
-		// is an immutable bool, so fixed-P engines pay one predictable
-		// branch here and nothing more.
-		if e.canGrow && e.spinners.Load() == 0 {
-			e.maybeSpawn()
-		}
 		return
 	}
 	if w := e.claimIdle(); w != nil {
@@ -834,13 +662,10 @@ func (e *Engine) registerIdle(w *worker) {
 	e.idleMu.Unlock()
 }
 
-// cancelIdle withdraws w after its pre-park rescan found work (or its
-// retire timer fired). If a waker already claimed w, its wake token is in
-// flight; absorb it so the next park does not wake spuriously. The return
-// value reports that absorption: true means a wake was racing in, which
-// the retire path must treat as an ordinary wake rather than proceed to
-// retire a worker somebody just handed work to.
-func (e *Engine) cancelIdle(w *worker) bool {
+// cancelIdle withdraws w after its pre-park rescan found work or it saw
+// the engine closing. If a waker already claimed w, its wake token is in
+// flight; absorb it so the next park does not wake spuriously.
+func (e *Engine) cancelIdle(w *worker) {
 	e.idleMu.Lock()
 	found := false
 	for i, x := range e.idleWorkers {
@@ -857,9 +682,7 @@ func (e *Engine) cancelIdle(w *worker) bool {
 	e.idleMu.Unlock()
 	if !found {
 		<-w.parkCh
-		return true
 	}
-	return false
 }
 
 // tryWakeRight performs PIPER's check-right on behalf of iteration f: if
@@ -880,15 +703,6 @@ func (e *Engine) tryWakeRight(f *frame) *frame {
 
 // --- worker ---------------------------------------------------------------
 
-// Worker slot states. A dormant slot has no goroutine: its deque is empty
-// (drained at retirement; only the owner pushes) and its injection ring is
-// skipped by producers but still polled by every thief's sweep, so a frame
-// that races into it is never stranded.
-const (
-	workerDormant int32 = iota
-	workerLive
-)
-
 type worker struct {
 	eng    *Engine
 	id     int
@@ -896,15 +710,6 @@ type worker struct {
 	inbox  *deque.Inject[frame]
 	parkCh chan struct{}
 	rng    *workload.RNG
-	// state is the slot's live/dormant word, written only under the
-	// engine's scaleMu and read lock-free by producers choosing a ring.
-	state atomic.Int32
-	// retireTimer is the reusable idle-grace timer armed by parkAwait for
-	// surplus workers. Touched only by the goroutine holding the worker
-	// role, and only on the park path, so reuse needs no synchronization;
-	// lazily allocated so fixed-P engines (and floor workers) never carry
-	// one.
-	retireTimer *time.Timer
 	// promoted hands the frame of a promoting iteration to the takeover
 	// goroutine, and takeoverFn is w.takeover bound once: a go statement
 	// with arguments allocates a closure, and a coarse pipeline at claim 1
@@ -947,7 +752,7 @@ func (w *worker) run(f *frame) {
 			f = w.findWork()
 			if f == nil {
 				w.eng.wg.Done()
-				return // engine closed, or this worker retired
+				return // engine closed
 			}
 		}
 		if !w.execute(f) {
@@ -1213,15 +1018,15 @@ const spinBeforeParkNs = 10000
 // re-scans before blocking, pairing with signal's publish-work-then-claim
 // order, so no wakeup is lost and no polling timer is needed; the spin
 // runs wholly before registration and changes none of that. A spinner is
-// counted (spinners) so that the two readers of idleness, signal's
-// scale-up and the adaptive throttle, see it as the waiting worker it is.
+// counted (spinners) so that the adaptive throttle sees it as the waiting
+// worker it is.
 func (w *worker) findWork() *frame {
 	e := w.eng
 	for {
 		if f := w.pollWork(); f != nil {
 			return f
 		}
-		if e.liveN.Load() > 1 && e.pools.livePipeline.Load() > 0 {
+		if len(e.workers) > 1 && e.pools.livePipeline.Load() > 0 {
 			var f *frame
 			e.spinners.Add(1)
 			for end := nowNs() + spinBeforeParkNs; f == nil && !e.closed.Load() && nowNs() < end; {
@@ -1260,46 +1065,6 @@ func (w *worker) findWork() *frame {
 		e.stats.parks.Add(1)
 		// A parked worker is always released by a wake token, from signal
 		// or from Close's sweep.
-		if !w.parkAwait() {
-			return nil // retired: the worker role ends here
-		}
-	}
-}
-
-// parkAwait blocks the registered-idle worker until a wake token arrives.
-// On an elastic engine a surplus worker instead gives up after the idle
-// grace period and retires; parkAwait then reports false and the caller
-// must exit the worker role (the slot stays allocated and can respawn).
-// Fixed-P engines take the bare channel receive — no timer ever arms.
-func (w *worker) parkAwait() bool {
-	e := w.eng
-	if !e.canGrow || int(e.liveN.Load()) <= e.opts.MinWorkers {
 		<-w.parkCh
-		return true
 	}
-	// Reuse one timer per worker across parks (surplus workers park often
-	// under bursty load); go.mod requires 1.24, whose timer semantics make
-	// Stop/Reset safe without draining the channel.
-	if w.retireTimer == nil {
-		w.retireTimer = time.NewTimer(e.opts.RetireAfter)
-	} else {
-		w.retireTimer.Reset(e.opts.RetireAfter)
-	}
-	select {
-	case <-w.parkCh:
-		w.retireTimer.Stop()
-		return true
-	case <-w.retireTimer.C:
-	}
-	// Idle grace expired. Leave the idle set first: if a waker (or Close's
-	// sweep) already claimed this worker, cancelIdle absorbs the in-flight
-	// token and the timeout counts as an ordinary wake — work (or the
-	// closed flag) is waiting for us.
-	if e.cancelIdle(w) {
-		return true
-	}
-	// retire refuses when the pool is at MinWorkers or the engine is
-	// closing; re-enter the scan loop as if woken (the loop re-registers,
-	// or drains and exits on the closed path).
-	return !e.retire(w)
 }

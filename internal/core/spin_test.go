@@ -8,9 +8,7 @@ import (
 )
 
 // Safety of the bounded re-sweep a thief runs before it parks (findWork):
-// it must end promptly on Close, never run on a one-worker engine, and
-// leave the elastic retire path alone (TestElasticScaleUpAndDown covers
-// the last with a pipeline live).
+// it must end promptly on Close and never run on a one-worker engine.
 
 // spinProbe counts the work scans a test engine's workers make while not
 // registered idle. Between one piece of work and the next park, findWork

@@ -111,15 +111,6 @@ type Stats struct {
 	// engine all three are zero — the leak invariant the cancellation
 	// paths are tested against.
 	LiveIterFrames, LiveClosureFrames, LivePipelines int64
-	// LiveWorkers is the current size of the elastic worker pool, between
-	// Options.MinWorkers and Options.MaxWorkers. Constant (== Workers) on
-	// a fixed-P engine.
-	LiveWorkers int64
-	// WorkerSpawns and WorkerRetires count elastic pool resizes: slots
-	// woken because work was published with the idle set empty (or the
-	// injection rings overflowed), and surplus workers retired after the
-	// idle grace period. Always zero on a fixed-P engine.
-	WorkerSpawns, WorkerRetires int64
 	// Saturations counts admissions that failed against the
 	// Options.MaxPending budget or a tenant class quota: Submit calls
 	// rejected with ErrSaturated plus SubmitWait calls whose context,
@@ -196,8 +187,6 @@ type statCounters struct {
 	cancelRequests  atomic.Int64
 	abortedIters    atomic.Int64
 	abortedPipes    atomic.Int64
-	workerSpawns    atomic.Int64
-	workerRetires   atomic.Int64
 	saturations     atomic.Int64
 	admissionWaitNs atomic.Int64
 	plansCompiled   atomic.Int64
@@ -238,8 +227,6 @@ func (c *statCounters) snapshot() Stats {
 
 		AbortedIterations: c.abortedIters.Load(),
 		AbortedPipelines:  c.abortedPipes.Load(),
-		WorkerSpawns:      c.workerSpawns.Load(),
-		WorkerRetires:     c.workerRetires.Load(),
 		Saturations:       c.saturations.Load(),
 		AdmissionWaitNs:   c.admissionWaitNs.Load(),
 		PlansCompiled:     c.plansCompiled.Load(),

@@ -9,15 +9,6 @@ import "sync/atomic"
 // one CAS on the tail, and any worker — the shard's owner in its fast
 // path, or a thief sweeping victims — dequeues with one CAS on the head.
 //
-// Rings are never registered or deregistered at runtime, which is what
-// makes the engine's elastic worker pool safe against in-flight steals: a
-// retiring shard owner only flips a live flag that producers consult, the
-// ring itself stays in the fixed slot array, and every thief's sweep keeps
-// polling it. A producer that raced the flag flip and filled a dormant
-// ring therefore publishes work that is still found through the ordinary
-// paths; Drain below merely shortcuts that by letting the retiring owner
-// hand its residue to the engine's overflow list immediately.
-//
 // Each cell carries a sequence number that encodes its state relative to
 // the ring lap: seq == pos means "free for the producer at pos", seq ==
 // pos+1 means "filled, free for the consumer at pos". The sequence store
@@ -95,22 +86,6 @@ func (q *Inject[T]) Poll() *T {
 		default:
 			// Lost a race with another consumer; reload.
 		}
-	}
-}
-
-// Drain dequeues every element currently in the ring into fn and returns
-// the count. It is just repeated Poll, so it is safe against concurrent
-// producers and consumers; elements offered concurrently with the drain
-// may remain behind (the caller's fallback paths must tolerate that).
-func (q *Inject[T]) Drain(fn func(*T)) int {
-	n := 0
-	for {
-		x := q.Poll()
-		if x == nil {
-			return n
-		}
-		fn(x)
-		n++
 	}
 }
 

@@ -99,83 +99,3 @@ func TestInjectConcurrent(t *testing.T) {
 		t.Fatalf("ring not empty after drain: Len=%d", q.Len())
 	}
 }
-
-// TestInjectDrainRacesProducersAndConsumers models the elastic retire
-// path: one goroutine repeatedly Drains the ring (the retiring owner
-// transferring residuals) while producers keep Offering and a thief keeps
-// Polling. Every element must be delivered exactly once, whether through
-// the drain or the thief, and a final quiescent Drain must leave the ring
-// empty.
-func TestInjectDrainRacesProducersAndConsumers(t *testing.T) {
-	const (
-		producers = 3
-		perProd   = 3000
-	)
-	q := NewInject[int64](16) // small ring: drains and offers collide often
-	total := producers * perProd
-	vals := make([]int64, total)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	var seen = make([]atomic.Int32, total)
-	var delivered atomic.Int64
-	deliver := func(x *int64) {
-		if seen[*x].Add(1) != 1 {
-			t.Errorf("element %d delivered twice", *x)
-		}
-		delivered.Add(1)
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				x := &vals[p*perProd+i]
-				for !q.Offer(x) {
-					runtime.Gosched()
-				}
-			}
-		}(p)
-	}
-	stop := make(chan struct{})
-	var cwg sync.WaitGroup
-	cwg.Add(2)
-	go func() { // the retiring owner: batch drains
-		defer cwg.Done()
-		for {
-			q.Drain(deliver)
-			select {
-			case <-stop:
-				q.Drain(deliver) // final sweep after producers stopped
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-	go func() { // the thief: single polls
-		defer cwg.Done()
-		for {
-			if x := q.Poll(); x != nil {
-				deliver(x)
-				continue
-			}
-			select {
-			case <-stop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	cwg.Wait()
-	if got := delivered.Load(); got != int64(total) {
-		t.Fatalf("delivered %d of %d elements across drain/poll races", got, total)
-	}
-	if q.Len() != 0 || q.Poll() != nil {
-		t.Fatalf("ring not empty after the final drain: Len=%d", q.Len())
-	}
-}

@@ -43,11 +43,7 @@
 //	})
 package piper
 
-import (
-	"time"
-
-	"piper/internal/core"
-)
+import "piper/internal/core"
 
 // Engine is a PIPER scheduler instance: P workers with work-stealing
 // deques executing pipeline programs.
@@ -115,34 +111,11 @@ type PipelineReport = core.PipelineReport
 // Option configures NewEngine.
 type Option func(*core.Options)
 
-// Workers sets the number of scheduling workers P the engine starts with
-// (default runtime.GOMAXPROCS(0)).
+// Workers sets the number of scheduling workers P, fixed for the engine's
+// lifetime (default runtime.GOMAXPROCS(0)). An idle worker parks after a
+// short spin and costs no CPU until work arrives.
 func Workers(p int) Option {
 	return func(o *core.Options) { o.Workers = p }
-}
-
-// MinWorkers sets the floor of the elastic worker pool (default Workers).
-// A surplus worker — live count above the floor — retires after sitting
-// parked for the RetireAfter grace period, returning its core to the
-// host; its residual queued frames transfer to the shared overflow list.
-func MinWorkers(n int) Option {
-	return func(o *core.Options) { o.MinWorkers = n }
-}
-
-// MaxWorkers sets the ceiling of the elastic worker pool (default
-// Workers). The engine spawns workers up to the ceiling when work is
-// published while every live worker is busy, or when the injection rings
-// overflow. MinWorkers == MaxWorkers (the default) disables elasticity
-// entirely: the scheduler is then the paper's fixed-P runtime, with no
-// timers or scale checks on any hot path.
-func MaxWorkers(n int) Option {
-	return func(o *core.Options) { o.MaxWorkers = n }
-}
-
-// RetireAfter sets the idle grace period before a surplus worker retires
-// (default 10ms). Only meaningful when MaxWorkers > MinWorkers.
-func RetireAfter(d time.Duration) Option {
-	return func(o *core.Options) { o.RetireAfter = d }
 }
 
 // MaxPending bounds the number of submitted pipelines admitted and not
