@@ -9,7 +9,7 @@
 // Experiments: fig6 (ferret), fig7 (dedup), fig8 (x264), fig9 (pipe-fib
 // dependency folding), thm12 (uniform throttling), fig10 (pathological
 // pipeline), ablate (Section 9 optimizations), arena (data-plane buffer
-// recycling on/off), plan (plan compiler on/off), all.
+// recycling on/off), all.
 package main
 
 import (
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig6|fig7|fig8|fig9|thm12|fig10|ablate|adaptive|grain|arena|plan|all")
+		experiment = flag.String("experiment", "all", "fig6|fig7|fig8|fig9|thm12|fig10|ablate|adaptive|grain|arena|all")
 		size       = flag.String("size", "small", "small|native")
 		plist      = flag.String("plist", "", "comma-separated worker counts (default 1,2,...,NumCPU)")
 		pmax       = flag.Int("pmax", runtime.NumCPU(), "worker count for single-P experiments")
@@ -61,10 +61,9 @@ func main() {
 		"adaptive": func() { bench.AdaptiveThrottle(os.Stdout, *pmax, sz) },
 		"grain":    func() { bench.GrainAblation(os.Stdout, *pmax, sz) },
 		"arena":    func() { bench.ArenaAblation(os.Stdout, *pmax, sz) },
-		"plan":     func() { bench.PlanAblation(os.Stdout, *pmax, sz) },
 	}
 	if *experiment == "all" {
-		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "thm12", "fig10", "ablate", "adaptive", "grain", "arena", "plan"} {
+		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "thm12", "fig10", "ablate", "adaptive", "grain", "arena"} {
 			run[name]()
 		}
 		return

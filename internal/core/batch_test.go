@@ -381,27 +381,20 @@ func (r *claimRecorder) batches() (sizes []int, first []int) {
 	return sizes, first
 }
 
-// costTiers runs f unperturbed and then under both tiers of the
-// perturbation matrix (compiled and interpreted dispatch, seeded hooks).
-// f picks the clock its assertions need with withClock — a costClock for
-// exact claim sequences, the real one for bodies that really are coarse —
-// so every assertion holds in every tier and under the race detector.
+// costTiers runs f unperturbed and then under the perturbation matrix's
+// seeded hooks. f picks the clock its assertions need with withClock — a
+// costClock for exact claim sequences, the real one for bodies that
+// really are coarse — so every assertion holds in both tiers and under
+// the race detector.
 func costTiers(t *testing.T, f func(t *testing.T, opts Options)) {
 	t.Run("plain", func(t *testing.T) { f(t, DefaultOptions()) })
-	for _, compiled := range []bool{true, false} {
-		name := "perturbed-compiled"
-		if !compiled {
-			name = "perturbed-interp"
+	t.Run("perturbed", func(t *testing.T) {
+		for seed := uint64(1); seed <= 3; seed++ {
+			opts := DefaultOptions()
+			opts.hooks = newPerturber(seed * 0x51ed)
+			f(t, opts)
 		}
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				opts := DefaultOptions()
-				opts.CompilePlans = compiled
-				opts.hooks = newPerturber(seed * 0x51ed)
-				f(t, opts)
-			}
-		})
-	}
+	})
 }
 
 // runSPS runs n iterations of a serial/parallel/serial pipeline whose
@@ -702,8 +695,7 @@ func TestBurstServedBehindBlockedBatch(t *testing.T) {
 // as it does alone on a single-worker pool: the claim is a function of
 // cost, which a costClock
 // declares here (the sleep that parks the spare costs what it takes,
-// every other body nothing), and no idle count enters it. CompilePlans is
-// disabled so the interpreted batch loop is the one that ramps, from 1.
+// every other body nothing), and no idle count enters it.
 func TestIdleSpareDoesNotPinGrain(t *testing.T) {
 	cases := []struct {
 		name string
@@ -718,7 +710,6 @@ func TestIdleSpareDoesNotPinGrain(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var clk costClock
-			c.opts.CompilePlans = false
 			c.opts.hooks = withClock(nil, clk.ns.Load)
 			e := NewEngine(c.opts)
 			defer e.Close()

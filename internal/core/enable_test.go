@@ -13,50 +13,32 @@ import (
 // advancing iteration must deliver the waiter itself.
 
 // runParkedEnable runs a Grain(1) pipeline on two workers in which
-// iteration h (the holder) sits in stage 1 until iteration h+1 (the waiter)
+// iteration 0 (the holder) sits in stage 1 until iteration 1 (the waiter)
 // is parked on Wait(2) and the other worker is parked too. The holder then
 // advances past stage 2 and waits, bounded, for the waiter's stage-2 code.
-// It reports whether that code ran before the holder returned and how many
-// of the two frames dispatched on a compiled plan. With h > 0 the loop
-// condition holds iteration h back until iteration 0 has sealed the plan,
-// and iteration 0 spends 5 µs in stage 3 so the recorded Continue(3) is
-// not fused away.
-func runParkedEnable(t *testing.T, h int64) (early bool, planned int64, s Stats) {
+// It reports whether that code ran before the holder returned.
+func runParkedEnable(t *testing.T) (early bool, s Stats) {
 	t.Helper()
 	e := newEngineOpts(t, func(o *Options) { o.Workers, o.Grain = 2, 1 })
 	var waiter atomic.Pointer[frame]
 	var ran, sawRan atomic.Bool
-	var nPlanned atomic.Int64
 	hold := make(chan struct{})
-	i := int64(0)
-	cond := func() bool {
-		if i == h && h > 0 && !settles(5*time.Second, func() bool { return e.Stats().PlansCompiled > 0 }) {
-			t.Error("iteration 0 never sealed a plan")
-		}
-		i++
-		return i <= h+2
-	}
-	sub := e.Submit(nil, cond, func(it *Iter) {
+	i := 0
+	sub := e.Submit(nil, func() bool { i++; return i <= 2 }, func(it *Iter) {
 		k := it.Index()
 		it.Continue(1)
-		if (k == h || k == h+1) && it.f.plan != nil {
-			nPlanned.Add(1)
-		}
 		switch k {
-		case h:
+		case 0:
 			<-hold
-		case h + 1:
+		case 1:
 			waiter.Store(it.f)
 		}
 		it.Wait(2)
-		if k == h+1 {
+		if k == 1 {
 			ran.Store(true)
 		}
 		it.Continue(3)
 		if k == 0 {
-			busyFor(5 * time.Microsecond)
-		}
-		if k == h {
 			for end := time.Now().Add(5 * time.Second); !ran.Load() && time.Now().Before(end); {
 				runtime.Gosched()
 			}
@@ -75,35 +57,17 @@ func runParkedEnable(t *testing.T, h int64) (early bool, planned int64, s Stats)
 		t.Fatal("the waiter never parked on Wait(2) beside a parked worker")
 	}
 	checkEngineDrained(t, e)
-	return sawRan.Load(), nPlanned.Load(), e.Stats()
+	return sawRan.Load(), e.Stats()
 }
 
-// TestParkedWorkerEnabledByAdvance pins the interpreted call site: the
-// holder is iteration 0, which interprets (it records the plan), and the
-// waiter was created before any plan existed. At the parent commit the
-// waiter stayed parked until the holder retired.
+// TestParkedWorkerEnabledByAdvance: the holder's advance past the waiter's
+// edge must wake the parked worker. Before frame.advance checked right
+// while a worker was parked, the waiter stayed parked until the holder
+// retired.
 func TestParkedWorkerEnabledByAdvance(t *testing.T) {
-	early, planned, s := runParkedEnable(t, 0)
-	if planned != 0 {
-		t.Fatalf("%d of the two frames dispatched on a plan, want 0 (interpreted)", planned)
-	}
+	early, s := runParkedEnable(t)
 	if !early {
 		t.Error("the waiter's stage 2 ran only after the holder returned: the advance past its edge did not wake the parked worker")
-	}
-	if s.ParkedEnables < 1 {
-		t.Errorf("ParkedEnables = %d, want >= 1", s.ParkedEnables)
-	}
-}
-
-// TestParkedWorkerEnabledByPlannedAdvance is the same on planStep's
-// unfused transition: both frames bind the plan iteration 0 sealed.
-func TestParkedWorkerEnabledByPlannedAdvance(t *testing.T) {
-	early, planned, s := runParkedEnable(t, 2)
-	if planned != 2 {
-		t.Fatalf("%d of the two frames dispatched on a plan, want 2 (compiled)", planned)
-	}
-	if !early {
-		t.Error("the waiter's stage 2 ran only after the holder returned: the planned advance past its edge did not wake the parked worker")
 	}
 	if s.ParkedEnables < 1 {
 		t.Errorf("ParkedEnables = %d, want >= 1", s.ParkedEnables)

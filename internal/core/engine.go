@@ -64,21 +64,6 @@ type Options struct {
 	// GrainMax caps the cost-bounded claim (0 means 64). Ignored when
 	// Grain > 0 fixes the run length.
 	GrainMax int
-	// CompilePlans enables the pipeline plan compiler (on by default via
-	// DefaultOptions; see plan.go): iteration 0 of each pipeline runs
-	// under the interpreter with a trace recorder attached, and if it
-	// retires cleanly its transition shape is compiled into a specialized
-	// plan — fused short serial stages, a precomputed cross-edge wait
-	// table, elided per-boundary checks, and a claim seed for cheap
-	// serial bodies — that later iterations dispatch on, deoptimizing
-	// back to the interpreter the moment any iteration diverges from the
-	// recorded shape. Disable only for ablation: every iteration then
-	// re-derives the stage structure per boundary, as in the previous
-	// runtime. Plans are only compiled while DependencyFolding is on and
-	// EagerEnabling is off (the compiled dispatch subsumes the fold cache
-	// and checks right only while a worker is parked, like the
-	// interpreter), and never for instrumented pipelines.
-	CompilePlans bool
 	// ArenaBuffers enables the engine's recycled payload-buffer arena
 	// (on by default via DefaultOptions; see Engine.Arena and
 	// internal/arena). Disable only for ablation: Engine.Arena then
@@ -108,7 +93,6 @@ func DefaultOptions() Options {
 		DependencyFolding: true,
 		EagerEnabling:     false,
 		TailSwap:          true,
-		CompilePlans:      true,
 		ArenaBuffers:      true,
 	}
 }
@@ -424,23 +408,6 @@ type PipelineReport struct {
 	// semantics: span is an upper bound, so Parallelism is a lower
 	// bound).
 	WorkNs, SpanNs int64
-	// PlanCompiled reports whether iteration 0's recorded shape sealed a
-	// compiled execution plan (see plan.go). False when
-	// Options.CompilePlans is off, for instrumented runs, and when the
-	// recording was cut short by a panic, an abort, or a transition-count
-	// overflow.
-	PlanCompiled bool
-	// PlanStages is the compiled plan's node count (the recorded stage-0
-	// prefix plus one node per transition); 0 when no plan was sealed.
-	PlanStages int64
-	// PlanFusedStages counts the plan's fused transitions — interior
-	// pipe_continue boundaries between short stages elided at dispatch.
-	PlanFusedStages int64
-	// PlanDeopts counts retractions of this pipeline's plan: an
-	// iteration's transitions diverged from the recorded shape and the
-	// pipeline fell back to the interpreter (at most 1 per run; the
-	// field is a count for symmetry with Stats.PlanDeopts).
-	PlanDeopts int64
 }
 
 // Parallelism returns the measured T1/T∞, or 0 for uninstrumented runs.

@@ -19,7 +19,9 @@
 // batch executes their bodies back-to-back through one recycled frame
 // with one deque release for the whole run, amortizing the fixed
 // per-iteration scheduling cost, and splits at the first iteration that
-// must actually block so every blocking path below is unchanged.
+// must actually block so every blocking path below is unchanged. A slot
+// whose body never leaves stage 0 retires with no per-slot publication
+// at all; the batch publishes its completion once, at exit.
 //
 // Tier 2 — promoted. Only when an iteration must actually block — an
 // unsatisfied cross edge, a fork-join sync on stolen children, a nested
@@ -144,15 +146,6 @@ type frame struct {
 	// DependencyFolding ablation is off, which keeps the crossSatisfied
 	// fast path honest (a zero cache can never satisfy a stage j >= 1).
 	foldCache int64
-	// Compiled-plan dispatch state (see plan.go), all runner-local: plan
-	// is the immutable shape this incarnation dispatches on (nil:
-	// interpret), planCur the cursor into its transition list, crossDone
-	// the sticky wait-table bit (the predecessor can never block this
-	// iteration again), and rec the iteration-0 trace recorder.
-	plan      *plan
-	planCur   int
-	crossDone bool
-	rec       *planRecorder
 	// Runner-local stat shadows, flushed to the engine at finish.
 	nFoldHits, nCrossChecks int64
 
@@ -281,12 +274,28 @@ const (
 // residual claim, splitting the batch, so promotion semantics,
 // cancellation unwinding, and serial-stage ordering are exactly those of
 // the unbatched protocol, which claim == 1 reproduces bit for bit.
+//
+// A slot whose body returned inline, still in stage 0 and without a
+// panic, takes the stage-0 fast retire: it never published a stage,
+// never parked and never touched its stat shadows, so the next slot only
+// advances f.index, and its completion (finishIter) is published once, at
+// whichever batch exit follows. That is sound because the batch holds the
+// control frame for its whole run: no successor frame exists to read the
+// stage counter, and nothing outside this goroutine observes the recycled
+// slot. A slot that left stage 0, promoted or panicked takes the generic
+// per-slot sequence, so one batch may mix both kinds of slot.
 func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 	e := f.eng
 	pl := f.pl
 	f.w = w
 	var started, deferred int64
+	// fast marks a slot retired on the stage-0 fast branch, whose
+	// completion is still unpublished.
+	var fast bool
 	flush := func() {
+		if fast {
+			f.finishIter()
+		}
 		e.stats.inlineIters.Add(started)
 		if started > 1 {
 			// The first slot was counted by newIter; the in-batch ones
@@ -303,16 +312,20 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 		f.inline = true
 		started++
 		f.runBody()
-		f.finishIter()
-		if !f.inline {
-			// Promoted mid-body: this goroutine is the frame's runner now,
-			// and a driver (the takeover goroutine or whichever worker
-			// resumed us last) is blocked on the yield channel. Hand it the
-			// retired frame and unwind; the tail detaches at the frame's
-			// last unref and the next incarnation starts inline again.
-			flush()
-			f.co.yield <- yieldMsg{kind: yDone}
-			return inlinePromoted
+		fast = f.inline && f.inStage0 && f.panicked == nil
+		if !fast {
+			f.finishIter()
+			if !f.inline {
+				// Promoted mid-body: this goroutine is the frame's runner
+				// now, and a driver (the takeover goroutine or whichever
+				// worker resumed us last) is blocked on the yield channel.
+				// Hand it the retired frame and unwind; the tail detaches at
+				// the frame's last unref and the next incarnation starts
+				// inline again.
+				flush()
+				f.co.yield <- yieldMsg{kind: yDone}
+				return inlinePromoted
+			}
 		}
 		f.inline = false
 		if f.batched {
@@ -343,114 +356,32 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 			flush()
 			return inlineDoneOwned
 		}
-		f.resetBatchIter()
-	}
-}
-
-// runInlineBatchSerial is the compiled serial-only variant of
-// runInlineBatch, entered by step when the pipeline's sealed plan proved
-// iteration 0 never left stage 0 (plan.serialOnly) and this frame is
-// bound to that plan. While each slot's body indeed retires wholly inside
-// stage 0 with the plan intact, the per-slot publication protocol is
-// elided: no stageDone/statusDone stores, no statusRunning/waitStage
-// resets, no stat-shadow flushes — completion is published once, at batch
-// exit. That is sound because the batch holds the control frame for its
-// whole run: no successor frame exists to read the stage counter, and
-// nothing outside this goroutine observes the recycled slots. Any slot
-// that deviates — the plan was retracted, the body left stage 0 after
-// all, it panicked, or a fork-join promotion took the goroutine — falls
-// into a slow tail that replays the exact generic per-iteration sequence
-// and ends the batch, so divergence costs one shortened batch, never a
-// protocol difference.
-func (f *frame) runInlineBatchSerial(w *worker, claim int64) inlineResult {
-	e := f.eng
-	pl := f.pl
-	f.w = w
-	var started, deferred int64
-	flush := func() {
-		e.stats.inlineIters.Add(started)
-		if started > 1 {
-			e.stats.iterations.Add(started - 1)
-		}
-		if deferred > 0 {
-			e.stats.batchedIters.Add(deferred)
-		}
-	}
-	for {
-		claim--
-		f.batched = claim > 0
-		f.inline = true
-		started++
-		f.runBody()
-		if f.plan == nil || !f.inStage0 || f.panicked != nil || !f.inline {
-			// Slow tail: this slot diverged from the serial shape (or the
-			// plan was dropped mid-body). Replay the generic sequence for it
-			// and end the batch; the next batch re-reads the plan pointer
-			// and dispatches accordingly.
-			f.finishIter()
-			if !f.inline {
-				flush()
-				f.co.yield <- yieldMsg{kind: yDone}
-				return inlinePromoted
-			}
-			f.inline = false
-			if f.batched {
-				f.batched = false
-				deferred++
-				flush()
-				return inlineDoneOwned
-			}
-			if !f.inStage0 {
-				flush()
-				return inlineDoneReleased
-			}
-			flush()
-			return inlineDoneOwned
-		}
-		// Fast retire: the body ran wholly inside stage 0 with the plan
-		// intact, so the slot never parked, never published, and never
-		// touched its stat shadows (f.rec is nil past iteration 0; the
-		// cross-check counters stay zero with no transitions taken).
-		f.inline = false
-		if f.batched {
-			f.batched = false
-			deferred++
-		}
-		if claim <= 0 || pl.panicked() || pl.abortRequested() {
-			f.stage.Store(stageDone)
-			f.status.Store(statusDone)
+		if fast {
+			// A fast-retired slot changed nothing resetBatchIter resets:
+			// stage stayed 0, status statusRunning, inStage0 true, and the
+			// fold cache and stat shadows untouched. Only the predecessor
+			// reference, which finishIter would have dropped, goes here, so
+			// the next slot's cross edges are vacuously satisfied.
 			f.dropPrev()
-			flush()
-			return inlineDoneOwned
+			f.index = pl.nextIndex
+			pl.nextIndex++
+		} else {
+			f.resetBatchIter()
 		}
-		e.hookAt(hookBatchSlot)
-		if !pl.safeCond() {
-			pl.phase = phaseDrain
-			f.stage.Store(stageDone)
-			f.status.Store(statusDone)
-			f.dropPrev()
-			flush()
-			return inlineDoneOwned
-		}
-		// Minimal in-place recycle: only index advances. stage stayed 0,
-		// status stayed statusRunning, inStage0 stayed true, the cursor
-		// never moved (no transitions in a serial plan), and prev was
-		// dropped by the first slot's entry path or is already nil.
-		f.index = pl.nextIndex
-		pl.nextIndex++
 	}
 }
 
 // resetBatchIter recycles f in place for the next claimed slot of an
-// inline batch. The batch still holds the control frame, so no successor
-// frame exists and nothing outside this goroutine can observe the
-// non-atomic resets; the predecessor reference was already dropped by the
-// previous slot's finishIter, which is also why the new slot's cross
-// edges are all vacuously satisfied (prev == nil). Mirrors
-// acquireIterFrame's per-incarnation reset minus the pool, refcount, and
-// chain traffic the batch amortizes away; the instrumentation fields are
-// untouched because openBatch pins instrumented (and traced) pipelines to
-// claim == 1.
+// inline batch after a slot that took the generic sequence (the stage-0
+// fast retire recycles by advancing f.index alone). The batch still holds
+// the control frame, so no successor frame exists and nothing outside
+// this goroutine can observe the non-atomic resets; the predecessor
+// reference was already dropped by the previous slot's finishIter, which
+// is also why the new slot's cross edges are all vacuously satisfied
+// (prev == nil). Mirrors acquireIterFrame's per-incarnation reset minus
+// the pool, refcount, and chain traffic the batch amortizes away; the
+// instrumentation fields are untouched because openBatch pins
+// instrumented (and traced) pipelines to claim == 1.
 func (f *frame) resetBatchIter() {
 	pl := f.pl
 	f.index = pl.nextIndex
@@ -461,14 +392,6 @@ func (f *frame) resetBatchIter() {
 	f.inStage0 = true
 	f.foldCache = 0
 	f.nFoldHits, f.nCrossChecks = 0, 0
-	f.planCur = 0
-	f.crossDone = false
-	if f.plan != nil {
-		// A deopt retracts the published plan; later slots of the batch
-		// must observe it (a nil reload) rather than keep dispatching on
-		// the stale shape.
-		f.plan = pl.plan.Load()
-	}
 	f.curScope = nil
 	f.panicked = nil
 }
@@ -568,16 +491,18 @@ func (f *frame) drainScope(sc *scope) {
 // iteration is now satisfied.
 func (f *frame) finishIter() {
 	if f.kind == kindIter {
-		if f.rec != nil {
-			// The recording iteration retired: compile and publish the
-			// pipeline's plan before completion is announced.
-			f.pl.sealPlan(f)
-		}
 		f.instrFinishIteration()
 		f.stage.Store(stageDone)
 		f.dropPrev()
-		f.eng.stats.crossChecks.Add(f.nCrossChecks)
-		f.eng.stats.foldHits.Add(f.nFoldHits)
+		// An in-batch slot has no predecessor to check, so both shadows
+		// are usually 0; a locked add of 0 would cost it as much as a
+		// stage store.
+		if f.nCrossChecks != 0 {
+			f.eng.stats.crossChecks.Add(f.nCrossChecks)
+		}
+		if f.nFoldHits != 0 {
+			f.eng.stats.foldHits.Add(f.nFoldHits)
+		}
 	}
 	f.status.Store(statusDone)
 }
@@ -593,11 +518,10 @@ func (f *frame) park(msg yieldMsg) {
 // --- Cross-edge protocol -------------------------------------------------
 
 // advance moves the iteration's stage counter to j, completing all nodes
-// with stage < j: the one stage-publication rule of both dispatchers (the
-// interpreted Wait/Continue and planStep's unfused transitions). After the
-// store it performs the check-right that lazy enabling defers, on every
-// advance under the EagerEnabling ablation and otherwise only while a
-// worker is parked. Lazy enabling counts on awake thieves to find a
+// with stage < j: the one stage-publication rule, shared by Wait and
+// Continue. After the store it performs the check-right that lazy
+// enabling defers, on every advance under the EagerEnabling ablation and
+// otherwise only while a worker is parked. Lazy enabling counts on awake thieves to find a
 // satisfied waiter through stealFrom's check-right; ours park, and with one
 // asleep nobody else may look, so the claimed waiter goes through pushWork,
 // whose signal wakes the sleeper. next sits on this frame's just-written

@@ -245,16 +245,6 @@ func FuzzPipelineSchedule(f *testing.F) {
 			clockSeed = clockSeed*1099511628211 ^ uint64(b)
 		}
 		adaptiveTight.hooks = &schedHooks{clock: seededClock(clockSeed)}
-		// CompilePlans defaults on, so every config above except "ablated"
-		// (which disables dependency folding, a plan prerequisite) runs
-		// compiled dispatch; the interp twins ablate the compiler so the same
-		// programs also execute under the pure interpreter. Shape-unstable
-		// programs (per-iteration op lists differ) additionally exercise the
-		// deopt path inside the compiled configs themselves.
-		interpDefault := DefaultOptions()
-		interpDefault.CompilePlans = false
-		interpGrain1 := grain1
-		interpGrain1.CompilePlans = false
 		for _, cfg := range []struct {
 			name string
 			opts Options
@@ -264,8 +254,6 @@ func FuzzPipelineSchedule(f *testing.F) {
 			{"grain1", grain1},
 			{"grain4", grain4},
 			{"adaptive-g4", adaptiveTight},
-			{"interp-default", interpDefault},
-			{"interp-grain1", interpGrain1},
 		} {
 			got, _ := runFuzzProgram(t, p, cfg.opts)
 			for i := range want {

@@ -16,9 +16,9 @@ import (
 // changes *which* interleavings occur — deferred control releases remove
 // steal opportunities, splits reintroduce them at new places — so the
 // perturbed matrix runs the same oracle programs over Grain(1) and
-// adaptive grain, compiled and interpreted, plus a forced
-// injection-overflow storm, and requires bit-identical results, intact
-// serial-stage ordering, and a fully drained engine every time.
+// adaptive grain, plus a forced injection-overflow storm, and requires
+// bit-identical results, intact serial-stage ordering, and a fully
+// drained engine every time.
 
 // newPerturber builds a seeded hook set. The hook functions are called
 // concurrently from every worker goroutine, so the RNG is mutex-guarded —
@@ -115,24 +115,12 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 	grain1.Grain = 1
 	adaptive := DefaultOptions()
 	adaptive.GrainMax = 8
-	// CompilePlans defaults on, so the two base configs exercise compiled
-	// dispatch (the oracle programs are shape-stable, so their plans seal on
-	// iteration 0); the -interp twins ablate the compiler so every program
-	// also runs under the pure interpreter with identical perturbation
-	// seeds. Bit-identical output across the pairing is the differential
-	// guarantee the plan compiler is held to.
-	interp := func(o Options) Options {
-		o.CompilePlans = false
-		return o
-	}
 	configs := []struct {
 		name string
 		opts Options
 	}{
 		{"grain1", grain1},
 		{"adaptive", adaptive},
-		{"grain1-interp", interp(grain1)},
-		{"adaptive-interp", interp(adaptive)},
 	}
 	programs := perturbPrograms()
 	for _, cfg := range configs {

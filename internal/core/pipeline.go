@@ -67,25 +67,6 @@ type pipeline struct {
 	openNs     int64
 	openIndex  int64
 
-	// Compiled-plan state (see plan.go). plan is the published compiled
-	// shape: stored once by the recording iteration's seal, swapped to nil
-	// by deopt, loaded by the control frame when binding new iterations.
-	// planEligible caches the option gate; rec is the embedded iteration-0
-	// recorder (touched only by that iteration's runner). planSeen and
-	// serialPlan are control-frame state like grain;
-	// planCompiled/planStages/planFused are written once at seal and read
-	// by report after completion (ordered by the pipeline's join/done
-	// handshake, like grain).
-	plan         atomic.Pointer[plan]
-	planEligible bool
-	planSeen     bool
-	serialPlan   *plan
-	rec          planRecorder
-	planCompiled bool
-	planStages   int64
-	planFused    int64
-	planDeopts   atomic.Int64
-
 	// Work/span instrumentation (see instrument.go).
 	instrument bool
 	workNs     atomic.Int64
@@ -140,17 +121,7 @@ type Iter struct {
 func (it *Iter) Index() int64 { return it.f.index }
 
 // Stage reports the stage number of the node currently executing.
-func (it *Iter) Stage() int64 {
-	f := it.f
-	if p := f.plan; p != nil && f.planCur > 0 {
-		// Fused transitions defer publication to the shared counter, so
-		// the per-iteration view reads the plan cursor instead — the
-		// compiled run is indistinguishable from interpreted execution
-		// through the Iter handle.
-		return p.nodes[f.planCur-1].stage
-	}
-	return f.stage.Load()
-}
+func (it *Iter) Stage() int64 { return it.f.stage.Load() }
 
 // Engine returns the engine executing this iteration, for spawning nested
 // pipelines.
@@ -169,20 +140,10 @@ func (it *Iter) checkStageArg(j int64) {
 // (i, j) once node (i-1, j) of the previous iteration has completed.
 func (it *Iter) Wait(j int64) {
 	f := it.f
-	if p := f.plan; p != nil {
-		if f.planStep(p, j, true) {
-			return
-		}
-		// Diverged from the recorded shape: the plan is retracted and the
-		// true stage materialized; revalidate and interpret from here.
-	}
 	it.checkStageArg(j)
 	if f.serial {
 		f.serialAdvance(j)
 		return
-	}
-	if r := f.rec; r != nil {
-		r.note(j, true)
 	}
 	f.abortCheck()
 	f.instrEndNode(j)
@@ -214,18 +175,10 @@ func (it *Iter) Wait(j int64) {
 // node (i, j) immediately.
 func (it *Iter) Continue(j int64) {
 	f := it.f
-	if p := f.plan; p != nil {
-		if f.planStep(p, j, false) {
-			return
-		}
-	}
 	it.checkStageArg(j)
 	if f.serial {
 		f.serialAdvance(j)
 		return
-	}
-	if r := f.rec; r != nil {
-		r.note(j, false)
 	}
 	f.abortCheck()
 	f.instrEndNode(j)
@@ -279,18 +232,6 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 	f.index = pl.nextIndex
 	f.instrOn = pl.instrument
 	f.prev = prev
-	if pl.planEligible {
-		if pl.nextIndex == 0 {
-			if !pl.instrument {
-				// Iteration 0 interprets with the trace recorder attached;
-				// its clean retirement seals the pipeline's plan.
-				pl.rec.reset()
-				f.rec = &pl.rec
-			}
-		} else {
-			f.plan = pl.plan.Load()
-		}
-	}
 	pl.nextIndex++
 	if prev != nil {
 		prev.next.Store(f)
@@ -331,38 +272,31 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			// Throttle before testing the loop condition: the condition
 			// is part of the next iteration's serial stage 0, and its
 			// evaluation may consume an input element, so it must run
-			// exactly once per started iteration. A sealed serial-only
-			// plan elides the gate while no iteration is live: K >= 1
-			// always exceeds join == 0, and a serial pipeline only keeps
-			// frames live across steps when a stage-0 body promoted
-			// (fork-join on stolen children) — exactly the case join > 0
-			// routes back through the full gate.
-			if n := pl.join.Load(); pl.serialPlan == nil || n > 0 {
-				if k := pl.K.Load(); n >= k {
-					// Adaptive throttling: if the machine is starving (workers
-					// parked or spinning) while this pipeline is window-bound, trade
-					// space for parallelism, up to kMax. This is the
-					// Section 11 trade-off made explicit: on the Figure 10
-					// pathology a Θ(P) window caps speedup near 3, and any
-					// scheduler that does better must hold more iterations
-					// live.
-					if k < pl.kMax && pl.eng.idle.Load()+int64(pl.eng.spinners.Load()) > 0 {
-						pl.K.Store(minInt64(2*k, pl.kMax))
-						pl.eng.stats.throttleGrows.Add(1)
-						continue
+			// exactly once per started iteration.
+			if n, k := pl.join.Load(), pl.K.Load(); n >= k {
+				// Adaptive throttling: if the machine is starving (workers
+				// parked or spinning) while this pipeline is window-bound, trade
+				// space for parallelism, up to kMax. This is the
+				// Section 11 trade-off made explicit: on the Figure 10
+				// pathology a Θ(P) window caps speedup near 3, and any
+				// scheduler that does better must hold more iterations
+				// live.
+				if k < pl.kMax && pl.eng.idle.Load()+int64(pl.eng.spinners.Load()) > 0 {
+					pl.K.Store(minInt64(2*k, pl.kMax))
+					pl.eng.stats.throttleGrows.Add(1)
+					continue
+				}
+				cf.status.Store(statusThrottled)
+				if pl.join.Load() < pl.K.Load() {
+					if cf.status.CompareAndSwap(statusThrottled, statusRunning) {
+						continue // unparked ourselves
 					}
-					cf.status.Store(statusThrottled)
-					if pl.join.Load() < pl.K.Load() {
-						if cf.status.CompareAndSwap(statusThrottled, statusRunning) {
-							continue // unparked ourselves
-						}
-						// A waker claimed the frame and is delivering it; it
-						// is no longer ours.
-						return yieldMsg{kind: ySuspend}
-					}
-					pl.eng.stats.throttleParks.Add(1)
+					// A waker claimed the frame and is delivering it; it
+					// is no longer ours.
 					return yieldMsg{kind: ySuspend}
 				}
+				pl.eng.stats.throttleParks.Add(1)
+				return yieldMsg{kind: ySuspend}
 			}
 			if !pl.safeCond() {
 				pl.phase = phaseDrain
@@ -406,20 +340,7 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			if h := pl.eng.hooks; h != nil && h.claim != nil {
 				h.claim(claim)
 			}
-			var res inlineResult
-			if sp := pl.serialPlan; sp != nil && it.plan == sp {
-				// Serial-only compiled plan: the batched fast retire
-				// loop elides per-slot stage/status publication (see
-				// runInlineBatchSerial).
-				res = it.runInlineBatchSerial(w, claim)
-			} else {
-				if pl.serialPlan != nil && pl.plan.Load() == nil {
-					// The plan deopted; retract the serial fast loop.
-					pl.serialPlan = nil
-				}
-				res = it.runInlineBatch(w, claim)
-			}
-			switch res {
+			switch it.runInlineBatch(w, claim) {
 			case inlineDoneOwned:
 				// The batch ran to completion without releasing the
 				// control frame (its final body never left stage 0, or
@@ -475,28 +396,14 @@ const coarseIterNs = 4000
 // (join > 1: the continuation was stolen, or its iteration suspended)
 // covers only the time the control frame took to change hands, so it can
 // prove a body coarse but not cheap, and the claim stays where it is; from
-// two slots up the window holds every slot but the last in full. A
-// freshly sealed serial-only plan installs the batched fast retire loop
-// here (the control frame owns all grain state), and its recorded cost
-// stands in for the sample at that open: the recorder timed iteration 0's
-// body alone, and a body that never leaves stage 0 has no continuation to
-// release mid-iteration, so a cheap one starts at grainMax instead of
-// ramping. Instrumented and traced runs pin the claim to 1: per-node
+// two slots up the window holds every slot but the last in full. A cheap
+// body therefore reaches the default grainMax of 64 within seven opens,
+// with no seed. Instrumented and traced runs pin the claim to 1: per-node
 // work/span accounting chains critical paths through real predecessor
 // frames, and trace consumers expect one segment per iteration.
 func (pl *pipeline) openBatch() int64 {
 	if pl.instrument || pl.eng.tracing.Load() {
 		return 1
-	}
-	seeded := false
-	if !pl.planSeen {
-		if p := pl.plan.Load(); p != nil {
-			pl.planSeen = true
-			if p.serialOnly {
-				pl.serialPlan = p
-				seeded = p.costNs <= coarseIterNs
-			}
-		}
 	}
 	g := pl.grain
 	if pl.grainFixed {
@@ -506,8 +413,6 @@ func (pl *pipeline) openBatch() int64 {
 	cost := (now - pl.openNs) / maxInt64(slots, 1)
 	pl.openNs, pl.openIndex = now, pl.nextIndex-1
 	switch {
-	case seeded:
-		g = pl.grainMax
 	case slots == 0: // first open: probe at the starting grain
 	case cost > coarseIterNs:
 		g = 1
@@ -575,10 +480,6 @@ func (pl *pipeline) report() PipelineReport {
 		FinalGrain:        pl.grain,
 		WorkNs:            pl.workNs.Load(),
 		SpanNs:            pl.spanNs.Load(),
-		PlanCompiled:      pl.planCompiled,
-		PlanStages:        pl.planStages,
-		PlanFusedStages:   pl.planFused,
-		PlanDeopts:        pl.planDeopts.Load(),
 	}
 }
 

@@ -77,10 +77,6 @@ func (e *Engine) acquireIterFrame() *frame {
 	f.inStage0 = true
 	f.foldCache = 0
 	f.nFoldHits, f.nCrossChecks = 0, 0
-	f.plan = nil
-	f.planCur = 0
-	f.crossDone = false
-	f.rec = nil
 	f.instrOn = false
 	f.nodeStart, f.curCrit, f.workAcc = 0, 0, 0
 	f.prevCritCursor = 0
@@ -197,18 +193,6 @@ func (e *Engine) acquirePipeline() *pipeline {
 		pl.grain, pl.grainMax, pl.grainFixed = 1, int64(e.opts.GrainMax), false
 	}
 	pl.openNs, pl.openIndex = 0, 0
-	// Plan-compiler state. Eligibility is decided once per execution: the
-	// compiled dispatch subsumes the fold cache and checks right only while
-	// a worker is parked, so the ablations that disable those interpret
-	// instead (see plan.go). planSeen short-circuits openBatch's one-time
-	// serial-plan check for ineligible pipelines.
-	pl.plan.Store(nil)
-	pl.planEligible = e.opts.CompilePlans && e.opts.DependencyFolding && !e.opts.EagerEnabling
-	pl.planSeen = !pl.planEligible
-	pl.serialPlan = nil
-	pl.planCompiled = false
-	pl.planStages, pl.planFused = 0, 0
-	pl.planDeopts.Store(0)
 	pl.instrument = false
 	pl.workNs.Store(0)
 	pl.spanNs.Store(0)

@@ -140,19 +140,10 @@ type Stats struct {
 	// because no pooled region of the size class was available. A
 	// steady-state pipeline has Misses ≪ Gets.
 	ArenaGets, ArenaPuts, ArenaMisses int64
-	// PlansCompiled counts pipelines whose recorded iteration 0 sealed a
-	// compiled execution plan (see plan.go). Always zero with
-	// Options.CompilePlans disabled.
-	PlansCompiled int64
-	// PlanFusedStages counts stage transitions the plan compiler fused
-	// away — interior pipe_continue boundaries between short stages whose
-	// per-boundary bookkeeping is elided at dispatch — summed over all
-	// compiled plans.
-	PlanFusedStages int64
-	// PlanDeopts counts compiled plans retracted because an iteration's
-	// transitions diverged from the recorded shape; the pipeline falls
-	// back to the interpreter mid-flight.
-	PlanDeopts int64
+	// PlansCompiled and PlanDeopts always read 0. The engine has no plan
+	// compiler: every Wait and Continue runs through one dispatcher. The
+	// fields stay for readers that still difference them.
+	PlansCompiled, PlanDeopts int64
 }
 
 // statCounters is the atomic backing store inside the engine.
@@ -189,9 +180,6 @@ type statCounters struct {
 	abortedPipes    atomic.Int64
 	saturations     atomic.Int64
 	admissionWaitNs atomic.Int64
-	plansCompiled   atomic.Int64
-	planFusedStages atomic.Int64
-	planDeopts      atomic.Int64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -229,8 +217,5 @@ func (c *statCounters) snapshot() Stats {
 		AbortedPipelines:  c.abortedPipes.Load(),
 		Saturations:       c.saturations.Load(),
 		AdmissionWaitNs:   c.admissionWaitNs.Load(),
-		PlansCompiled:     c.plansCompiled.Load(),
-		PlanFusedStages:   c.planFusedStages.Load(),
-		PlanDeopts:        c.planDeopts.Load(),
 	}
 }

@@ -61,66 +61,6 @@ func (p *Pipeline) Validate() error {
 	return nil
 }
 
-// ValidateIter checks one iteration's node list against the structural
-// rules of Cilk-P pipelines, independent of its position in a dag: it must
-// begin with stage 0 (which, being first, can carry no cross edge), stages
-// must strictly increase, and weights must be non-negative. This is the
-// shape check the runtime's plan compiler applies to a recorded iteration,
-// where cross edges are legal on every later node (the recorded shape
-// stands in for iterations i >= 1, unlike Validate's literal iteration 0).
-func ValidateIter(nodes []Node) error {
-	if len(nodes) == 0 {
-		return errors.New("iteration has no nodes")
-	}
-	if nodes[0].Stage != 0 {
-		return errors.New("iteration does not begin with stage 0")
-	}
-	if nodes[0].Cross {
-		return errors.New("stage 0 cannot have a cross edge")
-	}
-	for k := range nodes {
-		if k > 0 && nodes[k].Stage <= nodes[k-1].Stage {
-			return fmt.Errorf("stages not strictly increasing at node %d", k)
-		}
-		if nodes[k].Weight < 0 {
-			return fmt.Errorf("negative weight at node %d", k)
-		}
-	}
-	return nil
-}
-
-// MaxCross returns the highest stage of any node with an incoming cross
-// edge, or -1 when the iteration waits on nothing. A predecessor whose
-// stage counter has passed this value can never again block a successor
-// with this shape — the fact behind the runtime's wait-table lookup.
-func MaxCross(nodes []Node) int64 {
-	m := int64(-1)
-	for _, n := range nodes {
-		if n.Cross && n.Stage > m {
-			m = n.Stage
-		}
-	}
-	return m
-}
-
-// FuseShort marks stage transitions that a plan compiler may fuse away:
-// fusable[k] is true when node k's incoming stage edge can collapse into
-// its predecessor's body — the node has no cross edge (a pipe_continue
-// boundary), it is an interior node (k >= 2: the transition out of stage 0
-// ends the serial prologue and is never elidable), and both the node and
-// its predecessor are short (Weight < threshold), so the boundary
-// bookkeeping dominates the work it separates. Null nodes between fused
-// neighbours collapse exactly as the paper specifies for skipped stages.
-func FuseShort(nodes []Node, threshold int64) []bool {
-	fusable := make([]bool, len(nodes))
-	for k := 2; k < len(nodes); k++ {
-		if !nodes[k].Cross && nodes[k].Weight < threshold && nodes[k-1].Weight < threshold {
-			fusable[k] = true
-		}
-	}
-	return fusable
-}
-
 // Work returns T1, the sum of all node weights.
 func (p *Pipeline) Work() int64 {
 	var t1 int64

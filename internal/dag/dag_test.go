@@ -280,81 +280,3 @@ func TestPredictSpeedup(t *testing.T) {
 		t.Fatalf("speedup %v exceeds parallelism %v", s1000, p.Parallelism())
 	}
 }
-
-// TestValidateIterShapes exercises the single-iteration shape check the
-// runtime's plan compiler applies to recorded transitions: unlike
-// Validate, a cross edge is legal on any node but the first (the recorded
-// shape stands in for iterations i >= 1).
-func TestValidateIterShapes(t *testing.T) {
-	good := [][]Node{
-		{{Stage: 0}},
-		{{Stage: 0}, {Stage: 1, Cross: true}},
-		{{Stage: 0, Weight: 5}, {Stage: 2}, {Stage: 7, Cross: true, Weight: 3}},
-	}
-	for i, nodes := range good {
-		if err := ValidateIter(nodes); err != nil {
-			t.Errorf("good iteration %d rejected: %v", i, err)
-		}
-	}
-	bad := [][]Node{
-		{},                                   // empty
-		{{Stage: 1}},                         // missing stage 0
-		{{Stage: 0, Cross: true}},            // cross edge on stage 0
-		{{Stage: 0}, {Stage: 0}},             // non-increasing
-		{{Stage: 0}, {Stage: 2}, {Stage: 1}}, // decreasing
-		{{Stage: 0}, {Stage: 1, Weight: -1}}, // negative weight
-		{{Stage: 0, Weight: -1}},             // negative weight on stage 0
-	}
-	for i, nodes := range bad {
-		if err := ValidateIter(nodes); err == nil {
-			t.Errorf("bad iteration %d validated", i)
-		}
-	}
-}
-
-// TestMaxCross pins the wait-table derivation: the highest waited-on
-// stage, or -1 for a wait-free shape.
-func TestMaxCross(t *testing.T) {
-	cases := []struct {
-		nodes []Node
-		want  int64
-	}{
-		{[]Node{{Stage: 0}}, -1},
-		{[]Node{{Stage: 0}, {Stage: 1}, {Stage: 4}}, -1},
-		{[]Node{{Stage: 0}, {Stage: 1, Cross: true}}, 1},
-		{[]Node{{Stage: 0}, {Stage: 1, Cross: true}, {Stage: 3}, {Stage: 6, Cross: true}}, 6},
-		{[]Node{{Stage: 0}, {Stage: 2, Cross: true}, {Stage: 5}}, 2},
-	}
-	for i, c := range cases {
-		if got := MaxCross(c.nodes); got != c.want {
-			t.Errorf("case %d: MaxCross = %d, want %d", i, got, c.want)
-		}
-	}
-}
-
-// TestFuseShort pins the fusable-transition rules: interior continues
-// between short stages fuse; the stage-0 exit, cross edges, and any
-// transition touching a long stage never do.
-func TestFuseShort(t *testing.T) {
-	const thr = 100
-	nodes := []Node{
-		{Stage: 0, Weight: 10},              // prologue
-		{Stage: 1, Weight: 10},              // k=1: stage-0 exit, never fusable
-		{Stage: 2, Weight: 10},              // k=2: short-short continue -> fusable
-		{Stage: 3, Weight: 10, Cross: true}, // k=3: cross edge, never fusable
-		{Stage: 4, Weight: 500},             // k=4: target long
-		{Stage: 5, Weight: 10},              // k=5: predecessor long
-		{Stage: 6, Weight: 10},              // k=6: short-short again
-	}
-	want := []bool{false, false, true, false, false, false, true}
-	got := FuseShort(nodes, thr)
-	for k := range want {
-		if got[k] != want[k] {
-			t.Errorf("fusable[%d] = %v, want %v", k, got[k], want[k])
-		}
-	}
-	// A two-node iteration has no interior transitions at all.
-	if got := FuseShort([]Node{{Stage: 0}, {Stage: 1}}, thr); got[1] {
-		t.Errorf("stage-0 exit fused in a two-node iteration")
-	}
-}

@@ -45,7 +45,6 @@ func TestStreamPipelineMatchesSerial(t *testing.T) {
 				{"P1-default", mode.o, nil},
 				{"P4-adaptive", mode.o, []piper.Option{piper.Workers(4)}},
 				{"P4-grain1", mode.o, []piper.Option{piper.Workers(4), piper.Grain(1)}},
-				{"P2-noplans", mode.o, []piper.Option{piper.Workers(2), piper.CompilePlans(false)}},
 				{"P4-serialblocks", func() StreamOptions { o := mode.o; o.SerialBlocks = true; return o }(),
 					[]piper.Option{piper.Workers(4)}},
 				{"P2-throttle1", func() StreamOptions { o := mode.o; o.Throttle = 1; return o }(),
@@ -311,8 +310,8 @@ func streamTestSize(t *testing.T) int64 {
 
 // TestStreamBoundedMemory streams >= 256 MiB through the compressor under
 // a 64 MiB arena ceiling and asserts both the arena's own gauge and the
-// process heap stay bounded, across the grain/plan configurations the
-// inline fast path distinguishes.
+// process heap stay bounded, across the grain configurations the inline
+// fast path distinguishes.
 func TestStreamBoundedMemory(t *testing.T) {
 	size := streamTestSize(t)
 	const memLimit = 64 << 20
@@ -322,7 +321,6 @@ func TestStreamBoundedMemory(t *testing.T) {
 	}{
 		{"adaptive", []piper.Option{piper.Workers(2)}},
 		{"grain1", []piper.Option{piper.Workers(2), piper.Grain(1)}},
-		{"noplans", []piper.Option{piper.Workers(2), piper.CompilePlans(false)}},
 	}
 	for _, cfg := range cfgs {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -71,15 +71,6 @@ func SubmitPipeWait[T any](ctx context.Context, eng *Engine, next func() (T, boo
 // contract statically: raw channel operations, select, mutex/WaitGroup
 // waits, and time.Sleep inside a body are flagged unless annotated
 // //piper:allow-block with a reason.
-//
-// Plan compilation (Options.CompilePlans, on by default) does not alter
-// this contract: a shape-stable pipeline's compiled dispatch preserves
-// the Grain(1) protocol exactly — the same transitions publish the same
-// stage counters in the same order, blocking, promotion, and
-// cancellation behave identically, and an iteration that diverges from
-// the compiled shape falls back to the interpreter mid-iteration. The
-// compiler changes how much bookkeeping a transition costs, never what
-// the program observes.
 func Pipe[T any](eng *Engine, next func() (T, bool), body func(it *Iter, v T)) {
 	PipeThrottled(eng, 0, next, body)
 }

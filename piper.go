@@ -200,30 +200,6 @@ func GrainMax(g int) Option {
 	return func(o *core.Options) { o.GrainMax = g }
 }
 
-// CompilePlans toggles pipeline plan compilation (default on): each
-// pipeline's first iteration runs under the interpreter with a trace
-// recorder attached, and when it retires cleanly the recorded stage shape
-// is compiled into a specialized execution plan — per-transition argument
-// validation, instrumentation branches, and the fold-cache compare chain
-// are hoisted out of the dispatch; adjacent short serial stages are
-// fused so their boundary bookkeeping disappears entirely; and a
-// recorded pure-serial body enables whole-batch retirement with one
-// published completion and, when the recording shows it to be cheap,
-// starts at the GrainMax claim instead of ramping up to it. An iteration
-// whose transitions diverge from the recorded shape deopts the pipeline
-// back to the interpreter mid-flight, so shape-unstable programs pay one
-// retraction and nothing after. Semantics are identical in both modes —
-// compiled dispatch preserves cross-edge ordering, throttling,
-// cancellation, and the Grain(1) per-iteration protocol exactly — so
-// disabling is only for ablation measurements.
-// Plans require DependencyFolding and LazyEnabling (the ablations that
-// disable those measure the interpreter; compiled stage advances apply the
-// same parked-worker check-right as interpreted ones) and are never
-// compiled for instrumented (Profile*) runs.
-func CompilePlans(enabled bool) Option {
-	return func(o *core.Options) { o.CompilePlans = enabled }
-}
-
 // ArenaBuffers toggles the engine's recycled payload-buffer arena
 // (default on). Engine.Arena hands pipeline stages recycled, cache-line-
 // aligned, ref-counted byte regions that flow through stages by ownership
