@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"piper/internal/workload"
 )
 
 func base(b []byte) uintptr {
@@ -36,12 +38,16 @@ func TestRecycleSameStorage(t *testing.T) {
 	p := base(r.B)
 	r.Release()
 	r2 := a.Get(4096)
-	if base(r2.B) != p {
-		t.Errorf("recycled Get returned different storage: %#x vs %#x", base(r2.B), p)
-	}
 	s := a.Stats()
-	if s.Misses != 1 {
-		t.Errorf("Misses = %d, want 1 (second Get must hit the pool)", s.Misses)
+	// The race detector's sync.Pool drops Puts at random, so under -race the
+	// second Get may miss and allocate; only the release accounting holds.
+	if !workload.RaceEnabled {
+		if base(r2.B) != p {
+			t.Errorf("recycled Get returned different storage: %#x vs %#x", base(r2.B), p)
+		}
+		if s.Misses != 1 {
+			t.Errorf("Misses = %d, want 1 (second Get must hit the pool)", s.Misses)
+		}
 	}
 	if s.RecycledBytes == 0 {
 		t.Error("RecycledBytes = 0 after a pooled release")

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkCrossSatisfied measures the cross-edge check on its hot paths:
 // the folding-cache hit (a single runner-local comparison), the shared
@@ -48,4 +51,41 @@ func BenchmarkCrossSatisfied(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSuspendResume measures one suspend+resume cycle of an iteration
+// blocked on a cross edge, on Workers(2) and Grain(1). Every iteration but
+// the first parks on its Wait(1), because its predecessor holds stage 1
+// until it sees the successor parked (statusWaitCross) and only then
+// advances; the advance or the predecessor's retirement finds the waiter
+// by check-right and resumes it. One pipeline runs b.N+1 iterations, so
+// ns/op is the cost of one cycle, together with the iteration around it.
+func BenchmarkSuspendResume(b *testing.B) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.Grain = 1
+	e := NewEngine(opts)
+	defer e.Close()
+	n := int64(b.N) + 1
+	var i int64
+	pre := e.Stats().CrossSuspends
+	b.ResetTimer()
+	e.PipeWhile(func() bool { i++; return i <= n }, func(it *Iter) {
+		if it.Index() == 0 {
+			it.Continue(1)
+		} else {
+			it.Wait(1)
+		}
+		if it.Index() < n-1 {
+			for {
+				if nx := it.f.next.Load(); nx != nil && nx.status.Load() == statusWaitCross {
+					break
+				}
+				runtime.Gosched()
+			}
+		}
+		it.Continue(2)
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(e.Stats().CrossSuspends-pre)/float64(b.N), "suspends/op")
 }

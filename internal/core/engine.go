@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -180,6 +181,13 @@ type Engine struct {
 	idleMu      sync.Mutex
 	idleWorkers []*worker
 
+	// spareRunners is the engine's stack of idle runners beyond the one
+	// each worker keeps (see runner). runnersCreated counts every runner
+	// ever made, for the pool-bound test.
+	runnerMu       sync.Mutex
+	spareRunners   []*runner
+	runnersCreated atomic.Int64
+
 	// submitMu orders root-frame injection against Close: injectors hold
 	// the read side across the closed check and the inject, Close takes
 	// the write side to flip closed, so every frame published to a ring
@@ -227,7 +235,6 @@ func NewEngine(opts Options) *Engine {
 			parkCh: make(chan struct{}, 1),
 			rng:    workload.NewRNG(uint64(i)*0x9e3779b9 + 1),
 		}
-		e.workers[i].takeoverFn = e.workers[i].takeover
 	}
 	for _, w := range e.workers {
 		e.wg.Add(1)
@@ -368,6 +375,17 @@ func (e *Engine) Close() {
 		w.parkCh <- struct{}{}
 	}
 	e.wg.Wait()
+	// Every pipeline has completed, so no parked frame holds a runner:
+	// each one is a worker's or on the spare stack, idle at its loop's
+	// yield, and stop ends it there.
+	for _, w := range e.workers {
+		if w.r != nil {
+			w.r.stop()
+		}
+	}
+	for _, r := range e.spareRunners {
+		r.stop()
+	}
 }
 
 // PipeWhile executes an on-the-fly pipeline: while cond() reports true, an
@@ -523,9 +541,9 @@ func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter), depth in
 	if k <= 0 {
 		k = e.opts.Throttle
 	}
-	// The control frame is a plain state-machine frame: workers execute
-	// pl.step directly, with no coroutine behind it. It recycles together
-	// with its pipeline (see pool.go).
+	// The control frame is a plain state-machine frame: whichever worker
+	// holds it runs pl.step on that worker's runner; no runner belongs to
+	// it. It recycles together with its pipeline (see pool.go).
 	pl := e.acquirePipeline()
 	pl.cond, pl.body, pl.depth = cond, body, depth
 	pl.K.Store(int64(k))
@@ -677,14 +695,10 @@ type worker struct {
 	inbox  *deque.Inject[frame]
 	parkCh chan struct{}
 	rng    *workload.RNG
-	// promoted hands the frame of a promoting iteration to the takeover
-	// goroutine, and takeoverFn is w.takeover bound once: a go statement
-	// with arguments allocates a closure, and a coarse pipeline at claim 1
-	// promotes on most of its iterations. Only the goroutine holding the
-	// worker role promotes, and the role moves on only once takeover has
-	// read the field, so one slot per worker suffices.
-	promoted   *frame
-	takeoverFn func()
+	// r is the runner w enters for its next control segment; nil after a
+	// parked body left with it, until w takes a spare (see runner).
+	// Worker-local.
+	r *runner
 
 	// assigned is loaded by every thief's sweep (the check-right on a
 	// victim's running iteration) and stored twice per executed segment by
@@ -699,74 +713,33 @@ type worker struct {
 	events   []traceEvent
 }
 
-// The worker role is not pinned to a goroutine: when an inline iteration
-// promotes (see frame.promote), the goroutine holding the role becomes
-// that frame's coroutine runner and a takeover goroutine inherits the
-// role — together with the WaitGroup slot, which is released exactly once,
-// by whichever goroutine holds the role when the engine closes.
-
+// loop is worker w's goroutine, for the engine's lifetime: it drives
+// frames until the engine closes.
 func (w *worker) loop() {
-	w.run(nil)
-}
-
-// run drives worker w's scheduling loop on the calling goroutine, seeded
-// with an optional first frame, until the engine closes or the goroutine
-// promotes away (execute returns false; the takeover goroutine now owns
-// the role, so this one must unwind without touching w again).
-func (w *worker) run(f *frame) {
 	for {
+		f := w.findWork()
 		if f == nil {
-			f = w.findWork()
-			if f == nil {
-				w.eng.wg.Done()
-				return // engine closed
-			}
+			w.eng.wg.Done()
+			return // engine closed
 		}
-		if !w.execute(f) {
-			return // promoted away
-		}
-		f = nil
+		w.execute(f)
 	}
-}
-
-// takeover assumes worker w's scheduling role after the goroutine that
-// held it promoted itself into iteration frame f's coroutine runner. It
-// starts exactly where execute stood mid-driveSegment: as f's driver,
-// blocked on the yield channel. If the promoted iteration's blocking
-// condition resolved during the park protocol's recheck, that receive
-// simply blocks until the body's next suspension or completion — the
-// ordinary driver contract — and w.assigned keeps pointing at f so
-// thieves can check-right it meanwhile.
-func (w *worker) takeover() {
-	f := w.promoted
-	msg := <-f.co.yield
-	w.assigned.Store(nil)
-	var nf *frame
-	switch msg.kind {
-	case ySuspend:
-		nf = w.afterSuspend(f)
-	case yDone:
-		nf = w.afterDone(f)
-	default:
-		panic("piper: unexpected yield during takeover")
-	}
-	w.run(nf)
 }
 
 // pushWork makes f stealable on w's deque. Safe to call from the worker's
-// goroutine or from the coroutine segment it is currently driving.
+// goroutine or from the runner it is currently driving.
 func (w *worker) pushWork(f *frame) {
 	w.deque.Push(f)
 	w.eng.signal()
 }
 
 // execute drives frames until the worker runs out of local work, following
-// PIPER's assigned-vertex rules at frame granularity. It reports whether
-// the calling goroutine still holds the worker role: false means an
-// iteration promoted underneath a control step and this goroutine already
-// finished serving as its coroutine runner — the takeover goroutine owns
-// w now, so the caller must unwind without touching it.
-func (w *worker) execute(f *frame) bool {
+// PIPER's assigned-vertex rules at frame granularity. A closure runs on
+// the worker's goroutine. A control frame is stepped on w's runner, and a
+// parked iteration the worker claimed is resumed on the runner it keeps;
+// either way the worker switches in with next() and gets back the message
+// the segment ended with.
+func (w *worker) execute(f *frame) {
 	for f != nil {
 		traceStart := int64(0)
 		tracing := w.eng.tracing.Load()
@@ -778,62 +751,65 @@ func (w *worker) execute(f *frame) bool {
 			// must not be dereferenced afterwards.
 			traceStart, traceKind, traceIndex = nowNs(), f.kind, f.index
 		}
-		switch f.kind {
-		case kindClosure:
+		if f.kind == kindClosure {
 			w.eng.stats.closureTasks.Add(1)
 			runClosureTask(f, w)
 			w.traceSegment(tracing, traceKind, traceIndex, traceStart)
 			f = w.afterClosure(f)
-
-		case kindControl:
-			w.assigned.Store(f)
-			msg := f.pl.step(f, w)
-			if msg.kind == yPromoted {
-				return false
+			continue
+		}
+		w.assigned.Store(f)
+		var r *runner
+		if f.kind == kindControl {
+			if w.r == nil {
+				w.r = w.eng.spareRunner()
 			}
-			w.assigned.Store(nil)
-			w.traceSegment(tracing, traceKind, traceIndex, traceStart)
-			switch msg.kind {
-			case yInlineDone:
-				// An iteration ran to completion inline after releasing
-				// the control frame mid-body; retire it here. The control
-				// frame is on a deque (or already stepping elsewhere), so
-				// f itself must not be touched again.
-				f = w.afterDone(msg.child)
-			case ySuspend:
-				// Parked (throttled or syncing): the frame may already
-				// belong to a waker; do not touch it again.
-				f = w.deque.Pop()
-			case yDone:
-				f = w.afterDone(f)
+			r = w.r
+			r.w, r.cf = w, f
+		} else {
+			r = f.r
+			f.w = w
+			w.eng.stats.segments.Add(1)
+		}
+		msg, _ := r.next()
+		w.assigned.Store(nil)
+		w.traceSegment(tracing, traceKind, traceIndex, traceStart)
+		switch msg.kind {
+		case yDone:
+			// Only a control segment ends the pipeline, so f is its
+			// control frame.
+			f = w.afterDone(f)
+		case ySuspend:
+			// The control frame parked (throttled or syncing): it may
+			// already belong to a waker; do not touch it again.
+			f = w.deque.Pop()
+		case yIterDone:
+			// An iteration finished after releasing the control frame,
+			// which is on a deque or already stepping elsewhere. If it had
+			// blocked, r is the runner it kept, free again now.
+			if r != w.r {
+				w.returnRunner(r)
 			}
-
-		default: // kindIter
-			w.assigned.Store(f)
-			msg := f.driveSegment(w)
-			w.assigned.Store(nil)
-			w.traceSegment(tracing, traceKind, traceIndex, traceStart)
-			switch msg.kind {
-			case ySuspend:
-				f = w.afterSuspend(f)
-			case yDone:
-				f = w.afterDone(f)
-			default:
-				panic("piper: unexpected yield at worker level")
+			f = w.afterDone(msg.child)
+		default: // yParkCross, yParkScope
+			if r == w.r {
+				w.r = nil // the parked body keeps the runner
+			}
+			if c := msg.child; c.publishPark(msg.kind) {
+				f = c // the condition held already: resume at once
+			} else {
+				f = w.afterSuspend(c)
 			}
 		}
 	}
-	return true
 }
 
-// afterSuspend applies lazy enabling when a segment parks: check right on
-// the suspended iteration, then fall back to the local deque.
+// afterSuspend applies lazy enabling when an iteration parks: check right
+// on the suspended iteration, then fall back to the local deque.
 func (w *worker) afterSuspend(f *frame) *frame {
-	if f.kind == kindIter {
-		if nxt := w.eng.tryWakeRight(f); nxt != nil {
-			w.eng.stats.lazyEnables.Add(1)
-			return nxt
-		}
+	if nxt := w.eng.tryWakeRight(f); nxt != nil {
+		w.eng.stats.lazyEnables.Add(1)
+		return nxt
 	}
 	return w.deque.Pop()
 }
@@ -1034,4 +1010,72 @@ func (w *worker) findWork() *frame {
 		// or from Close's sweep.
 		<-w.parkCh
 	}
+}
+
+// --- runners --------------------------------------------------------------
+
+// runner is a pooled coroutine that control segments and the iteration
+// bodies they start run on: an iter.Pull coroutine looping over the
+// segments it is handed. A worker enters it with next() to step a control
+// frame; the step's message is the runner's yield, after which the runner
+// is idle again. A body that blocks yields from deep inside the segment
+// instead (frame.park): its frame keeps the runner, and the worker takes a
+// spare for its next segment. Whichever worker claims the parked frame
+// later resumes it with the same next(); when the body finishes the
+// segment ends as usual, and the runner goes to that worker.
+//
+// A runner is entered by one worker at a time, though not always the
+// same one: a frame's parked status is published only after its runner
+// has switched out (publishPark), and the status CAS lets exactly one
+// waker claim it. A runner is always a worker's (worker.r), a parked
+// frame's (frame.r), or on the engine's spare stack, so the runners made
+// are at most P plus the peak of parked frames; Close stops them all.
+type runner struct {
+	next  func() (yieldMsg, bool)
+	stop  func()
+	yield func(yieldMsg) bool
+	// w and cf are the control segment to run: set by the entering worker
+	// before next(), read by loop.
+	w  *worker
+	cf *frame
+}
+
+// loop is the runner's coroutine body. stop makes yield report false at
+// the idle point, which ends it.
+func (r *runner) loop(yield func(yieldMsg) bool) {
+	r.yield = yield
+	for yield(r.cf.pl.step(r.cf, r)) {
+	}
+}
+
+// spareRunner takes a runner from the spare stack, or makes one.
+func (e *Engine) spareRunner() *runner {
+	e.runnerMu.Lock()
+	if n := len(e.spareRunners); n > 0 {
+		r := e.spareRunners[n-1]
+		e.spareRunners[n-1] = nil
+		e.spareRunners = e.spareRunners[:n-1]
+		e.runnerMu.Unlock()
+		return r
+	}
+	e.runnerMu.Unlock()
+	e.runnersCreated.Add(1)
+	r := &runner{}
+	//piper:allow-go stopped at Close: every runner is a worker's or a spare once all frames have retired, and Close stops those after wg.Wait
+	r.next, r.stop = iter.Pull(r.loop)
+	return r
+}
+
+// returnRunner takes back the runner of a frame whose resumed body
+// finished: w keeps it if a parked body left with w's own, otherwise it
+// goes on the spare stack.
+func (w *worker) returnRunner(r *runner) {
+	if w.r == nil {
+		w.r = r
+		return
+	}
+	e := w.eng
+	e.runnerMu.Lock()
+	e.spareRunners = append(e.spareRunners, r)
+	e.runnerMu.Unlock()
 }

@@ -4,38 +4,33 @@
 //
 // The scheduler executes "frames": control frames (one per pipe_while
 // loop), iteration frames (one per loop iteration), and closure frames
-// (fork-join tasks). Execution is two-tier:
+// (fork-join tasks). There is one execution path.
 //
-// Tier 1 — inline. A worker first drives an iteration as a direct
-// function call on its own stack (runInlineBatch): stage bodies run in a
-// loop, each Wait checking its cross edge with a plain atomic load, with
-// no runner goroutine and no channel handshake anywhere. This mirrors the
-// paper's core property — iterations execute greedily and stall only when
-// a cross-edge dependency is actually unsatisfied — so the common case
-// (the edge is satisfied, which throttling and the serial stage-0
-// discipline make overwhelmingly likely) pays only function-call cost.
-// The fast path additionally claims runs of up to G consecutive
+// A worker runs a control segment (pl.step, and with it runInlineBatch)
+// on a pooled runner: an iter.Pull coroutine that the worker enters with
+// next() and that yields back when the segment ends (see runner). The
+// iteration bodies the segment starts run as direct calls on the runner's
+// stack, each Wait checking its cross edge with a plain atomic load. This
+// mirrors the paper's core property — iterations execute greedily and
+// stall only when a cross-edge dependency is actually unsatisfied — so the
+// common case pays function-call cost, plus one coroutine switch per step
+// call. The step additionally claims runs of up to G consecutive
 // iterations into one control frame (grain control, Options.Grain): the
 // batch executes their bodies back-to-back through one recycled frame
-// with one deque release for the whole run, amortizing the fixed
-// per-iteration scheduling cost, and splits at the first iteration that
-// must actually block so every blocking path below is unchanged. A slot
-// whose body never leaves stage 0 retires with no per-slot publication
-// at all; the batch publishes its completion once, at exit.
+// with one deque release for the whole run, and splits at the first
+// iteration that must actually block. A slot whose body never leaves
+// stage 0 retires with no per-slot publication at all; the batch
+// publishes its completion once, at exit.
 //
-// Tier 2 — promoted. Only when an iteration must actually block — an
-// unsatisfied cross edge, a fork-join sync on stolen children, a nested
-// pipeline — does it promote to a full coroutine frame: the worker
-// goroutine itself becomes the frame's coroutine runner (the body's
-// locals are already on its stack, so nothing is replayed; promotion
-// happens at a stage boundary and the suspended state is just the frame's
-// stage index and scheduling words), and a replacement goroutine takes
-// over the worker role, starting out as the frame's driver blocked on the
-// yield channel exactly where execute would be. From then on the frame
-// runs under the ordinary suspend/resume protocol: a worker "executes" it
-// by resuming the runner over the channel pair and blocking until it
-// yields, preserving PIPER's bind-to-element structure, throttling, and
-// deque discipline.
+// Only when an iteration must actually block — an unsatisfied cross edge,
+// a fork-join sync on stolen children, a nested pipeline — does it
+// suspend: its first block releases the control frame (promote), and the
+// body yields its runner's coroutine back to the driving worker, which
+// publishes the parked status (publishPark) and takes a spare runner for
+// its next segment. The suspended frame keeps its runner (f.r); whichever
+// worker later claims the frame resumes it with that runner's next(), and
+// when the body finishes the runner returns to the resuming worker. The
+// worker itself never changes identity: it is one goroutine for life.
 package core
 
 import (
@@ -58,26 +53,27 @@ const (
 const (
 	statusRunning   int32 = iota // executing, assigned, or queued on a deque
 	statusWaitCross              // iteration parked on an unsatisfied cross edge
-	statusWaitScope              // coroutine parked in a fork-join sync or nested pipe
+	statusWaitScope              // iteration parked in a fork-join sync or nested pipe
 	statusThrottled              // control parked: live iterations == K
 	statusSyncing                // control parked: waiting for iterations to return
 	statusDone
 )
 
-// yieldKind enumerates the messages a frame's coroutine sends its driver,
-// plus the step-local results that never cross a channel.
+// yieldKind enumerates the messages a runner yields to the worker that
+// entered or resumed it.
 type yieldKind int8
 
 const (
-	yDone       yieldKind = iota // frame finished
-	ySuspend                     // frame parked (status says why)
-	yInlineDone                  // control: an inline iteration completed after releasing the control frame
-	yPromoted                    // control: the goroutine promoted away; the worker role moved on
+	yDone      yieldKind = iota // control: the pipeline finished
+	ySuspend                    // control: parked, throttled or syncing
+	yIterDone                   // iteration child finished after releasing the control frame
+	yParkCross                  // iteration child blocked on a cross edge; it keeps the runner
+	yParkScope                  // iteration child blocked on a fork-join scope; it keeps the runner
 )
 
 type yieldMsg struct {
 	kind  yieldKind
-	child *frame // for yInlineDone
+	child *frame // the iteration, for every kind but yDone and ySuspend
 }
 
 const stageDone = math.MaxInt64
@@ -88,16 +84,6 @@ const stageDone = math.MaxInt64
 // parts the pair of pads around each group still isolates it).
 type cacheLinePad = [64]byte
 
-// coTail is the coroutine half of an iteration frame: the unbuffered
-// channel pair over which a runner goroutine and its driver hand control
-// back and forth. The tail is attached only on promotion (from its own
-// pool — see pool.go) and detached again at retirement, so unblocked
-// iterations never carry one.
-type coTail struct {
-	resume chan struct{}
-	yield  chan yieldMsg
-}
-
 // frame is the unit of scheduling. One struct type covers all three kinds
 // so the work-stealing deque stays monomorphic. kind is immutable for the
 // frame's whole pooled lifetime (each pool serves one kind), so stale
@@ -107,13 +93,12 @@ type frame struct {
 	kind frameKind
 	eng  *Engine
 
-	// co is the coroutine machinery (iteration frames); see coTail for
-	// when it is attached. Non-nil exactly while the frame is promoted: the
-	// goroutine that promoted is its runner.
-	co *coTail
-	// inline is true while the iteration body runs as a direct call on the
-	// worker's goroutine (tier 1). Runner-local; cleared by promotion or at
-	// inline completion.
+	// r is the runner whose stack holds the iteration's body (iteration
+	// frames), set when the body starts. A parked frame keeps it; the
+	// worker that resumes the frame enters it with r's next().
+	r *runner
+	// inline is true while the iteration body has not blocked yet.
+	// Runner-local; cleared by promotion, the iteration's first block.
 	inline bool
 	// batched is true while the iteration runs as a deferred-release slot
 	// of an inline batch claim: the control frame's release at the stage-0
@@ -127,11 +112,10 @@ type frame struct {
 	// (see pool.go for the full discipline).
 	refs atomic.Int32
 
-	// w is the worker currently driving this frame's segment. For a
-	// coroutine segment it is set by driveSegment before the runner
-	// resumes; for an inline run it is the executing worker itself. Stable
-	// for the duration of the segment; user code pushes spawned tasks onto
-	// w's deque through it.
+	// w is the worker currently driving this frame's segment: the worker
+	// that entered the runner, or the one that resumed the parked frame.
+	// Stable for the duration of the segment; user code pushes spawned
+	// tasks onto w's deque through it.
 	w *worker
 
 	// Iteration state.
@@ -159,8 +143,8 @@ type frame struct {
 	prevCritCursor int
 	critLog        critLog
 
-	// serial marks a frame driven by RunSerial: no coroutine, no
-	// scheduler, stage calls only advance the counter.
+	// serial marks a frame driven by RunSerial: no runner, no scheduler,
+	// stage calls only advance the counter.
 	serial bool
 
 	// Closure state.
@@ -171,10 +155,10 @@ type frame struct {
 	// Runner-local.
 	curScope *scope
 
-	// Scope this coroutine is parked on (valid while status==statusWaitScope).
+	// Scope this iteration is parked on (valid while status==statusWaitScope).
 	waitingScope atomic.Pointer[scope]
 
-	// panicked carries a user panic out of the coroutine.
+	// panicked carries a user panic out of the body.
 	panicked any
 
 	// --- hot cross-thread words -----------------------------------------
@@ -190,22 +174,13 @@ type frame struct {
 	_         cacheLinePad
 }
 
-// driveSegment resumes the frame's coroutine and blocks until it yields.
-// It is only ever called on promoted frames, whose runner (the goroutine
-// that promoted) is already live and parked on the resume channel.
-func (f *frame) driveSegment(w *worker) yieldMsg {
-	f.w = w
-	w.eng.stats.segments.Add(1)
-	f.co.resume <- struct{}{}
-	return <-f.co.yield
-}
-
 // runBody executes the iteration body, converting a user panic into
 // pipeline panic state. An abortUnwind sentinel (a cancel observed at a
 // stage boundary) exits through the same path without recording a panic.
-// A promotion mid-body does not leave it — the promoting goroutine keeps
-// the body on its stack — so cancellation and panic capture behave
-// identically whether or not the iteration ever suspends.
+// A suspension mid-body does not leave it — the body stays on its
+// runner's stack — so cancellation and panic capture behave identically
+// whether or not the iteration ever suspends, and on whichever worker it
+// was resumed.
 func (f *frame) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -237,30 +212,9 @@ func (f *frame) runBody() {
 	}
 }
 
-// inlineResult reports how an inline iteration run ended.
-type inlineResult int8
-
-const (
-	// inlineDoneOwned: the body completed without leaving stage 0; the
-	// caller (the control frame's step) still owns the control frame and
-	// retires the iteration itself.
-	inlineDoneOwned inlineResult = iota
-	// inlineDoneReleased: the body completed inline after releasing the
-	// control frame at its stage-0 exit. The caller no longer owns the
-	// control frame (a thief may be stepping it right now) and must unwind
-	// to the worker loop, which retires the iteration through afterDone.
-	inlineDoneReleased
-	// inlinePromoted: the iteration promoted mid-body and this goroutine
-	// served as its coroutine runner to completion; the worker role
-	// belongs to a takeover goroutine. The caller must unwind without
-	// touching the worker or the pipeline.
-	inlinePromoted
-)
-
 // runInlineBatch executes a claimed run of up to claim consecutive
-// iterations of f's pipeline back-to-back on f — the tier-1 fast path at
-// batch granularity: no runner goroutine, no channel handshake, just
-// stage bodies separated by cross-edge checks. The first iteration is
+// iterations of f's pipeline back-to-back on f, on runner r: stage bodies
+// separated by cross-edge checks, as direct calls. The first iteration is
 // already materialized in f by the control frame's step; each later claim
 // slot re-evaluates the loop condition and recycles f in place
 // (resetBatchIter), so the whole run pays one frame acquisition, one
@@ -268,26 +222,34 @@ const (
 // of the control frame. Only the final slot runs the plain release
 // protocol; earlier slots defer it (f.batched), keeping the pipe_while
 // continuation on this worker so the next body starts with no scheduler
-// traffic at all. Wait and Continue detect the inline mode through
-// f.inline and promote (see promote) only if an iteration must actually
-// block — promotion performs the deferred release and abandons the
-// residual claim, splitting the batch, so promotion semantics,
+// traffic at all. Wait and Continue promote (see promote) only if an
+// iteration must actually block — promotion performs the deferred release
+// and abandons the residual claim, splitting the batch, so suspension,
 // cancellation unwinding, and serial-stage ordering are exactly those of
 // the unbatched protocol, which claim == 1 reproduces bit for bit.
 //
-// A slot whose body returned inline, still in stage 0 and without a
-// panic, takes the stage-0 fast retire: it never published a stage,
-// never parked and never touched its stat shadows, so the next slot only
-// advances f.index, and its completion (finishIter) is published once, at
-// whichever batch exit follows. That is sound because the batch holds the
-// control frame for its whole run: no successor frame exists to read the
-// stage counter, and nothing outside this goroutine observes the recycled
-// slot. A slot that left stage 0, promoted or panicked takes the generic
-// per-slot sequence, so one batch may mix both kinds of slot.
-func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
+// It reports whether the caller (the control frame's step) still owns
+// the control frame: true when the batch ended with a body that never
+// left stage 0, or the loop exhausted or aborted mid-claim. false means
+// the final slot released the control frame — at its stage-0 exit, or at
+// a block, after which the body finished on whichever worker resumed it —
+// so a thief may be stepping the pipeline right now, and the caller must
+// unwind to the worker loop, which retires the iteration through
+// afterDone.
+//
+// A slot whose body returned without blocking, still in stage 0 and
+// without a panic, takes the stage-0 fast retire: it never published a
+// stage, never parked and never touched its stat shadows, so the next slot
+// only advances f.index, and its completion (finishIter) is published
+// once, at whichever batch exit follows. That is sound because the batch
+// holds the control frame for its whole run: no successor frame exists to
+// read the stage counter, and nothing outside this runner observes the
+// recycled slot. A slot that left stage 0, blocked or panicked takes the
+// generic per-slot sequence, so one batch may mix both kinds of slot.
+func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 	e := f.eng
 	pl := f.pl
-	f.w = w
+	f.w, f.r = r.w, r
 	var started, deferred int64
 	// fast marks a slot retired on the stage-0 fast branch, whose
 	// completion is still unpublished.
@@ -315,28 +277,16 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 		fast = f.inline && f.inStage0 && f.panicked == nil
 		if !fast {
 			f.finishIter()
-			if !f.inline {
-				// Promoted mid-body: this goroutine is the frame's runner
-				// now, and a driver (the takeover goroutine or whichever
-				// worker resumed us last) is blocked on the yield channel.
-				// Hand it the retired frame and unwind; the tail detaches at
-				// the frame's last unref and the next incarnation starts
-				// inline again.
-				flush()
-				f.co.yield <- yieldMsg{kind: yDone}
-				return inlinePromoted
-			}
 		}
-		f.inline = false
 		if f.batched {
 			f.batched = false
 			deferred++
 		} else if !f.inStage0 {
-			// Final slot, and it released the control frame at its stage-0
-			// exit: a thief may be stepping the pipeline right now, so the
-			// caller must unwind to the worker loop.
+			// Final slot, and it released the control frame: a thief may
+			// be stepping the pipeline right now. A slot that blocked always
+			// lands here, because promote cleared f.batched and released.
 			flush()
-			return inlineDoneReleased
+			return false
 		}
 		// The control frame is still ours — a deferred-release slot
 		// completed, or the body never left stage 0. Take the next slot,
@@ -346,7 +296,7 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 		// iteration.
 		if claim <= 0 || pl.panicked() || pl.abortRequested() {
 			flush()
-			return inlineDoneOwned
+			return true
 		}
 		e.hookAt(hookBatchSlot)
 		if !pl.safeCond() {
@@ -354,7 +304,7 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 			// condition again (it may consume input).
 			pl.phase = phaseDrain
 			flush()
-			return inlineDoneOwned
+			return true
 		}
 		if fast {
 			// A fast-retired slot changed nothing resetBatchIter resets:
@@ -375,7 +325,7 @@ func (f *frame) runInlineBatch(w *worker, claim int64) inlineResult {
 // inline batch after a slot that took the generic sequence (the stage-0
 // fast retire recycles by advancing f.index alone). The batch still holds
 // the control frame, so no successor frame exists and nothing outside
-// this goroutine can observe the non-atomic resets; the predecessor
+// this runner can observe the non-atomic resets; the predecessor
 // reference was already dropped by the previous slot's finishIter, which
 // is also why the new slot's cross edges are all vacuously satisfied
 // (prev == nil). Mirrors acquireIterFrame's per-incarnation reset minus
@@ -410,23 +360,14 @@ func (f *frame) leaveStage0Inline() {
 	f.releaseControl()
 }
 
-// promote converts a running inline iteration into a full coroutine frame
-// because it is about to block (unsatisfied cross edge, fork-join sync on
-// stolen children, nested pipeline). Promotion happens at a stage
-// boundary, so nothing is replayed: the scheduling state is already in
-// the frame, and the body's locals stay on this goroutine's stack — the
-// goroutine simply changes roles, from worker w's scheduling loop to the
-// frame's coroutine runner. A freshly spawned takeover goroutine assumes
-// the worker role; it starts out as this frame's driver, blocked on the
-// yield channel exactly where execute would be mid-driveSegment, so the
-// standard park protocols (parkOnCross, syncScope) and the retirement
-// handshake run unchanged from here on. If the blocking condition
-// resolves before the park publishes (the publish-then-recheck in those
-// protocols), the body continues on this goroutine with the takeover
-// goroutine as its patient driver — exactly the normal coroutine
-// relationship, just with the roles acquired in the opposite order.
+// promote prepares an iteration's first block (unsatisfied cross edge,
+// fork-join sync on stolen children, nested pipeline): it counts the
+// promotion and, if the control frame is still frozen below the body on
+// this runner's stack, releases it so the pipeline keeps unfolding while
+// the body is parked. Nothing is replayed and nothing moves: the body's
+// locals stay on the runner's stack, and the park that follows is an
+// ordinary yield.
 func (f *frame) promote() {
-	w := f.w
 	e := f.eng
 	e.stats.promotions.Add(1)
 	if f.batched || f.inStage0 {
@@ -442,16 +383,12 @@ func (f *frame) promote() {
 		f.releaseControl()
 	}
 	f.inline = false
-	f.co = e.acquireCoTail()
-	w.promoted = f
-	//piper:allow-go bounded by the pipeline: takeover drives this frame to stageDone, which the pipe_while drain awaits
-	go w.takeoverFn()
 }
 
-// releaseControl ends the iteration's serial stage-0 prefix on the inline
-// path: the control frame — whose step call sits frozen below us on this
-// goroutine's stack — is pushed to the deque, where a thief (or this
-// worker, once the inline body completes) picks it up to run iteration
+// releaseControl ends the iteration's serial stage-0 prefix: the control
+// frame — whose step call sits frozen below us on this runner's stack — is
+// pushed to the deque, where a thief (or this worker, once the body
+// completes) picks it up to run iteration
 // i+1's stage 0, unfolding the pipeline: the continuation becomes
 // stealable and the worker keeps the child, preserving the
 // spawned-child-first discipline. The frozen step
@@ -467,7 +404,7 @@ func (f *frame) releaseControl() {
 
 // abortCheck unwinds the iteration if its submission has been canceled.
 // Called at stage boundaries — the cooperative preemption points —
-// inline and promoted alike.
+// before and after a block alike.
 func (f *frame) abortCheck() {
 	if f.pl.abortRequested() {
 		panic(abortUnwind{})
@@ -507,12 +444,49 @@ func (f *frame) finishIter() {
 	f.status.Store(statusDone)
 }
 
-// park yields the given suspend message and blocks until a worker resumes
-// the frame. The caller must already have published the parked status and
-// re-checked its condition (or lost a claiming CAS to a waker).
-func (f *frame) park(msg yieldMsg) {
-	f.co.yield <- msg
-	<-f.co.resume
+// park suspends the body: its runner yields kind (yParkCross or
+// yParkScope) to the driving worker and returns once a worker resumes the
+// frame. The caller has stored what it waits for (waitStage or
+// waitingScope) but not the parked status: the driver publishes that in
+// publishPark, after the switch, so no waker can claim the frame and enter
+// its runner before the runner has stopped running.
+func (f *frame) park(kind yieldKind) {
+	f.r.yield(yieldMsg{kind: kind, child: f})
+}
+
+// publishPark is the driver's half of a park: the body of f has just
+// yielded kind on its runner. It publishes the parked status, then
+// re-checks the condition (publish-then-recheck: a waker that finished
+// before the publish cannot have seen it). It reports whether the
+// condition already holds and the driver took f back; the driver then
+// resumes it at once. Otherwise f belongs to whichever waker claims it.
+//
+// The re-check touches only what was loaded before the publish and atomic
+// words: once the status is out, a waker may resume f on another worker,
+// whose body then owns f's runner-local fields. A predecessor that retired
+// and recycled meanwhile can make the check read a newer incarnation's
+// counter; the claim that follows is then at worst spurious, which the
+// body's re-check after every wake absorbs.
+func (f *frame) publishPark(kind yieldKind) bool {
+	e := f.eng
+	if kind == yParkScope {
+		sc := f.waitingScope.Load()
+		f.status.Store(statusWaitScope)
+		if sc.join.Load() == 0 {
+			return f.status.CompareAndSwap(statusWaitScope, statusRunning)
+		}
+		e.stats.scopeSuspends.Add(1)
+		return false
+	}
+	p, j := f.prev, f.waitStage.Load()
+	f.status.Store(statusWaitCross)
+	e.hookAt(hookParkPublish)
+	e.stats.crossChecks.Add(1)
+	if p.stage.Load() > j && f.status.CompareAndSwap(statusWaitCross, statusRunning) {
+		return true
+	}
+	e.stats.crossSuspends.Add(1)
+	return false
 }
 
 // --- Cross-edge protocol -------------------------------------------------

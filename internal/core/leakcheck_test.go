@@ -12,8 +12,8 @@ import (
 // tests. Two invariants together prove that aborted work drains cleanly:
 // the engine's live-frame gauges return to zero once every pipeline has
 // completed, and the process goroutine count settles back to its
-// pre-engine baseline after Close (pooled coroutine runners exit
-// asynchronously on the closed channel, so both checks poll).
+// pre-engine baseline after Close (a goroutine that Close joined or
+// stopped may still be finishing its exit, so both checks poll).
 
 // settles polls cond until it reports true or the deadline expires.
 func settles(timeout time.Duration, cond func() bool) bool {
@@ -101,8 +101,8 @@ func goroutineBaseline() int {
 }
 
 // checkGoroutinesSettle asserts the goroutine count returns to within
-// slack of base. Call after Engine.Close: worker goroutines are joined by
-// Close, while pooled runners exit asynchronously via the closed channel.
+// slack of base. Call after Engine.Close, which joins the worker
+// goroutines and stops the pooled runners.
 func checkGoroutinesSettle(t testing.TB, base, slack int) {
 	t.Helper()
 	ok := settles(10*time.Second, func() bool {

@@ -105,9 +105,10 @@ func perturbPrograms() []fuzzProgram {
 // TestSchedulePerturbationMatrix is the perturbed differential matrix:
 // every program must reproduce its sequential oracle bit for bit under
 // every configuration and seed, with the serial-stage ordering invariant
-// checked on the fly by runFuzzProgram. Every iteration starts inline, so
-// the suspend path (promote, parkOnCross, driveSegment, tryWakeRight) is
-// walked only when an edge is really unsatisfied; each configuration must
+// checked on the fly by runFuzzProgram. Every iteration starts as a
+// direct call, so the suspend path (promote, parkOnCross, publishPark,
+// tryWakeRight, the resume in worker.execute) is walked only when an edge
+// is really unsatisfied; each configuration must
 // therefore show, summed over its seeds, that iterations promoted, parked
 // on cross edges, and were found and resumed by a check-right.
 func TestSchedulePerturbationMatrix(t *testing.T) {

@@ -150,12 +150,9 @@ func (it *Iter) Wait(j int64) {
 	f.advance(j)
 	if !f.crossSatisfied(j) {
 		if f.inline {
-			// The edge is (probably) unsatisfied — the one event the
-			// inline fast path cannot ride out. Promote to a coroutine
-			// frame and park under the standard protocol; its
-			// publish-then-recheck re-validates the edge, so one that
-			// resolved between the inline check and the promotion just
-			// continues the body with the takeover goroutine as driver.
+			// The edge is (probably) unsatisfied: the iteration's first
+			// block. The park's publish-then-recheck re-validates the
+			// edge, so one that resolved meanwhile is resumed at once.
 			f.promote()
 		}
 		f.parkOnCross(j)
@@ -164,8 +161,8 @@ func (it *Iter) Wait(j int64) {
 		// stage j's user code in that case.
 		f.abortCheck()
 	} else if f.inStage0 {
-		// Only an inline frame is ever in stage 0: promotion releases the
-		// control frame first.
+		// A frame that blocked is never in stage 0: promotion releases
+		// the control frame first.
 		f.leaveStage0Inline()
 	}
 	f.instrBeginNode(true, j)
@@ -195,31 +192,20 @@ func (it *Iter) WaitNext() { it.Wait(it.Stage() + 1) } //piper:allow-dynamic-sta
 // ContinueNext is Continue with the implicit stage argument j+1.
 func (it *Iter) ContinueNext() { it.Continue(it.Stage() + 1) } //piper:allow-dynamic-stage Stage()+1 is monotone by construction
 
-// parkOnCross publishes the waiting state and parks unless the edge
-// resolved in the meantime (publish-then-recheck; see frame.go). Wakes
-// can be spurious — a check-right that loaded the waitStage of an older
-// park of this frame may claim a newer park whose edge is still
-// unresolved (an ABA on the status word) — so the condition is
-// re-validated after every wake and the frame re-parks if needed, the
+// parkOnCross parks the iteration on the cross edge into stage j; the
+// driving worker publishes the waiting state and re-checks the edge (see
+// publishPark). Wakes can be spurious — a check-right that loaded the
+// waitStage of an older park of this frame may claim a newer park whose
+// edge is still unresolved (an ABA on the status word) — so the condition
+// is re-validated after every wake and the frame re-parks if needed, the
 // standard condition-variable discipline.
 func (f *frame) parkOnCross(j int64) {
 	for {
 		f.waitStage.Store(j)
-		f.status.Store(statusWaitCross)
-		f.eng.hookAt(hookParkPublish)
-		if f.crossSatisfiedSlow(j) {
-			if f.status.CompareAndSwap(statusWaitCross, statusRunning) {
-				return
-			}
-			// Lost the CAS to a waker: it will deliver us, so park to
-			// pair with its resume.
-		}
-		f.eng.stats.crossSuspends.Add(1)
-		f.park(yieldMsg{kind: ySuspend})
+		f.park(yParkCross)
 		if f.crossSatisfiedSlow(j) {
 			return
 		}
-		// Spurious wake: publish and park again.
 	}
 }
 
@@ -240,23 +226,22 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 	return f
 }
 
-// step executes the pipe_while control frame. Unlike iterations, the
-// control loop is pure runtime code, so it runs as a state machine
-// directly on the worker's goroutine (no coroutine, no handoffs): it
-// evaluates the loop condition, drives each iteration's serial stage-0
-// prefix in order, spawns the remainder of the iteration, enforces the
-// throttling limit, and finally syncs on all outstanding iterations.
+// step executes the pipe_while control frame as a state machine on runner
+// r, entered by worker r.w: it evaluates the loop condition, drives each
+// iteration's serial stage-0 prefix in order, spawns the remainder of the
+// iteration, enforces the throttling limit, and finally syncs on all
+// outstanding iterations.
 //
 // step returns ySuspend when the control frame parked (throttled or
 // syncing; a waker will redeliver it, possibly while this call is still
 // unwinding — the caller must not touch the frame after a suspend), yDone
-// at pipeline completion, yInlineDone{child} when an iteration completed
-// inline after releasing the control frame (the caller retires the child
-// and must not touch the control frame), and yPromoted when an inline
-// iteration promoted mid-body (the calling goroutine already served as its
-// runner, the worker role moved to a takeover goroutine, and the caller
-// must unwind touching nothing).
-func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
+// at pipeline completion, and yIterDone{child} when an iteration finished
+// after releasing the control frame (the caller retires the child and
+// must not touch the control frame). If that iteration blocked on the
+// way, step returns on the runner of the worker that resumed it last, and
+// that worker receives the message.
+func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
+	w := r.w
 	cf.w = w
 	pl.eng.stats.segments.Add(1)
 	for {
@@ -323,14 +308,13 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			// iteration order, exactly as the pipe_while transformation in
 			// the paper prescribes. Claim a batch of up to openBatch()
 			// consecutive iterations and run their bodies as direct calls
-			// on this goroutine, all through the one frame just acquired.
+			// on this runner, all through the one frame just acquired.
 			// The batch's final slot releases this control frame to the
 			// deque at its stage-0 exit (thieves pick it up to run the next
-			// iteration's stage 0), and any slot that must block promotes
-			// to a coroutine frame and performs that release itself — after
-			// either event this step invocation no longer owns the pipeline
-			// and must unwind through the returned message without
-			// touching it.
+			// iteration's stage 0), and any slot that must block performs
+			// that release itself before it parks — after either event this
+			// step invocation no longer owns the pipeline and must unwind
+			// through the returned message without touching it.
 			tracing := pl.eng.tracing.Load()
 			var traceStart int64
 			if tracing {
@@ -340,23 +324,23 @@ func (pl *pipeline) step(cf *frame, w *worker) yieldMsg {
 			if h := pl.eng.hooks; h != nil && h.claim != nil {
 				h.claim(claim)
 			}
-			switch it.runInlineBatch(w, claim) {
-			case inlineDoneOwned:
-				// The batch ran to completion without releasing the
-				// control frame (its final body never left stage 0, or
-				// the loop exhausted/aborted mid-claim): retire the
-				// frame inline. The chain slot (pl.prevIter) keeps its
-				// reference until the next iteration links past it.
-				w.traceSegment(tracing, kindIter, it.index, traceStart)
-				pl.join.Add(-1)
-				it.unref()
-				continue
-			case inlineDoneReleased:
-				w.traceSegment(tracing, kindIter, it.index, traceStart)
-				return yieldMsg{kind: yInlineDone, child: it}
-			default: // inlinePromoted
-				return yieldMsg{kind: yPromoted}
+			if !it.runInlineBatch(r, claim) {
+				if it.inline {
+					// A blocked iteration's resumed segments are traced
+					// by the workers that resumed it.
+					w.traceSegment(tracing, kindIter, it.index, traceStart)
+				}
+				return yieldMsg{kind: yIterDone, child: it}
 			}
+			// The batch ran to completion without releasing the control
+			// frame (its final body never left stage 0, or the loop
+			// exhausted/aborted mid-claim): retire the frame here. The
+			// chain slot (pl.prevIter) keeps its reference until the next
+			// iteration links past it.
+			w.traceSegment(tracing, kindIter, it.index, traceStart)
+			pl.join.Add(-1)
+			it.unref()
+			continue
 		}
 		// phaseDrain — cilk_sync: wait for outstanding iterations.
 		if pl.join.Load() > 0 {

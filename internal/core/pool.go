@@ -9,11 +9,10 @@ import (
 //
 // The steady state of a throttled pipeline creates and retires one
 // iteration frame per iteration. Without pooling each frame costs a
-// ~400-byte struct (and, when it blocks, two unbuffered channels); with
-// pooling an iteration frame recycles through a sync.Pool. The pooled unit
-// is a bare header — the coroutine tail attaches only on promotion and
-// recycles separately. Closure frames and pipeline/control pairs recycle
-// through their own pools.
+// ~400-byte struct; with pooling an iteration frame recycles through a
+// sync.Pool. Closure frames and pipeline/control pairs recycle through
+// their own pools, and the runners bodies execute on through the engine's
+// runner stack (see runner).
 //
 // Recycling discipline. A frame may be reused only when no goroutine can
 // still dereference its non-atomic fields. Iteration frames are
@@ -32,14 +31,8 @@ import (
 // changes on reuse and remains safely readable without synchronization.
 
 // framePools is the engine's recycling state.
-//
-// pools.iter holds bare inline headers — frames without channels or runner
-// goroutines — and pools.co holds detached coroutine tails; the tail pool
-// is hit only when an iteration promotes, so the steady state of an
-// unblocked pipeline never touches it.
 type framePools struct {
-	iter     sync.Pool // *frame, kindIter: bare inline headers
-	co       sync.Pool // *coTail: channel pairs attached on promotion
+	iter     sync.Pool // *frame, kindIter
 	task     sync.Pool // *frame, kindClosure
 	pipeline sync.Pool // *pipeline with its embedded control frame
 
@@ -98,35 +91,14 @@ func (f *frame) unref() {
 		return
 	}
 	f.eng.pools.liveIter.Add(-1)
-	if f.co != nil {
-		// A promoted frame's runner exits after its final yield; detach the
-		// tail for the next promotion so the frame recycles as a bare
-		// inline header. Safe here: the last reference is gone, so the
-		// final handshake (which this unref is ordered after) was the last
-		// touch on the channels.
-		f.eng.pools.co.Put(f.co)
-		f.co = nil
-	}
 	// Clear reference-holding fields so the pool does not pin dead object
 	// graphs; scalar state resets on acquire.
-	f.pl = nil
+	f.pl, f.r = nil, nil
 	f.eng.pools.iter.Put(f)
 }
 
-// acquireCoTail returns a coroutine tail for a promoting iteration. Hit
-// only on promotion — an unblocked pipeline's steady state never comes
-// here.
-func (e *Engine) acquireCoTail() *coTail {
-	if v := e.pools.co.Get(); v != nil {
-		e.pools.hits.Add(1)
-		return v.(*coTail)
-	}
-	e.pools.misses.Add(1)
-	return &coTail{resume: make(chan struct{}), yield: make(chan yieldMsg)}
-}
-
 // dropPrev releases the frame's reference on its predecessor. Runner-local
-// (called only from the frame's own coroutine), hence at most once per
+// (called only from the frame's own body), hence at most once per
 // incarnation: prev is set non-nil only at creation.
 func (f *frame) dropPrev() {
 	if p := f.prev; p != nil {

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Tests for the tier-1/tier-2 execution split: inline iterations must
-// promote to coroutine frames exactly when they block, and the promoted
-// protocol must compose with cancellation, nesting, and throttling.
+// Tests for promotion, an iteration's first block: iterations must
+// promote exactly when they block, and the suspended protocol must compose
+// with cancellation, nesting, and throttling.
 
 // TestEmptyPipelineZeroPromotions pins the acceptance invariant of the
 // inline fast path: a pipeline whose iterations never block runs entirely
@@ -182,44 +182,4 @@ func TestPromotionWhileThrottleExhausted(t *testing.T) {
 		t.Fatalf("MaxLiveIterations = %d exceeds K=2", rep.MaxLiveIterations)
 	}
 	checkEngineDrained(t, e)
-}
-
-// TestPromotedGoroutineAccounting: promotions hand the worker role to
-// takeover goroutines and retire the promoting goroutines when their
-// frames finish — across many promotion-heavy pipelines the process
-// goroutine count must settle back to baseline after Close.
-func TestPromotedGoroutineAccounting(t *testing.T) {
-	base := goroutineBaseline()
-	opts := DefaultOptions()
-	opts.Workers = 4
-	e := NewEngine(opts)
-	for rep := 0; rep < 20; rep++ {
-		pre := e.Stats().Promotions
-		gate := make(chan struct{})
-		i := 0
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			e.PipeWhile(func() bool { return i < 30 }, func(it *Iter) {
-				i++
-				it.Continue(1)
-				if it.Index() == 0 {
-					<-gate
-				}
-				it.Wait(2)
-			})
-		}()
-		// Let successors pile up behind the gated iteration, then release.
-		settles(2*time.Second, func() bool {
-			return e.Stats().Promotions > pre
-		})
-		close(gate)
-		<-done
-	}
-	if e.Stats().Promotions == 0 {
-		t.Error("gated pipelines produced no promotions")
-	}
-	checkEngineDrained(t, e)
-	e.Close()
-	checkGoroutinesSettle(t, base, 4)
 }

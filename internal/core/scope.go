@@ -7,7 +7,7 @@ import (
 )
 
 // scope is a fork-join join point: a counter of outstanding child tasks
-// plus the coroutine frame that will sync on them. Scopes are single-use;
+// plus the iteration frame that will sync on them. Scopes are single-use;
 // once the join counter returns to zero the scope is dead.
 type scope struct {
 	owner *frame
@@ -56,7 +56,7 @@ func (it *Iter) Go(fn func()) {
 // Sync joins all children spawned with Go since the previous Sync. Like
 // cilk_sync, the caller first executes its own unstolen children from the
 // bottom of its deque; only if children were stolen and are still running
-// does the coroutine suspend, to be resumed by the last returning child.
+// does the iteration suspend, to be resumed by the last returning child.
 func (it *Iter) Sync() {
 	f := it.f
 	sc := f.curScope
@@ -105,7 +105,7 @@ func (it *Iter) For(n, grain int, body func(int)) {
 
 // syncScope drains the scope: pop and run own children still on the deque
 // (inline, child-first), then park until stolen children return. During
-// the serial stage-0 prefix the coroutine may not suspend (the control
+// the serial stage-0 prefix the iteration may not suspend (the control
 // frame is blocked on it), so it spin-helps instead.
 func (f *frame) syncScope(sc *scope) {
 	defer func() {
@@ -145,27 +145,19 @@ func (f *frame) syncScope(sc *scope) {
 			continue
 		}
 		if f.inline {
-			// Stolen children (or a nested pipeline) force a suspension
-			// the inline fast path cannot express: promote to a coroutine
-			// frame so the scope-park protocol below has a driver.
+			// Stolen children (or a nested pipeline) are still running:
+			// the iteration's first block.
 			f.promote()
 		}
+		// The driver publishes the park and re-checks the join counter
+		// (publishPark); the loop re-checks it after every wake.
 		f.waitingScope.Store(sc)
-		f.status.Store(statusWaitScope)
-		if sc.join.Load() == 0 {
-			if f.status.CompareAndSwap(statusWaitScope, statusRunning) {
-				return
-			}
-			// A waker claimed us; park so its resume pairs up.
-		} else {
-			f.eng.stats.scopeSuspends.Add(1)
-		}
-		f.park(yieldMsg{kind: ySuspend})
+		f.park(yParkScope)
 	}
 }
 
 // scopeUnitDone retires one child of sc. If that was the last child and
-// the owner coroutine is parked on sc, the caller claims it; the returned
+// the owner iteration is parked on sc, the caller claims it; the returned
 // frame (if any) must be delivered to a worker.
 func scopeUnitDone(sc *scope) *frame {
 	if sc.join.Add(-1) != 0 {

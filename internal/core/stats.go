@@ -46,14 +46,15 @@ type Stats struct {
 	FoldHits int64
 	// Iterations counts pipeline iterations started.
 	Iterations int64
-	// InlineIterations counts iterations started on the tier-1 inline
-	// fast path: the body begins as a direct call on the worker's
-	// goroutine, with no coroutine machinery (see frame.runInlineBatch).
+	// InlineIterations counts iterations whose body a control segment
+	// started as a direct call on its runner (see frame.runInlineBatch).
+	// Every iteration starts that way, so it equals Iterations.
 	InlineIterations int64
-	// Promotions counts inline iterations that had to block — an
+	// Promotions counts iterations that blocked at least once — an
 	// unsatisfied cross edge, a fork-join sync on stolen children, a
-	// nested pipeline — and were promoted to full coroutine frames
-	// mid-body. An unblocked pipeline's steady state has zero.
+	// nested pipeline — counted at the first block, which releases the
+	// control frame and parks the body on its runner. An unblocked
+	// pipeline's steady state has zero.
 	Promotions int64
 	// BatchedIterations counts iterations executed as deferred-release
 	// slots of an inline batch claim: their control-frame release (and
@@ -68,8 +69,8 @@ type Stats struct {
 	// slot had to block and promote; the residual claim is abandoned and
 	// the adaptive grain backs off.
 	BatchSplits int64
-	// Segments counts coroutine and control segments driven by workers
-	// (inline iterations are counted by InlineIterations instead).
+	// Segments counts the times a worker entered a runner: control
+	// segments, and resumes of parked iterations.
 	Segments int64
 	// Pipelines counts pipe_while loops executed (including nested).
 	Pipelines int64

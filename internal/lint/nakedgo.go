@@ -12,15 +12,18 @@ import (
 //     Sync and pipeline teardown wait for it, a naked `go` does not, and
 //     the leak storms catch the survivors only at run time;
 //   - inside the engine core (piper/internal/core), every goroutine must
-//     ride the worker-accounting WaitGroup that Close drains; the few
-//     deliberate spawn points (worker loops, frame takeover, coroutine
-//     drivers) carry //piper:allow-go annotations documenting how each is
+//     ride the worker-accounting WaitGroup that Close drains, and an
+//     iter.Pull or iter.Pull2 call counts as a spawn too: it makes a
+//     coroutine goroutine that lives until its stop function runs. The
+//     deliberate spawn points (the worker launch and the runner pool)
+//     carry //piper:allow-go annotations documenting how each is
 //     accounted.
 var NakedGo = &Analyzer{
 	Name:  "nakedgo",
 	Allow: "go",
 	Doc: "flag go statements in pipeline bodies (use Iter.Go so the fork-join scope tracks the task) " +
-		"and in engine-internal code (goroutines must be accounted to the Close-time WaitGroup); " +
+		"and go statements or iter.Pull/iter.Pull2 coroutines in engine-internal code (goroutines must be accounted " +
+		"so Close can end them); " +
 		"annotate deliberate spawn points with //piper:allow-go <reason>",
 	Run: runNakedGo,
 }
@@ -49,10 +52,18 @@ func runNakedGo(p *Pass) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok && !inBody[g] {
-				p.Reportf(g.Pos(), "raw go statement in engine-internal code: goroutines here must be "+
-					"accounted so Close can drain them; route the spawn through the worker WaitGroup "+
-					"or annotate //piper:allow-go <how it is accounted>")
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !inBody[n] {
+					p.Reportf(n.Pos(), "raw go statement in engine-internal code: goroutines here must be "+
+						"accounted so Close can drain them; route the spawn through the worker WaitGroup "+
+						"or annotate //piper:allow-go <how it is accounted>")
+				}
+			case *ast.CallExpr:
+				if k := callKey(p.Info, n); k == "iter.Pull" || k == "iter.Pull2" {
+					p.Reportf(n.Pos(), "coroutine spawn (%s) in engine-internal code: its goroutine lives "+
+						"until stop is called; annotate //piper:allow-go <how it is stopped>", k)
+				}
 			}
 			return true
 		})
