@@ -388,10 +388,9 @@ func (f *frame) promote() {
 // releaseControl ends the iteration's serial stage-0 prefix: the control
 // frame — whose step call sits frozen below us on this runner's stack — is
 // pushed to the deque, where a thief (or this worker, once the body
-// completes) picks it up to run iteration
-// i+1's stage 0, unfolding the pipeline: the continuation becomes
-// stealable and the worker keeps the child, preserving the
-// spawned-child-first discipline. The frozen step
+// completes) picks it up to run iteration i+1's stage 0, unfolding the
+// pipeline: the continuation becomes stealable and the worker keeps the
+// child, preserving the spawned-child-first discipline. The frozen step
 // invocation learns of the release through runInlineBatch's result and
 // unwinds without touching the pipeline again.
 func (f *frame) releaseControl() {
@@ -468,25 +467,16 @@ func (f *frame) park(kind yieldKind) {
 // counter; the claim that follows is then at worst spurious, which the
 // body's re-check after every wake absorbs.
 func (f *frame) publishPark(kind yieldKind) bool {
-	e := f.eng
 	if kind == yParkScope {
 		sc := f.waitingScope.Load()
 		f.status.Store(statusWaitScope)
-		if sc.join.Load() == 0 {
-			return f.status.CompareAndSwap(statusWaitScope, statusRunning)
-		}
-		e.stats.scopeSuspends.Add(1)
-		return false
+		return sc.join.Load() == 0 && f.status.CompareAndSwap(statusWaitScope, statusRunning)
 	}
 	p, j := f.prev, f.waitStage.Load()
+	f.eng.stats.crossChecks.Add(1)
 	f.status.Store(statusWaitCross)
-	e.hookAt(hookParkPublish)
-	e.stats.crossChecks.Add(1)
-	if p.stage.Load() > j && f.status.CompareAndSwap(statusWaitCross, statusRunning) {
-		return true
-	}
-	e.stats.crossSuspends.Add(1)
-	return false
+	f.eng.hookAt(hookParkPublish)
+	return p.stage.Load() > j && f.status.CompareAndSwap(statusWaitCross, statusRunning)
 }
 
 // --- Cross-edge protocol -------------------------------------------------

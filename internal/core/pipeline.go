@@ -50,8 +50,8 @@ type pipeline struct {
 
 	nextIndex int64
 
-	// Control-frame state machine (executed directly on worker
-	// goroutines; serialized by frame ownership).
+	// Control-frame state machine (stepped on the runner of whichever
+	// worker holds the control frame; serialized by frame ownership).
 	phase    int8
 	prevIter *frame
 
@@ -202,6 +202,7 @@ func (it *Iter) ContinueNext() { it.Continue(it.Stage() + 1) } //piper:allow-dyn
 func (f *frame) parkOnCross(j int64) {
 	for {
 		f.waitStage.Store(j)
+		f.eng.stats.crossSuspends.Add(1)
 		f.park(yParkCross)
 		if f.crossSatisfiedSlow(j) {
 			return

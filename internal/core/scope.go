@@ -152,6 +152,7 @@ func (f *frame) syncScope(sc *scope) {
 		// The driver publishes the park and re-checks the join counter
 		// (publishPark); the loop re-checks it after every wake.
 		f.waitingScope.Store(sc)
+		f.eng.stats.scopeSuspends.Add(1)
 		f.park(yParkScope)
 	}
 }

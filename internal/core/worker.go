@@ -2,6 +2,7 @@ package core
 
 import (
 	"iter"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -121,6 +122,14 @@ func (w *worker) execute(f *frame) {
 			if c := msg.child; c.publishPark(msg.kind) {
 				f = c // the condition held already: resume at once
 			} else {
+				// Runner switches bypass the Go scheduler, so a worker
+				// that only steps, parks and resumes bodies would keep
+				// the GC's background mark worker (and any other runnable
+				// goroutine) off its P until the 10 ms preemption tick.
+				// A park is where a goroutine used to block, so yield the
+				// P here: without it dedup-batch's GC marking ran ~5x
+				// longer and its peak heap grew ~15 %.
+				runtime.Gosched()
 				f = w.afterSuspend(c)
 			}
 		}

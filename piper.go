@@ -17,10 +17,10 @@
 // iterations (default 4·P), precluding runaway pipelines, and implements
 // the paper's lazy enabling, dependency folding, and tail-swap
 // optimizations, each individually switchable for ablation studies.
-// Iterations run inline on their worker and become coroutines only when a
-// cross edge is really unsatisfied, and frames, coroutine tails and
-// pipeline state are pooled for an allocation-free steady state; neither
-// has a switch.
+// Iteration bodies run as direct calls on pooled coroutine runners and
+// suspend only when a cross edge is really unsatisfied, and frames,
+// runners and pipeline state are pooled for an allocation-free steady
+// state; neither has a switch.
 //
 // Beyond the blocking PipeWhile, Engine.Submit launches pipelines
 // asynchronously for serving workloads: many concurrent pipelines per
