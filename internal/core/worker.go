@@ -359,9 +359,10 @@ func (w *worker) findWork() *frame {
 // A runner is entered by one worker at a time, though not always the
 // same one: a frame's parked status is published only after its runner
 // has switched out (publishPark), and the status CAS lets exactly one
-// waker claim it. A runner is always a worker's (worker.r), a parked
-// frame's (frame.r), or on the engine's spare stack, so the runners made
-// are at most P plus the peak of parked frames; Close stops them all.
+// waker claim it. A runner is always a worker's (worker.r), held by a
+// frame that blocked and has not retired (frame.r), or on the engine's
+// spare stack, so the runners made are at most P plus the peak of such
+// frames; Close stops them all.
 type runner struct {
 	next  func() (yieldMsg, bool)
 	stop  func()
