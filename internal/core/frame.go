@@ -446,18 +446,18 @@ func (f *frame) finishIter() {
 // park suspends the body: its runner yields kind (yParkCross or
 // yParkScope) to the driving worker and returns once a worker resumes the
 // frame. The caller has stored what it waits for (waitStage or
-// waitingScope) but not the parked status: the driver publishes that in
-// publishPark, after the switch, so no waker can claim the frame and enter
-// its runner before the runner has stopped running.
+// waitingScope) but not the parked status: the driving worker publishes
+// that in publishPark, after the switch, so no waker can claim the frame
+// and enter its runner before the runner has stopped running.
 func (f *frame) park(kind yieldKind) {
 	f.r.yield(yieldMsg{kind: kind, child: f})
 }
 
-// publishPark is the driver's half of a park: the body of f has just
-// yielded kind on its runner. It publishes the parked status, then
+// publishPark is the driving worker's half of a park: the body of f has
+// just yielded kind on its runner. It publishes the parked status, then
 // re-checks the condition (publish-then-recheck: a waker that finished
 // before the publish cannot have seen it). It reports whether the
-// condition already holds and the driver took f back; the driver then
+// condition already holds and the worker took f back; the worker then
 // resumes it at once. Otherwise f belongs to whichever waker claims it.
 //
 // The re-check touches only what was loaded before the publish and atomic

@@ -149,8 +149,8 @@ func (f *frame) syncScope(sc *scope) {
 			// the iteration's first block.
 			f.promote()
 		}
-		// The driver publishes the park and re-checks the join counter
-		// (publishPark); the loop re-checks it after every wake.
+		// The driving worker publishes the park and re-checks the join
+		// counter (publishPark); the loop re-checks it after every wake.
 		f.waitingScope.Store(sc)
 		f.eng.stats.scopeSuspends.Add(1)
 		f.park(yParkScope)
