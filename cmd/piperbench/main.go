@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig6|fig7|fig8|fig9|thm12|fig10|ablate|adaptive|grain|arena|all")
+		experiment = flag.String("experiment", "all", "fig6|fig7|fig8|fig9|thm12|fig10|ablate|arena|all")
 		size       = flag.String("size", "small", "small|native")
 		plist      = flag.String("plist", "", "comma-separated worker counts (default 1,2,...,NumCPU)")
 		pmax       = flag.Int("pmax", runtime.NumCPU(), "worker count for single-P experiments")
@@ -51,19 +51,17 @@ func main() {
 
 	fmt.Printf("host: %d CPUs, GOMAXPROCS=%d\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	run := map[string]func(){
-		"fig6":     func() { bench.Fig6Ferret(os.Stdout, ps, sz) },
-		"fig7":     func() { bench.Fig7Dedup(os.Stdout, ps, sz) },
-		"fig8":     func() { bench.Fig8X264(os.Stdout, ps, sz) },
-		"fig9":     func() { bench.Fig9PipeFib(os.Stdout, *pmax, sz) },
-		"thm12":    func() { bench.Thm12Uniform(os.Stdout, *pmax, sz) },
-		"fig10":    func() { bench.Fig10Pathological(os.Stdout, *pmax, sz) },
-		"ablate":   func() { bench.Ablations(os.Stdout, *pmax, sz) },
-		"adaptive": func() { bench.AdaptiveThrottle(os.Stdout, *pmax, sz) },
-		"grain":    func() { bench.GrainAblation(os.Stdout, *pmax, sz) },
-		"arena":    func() { bench.ArenaAblation(os.Stdout, *pmax, sz) },
+		"fig6":   func() { bench.Fig6Ferret(os.Stdout, ps, sz) },
+		"fig7":   func() { bench.Fig7Dedup(os.Stdout, ps, sz) },
+		"fig8":   func() { bench.Fig8X264(os.Stdout, ps, sz) },
+		"fig9":   func() { bench.Fig9PipeFib(os.Stdout, *pmax, sz) },
+		"thm12":  func() { bench.Thm12Uniform(os.Stdout, *pmax, sz) },
+		"fig10":  func() { bench.Fig10Pathological(os.Stdout, *pmax, sz) },
+		"ablate": func() { bench.Ablations(os.Stdout, *pmax, sz) },
+		"arena":  func() { bench.ArenaAblation(os.Stdout, *pmax, sz) },
 	}
 	if *experiment == "all" {
-		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "thm12", "fig10", "ablate", "adaptive", "grain", "arena"} {
+		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "thm12", "fig10", "ablate", "arena"} {
 			run[name]()
 		}
 		return

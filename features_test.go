@@ -79,31 +79,6 @@ func TestPublicProfile(t *testing.T) {
 	}
 }
 
-func TestPublicRunAdaptive(t *testing.T) {
-	eng := piper.NewEngine(piper.Workers(4))
-	defer eng.Close()
-	var order []int64
-	i := 0
-	rep := piper.RunAdaptive(eng, 2, 32, func() bool { return i < 200 }, func(it *piper.Iter) {
-		i++
-		it.Continue(1)
-		v := it.Index()
-		it.Wait(2)
-		order = append(order, v)
-	})
-	if rep.Iterations != 200 {
-		t.Fatalf("iterations = %d", rep.Iterations)
-	}
-	if rep.MaxLiveIterations > 32 {
-		t.Fatalf("max live %d exceeded kMax", rep.MaxLiveIterations)
-	}
-	for k, v := range order {
-		if v != int64(k) {
-			t.Fatalf("order violated at %d", k)
-		}
-	}
-}
-
 func TestPublicTraceExport(t *testing.T) {
 	eng := piper.NewEngine(piper.Workers(2))
 	defer eng.Close()
@@ -166,13 +141,13 @@ func TestStatsSnapshotFields(t *testing.T) {
 	eng := piper.NewEngine(piper.Workers(2))
 	defer eng.Close()
 	i := 0
-	piper.RunAdaptive(eng, 1, 8, func() bool { return i < 64 }, func(it *piper.Iter) {
+	eng.PipeWhile(func() bool { return i < 64 }, func(it *piper.Iter) {
 		i++
 		it.Continue(1)
 		it.Wait(2)
 	})
 	s := eng.Stats()
-	if s.ThrottleGrows < 0 || s.ThrottleShrinks < 0 {
+	if s.ThrottleParks < 0 || s.BatchedIterations < 0 || s.BatchSplits < 0 {
 		t.Fatal("negative counters")
 	}
 	if s.Iterations != 64 {

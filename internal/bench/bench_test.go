@@ -149,32 +149,3 @@ func TestArenaAblationSmall(t *testing.T) {
 		}
 	}
 }
-
-// TestGrainAblationSmall renders the grain table at a tiny size.
-func TestGrainAblationSmall(t *testing.T) {
-	sz := Small()
-	sz.DedupBytes = 128 << 10
-	tbl := GrainAblation(nil, 2, sz)
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d, want Grain(1)/Grain(4)/Grain(16)/Grain(64)/adaptive", len(tbl.Rows))
-	}
-	if tbl.Rows[0][0] != "Grain(1)" || tbl.Rows[4][0] != "adaptive" {
-		t.Fatalf("unexpected config column: %v", tbl.Rows)
-	}
-	if got := len(tbl.Rows[0]); got != len(tbl.Header) {
-		t.Fatalf("row has %d cells for %d columns", got, len(tbl.Header))
-	}
-}
-
-func TestAdaptiveThrottleSmall(t *testing.T) {
-	sz := Small()
-	tbl := AdaptiveThrottle(nil, 2, sz)
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[1] != "fixed K=4P" && row[1] != "adaptive" {
-			t.Fatalf("unexpected policy %q", row[1])
-		}
-	}
-}

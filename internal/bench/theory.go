@@ -226,83 +226,3 @@ func Ablations(w io.Writer, p int, sz SizeSpec) *Table {
 	}
 	return tbl
 }
-
-// AdaptiveThrottle compares a fixed Θ(P) window against the adaptive
-// policy on the Figure 10 pathology — the Section 11 trade-off: adaptive
-// throttling buys back the speedup a fixed window forfeits, paying with
-// live-iteration space, and costs nothing on uniform pipelines.
-func AdaptiveThrottle(w io.Writer, p int, sz SizeSpec) *Table {
-	target := int64(1) << 17
-	if sz.Reps > 1 {
-		target = 1 << 19
-	}
-	patho := dag.PathologicalThm13(target)
-	uni := dag.Uniform(300, 4, 50)
-	cbrt := 1
-	for int64(cbrt*cbrt*cbrt) < patho.Work() {
-		cbrt++
-	}
-
-	tbl := &Table{
-		Title:  fmt.Sprintf("Adaptive throttling (extension; P=%d, T1^(1/3)=%d)", p, cbrt),
-		Header: []string{"workload", "policy", "TP", "speedup", "max-live-iters"},
-	}
-	runFixed := func(model *dag.Pipeline, k int) (time.Duration, piper.PipelineReport) {
-		eng := piper.NewEngine(piper.Workers(p))
-		defer eng.Close()
-		var rep piper.PipelineReport
-		d := bestOf(sz.Reps, func() { rep = spinPipeline(eng, k, model) })
-		return d, rep
-	}
-	runAdaptive := func(model *dag.Pipeline, kMin, kMax int) (time.Duration, piper.PipelineReport) {
-		eng := piper.NewEngine(piper.Workers(p))
-		defer eng.Close()
-		var rep piper.PipelineReport
-		d := bestOf(sz.Reps, func() {
-			i := 0
-			rep = eng.RunPipelineAdaptive(kMin, kMax, func() bool { return i < len(model.Iters) }, func(it *piper.Iter) {
-				row := model.Iters[i]
-				i++
-				workload.SpinMicros(row[0].Weight)
-				for j := 1; j < len(row); j++ {
-					if row[j].Cross {
-						//piper:allow-dynamic-stage replaying a recorded stage trace; the recorder emitted it monotone
-						it.Wait(row[j].Stage)
-					} else {
-						//piper:allow-dynamic-stage replaying a recorded stage trace; the recorder emitted it monotone
-						it.Continue(row[j].Stage)
-					}
-					workload.SpinMicros(row[j].Weight)
-				}
-			})
-		})
-		return d, rep
-	}
-
-	serial := func(model *dag.Pipeline) time.Duration {
-		eng := piper.NewEngine(piper.Workers(1))
-		defer eng.Close()
-		return bestOf(sz.Reps, func() { spinPipeline(eng, len(model.Iters)+1, model) })
-	}
-	sPatho := serial(patho)
-	sUni := serial(uni)
-
-	for _, row := range []struct {
-		name  string
-		model *dag.Pipeline
-		ts    time.Duration
-	}{{"pathological", patho, sPatho}, {"uniform", uni, sUni}} {
-		dFixed, repFixed := runFixed(row.model, 4*p)
-		tbl.AddRow(row.name, "fixed K=4P", secs(dFixed), ratio(row.ts, dFixed),
-			fmt.Sprint(repFixed.MaxLiveIterations))
-		dAd, repAd := runAdaptive(row.model, 4*p, 4*cbrt)
-		tbl.AddRow(row.name, "adaptive", secs(dAd), ratio(row.ts, dAd),
-			fmt.Sprint(repAd.MaxLiveIterations))
-	}
-	tbl.Notes = append(tbl.Notes,
-		"adaptive grows the window only when workers idle while the pipeline is window-bound")
-	if w != nil {
-		tbl.Fprint(w)
-	}
-	return tbl
-}

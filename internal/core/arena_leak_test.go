@@ -96,19 +96,19 @@ func TestArenaDrainsAfterCompletion(t *testing.T) {
 // cancellation storm over arena-carrying pipelines: submissions are
 // canceled at random points (half immediately, mid-claim), the
 // perturbation hooks widen the interleavings, and LiveArenaBytes must
-// still drain to zero under every grain tier and seed.
+// still drain to zero under every claim tier and seed.
 func TestArenaDrainsUnderCancelStorm(t *testing.T) {
 	for _, cfg := range []struct {
 		name  string
-		grain int
-	}{{"grain1", 1}, {"adaptive", 0}} {
+		claim func(int64) int64
+	}{{"grain1", pinClaim(1)}, {"adaptive", nil}} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				opts := DefaultOptions()
 				opts.Workers = 2
-				opts.Grain = cfg.grain
 				opts.hooks = newPerturber(seed * 0x9e3779b9)
+				opts.hooks.claim = cfg.claim
 				e := NewEngine(opts)
 				a := e.Arena()
 				var wg sync.WaitGroup

@@ -14,28 +14,13 @@ import (
 
 // Tests for batched inline execution with grain control: claim/release
 // accounting, the cost-bounded claim policy, split semantics under real
-// suspensions, and the Grain(1) equivalence contract.
+// suspensions, and the claim-1 equivalence contract. A test that needs a
+// given run length pins it with pinClaim.
 
-func TestGrainNormalization(t *testing.T) {
-	cases := []struct {
-		name       string
-		in         Options
-		grain, max int
-	}{
-		{"defaults-adaptive", Options{Workers: 1}, 0, defaultGrainMax},
-		{"fixed", Options{Workers: 1, Grain: 4}, 4, 4},
-		{"fixed-overrides-max", Options{Workers: 1, Grain: 4, GrainMax: 99}, 4, 4},
-		{"adaptive-capped", Options{Workers: 1, GrainMax: 8}, 0, 8},
-		{"negative-grain", Options{Workers: 1, Grain: -3}, 0, defaultGrainMax},
-	}
-	for _, c := range cases {
-		o := c.in
-		o.normalize()
-		if o.Grain != c.grain || o.GrainMax != c.max {
-			t.Errorf("%s: normalize(%+v) -> Grain=%d GrainMax=%d, want %d/%d",
-				c.name, c.in, o.Grain, o.GrainMax, c.grain, c.max)
-		}
-	}
+// pinClaim is a claim hook that runs every batch at claim g, whatever the
+// policy decides.
+func pinClaim(g int64) func(int64) int64 {
+	return func(int64) int64 { return g }
 }
 
 // TestAdaptiveGrainGrowsWhenAlone: a single worker running an unblocked
@@ -45,7 +30,7 @@ func TestGrainNormalization(t *testing.T) {
 // batch slots.
 func TestAdaptiveGrainGrowsWhenAlone(t *testing.T) {
 	e := newEngineOpts(t, func(o *Options) {
-		o.Workers, o.GrainMax = 1, 16
+		o.Workers = 1
 		o.hooks = withClock(nil, new(costClock).ns.Load)
 	})
 	const n = 2000
@@ -54,17 +39,17 @@ func TestAdaptiveGrainGrowsWhenAlone(t *testing.T) {
 	if rep.Iterations != n {
 		t.Fatalf("Iterations = %d, want %d", rep.Iterations, n)
 	}
-	if rep.FinalGrain != 16 {
-		t.Errorf("FinalGrain = %d, want the GrainMax ceiling 16", rep.FinalGrain)
+	if rep.FinalGrain != maxClaim {
+		t.Errorf("FinalGrain = %d, want the ceiling %d", rep.FinalGrain, maxClaim)
 	}
 	s := e.Stats()
-	if s.InlineIterations != n {
-		t.Errorf("InlineIterations = %d, want %d", s.InlineIterations, n)
+	if s.Iterations != n {
+		t.Errorf("Iterations = %d, want %d", s.Iterations, n)
 	}
 	if s.Promotions != 0 || s.BatchSplits != 0 {
 		t.Errorf("Promotions = %d, BatchSplits = %d, want 0/0 for an unblocked pipeline", s.Promotions, s.BatchSplits)
 	}
-	// With the grain at the ceiling, each 16-slot batch defers 15
+	// With the grain at the ceiling, each 64-slot batch defers 63
 	// releases; allowing for the geometric ramp-up, well over half the
 	// iterations must have been deferred slots.
 	if s.BatchedIterations < n/2 {
@@ -73,11 +58,11 @@ func TestAdaptiveGrainGrowsWhenAlone(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
-// TestGrainOneMatchesUnbatched: Grain(1) must reproduce the unbatched
+// TestGrainOneMatchesUnbatched: claim 1 must reproduce the unbatched
 // protocol exactly — zero deferred slots, zero splits, and identical
 // output ordering.
 func TestGrainOneMatchesUnbatched(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.Grain = 1 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 2, &schedHooks{claim: pinClaim(1)} })
 	var order []int64
 	i := 0
 	rep := e.RunPipeline(0, func() bool { return i < 500 }, func(it *Iter) {
@@ -92,7 +77,7 @@ func TestGrainOneMatchesUnbatched(t *testing.T) {
 	}
 	s := e.Stats()
 	if s.BatchedIterations != 0 || s.BatchSplits != 0 {
-		t.Errorf("Grain(1) batched: BatchedIterations=%d BatchSplits=%d, want 0/0",
+		t.Errorf("claim 1 batched: BatchedIterations=%d BatchSplits=%d, want 0/0",
 			s.BatchedIterations, s.BatchSplits)
 	}
 	for k, v := range order {
@@ -103,11 +88,11 @@ func TestGrainOneMatchesUnbatched(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
-// TestFixedGrainBatchesAndOrders: a fixed Grain(8) pipeline with a serial
+// TestFixedGrainBatchesAndOrders: a pipeline pinned at claim 8 with a serial
 // tail stage must batch (most iterations deferred) while preserving the
 // serial-stage ordering invariant bit for bit.
 func TestFixedGrainBatchesAndOrders(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.Grain = 8 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 2, &schedHooks{claim: pinClaim(8)} })
 	var order []int64
 	i := 0
 	const n = 800
@@ -130,13 +115,13 @@ func TestFixedGrainBatchesAndOrders(t *testing.T) {
 		}
 	}
 	if s := e.Stats(); s.BatchedIterations == 0 {
-		t.Error("fixed Grain(8) produced no deferred batch slots")
+		t.Error("claim 8 produced no deferred batch slots")
 	}
 	checkEngineDrained(t, e)
 }
 
 // TestBatchSplitsOnBlockedEdge: iteration 0, claimed as the first slot of
-// a fixed-grain batch, promotes deterministically through a nested
+// a claim-8 batch, promotes deterministically through a nested
 // pipeline — splitting its batch and performing the deferred control
 // release — and then stalls its promoted stage 1 on a gate. The next
 // batch's first slot therefore finds its cross edge into the still-live
@@ -147,7 +132,7 @@ func TestFixedGrainBatchesAndOrders(t *testing.T) {
 // which promote and split — are batch-safe, mirroring the paper's rule
 // that inter-iteration dependencies go through pipe_wait.)
 func TestBatchSplitsOnBlockedEdge(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.Grain = 8 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 2, &schedHooks{claim: pinClaim(8)} })
 	gate := make(chan struct{})
 	go func() {
 		// Open the gate once the cross-edge promotion is observed (bounded
@@ -196,7 +181,7 @@ func TestBatchSplitsOnBlockedEdge(t *testing.T) {
 // AfterFunc delivery the batch may legitimately outrun), so the gated
 // iteration resumes with the abort already observable.
 func TestBatchAbortMidClaim(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 1; o.Grain = 16 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 1, &schedHooks{claim: pinClaim(16)} })
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	i := 0
@@ -224,7 +209,7 @@ func TestBatchAbortMidClaim(t *testing.T) {
 // TestBatchPanicPropagates: a panic inside a deferred batch slot must
 // stop the claim, surface through PipeWhile, and drain.
 func TestBatchPanicPropagates(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 1; o.Grain = 16 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 1, &schedHooks{claim: pinClaim(16)} })
 	var rec any
 	func() {
 		defer func() { rec = recover() }()
@@ -242,10 +227,10 @@ func TestBatchPanicPropagates(t *testing.T) {
 }
 
 // TestBatchRespectsThrottle: batching holds one live frame per claim, so
-// even a large fixed grain must never push the live-iteration peak past
+// even a large pinned claim must never push the live-iteration peak past
 // the throttling window.
 func TestBatchRespectsThrottle(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 2; o.Grain = 32 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 2, &schedHooks{claim: pinClaim(32)} })
 	i := 0
 	rep := e.RunPipeline(3, func() bool { return i < 400 }, func(it *Iter) {
 		i++
@@ -253,7 +238,7 @@ func TestBatchRespectsThrottle(t *testing.T) {
 		it.Wait(2)
 	})
 	if rep.MaxLiveIterations > 3 {
-		t.Fatalf("MaxLiveIterations = %d exceeds K=3 under Grain(32)", rep.MaxLiveIterations)
+		t.Fatalf("MaxLiveIterations = %d exceeds K=3 under claim 32", rep.MaxLiveIterations)
 	}
 	checkEngineDrained(t, e)
 }
@@ -262,7 +247,7 @@ func TestBatchRespectsThrottle(t *testing.T) {
 // handle (Index, Stage) must be indistinguishable from unbatched
 // execution while the frame is recycled in place across a claim.
 func TestBatchIndexAndStageView(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 1; o.Grain = 8 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 1, &schedHooks{claim: pinClaim(8)} })
 	i := 0
 	const n = 100
 	var idxErrs, stageErrs int
@@ -293,7 +278,7 @@ func TestBatchIndexAndStageView(t *testing.T) {
 // TestInstrumentedPinsGrain: profiled pipelines must run with claim 1 so
 // the work/span accounting chains through real predecessor frames.
 func TestInstrumentedPinsGrain(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 1; o.GrainMax = 32 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers = 1 })
 	i := 0
 	rep := e.ProfilePipeline(0, func() bool { return i < 300 }, func(it *Iter) {
 		i++
@@ -478,7 +463,7 @@ func TestCoarseBodyRunsUnbatched(t *testing.T) {
 }
 
 // TestCheapBodyStillBatches: the cost rule must leave cheap bodies alone.
-// An SPS body declared to cost 200 ns climbs to the GrainMax ceiling and,
+// An SPS body declared to cost 200 ns climbs to the maxClaim ceiling and,
 // once a second worker is there to take the released continuation, stays
 // there. The test reads the claims openBatch returns (schedHooks.claim),
 // not how many slots a schedule ran deferred: a thief whose first slot
@@ -496,13 +481,14 @@ func TestCheapBodyStillBatches(t *testing.T) {
 		var release sync.Once
 		opts.Workers = 2
 		opts.hooks = withClock(opts.hooks, clk.ns.Load)
-		opts.hooks.claim = func(c int64) {
+		opts.hooks.claim = func(c int64) int64 {
 			mu.Lock()
 			claims = append(claims, c)
 			mu.Unlock()
-			if c == defaultGrainMax {
+			if c == maxClaim {
 				release.Do(func() { close(gate) })
 			}
+			return c
 		}
 		e := NewEngine(opts)
 		defer e.Close()
@@ -524,9 +510,9 @@ func TestCheapBodyStillBatches(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		want := []int64{1, 2, 4, 8, 16, 32, defaultGrainMax}
+		want := []int64{1, 2, 4, 8, 16, 32, maxClaim}
 		for k, c := range claims {
-			w := int64(defaultGrainMax)
+			w := int64(maxClaim)
 			if k < len(want) {
 				w = want[k]
 			}
@@ -535,9 +521,9 @@ func TestCheapBodyStillBatches(t *testing.T) {
 					k, c, w, want, claims[:min(len(claims), k+8)])
 			}
 		}
-		if len(claims) < len(want) || rep.FinalGrain != defaultGrainMax {
+		if len(claims) < len(want) || rep.FinalGrain != maxClaim {
 			t.Errorf("%d claims ending at FinalGrain %d, want the ramp %v and FinalGrain %d",
-				len(claims), rep.FinalGrain, want, defaultGrainMax)
+				len(claims), rep.FinalGrain, want, maxClaim)
 		}
 	})
 }
@@ -554,7 +540,6 @@ func TestCostStepDropsClaim(t *testing.T) {
 			var clk costClock
 			var rec claimRecorder
 			opts.Workers = workers
-			opts.GrainMax = 16
 			opts.hooks = rec.hooks(withClock(opts.hooks, clk.ns.Load))
 			e := NewEngine(opts)
 			const n, step = 3000, 2000
@@ -571,8 +556,8 @@ func TestCostStepDropsClaim(t *testing.T) {
 					hit, peak = b, max(peak, sizes[b])
 				}
 			}
-			if peak != 16 {
-				t.Errorf("P=%d: largest claim before the step = %d, want the ceiling 16", workers, peak)
+			if peak != maxClaim {
+				t.Errorf("P=%d: largest claim before the step = %d, want the ceiling %d", workers, peak, maxClaim)
 			}
 			long := 0
 			for b := hit + 1; b < len(sizes); b++ {

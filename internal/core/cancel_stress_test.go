@@ -18,19 +18,19 @@ import (
 // return the context error or nil, no goroutine may leak, and every frame
 // must drain back to the pools.
 func TestCancelStressRandomized(t *testing.T) {
-	// The default claim policy and both grain extremes: cancellation must
+	// The default claim policy and both claim extremes: cancellation must
 	// behave identically whether iterations run one per frame acquisition
-	// (Grain 1) or many per recycled batch frame (fixed Grain 8) — and in
+	// (claim 1) or many per recycled batch frame (claim 8) — and in
 	// every case the gauge sweep must show the batch-frame state draining
 	// back to the pools after the storm.
 	t.Run("inline", func(t *testing.T) {
 		cancelStressRandomized(t, func(o *Options) {})
 	})
 	t.Run("grain1", func(t *testing.T) {
-		cancelStressRandomized(t, func(o *Options) { o.Grain = 1 })
+		cancelStressRandomized(t, func(o *Options) { o.hooks = &schedHooks{claim: pinClaim(1)} })
 	})
 	t.Run("batched-g8", func(t *testing.T) {
-		cancelStressRandomized(t, func(o *Options) { o.Grain = 8 })
+		cancelStressRandomized(t, func(o *Options) { o.hooks = &schedHooks{claim: pinClaim(8)} })
 	})
 }
 
@@ -125,7 +125,7 @@ func TestCancelStressNestedForkJoin(t *testing.T) {
 	// The nested pipelines force a split in every claimed batch, driving
 	// the abort paths through the split/release machinery.
 	t.Run("batched-g8", func(t *testing.T) {
-		cancelStressNestedForkJoin(t, func(o *Options) { o.Grain = 8 })
+		cancelStressNestedForkJoin(t, func(o *Options) { o.hooks = &schedHooks{claim: pinClaim(8)} })
 	})
 }
 

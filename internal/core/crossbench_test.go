@@ -54,7 +54,7 @@ func BenchmarkCrossSatisfied(b *testing.B) {
 }
 
 // BenchmarkSuspendResume measures one suspend+resume cycle of an iteration
-// blocked on a cross edge, on Workers(2) and Grain(1). Every iteration but
+// blocked on a cross edge, on Workers(2) at claim 1. Every iteration but
 // the first parks on its Wait(1), because its predecessor holds stage 1
 // until it sees the successor parked (statusWaitCross) and only then
 // advances; the advance or the predecessor's retirement finds the waiter
@@ -63,7 +63,7 @@ func BenchmarkCrossSatisfied(b *testing.B) {
 func BenchmarkSuspendResume(b *testing.B) {
 	opts := DefaultOptions()
 	opts.Workers = 2
-	opts.Grain = 1
+	opts.hooks = &schedHooks{claim: pinClaim(1)}
 	e := NewEngine(opts)
 	defer e.Close()
 	n := int64(b.N) + 1

@@ -12,14 +12,14 @@ import (
 // edge for an awake thief to find, and ours park, so with one asleep the
 // advancing iteration must deliver the waiter itself.
 
-// runParkedEnable runs a Grain(1) pipeline on two workers in which
+// runParkedEnable runs a claim-1 pipeline on two workers in which
 // iteration 0 (the holder) sits in stage 1 until iteration 1 (the waiter)
 // is parked on Wait(2) and the other worker is parked too. The holder then
 // advances past stage 2 and waits, bounded, for the waiter's stage-2 code.
 // It reports whether that code ran before the holder returned.
 func runParkedEnable(t *testing.T) (early bool, s Stats) {
 	t.Helper()
-	e := newEngineOpts(t, func(o *Options) { o.Workers, o.Grain = 2, 1 })
+	e := newEngineOpts(t, func(o *Options) { o.Workers, o.hooks = 2, &schedHooks{claim: pinClaim(1)} })
 	var waiter atomic.Pointer[frame]
 	var ran, sawRan atomic.Bool
 	hold := make(chan struct{})

@@ -48,22 +48,6 @@ type Options struct {
 	// TailSwap enables the tail-swap rule at iteration completion
 	// (on by default via DefaultOptions).
 	TailSwap bool
-	// Grain fixes the batched inline execution run length G: a worker's
-	// fast path claims up to G consecutive iterations into one control
-	// frame and executes their bodies back-to-back through one pooled
-	// iteration frame, paying one frame acquisition and one deque release
-	// per batch instead of per iteration (see frame.runInlineBatch). The
-	// batch splits at the first iteration that must actually block, so
-	// promotion semantics, cancellation, and serial-stage ordering are
-	// unchanged. Grain(1) reproduces the unbatched per-iteration protocol
-	// exactly. 0 (the default) selects the cost-bounded claim: each
-	// pipeline starts at 1 and, while its iterations are measured to cost
-	// under coarseIterNs, doubles up to GrainMax; costlier iterations run
-	// claim 1 (see pipeline.openBatch).
-	Grain int
-	// GrainMax caps the cost-bounded claim (0 means 64). Ignored when
-	// Grain > 0 fixes the run length.
-	GrainMax int
 	// ArenaBuffers enables the engine's recycled payload-buffer arena
 	// (on by default via DefaultOptions; see Engine.Arena and
 	// internal/arena). Disable only for ablation: Engine.Arena then
@@ -78,12 +62,6 @@ type Options struct {
 	// interleaving space without exposing scheduling internals.
 	hooks *schedHooks
 }
-
-// defaultGrainMax bounds the cost-bounded claim when GrainMax is unset. A
-// full batch serializes G iterations on one worker between control-frame
-// releases, so the ceiling trades amortization against how long the
-// pipe_while continuation stays unstealable: at most G·coarseIterNs.
-const defaultGrainMax = 64
 
 // DefaultOptions returns the paper-faithful configuration.
 func DefaultOptions() Options {
@@ -106,16 +84,6 @@ func (o *Options) normalize() {
 	}
 	if o.MaxPending < 0 {
 		o.MaxPending = 0
-	}
-	if o.Grain < 0 {
-		o.Grain = 0
-	}
-	if o.Grain > 0 {
-		// A fixed grain is its own ceiling, so reports and the adaptive
-		// policy share one invariant: grain never exceeds GrainMax.
-		o.GrainMax = o.Grain
-	} else if o.GrainMax <= 0 {
-		o.GrainMax = defaultGrainMax
 	}
 }
 
@@ -148,17 +116,13 @@ type Engine struct {
 	// Hot cross-worker words, padded apart from each other and from the
 	// mutex-guarded cold state around them: injectRR is bumped by every
 	// producer, idle is loaded by every pushWork (via signal) and written
-	// on park/unpark, spinners (the workers in their pre-park spin) is
-	// written twice per spin, and overflowN is polled by every work scan.
-	// Sharing a line among them — or with idleMu, whose lock word churns
-	// whenever a worker parks — would make each writer invalidate every
-	// reader.
+	// on park/unpark, and overflowN is polled by every work scan. Sharing
+	// a line among them — or with idleMu, whose lock word churns whenever
+	// a worker parks — would make each writer invalidate every reader.
 	_         cacheLinePad
 	injectRR  atomic.Uint32
 	_         cacheLinePad
 	idle      atomic.Int64
-	_         cacheLinePad
-	spinners  atomic.Int32
 	_         cacheLinePad
 	overflowN atomic.Int32
 	_         cacheLinePad
@@ -412,12 +376,9 @@ type PipelineReport struct {
 	// iteration frames — the space quantity the throttling limit bounds
 	// (Theorems 11 and 13).
 	MaxLiveIterations int64
-	// FinalThrottle is the throttling limit at completion (interesting
-	// only for RunPipelineAdaptive).
-	FinalThrottle int64
 	// FinalGrain is the batched-execution run length G at completion: the
-	// fixed Options.Grain, or the cost-bounded policy's last claim (see
-	// pipeline.openBatch). 1 for serial runs.
+	// cost-bounded policy's last claim (see pipeline.openBatch). 1 for
+	// serial runs.
 	FinalGrain int64
 	// WorkNs and SpanNs are the measured work T1 and span T∞ of the
 	// pipeline dag in nanoseconds, populated only by ProfilePipeline
@@ -451,25 +412,6 @@ func (e *Engine) ProfilePipeline(k int, cond func() bool, body func(*Iter)) Pipe
 func (e *Engine) runPipeline(k int, instrument bool, cond func() bool, body func(*Iter)) PipelineReport {
 	pl := e.newPipeline(k, cond, body, 1)
 	pl.instrument = instrument
-	return e.launch(pl)
-}
-
-// RunPipelineAdaptive runs a pipeline whose throttling window adapts
-// within [kMin, kMax]: it grows (doubling) whenever the pipeline is
-// window-bound while workers sit idle, and shrinks when the window is
-// mostly unused. This explores the throughput/space trade-off of
-// Section 11: on uniform pipelines it behaves like K = kMin, and on the
-// Figure 10 pathology it buys the speedup that a fixed Θ(P) window
-// provably cannot, at a space cost the report makes visible.
-func (e *Engine) RunPipelineAdaptive(kMin, kMax int, cond func() bool, body func(*Iter)) PipelineReport {
-	if kMin < 1 {
-		kMin = 1
-	}
-	if kMax < kMin {
-		kMax = kMin
-	}
-	pl := e.newPipeline(kMin, cond, body, 1)
-	pl.kMax = int64(kMax)
 	return e.launch(pl)
 }
 
@@ -546,7 +488,6 @@ func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter), depth in
 	pl := e.acquirePipeline()
 	pl.cond, pl.body, pl.depth = cond, body, depth
 	pl.K.Store(int64(k))
-	pl.kMin, pl.kMax = int64(k), int64(k)
 	e.stats.pipelines.Add(1)
 	return pl
 }

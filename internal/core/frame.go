@@ -15,8 +15,8 @@
 // stall only when a cross-edge dependency is actually unsatisfied — so the
 // common case pays function-call cost, plus one coroutine switch per step
 // call. The step additionally claims runs of up to G consecutive
-// iterations into one control frame (grain control, Options.Grain): the
-// batch executes their bodies back-to-back through one recycled frame
+// iterations into one control frame (grain control, pipeline.openBatch):
+// the batch executes their bodies back-to-back through one recycled frame
 // with one deque release for the whole run, and splits at the first
 // iteration that must actually block. A slot whose body never leaves
 // stage 0 retires with no per-slot publication at all; the batch
@@ -258,7 +258,6 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 		if fast {
 			f.finishIter()
 		}
-		e.stats.inlineIters.Add(started)
 		if started > 1 {
 			// The first slot was counted by newIter; the in-batch ones
 			// bypassed it.
@@ -523,11 +522,12 @@ func (f *frame) crossSatisfied(j int64) bool {
 	return f.crossSatisfiedShared(j)
 }
 
-// crossSatisfiedShared is the cache-miss half of crossSatisfied: load the
-// predecessor's published stage counter once, refresh the folding cache,
-// and handle the stageDone sentinel (releasing the chain for the garbage
-// collector and the frame pool's recycling refcount — except under
-// instrumentation, which still needs the predecessor's crit log).
+// crossSatisfiedShared is the cache-miss half of crossSatisfied and the
+// re-check after a park: load the predecessor's published stage counter
+// once, refresh the folding cache, and handle the stageDone sentinel
+// (releasing the chain for the garbage collector and the frame pool's
+// recycling refcount — except under instrumentation, which still needs
+// the predecessor's crit log).
 func (f *frame) crossSatisfiedShared(j int64) bool {
 	p := f.prev
 	if p == nil {
@@ -543,21 +543,6 @@ func (f *frame) crossSatisfiedShared(j int64) bool {
 			f.dropPrev()
 		}
 		return true
-	}
-	return c > j
-}
-
-// crossSatisfiedSlow re-reads the shared counter, bypassing the folding
-// cache (required for the recheck in the parking protocol).
-func (f *frame) crossSatisfiedSlow(j int64) bool {
-	p := f.prev
-	if p == nil {
-		return true
-	}
-	f.nCrossChecks++
-	c := p.stage.Load()
-	if f.eng.opts.DependencyFolding {
-		f.foldCache = c
 	}
 	return c > j
 }

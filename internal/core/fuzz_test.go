@@ -222,29 +222,31 @@ func FuzzPipelineSchedule(f *testing.F) {
 		}
 
 		// Differential runs across the scheduler configuration matrix: the
-		// paper-faithful default (adaptive grain), the paper's own switches
-		// all ablated (eager enabling, no tail swap, no dependency
-		// folding), and the batching extremes — unbatched Grain(1), a
-		// fixed G=4 claim, and a tight adaptive ceiling on a clock seeded
-		// from the input, so the claim grows and drops within small
-		// programs and the fuzzer's mutations move where. The promotion,
-		// recycling, and batch split/defer paths must agree with the
-		// oracle under every combination.
+		// paper-faithful default (cost-bounded claim), the paper's own
+		// switches all ablated (eager enabling, no tail swap, no dependency
+		// folding), and the batching extremes — the claim pinned at 1 (the
+		// unbatched protocol) and at 4, and the policy capped at 4 on a
+		// clock seeded from the input, so the claim grows and drops within
+		// small programs and the fuzzer's mutations move where. The
+		// promotion, recycling, and batch split/defer paths must agree with
+		// the oracle under every combination.
 		ablated := DefaultOptions()
 		ablated.EagerEnabling = true
 		ablated.TailSwap = false
 		ablated.DependencyFolding = false
 		grain1 := DefaultOptions()
-		grain1.Grain = 1
+		grain1.hooks = &schedHooks{claim: pinClaim(1)}
 		grain4 := DefaultOptions()
-		grain4.Grain = 4
+		grain4.hooks = &schedHooks{claim: pinClaim(4)}
 		adaptiveTight := DefaultOptions()
-		adaptiveTight.GrainMax = 4
 		clockSeed := uint64(len(data))
 		for _, b := range data {
 			clockSeed = clockSeed*1099511628211 ^ uint64(b)
 		}
-		adaptiveTight.hooks = &schedHooks{clock: seededClock(clockSeed)}
+		adaptiveTight.hooks = &schedHooks{
+			clock: seededClock(clockSeed),
+			claim: func(c int64) int64 { return min(c, 4) },
+		}
 		for _, cfg := range []struct {
 			name string
 			opts Options

@@ -51,9 +51,12 @@ type schedHooks struct {
 	// so a test can make the claim sequence a function of declared cost
 	// (or of a seed) instead of the host's speed.
 	clock func() int64
-	// claim receives every claim openBatch returns, under control-frame
-	// ownership, so a test can assert the policy's decisions themselves.
-	claim func(int64)
+	// claim receives every claim the policy decides in openBatch, under
+	// control-frame ownership, and returns the claim the batch runs, which
+	// is also the state the next open doubles from: an observer returns its
+	// argument, a test that pins the run length returns a constant.
+	// Instrumented and traced pipelines run claim 1 without consulting it.
+	claim func(int64) int64
 }
 
 // hookAt runs the point hook if one is installed. Kept out-of-line so the

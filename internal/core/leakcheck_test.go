@@ -53,20 +53,20 @@ func checkEngineDrained(t testing.TB, e *Engine) {
 }
 
 // TestGaugesDrainAcrossGrainTiers is the gauge sweep over the batched
-// execution tiers: a cancel storm against Grain(1), a fixed batch claim,
-// and the adaptive default must all drain the live-frame gauges to zero —
+// execution tiers: a cancel storm against claim 1, a pinned batch claim,
+// and the cost-bounded default must all drain the live-frame gauges to zero —
 // including frames that were mid-claim (recycling in place across batch
 // slots) when their submission aborted.
 func TestGaugesDrainAcrossGrainTiers(t *testing.T) {
 	for _, cfg := range []struct {
 		name  string
-		grain int
-	}{{"grain1", 1}, {"batched-g8", 8}, {"adaptive", 0}} {
+		claim func(int64) int64
+	}{{"grain1", pinClaim(1)}, {"batched-g8", pinClaim(8)}, {"adaptive", nil}} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = 2
-			opts.Grain = cfg.grain
+			opts.hooks = &schedHooks{claim: cfg.claim}
 			e := NewEngine(opts)
 			defer e.Close()
 			var wg sync.WaitGroup

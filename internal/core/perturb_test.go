@@ -15,8 +15,8 @@ import (
 // interleaving space the differential comparison explores. Batching
 // changes *which* interleavings occur — deferred control releases remove
 // steal opportunities, splits reintroduce them at new places — so the
-// perturbed matrix runs the same oracle programs over Grain(1) and
-// adaptive grain, plus a forced injection-overflow storm, and requires
+// perturbed matrix runs the same oracle programs with the claim pinned at
+// 1 and under the cost-bounded policy, plus a forced injection-overflow storm, and requires
 // bit-identical results, intact serial-stage ordering, and a fully
 // drained engine every time.
 
@@ -57,8 +57,8 @@ func newPerturber(seed uint64) *schedHooks {
 // seededClock makes the cost-bounded claim part of a seeded schedule: a
 // virtual clock for openBatch that every read advances by a power of two
 // between 1 ns and 131 µs, so a one-slot claim measures coarse about one
-// time in three and an eight-slot one about one in six, and an adaptive
-// pipeline ramps and drops by the seed alone — under the race detector
+// time in three and an eight-slot one about one in six, and a pipeline's
+// claim ramps and drops by the seed alone — under the race detector
 // too, where the real per-iteration protocol costs more than coarseIterNs
 // and nothing would ever batch.
 func seededClock(seed uint64) func() int64 {
@@ -112,16 +112,12 @@ func perturbPrograms() []fuzzProgram {
 // therefore show, summed over its seeds, that iterations promoted, parked
 // on cross edges, and were found and resumed by a check-right.
 func TestSchedulePerturbationMatrix(t *testing.T) {
-	grain1 := DefaultOptions()
-	grain1.Grain = 1
-	adaptive := DefaultOptions()
-	adaptive.GrainMax = 8
 	configs := []struct {
-		name string
-		opts Options
+		name  string
+		claim func(int64) int64 // nil: the policy decides
 	}{
-		{"grain1", grain1},
-		{"adaptive", adaptive},
+		{"grain1", pinClaim(1)},
+		{"adaptive", nil},
 	}
 	programs := perturbPrograms()
 	for _, cfg := range configs {
@@ -134,8 +130,9 @@ func TestSchedulePerturbationMatrix(t *testing.T) {
 					for i := range want {
 						want[i] = oracleIteration(p, i)
 					}
-					opts := cfg.opts
+					opts := DefaultOptions()
 					opts.hooks = newPerturber(seed*0x9e37 + uint64(pi))
+					opts.hooks.claim = cfg.claim
 					got, st := runFuzzProgram(t, p, opts)
 					promotions += st.Promotions
 					crossSuspends += st.CrossSuspends
@@ -198,14 +195,14 @@ func TestPerturbedOverflowStorm(t *testing.T) {
 func TestPerturbedCancelChurn(t *testing.T) {
 	for _, cfg := range []struct {
 		name  string
-		grain int
-	}{{"grain1", 1}, {"adaptive", 0}} {
+		claim func(int64) int64
+	}{{"grain1", pinClaim(1)}, {"adaptive", nil}} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = 2
-			opts.Grain = cfg.grain
 			opts.hooks = newPerturber(0xabcdef)
+			opts.hooks.claim = cfg.claim
 			e := NewEngine(opts)
 			defer e.Close()
 			var wg sync.WaitGroup

@@ -12,14 +12,11 @@ type pipeline struct {
 	cond func() bool
 	body func(it *Iter)
 
-	// K is the throttling limit: at most K iteration frames are live.
-	// It is atomic because the adaptive-throttling policy (an extension
-	// prompted by the paper's Section 11 discussion) lets the control
-	// frame adjust it while other workers read it at iteration return.
+	// K is the throttling limit: at most K iteration frames are live. Set
+	// once by newPipeline; atomic because step's re-check after publishing
+	// statusThrottled, and onIterReturn after its join decrement, may read
+	// it when the pipeline has already completed and been recycled.
 	K atomic.Int64
-	// kMin/kMax bound the adaptive window; kMin == kMax disables
-	// adaptation.
-	kMin, kMax int64
 	// join counts live (started, unreturned) iteration frames, plus the
 	// paper's control-frame join-counter role.
 	join atomic.Int64
@@ -55,17 +52,15 @@ type pipeline struct {
 	phase    int8
 	prevIter *frame
 
-	// Batched inline execution (see frame.runInlineBatch). All five words
+	// Batched inline execution (see frame.runInlineBatch). All three words
 	// are control-frame state like phase: serialized by frame ownership,
-	// so the adaptive policy needs no atomics. grain is the current run
+	// so the claim policy needs no atomics. grain is the current run
 	// length G a batch claims; openNs and openIndex are the clock and
 	// nextIndex at the previous batch open, from which the next open
 	// derives the measured per-iteration cost (see openBatch).
-	grain      int64
-	grainMax   int64
-	grainFixed bool
-	openNs     int64
-	openIndex  int64
+	grain     int64
+	openNs    int64
+	openIndex int64
 
 	// Work/span instrumentation (see instrument.go).
 	instrument bool
@@ -198,13 +193,15 @@ func (it *Iter) ContinueNext() { it.Continue(it.Stage() + 1) } //piper:allow-dyn
 // waitStage of an older park of this frame may claim a newer park whose
 // edge is still unresolved (an ABA on the status word) — so the condition
 // is re-validated after every wake and the frame re-parks if needed, the
-// standard condition-variable discipline.
+// standard condition-variable discipline. The re-check bypasses the
+// folding cache, which only ever proves an edge satisfied, and drops a
+// predecessor that retired meanwhile.
 func (f *frame) parkOnCross(j int64) {
 	for {
 		f.waitStage.Store(j)
 		f.eng.stats.crossSuspends.Add(1)
 		f.park(yParkCross)
-		if f.crossSatisfiedSlow(j) {
+		if f.crossSatisfiedShared(j) {
 			return
 		}
 	}
@@ -259,19 +256,7 @@ func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
 			// is part of the next iteration's serial stage 0, and its
 			// evaluation may consume an input element, so it must run
 			// exactly once per started iteration.
-			if n, k := pl.join.Load(), pl.K.Load(); n >= k {
-				// Adaptive throttling: if the machine is starving (workers
-				// parked or spinning) while this pipeline is window-bound, trade
-				// space for parallelism, up to kMax. This is the
-				// Section 11 trade-off made explicit: on the Figure 10
-				// pathology a Θ(P) window caps speedup near 3, and any
-				// scheduler that does better must hold more iterations
-				// live.
-				if k < pl.kMax && pl.eng.idle.Load()+int64(pl.eng.spinners.Load()) > 0 {
-					pl.K.Store(minInt64(2*k, pl.kMax))
-					pl.eng.stats.throttleGrows.Add(1)
-					continue
-				}
+			if pl.join.Load() >= pl.K.Load() {
 				cf.status.Store(statusThrottled)
 				if pl.join.Load() < pl.K.Load() {
 					if cf.status.CompareAndSwap(statusThrottled, statusRunning) {
@@ -295,12 +280,6 @@ func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
 					break
 				}
 			}
-			// Adaptive shrink: reclaim space when the window is mostly
-			// unused (sampled; the control frame is the only writer).
-			if k := pl.K.Load(); k > pl.kMin && pl.nextIndex%32 == 31 && live < k/4 {
-				pl.K.Store(maxInt64(k/2, pl.kMin))
-				pl.eng.stats.throttleShrinks.Add(1)
-			}
 
 			pl.eng.hookAt(hookIteration)
 			it := pl.newIter(pl.prevIter)
@@ -321,11 +300,7 @@ func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
 			if tracing {
 				traceStart = nowNs()
 			}
-			claim := pl.openBatch()
-			if h := pl.eng.hooks; h != nil && h.claim != nil {
-				h.claim(claim)
-			}
-			if !it.runInlineBatch(r, claim) {
+			if !it.runInlineBatch(r, pl.openBatch()) {
 				if it.inline {
 					// A blocked iteration's resumed segments are traced
 					// by the workers that resumed it.
@@ -370,39 +345,45 @@ func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
 // to both, so the policy has no middle setting.
 const coarseIterNs = 4000
 
+// maxClaim bounds the claim. A full batch serializes its iterations on one
+// worker between control-frame releases, so the ceiling trades
+// amortization against how long the pipe_while continuation stays
+// unstealable: at most maxClaim·coarseIterNs.
+const maxClaim = 64
+
 // openBatch returns the claim length for the next inline batch. Called by
 // step with control-frame ownership, once per batch, after newIter. The
 // claim is a function of measured cost alone: one clock read per open, and
 // the time since the previous open divided by the iterations started in
 // between is what one iteration cost. Above coarseIterNs the claim drops
 // to 1 — the continuation is released at every stage-0 exit, the paper's
-// protocol — and otherwise it doubles up to grainMax, from 1 on a fresh
+// protocol — and otherwise it doubles up to maxClaim, from 1 on a fresh
 // pipeline. A one-slot sample taken while an older iteration is still live
 // (join > 1: the continuation was stolen, or its iteration suspended)
 // covers only the time the control frame took to change hands, so it can
 // prove a body coarse but not cheap, and the claim stays where it is; from
 // two slots up the window holds every slot but the last in full. A cheap
-// body therefore reaches the default grainMax of 64 within seven opens,
-// with no seed. Instrumented and traced runs pin the claim to 1: per-node
-// work/span accounting chains critical paths through real predecessor
-// frames, and trace consumers expect one segment per iteration.
+// body therefore reaches maxClaim within seven opens, with no seed.
+// Instrumented and traced runs pin the claim to 1: per-node work/span
+// accounting chains critical paths through real predecessor frames, and
+// trace consumers expect one segment per iteration.
 func (pl *pipeline) openBatch() int64 {
 	if pl.instrument || pl.eng.tracing.Load() {
 		return 1
 	}
 	g := pl.grain
-	if pl.grainFixed {
-		return g
-	}
 	now, slots := pl.eng.batchClock(), pl.nextIndex-1-pl.openIndex
-	cost := (now - pl.openNs) / maxInt64(slots, 1)
+	cost := (now - pl.openNs) / max(slots, 1)
 	pl.openNs, pl.openIndex = now, pl.nextIndex-1
 	switch {
 	case slots == 0: // first open: probe at the starting grain
 	case cost > coarseIterNs:
 		g = 1
 	case slots > 1 || pl.join.Load() == 1:
-		g = minInt64(2*g, pl.grainMax)
+		g = min(2*g, maxClaim)
+	}
+	if h := pl.eng.hooks; h != nil && h.claim != nil {
+		g = h.claim(g)
 	}
 	pl.grain = g
 	return g
@@ -461,23 +442,8 @@ func (pl *pipeline) report() PipelineReport {
 	return PipelineReport{
 		Iterations:        pl.nextIndex,
 		MaxLiveIterations: pl.maxLive.Load(),
-		FinalThrottle:     pl.K.Load(),
 		FinalGrain:        pl.grain,
 		WorkNs:            pl.workNs.Load(),
 		SpanNs:            pl.spanNs.Load(),
 	}
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

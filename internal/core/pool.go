@@ -156,15 +156,8 @@ func (e *Engine) acquirePipeline() *pipeline {
 	pl.nextIndex = 0
 	pl.phase = phaseLoop
 	pl.prevIter = nil
-	// Grain state: a fixed Options.Grain pins the claim; otherwise the
-	// cost-bounded policy starts every pipeline at 1 and lets openBatch
-	// take it from there.
-	if e.opts.Grain > 0 {
-		pl.grain, pl.grainMax, pl.grainFixed = int64(e.opts.Grain), int64(e.opts.Grain), true
-	} else {
-		pl.grain, pl.grainMax, pl.grainFixed = 1, int64(e.opts.GrainMax), false
-	}
-	pl.openNs, pl.openIndex = 0, 0
+	// The claim starts every pipeline at 1; openBatch takes it from there.
+	pl.grain, pl.openNs, pl.openIndex = 1, 0, 0
 	pl.instrument = false
 	pl.workNs.Store(0)
 	pl.spanNs.Store(0)

@@ -14,7 +14,7 @@ import (
 
 // TestEmptyPipelineZeroPromotions pins the acceptance invariant of the
 // inline fast path: a pipeline whose iterations never block runs entirely
-// inline — every iteration counted by InlineIterations, zero promotions,
+// inline — every iteration started as a direct call, zero promotions,
 // zero cross suspends.
 func TestEmptyPipelineZeroPromotions(t *testing.T) {
 	e := newTestEngine(t, 1)
@@ -22,8 +22,8 @@ func TestEmptyPipelineZeroPromotions(t *testing.T) {
 	i := 0
 	e.PipeWhile(func() bool { return i < n }, func(it *Iter) { i++ })
 	s := e.Stats()
-	if s.InlineIterations != n {
-		t.Errorf("InlineIterations = %d, want %d", s.InlineIterations, n)
+	if s.Iterations != n {
+		t.Errorf("Iterations = %d, want %d", s.Iterations, n)
 	}
 	if s.Promotions != 0 {
 		t.Errorf("Promotions = %d, want 0 for an empty serial pipeline", s.Promotions)

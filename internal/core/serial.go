@@ -57,7 +57,7 @@ func (f *frame) serialContractCheck() {
 	}
 }
 
-// serialWait is the Wait/Continue path for RunSerial frames.
+// serialAdvance is the Wait/Continue path for RunSerial frames.
 func (f *frame) serialAdvance(j int64) {
 	f.stage.Store(j)
 	f.inStage0 = false

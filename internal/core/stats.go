@@ -33,9 +33,6 @@ type Stats struct {
 	// ThrottleParks counts control-frame suspensions due to the
 	// throttling limit K.
 	ThrottleParks int64
-	// ThrottleGrows and ThrottleShrinks count adaptive window
-	// adjustments (RunPipelineAdaptive).
-	ThrottleGrows, ThrottleShrinks int64
 	// ScopeSuspends counts fork-join syncs that had to park because
 	// children were stolen.
 	ScopeSuspends int64
@@ -44,12 +41,10 @@ type Stats struct {
 	// FoldHits counts cross-edge checks answered from the dependency-
 	// folding cache without touching the shared counter.
 	FoldHits int64
-	// Iterations counts pipeline iterations started.
+	// Iterations counts pipeline iterations started. Every iteration's
+	// body starts as a direct call on a control segment's runner (see
+	// frame.runInlineBatch).
 	Iterations int64
-	// InlineIterations counts iterations whose body a control segment
-	// started as a direct call on its runner (see frame.runInlineBatch).
-	// Every iteration starts that way, so it equals Iterations.
-	InlineIterations int64
 	// Promotions counts iterations that blocked at least once — an
 	// unsatisfied cross edge, a fork-join sync on stolen children, a
 	// nested pipeline — counted at the first block, which releases the
@@ -62,12 +57,11 @@ type Stats struct {
 	// (see frame.runInlineBatch). Every deferred-release slot counts; a
 	// batch that runs its full claim contributes G-1 (the final slot runs
 	// the plain per-iteration protocol), while one cut short by loop
-	// exhaustion or an abort counts each slot it started. Grain(1)
-	// engines always report zero.
+	// exhaustion or an abort counts each slot it started. Pipelines that
+	// run claim 1 — coarse, instrumented or traced ones — add zero.
 	BatchedIterations int64
 	// BatchSplits counts inline batches ended early because a claimed
-	// slot had to block and promote; the residual claim is abandoned and
-	// the adaptive grain backs off.
+	// slot had to block and promote; the residual claim is abandoned.
 	BatchSplits int64
 	// Segments counts the times a worker entered a runner: control
 	// segments, and resumes of parked iterations.
@@ -158,13 +152,10 @@ type statCounters struct {
 	tailSwaps       atomic.Int64
 	crossSuspends   atomic.Int64
 	throttleParks   atomic.Int64
-	throttleGrows   atomic.Int64
-	throttleShrinks atomic.Int64
 	scopeSuspends   atomic.Int64
 	crossChecks     atomic.Int64
 	foldHits        atomic.Int64
 	iterations      atomic.Int64
-	inlineIters     atomic.Int64
 	promotions      atomic.Int64
 	batchedIters    atomic.Int64
 	batchSplits     atomic.Int64
@@ -194,13 +185,10 @@ func (c *statCounters) snapshot() Stats {
 		TailSwaps:         c.tailSwaps.Load(),
 		CrossSuspends:     c.crossSuspends.Load(),
 		ThrottleParks:     c.throttleParks.Load(),
-		ThrottleGrows:     c.throttleGrows.Load(),
-		ThrottleShrinks:   c.throttleShrinks.Load(),
 		ScopeSuspends:     c.scopeSuspends.Load(),
 		CrossChecks:       c.crossChecks.Load(),
 		FoldHits:          c.foldHits.Load(),
 		Iterations:        c.iterations.Load(),
-		InlineIterations:  c.inlineIters.Load(),
 		Promotions:        c.promotions.Load(),
 		BatchedIterations: c.batchedIters.Load(),
 		BatchSplits:       c.batchSplits.Load(),

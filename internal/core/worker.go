@@ -292,9 +292,7 @@ const spinBeforeParkNs = 10000
 // wake token. Parking is precise — a worker registers in the idle set and
 // re-scans before blocking, pairing with signal's publish-work-then-claim
 // order, so no wakeup is lost and no polling timer is needed; the spin
-// runs wholly before registration and changes none of that. A spinner is
-// counted (spinners) so that the adaptive throttle sees it as the waiting
-// worker it is.
+// runs wholly before registration and changes none of that.
 func (w *worker) findWork() *frame {
 	e := w.eng
 	for {
@@ -303,11 +301,9 @@ func (w *worker) findWork() *frame {
 		}
 		if len(e.workers) > 1 && e.pools.livePipeline.Load() > 0 {
 			var f *frame
-			e.spinners.Add(1)
 			for end := nowNs() + spinBeforeParkNs; f == nil && !e.closed.Load() && nowNs() < end; {
 				f = w.pollWork()
 			}
-			e.spinners.Add(-1)
 			if f != nil {
 				return f
 			}

@@ -23,7 +23,6 @@ var pipelineEntries = map[string]bool{
 	"piper/internal/core.Engine.PipeWhile":           true,
 	"piper/internal/core.Engine.PipeWhileThrottled":  true,
 	"piper/internal/core.Engine.RunPipeline":         true,
-	"piper/internal/core.Engine.RunPipelineAdaptive": true,
 	"piper/internal/core.Engine.ProfilePipeline":     true,
 	"piper/internal/core.Engine.Submit":              true,
 	"piper/internal/core.Engine.SubmitThrottled":     true,

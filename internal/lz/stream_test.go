@@ -44,7 +44,6 @@ func TestStreamPipelineMatchesSerial(t *testing.T) {
 			}{
 				{"P1-default", mode.o, nil},
 				{"P4-adaptive", mode.o, []piper.Option{piper.Workers(4)}},
-				{"P4-grain1", mode.o, []piper.Option{piper.Workers(4), piper.Grain(1)}},
 				{"P4-serialblocks", func() StreamOptions { o := mode.o; o.SerialBlocks = true; return o }(),
 					[]piper.Option{piper.Workers(4)}},
 				{"P2-throttle1", func() StreamOptions { o := mode.o; o.Throttle = 1; return o }(),
@@ -310,8 +309,7 @@ func streamTestSize(t *testing.T) int64 {
 
 // TestStreamBoundedMemory streams >= 256 MiB through the compressor under
 // a 64 MiB arena ceiling and asserts both the arena's own gauge and the
-// process heap stay bounded, across the grain configurations the inline
-// fast path distinguishes.
+// process heap stay bounded.
 func TestStreamBoundedMemory(t *testing.T) {
 	size := streamTestSize(t)
 	const memLimit = 64 << 20
@@ -320,7 +318,6 @@ func TestStreamBoundedMemory(t *testing.T) {
 		opts []piper.Option
 	}{
 		{"adaptive", []piper.Option{piper.Workers(2)}},
-		{"grain1", []piper.Option{piper.Workers(2), piper.Grain(1)}},
 	}
 	for _, cfg := range cfgs {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -55,18 +55,17 @@ func SubmitPipeWait[T any](ctx context.Context, eng *Engine, next func() (T, boo
 // copied into iteration-local state, which avoids the shared-variable
 // pitfall of hand-written pipe_while conditions.
 //
-// Grain contract: on an engine with batched execution (Options.Grain,
-// the adaptive default), the scheduler may claim runs of consecutive
-// iterations and execute them back-to-back on one worker — next is then
-// called between the iterations of a run, still serially and exactly
-// once per iteration, and all pipe_while semantics (serial stage-0
-// order, cross edges, cancellation) are preserved. The one visible
-// constraint: a body may block through piper primitives (Wait, Sync,
-// nested pipelines — the batch detects these and splits), but blocking
-// on external synchronization that a later iteration of the same
-// pipeline would satisfy can deadlock, just as the paper requires
-// inter-iteration dependencies to be expressed via pipe_wait. Grain(1)
-// restores the strict one-iteration-per-claim protocol. The batchsafety
+// Grain contract: while its iterations are measured cheap, the scheduler
+// claims runs of consecutive iterations and executes them back-to-back on
+// one worker — next is then called between the iterations of a run,
+// still serially and exactly once per iteration, and all pipe_while
+// semantics (serial stage-0 order, cross edges, cancellation) are
+// preserved. The one visible constraint: a body may block through piper
+// primitives (Wait, Sync, nested pipelines — the batch detects these and
+// splits), but blocking on external synchronization that a later
+// iteration of the same pipeline would satisfy can deadlock, just as the
+// paper requires inter-iteration dependencies to be expressed via
+// pipe_wait. The batchsafety
 // analyzer (internal/lint, `go run ./cmd/piperlint`) enforces this
 // contract statically: raw channel operations, select, mutex/WaitGroup
 // waits, and time.Sleep inside a body are flagged unless annotated

@@ -20,7 +20,13 @@
 // Iteration bodies run as direct calls on pooled coroutine runners and
 // suspend only when a cross edge is really unsatisfied, and frames,
 // runners and pipeline state are pooled for an allocation-free steady
-// state; neither has a switch.
+// state; neither has a switch. Batching has none either: while a
+// pipeline's iterations are measured to cost under a few microseconds, a
+// worker claims runs of up to 64 consecutive iterations and runs their
+// bodies back-to-back, paying one frame acquisition and one release of
+// the stealable pipe_while continuation per run; costlier iterations run
+// one at a time, the paper's protocol. Profiled and traced runs always
+// run one at a time, so work/span accounting stays exact.
 //
 // Beyond the blocking PipeWhile, Engine.Submit launches pipelines
 // asynchronously for serving workloads: many concurrent pipelines per
@@ -167,37 +173,6 @@ func LazyEnabling(enabled bool) Option {
 // (default on).
 func TailSwap(enabled bool) Option {
 	return func(o *core.Options) { o.TailSwap = enabled }
-}
-
-// Grain fixes the batched inline execution run length G (default 0,
-// cost-bounded). A worker claims up to G consecutive
-// iterations into one control frame and runs their bodies back-to-back
-// through one recycled iteration frame, paying one frame acquisition and
-// one deque release per batch instead of per iteration; the batch splits
-// at the first iteration that must actually block, so promotion,
-// cancellation, and serial-stage ordering semantics are unchanged.
-// Grain(1) reproduces the unbatched per-iteration protocol exactly. A
-// batch serializes its claimed run on one worker and keeps the stealable
-// pipe_while continuation off the deques for all but its last slot, so a
-// fixed grain above 1 is right only for bodies too cheap to be worth
-// stealing. The default decides that per pipeline from what its
-// iterations are measured to cost (one clock read per batch): under a
-// few microseconds the claim doubles from 1 up to GrainMax, which
-// amortizes the ~150 ns per-iteration protocol; above that the pipeline
-// runs claim 1, the paper's protocol, and the continuation is released
-// at every stage-0 exit. Instrumented (Profile*) and traced runs always
-// execute with grain 1 so work/span accounting stays exact.
-func Grain(g int) Option {
-	return func(o *core.Options) { o.Grain = g }
-}
-
-// GrainMax caps the cost-bounded claim (default 64): the ceiling a
-// pipeline of cheap iterations doubles up to, and so, with the few
-// microseconds an iteration may cost and still batch, the longest a batch
-// keeps the continuation to itself. Ignored when Grain fixes the run
-// length.
-func GrainMax(g int) Option {
-	return func(o *core.Options) { o.GrainMax = g }
 }
 
 // ArenaBuffers toggles the engine's recycled payload-buffer arena

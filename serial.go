@@ -26,14 +26,3 @@ func SerialPipe[T any](next func() (T, bool), body func(it *Iter, v T)) Pipeline
 		body(it, v)
 	})
 }
-
-// RunAdaptive executes a pipeline whose throttling window adapts within
-// [kMin, kMax]: it widens (doubling) whenever the pipeline is
-// window-bound while workers sit idle and shrinks when the window goes
-// unused. This explores the throughput/space trade-off of the paper's
-// Section 11: uniform pipelines behave as with K = kMin, while the
-// Figure 10 pathology gains the speedup a fixed Θ(P) window provably
-// cannot, at a space cost reported in MaxLiveIterations.
-func RunAdaptive(eng *Engine, kMin, kMax int, cond func() bool, body func(*Iter)) PipelineReport {
-	return eng.RunPipelineAdaptive(kMin, kMax, cond, body)
-}
