@@ -471,7 +471,7 @@ func TestCoarseBodyRunsUnbatched(t *testing.T) {
 // which costs deferred slots and is no decision of the policy. The ramp
 // runs while a gated pipeline holds the second worker, so every open sees
 // join == 1 and doubles; a thief taking the continuation at a one-slot open
-// would leave the claim at 1 for good (ROADMAP item 7).
+// would leave the claim at 1 for good (ROADMAP item 2).
 func TestCheapBodyStillBatches(t *testing.T) {
 	costTiers(t, func(t *testing.T, opts Options) {
 		var clk costClock

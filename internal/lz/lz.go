@@ -6,6 +6,13 @@
 // match from the lexicographic neighbours with smaller text positions
 // (PSV/NSV), computing match lengths only at factor start positions.
 //
+// The suffix array is built by induced sorting (SA-IS: Nong, Zhang and
+// Chan, 2009) in linear time, with a port of the int32 path of the Go
+// standard library's index/suffixarray (sais.go) that sorts in the
+// caller's scratch and never allocates. It replaced an O(n log n)
+// prefix-doubling sort; on a 2-CPU host with Go 1.24.0,
+// BenchmarkFactorize64K went from 26–35 to 8.9–11.5 ms/op.
+//
 // As a piper workload (see pipelines.go) the block factorizer is the
 // interesting kind of pipeline stage for grain control: per-block cost is
 // fine-grained but highly variable — a repetitive block yields a handful
@@ -27,11 +34,12 @@ type Factor struct {
 }
 
 // scratchLen is the factorizer's working-memory requirement for an
-// n-byte block, in int32 elements: five n-sized arrays plus one extra
-// slot for the (n+1)-sized counting-sort table. The layout is carved by
-// factorizeInto; the suffix sorter's rank/tmp/buf arrays are dead once
-// the sort returns, so the ISA/PSV/NSV sweep reuses their slots.
-func scratchLen(n int) int { return 5*n + 1 }
+// n-byte block, in int32 elements: the layout blockIndex carves, five
+// n-sized arrays (sa, isa, psv, nsv and the ANSV stack). The suffix sort
+// fills sa and borrows the other four as its tmp, which they outsize
+// for any n ≥ 128; below that the backing grows to give the sort its
+// 512-entry minimum.
+func scratchLen(n int) int { return n + max(4*n, saisMinTmp(n)) }
 
 // Factorize computes the greedy LZ77 factorization of data: at each
 // position the longest match against any earlier position (or a literal
@@ -55,20 +63,7 @@ func factorizeInto(data []byte, backing []int32, dst []Factor) []Factor {
 	if n == 0 {
 		return dst
 	}
-	sa := backing[:n:n]
-	isa := backing[n : 2*n : 2*n]
-	psv := backing[2*n : 3*n : 3*n]
-	nsv := backing[3*n : 4*n : 4*n]
-	ext := backing[4*n : 5*n+1 : 5*n+1]
-	// The suffix sort borrows the isa/psv/nsv slots as rank/tmp/buf and
-	// ext as its counting table; only sa survives it.
-	suffixArrayInto(data, sa, isa, psv, nsv, ext)
-	// isa is the inverse permutation: isa[p] is the lexicographic rank of
-	// the suffix starting at p.
-	for r, p := range sa {
-		isa[p] = int32(r)
-	}
-	ansvInto(sa, psv, nsv, ext)
+	isa, psv, nsv := blockIndex(data, backing)
 
 	// Greedy pass: match lengths are computed by direct comparison, but
 	// only at factor start positions, so the total comparison work is
@@ -103,6 +98,28 @@ func factorizeInto(data []byte, backing []int32, dst []Factor) []Factor {
 		p += int(l)
 	}
 	return dst
+}
+
+// blockIndex builds the in-block match candidates of data in backing,
+// which must hold scratchLen(len(data)) int32 elements: isa[p] is the
+// lexicographic rank of the suffix at p, and psv[r]/nsv[r] are the text
+// positions of the nearest smaller-positioned suffixes before and after
+// rank r (ansvInto), -1 when there is none. Layout, in n-sized slots:
+// sa, isa, psv, nsv, stack. The suffix sort writes sa and uses
+// everything after it as tmp; the ANSV sweep then reuses the last slot
+// as its stack. All three results are views of backing.
+func blockIndex(data []byte, backing []int32) (isa, psv, nsv []int32) {
+	n := len(data)
+	sa := backing[:n:n]
+	suffixArrayInto(data, sa, backing[n:scratchLen(n)])
+	isa = backing[n : 2*n : 2*n]
+	psv = backing[2*n : 3*n : 3*n]
+	nsv = backing[3*n : 4*n : 4*n]
+	for r, p := range sa {
+		isa[p] = int32(r)
+	}
+	ansvInto(sa, psv, nsv, backing[4*n:5*n:5*n])
+	return isa, psv, nsv
 }
 
 // ansvInto fills psv[r]/nsv[r] with, for the suffix ranked r, the text
@@ -160,102 +177,24 @@ func Reconstruct(dst []byte, factors []Factor) []byte {
 	return dst
 }
 
-// suffixArrayInto builds the suffix array of data into sa by prefix
-// doubling with a two-pass radix sort per round — O(n log n), no
-// dependencies, and byte alphabets need no initial sort.Slice. n is
-// bounded by block sizes (int32 ranks), which the pipeline enforces.
-// rank, tmp and buf must be n-sized, count (n+1)-sized; all four are
-// working memory with no surviving content.
-func suffixArrayInto(data []byte, sa, rank, tmp, buf, count []int32) {
-	n := len(data)
-	for i := 0; i < n; i++ {
-		sa[i] = int32(i)
-		rank[i] = int32(data[i])
+// suffixArrayInto builds the suffix array of data into sa by induced
+// sorting (SA-IS, sais.go). len(sa) must equal len(data), which must fit
+// an int32; tmp is working memory of at least saisMinTmp(len(data))
+// entries whose contents neither matter on entry nor survive. Every
+// recursion level sorts inside sa and tmp, so the sort allocates nothing.
+func suffixArrayInto(data []byte, sa, tmp []int32) {
+	if len(tmp) < saisMinTmp(len(data)) {
+		panic("lz: suffix sort scratch too short")
 	}
-	if n < 2 {
-		return
-	}
-	// Initial order by first byte (counting sort over the 256-symbol
-	// alphabet), then compress the byte values into dense ranks so the
-	// doubling rounds can counting-sort over [0, n).
-	var cnt [257]int32
-	for _, r := range rank {
-		cnt[r+1]++
-	}
-	for c := 1; c < 257; c++ {
-		cnt[c] += cnt[c-1]
-	}
-	for i := 0; i < n; i++ {
-		r := rank[i]
-		sa[cnt[r]] = int32(i)
-		cnt[r]++
-	}
-	tmp[sa[0]] = 0
-	dense := int32(0)
-	for i := 1; i < n; i++ {
-		if data[sa[i]] != data[sa[i-1]] {
-			dense++
-		}
-		tmp[sa[i]] = dense
-	}
-	rank, tmp = tmp, rank
-	if int(dense) == n-1 {
-		return
-	}
-
-	for h := 1; ; h *= 2 {
-		// Sort by (rank[i], rank[i+h]) pairs. Radix pass 1: order by the
-		// second key — suffixes with i+h >= n (empty second key) come
-		// first, then the current sa order restricted to positions i-h
-		// gives the second-key order for the rest.
-		k := 0
-		for i := n - h; i < n; i++ {
-			buf[k] = int32(i)
-			k++
-		}
-		for _, p := range sa {
-			if p >= int32(h) {
-				buf[k] = p - int32(h)
-				k++
-			}
-		}
-		// Radix pass 2: stable counting sort by the first key.
-		for i := range count[:n+1] {
-			count[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			count[rank[i]+1]++
-		}
-		for c := 1; c <= n; c++ {
-			count[c] += count[c-1]
-		}
-		for _, p := range buf {
-			r := rank[p]
-			sa[count[r]] = p
-			count[r]++
-		}
-		// Re-rank: equal pairs share a rank.
-		second := func(p int32) int32 {
-			if int(p)+h < n {
-				return rank[int(p)+h]
-			}
-			return -1
-		}
-		tmp[sa[0]] = 0
-		maxRank := int32(0)
-		for i := 1; i < n; i++ {
-			a, b := sa[i-1], sa[i]
-			if rank[a] != rank[b] || second(a) != second(b) {
-				maxRank++
-			}
-			tmp[b] = maxRank
-		}
-		rank, tmp = tmp, rank
-		if int(maxRank) == n-1 {
-			break
-		}
-	}
+	clear(sa) // sais_8_32 requires a zeroed sa
+	sais_8_32(data, 256, sa, tmp)
 }
+
+// saisMinTmp is suffixArrayInto's tmp requirement for an n-byte text:
+// the top level's frequency and bucket tables (2·256), and room for
+// every recursion level's tables, which the n/2 bound on the number of
+// LMS-substrings caps at n/2.
+func saisMinTmp(n int) int { return max(2*256, n/2) }
 
 // naiveFactorize is the quadratic reference factorizer used by the tests:
 // at each position, scan every earlier start for the longest match.

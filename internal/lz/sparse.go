@@ -231,16 +231,7 @@ func factorizeBlockDense(chunk []byte, ix *chunkIndex, start, end int, backing [
 	if nb == 0 {
 		return dst
 	}
-	sa := backing[:nb:nb]
-	isa := backing[nb : 2*nb : 2*nb]
-	psv := backing[2*nb : 3*nb : 3*nb]
-	nsv := backing[3*nb : 4*nb : 4*nb]
-	ext := backing[4*nb : 5*nb+1 : 5*nb+1]
-	suffixArrayInto(block, sa, isa, psv, nsv, ext)
-	for r, p := range sa {
-		isa[p] = int32(r)
-	}
-	ansvInto(sa, psv, nsv, ext)
+	isa, psv, nsv := blockIndex(block, backing)
 
 	match := func(p int, q int32) int32 {
 		if q < 0 {

@@ -301,7 +301,7 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	sc := &streamCounters{}
 	var written int64
 	var hdr [4 * binary.MaxVarintLen64]byte
-	n, err := w.Write(appendStreamHeader(hdr[:0], o))
+	n, err := writeFull(w, appendStreamHeader(hdr[:0], o))
 	written += int64(n)
 	if err != nil {
 		return written, err
@@ -357,7 +357,7 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 		rec = appendUvarint(rec, uint64(len(j.data)))
 		rec = appendUvarint(rec, uint64(len(j.out)))
 		for _, b := range [][]byte{rec, j.out} {
-			n, err := w.Write(b)
+			n, err := writeFull(w, b)
 			written += int64(n)
 			if err != nil {
 				setErr(err)
@@ -377,13 +377,24 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	term := appendUvarint(hdr[:0], seq)
 	term = appendUvarint(term, 0)
 	term = appendUvarint(term, total)
-	n, err = w.Write(term)
+	n, err = writeFull(w, term)
 	written += int64(n)
 	if err != nil {
 		return written, err
 	}
 	fillStreamStats(o.Stats, sc, k, total, written)
 	return written, nil
+}
+
+// writeFull is w.Write with the io.Writer contract enforced: a short
+// write that w does not report fails as io.ErrShortWrite instead of
+// silently dropping the rest of a record.
+func writeFull(w io.Writer, b []byte) (int, error) {
+	n, err := w.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	return n, err
 }
 
 func appendStreamHeader(dst []byte, o StreamOptions) []byte {
@@ -514,7 +525,7 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 	}
 	var written int64
 	var hdr [4 * binary.MaxVarintLen64]byte
-	n, err := w.Write(appendStreamHeader(hdr[:0], o))
+	n, err := writeFull(w, appendStreamHeader(hdr[:0], o))
 	written += int64(n)
 	if err != nil {
 		return written, err
@@ -549,7 +560,7 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 		rec = appendUvarint(rec, uint64(nr))
 		rec = appendUvarint(rec, uint64(len(out)))
 		for _, b := range [][]byte{rec, out} {
-			nw, werr := w.Write(b)
+			nw, werr := writeFull(w, b)
 			written += int64(nw)
 			if werr != nil {
 				return written, werr
@@ -567,7 +578,7 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 	term := appendUvarint(hdr[:0], seq)
 	term = appendUvarint(term, 0)
 	term = appendUvarint(term, total)
-	n, err = w.Write(term)
+	n, err = writeFull(w, term)
 	written += int64(n)
 	return written, err
 }
@@ -638,7 +649,7 @@ func StreamDecompress(w io.Writer, r io.Reader) (int64, error) {
 		if err != nil {
 			return written, err
 		}
-		nw, werr := w.Write(raw)
+		nw, werr := writeFull(w, raw)
 		written += int64(nw)
 		if werr != nil {
 			return written, werr

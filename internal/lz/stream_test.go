@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"piper"
 	"piper/internal/workload"
@@ -417,4 +419,139 @@ func TestStreamGBRoundTrip(t *testing.T) {
 	}
 	t.Logf("%d MiB round-tripped, %d MiB compressed, peak arena %d MiB, throttle %d",
 		size>>20, st.CompressedBytes>>20, st.PeakLiveArenaBytes>>20, st.DerivedThrottle)
+}
+
+// TestDenseOutputGolden pins the dense encoders' output bytes. The
+// digests were computed before the suffix sort moved from prefix
+// doubling to induced sorting: a suffix array is unique, so a sorter
+// change that moves either digest changed the format, not the speed.
+func TestDenseOutputGolden(t *testing.T) {
+	const (
+		streamDigest = "74ce7e26d478a338478dbb19d083537db46742ba584f5a7c8637522777aa7969"
+		blockDigest  = "13bd7378e7903463072d7f95d1486d3ed1e44245ea5e15d791ad8f78a3166a45"
+	)
+	h := sha256.New()
+	if _, err := StreamCompressSerial(h, workload.StreamReader(1, 4<<20, 4096, 0.35), StreamOptions{Mode: ModeDense}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != streamDigest {
+		t.Errorf("StreamCompressSerial(ModeDense) digest %s, want %s", got, streamDigest)
+	}
+	enc := CompressSerial(workload.TextStream(1, 1<<20, 4096, 0.35), 0)
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != blockDigest {
+		t.Errorf("CompressSerial digest %s, want %s", got, blockDigest)
+	}
+}
+
+// failingReader yields r's bytes until after bytes have been read, then
+// fails with err and records when it first did.
+type failingReader struct {
+	r      io.Reader
+	after  int64
+	err    error
+	failed time.Time
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.after <= 0 {
+		if f.failed.IsZero() {
+			f.failed = time.Now()
+		}
+		return 0, f.err
+	}
+	n, err := f.r.Read(p[:min(int64(len(p)), f.after)])
+	f.after -= int64(n)
+	return n, err
+}
+
+// shortWriter accepts its first ok Write calls and answers every later
+// one with half of it written and err (nil models a writer that breaks
+// the io.Writer contract by not reporting its short write).
+type shortWriter struct {
+	ok     int
+	err    error
+	failed time.Time
+}
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if w.ok > 0 {
+		w.ok--
+		return len(p), nil
+	}
+	if w.failed.IsZero() {
+		w.failed = time.Now()
+	}
+	return len(p) / 2, w.err
+}
+
+// streamCompressFails runs StreamCompress into a failure and checks that
+// the failure comes back as want within a second of it happening, that
+// the engine drains (no live arena bytes, pipelines or iteration
+// frames), and that the same engine then still round-trips a stream.
+func streamCompressFails(t *testing.T, w io.Writer, r io.Reader, failedAt func() time.Time, want error) {
+	t.Helper()
+	eng := piper.NewEngine(piper.Workers(2))
+	defer eng.Close()
+	o := StreamOptions{Mode: ModeSparse}
+	done := make(chan error, 1)
+	go func() {
+		_, err := StreamCompress(eng, w, r, o)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("StreamCompress did not return after its failure")
+	}
+	returned := time.Now()
+	if !errors.Is(err, want) {
+		t.Fatalf("StreamCompress returned %v, want %v", err, want)
+	}
+	if failedAt().IsZero() {
+		t.Fatal("the failure never fired")
+	}
+	if d := returned.Sub(failedAt()); d > time.Second {
+		t.Errorf("StreamCompress returned %v after the failure, want within 1s", d)
+	}
+	if s := eng.Stats(); s.LiveArenaBytes != 0 || s.LivePipelines != 0 || s.LiveIterFrames != 0 {
+		t.Errorf("engine not drained after the failure: live arena %d B, pipelines %d, iteration frames %d",
+			s.LiveArenaBytes, s.LivePipelines, s.LiveIterFrames)
+	}
+	var enc bytes.Buffer
+	if _, err := StreamCompress(eng, &enc, streamInput(3<<20), o); err != nil {
+		t.Fatalf("StreamCompress after the failure: %v", err)
+	}
+	dec, err := decompressBytes(enc.Bytes())
+	raw, _ := io.ReadAll(streamInput(3 << 20))
+	if err != nil || !bytes.Equal(dec, raw) {
+		t.Fatalf("round trip after the failure: err=%v equal=%v", err, bytes.Equal(dec, raw))
+	}
+}
+
+// TestStreamCompressReaderError: a reader that fails after 3 MiB, inside
+// the second chunk, fails the stream with the reader's error.
+func TestStreamCompressReaderError(t *testing.T) {
+	boom := errors.New("disk on fire")
+	r := &failingReader{r: streamInput(8 << 20), after: 3 << 20, err: boom}
+	streamCompressFails(t, io.Discard, r, func() time.Time { return r.failed }, boom)
+}
+
+// TestStreamCompressShortWrite: a writer that stops after the header and
+// the first chunk record (three Write calls) fails the stream, whether
+// it reports its short write or not.
+func TestStreamCompressShortWrite(t *testing.T) {
+	full := errors.New("device full")
+	for _, c := range []struct {
+		name      string
+		err, want error
+	}{
+		{"reported", full, full},
+		{"unreported", nil, io.ErrShortWrite},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := &shortWriter{ok: 3, err: c.err}
+			streamCompressFails(t, w, streamInput(8<<20), func() time.Time { return w.failed }, c.want)
+		})
+	}
 }
