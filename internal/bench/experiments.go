@@ -160,11 +160,11 @@ func Fig7Dedup(w io.Writer, ps []int, sz SizeSpec) *Table {
 	return tbl
 }
 
-// dedupMeasuredParallelism profiles the actual dedup pipe_while with the
-// scheduler's work/span instrumentation — the direct Cilkview analogue.
+// dedupMeasuredParallelism profiles the actual dedup pipe_while from its
+// serial elision — the direct Cilkview analogue.
 func dedupMeasuredParallelism(data []byte) float64 {
-	// Profile serially: wall-clock node timing is only faithful without
-	// CPU contention (Cilkview also measures a serial execution).
+	// The profile runs on the calling goroutine whatever the worker
+	// count; one worker keeps the idle engine's footprint small.
 	eng := piper.NewEngine(piper.Workers(1))
 	defer eng.Close()
 	chunker := dedup.NewChunker(data)

@@ -275,25 +275,6 @@ func TestBatchIndexAndStageView(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
-// TestInstrumentedPinsGrain: profiled pipelines must run with claim 1 so
-// the work/span accounting chains through real predecessor frames.
-func TestInstrumentedPinsGrain(t *testing.T) {
-	e := newEngineOpts(t, func(o *Options) { o.Workers = 1 })
-	i := 0
-	rep := e.ProfilePipeline(0, func() bool { return i < 300 }, func(it *Iter) {
-		i++
-		it.Continue(1)
-		it.Wait(2)
-	})
-	if rep.WorkNs <= 0 || rep.SpanNs <= 0 {
-		t.Fatalf("instrumentation lost under batching: work=%d span=%d", rep.WorkNs, rep.SpanNs)
-	}
-	if s := e.Stats(); s.BatchedIterations != 0 {
-		t.Errorf("BatchedIterations = %d during an instrumented run, want 0", s.BatchedIterations)
-	}
-	checkEngineDrained(t, e)
-}
-
 // busyFor spins on the scheduler's own clock for d: a body cost that holds
 // whatever the host's speed and under the race detector, which a unit
 // count of arithmetic does not.

@@ -380,15 +380,15 @@ type PipelineReport struct {
 	// cost-bounded policy's last claim (see pipeline.openBatch). 1 for
 	// serial runs.
 	FinalGrain int64
-	// WorkNs and SpanNs are the measured work T1 and span T∞ of the
-	// pipeline dag in nanoseconds, populated only by ProfilePipeline
-	// (the Cilkview analogue; see instrument.go for the measurement
-	// semantics: span is an upper bound, so Parallelism is a lower
-	// bound).
+	// WorkNs and SpanNs are the work T1 and the unthrottled span T∞ of
+	// the pipeline dag in nanoseconds, measured from the serial elision
+	// and populated only by ProfilePipeline (the Cilkview analogue; see
+	// profile). Neither includes scheduling or interference cost.
 	WorkNs, SpanNs int64
 }
 
-// Parallelism returns the measured T1/T∞, or 0 for uninstrumented runs.
+// Parallelism returns the profiled T1/T∞, or 0 for a run that was not
+// profiled.
 func (r PipelineReport) Parallelism() float64 {
 	if r.SpanNs <= 0 {
 		return 0
@@ -396,60 +396,54 @@ func (r PipelineReport) Parallelism() float64 {
 	return float64(r.WorkNs) / float64(r.SpanNs)
 }
 
-// RunPipeline is PipeWhileThrottled returning a space/shape report.
+// RunPipeline is PipeWhileThrottled returning a space/shape report. It
+// waits on a Handle that finishTopLevel completes, as for a Submit, and
+// re-panics with the original value if the pipeline panicked. It is not
+// admission-controlled, cannot be canceled, and is not a Stats.Submits.
 func (e *Engine) RunPipeline(k int, cond func() bool, body func(*Iter)) PipelineReport {
-	return e.runPipeline(k, false, cond, body)
-}
-
-// ProfilePipeline runs the pipeline with work/span instrumentation
-// enabled, measuring the dag's T1 and T∞ like the modified Cilkview
-// analyzer of Section 10. Instrumentation costs two clock reads per
-// pipeline node.
-func (e *Engine) ProfilePipeline(k int, cond func() bool, body func(*Iter)) PipelineReport {
-	return e.runPipeline(k, true, cond, body)
-}
-
-func (e *Engine) runPipeline(k int, instrument bool, cond func() bool, body func(*Iter)) PipelineReport {
-	pl := e.newPipeline(k, cond, body, 1)
-	pl.instrument = instrument
-	return e.launch(pl)
-}
-
-func (e *Engine) launch(pl *pipeline) PipelineReport {
-	pl.done = make(chan struct{})
+	h := &Handle{eng: e, done: make(chan struct{})}
 	e.submitMu.RLock()
 	if e.closed.Load() {
 		e.submitMu.RUnlock()
 		panic("piper: PipeWhile on closed engine")
 	}
+	pl := e.newPipeline(k, cond, body, 1)
+	pl.sub = h
 	e.inject(pl.control)
 	e.submitMu.RUnlock()
-	<-pl.done
-	rep := pl.report()
-	pb := pl.panicVal.Load()
-	e.releasePipeline(pl)
-	if pb != nil {
-		panic(pb.v)
+	if err := h.Wait(); err != nil {
+		panic(err.(*PanicError).Value)
 	}
-	return rep
+	return h.rep
+}
+
+// ProfilePipeline measures the work T1 and span T∞ of the pipeline's dag
+// like the modified Cilkview of Section 10: it runs the serial elision on
+// the calling goroutine, as RunSerial does, recording each node on the
+// clock openBatch reads (see profile). k does not enter the profile:
+// SpanNs is the unthrottled T∞. A panic in cond or body propagates.
+func (e *Engine) ProfilePipeline(k int, cond func() bool, body func(*Iter)) PipelineReport {
+	return runSerial(e.profileFrame(), cond, body)
 }
 
 // PipeWhile starts a pipeline nested inside the current iteration; the
 // iteration suspends until the nested pipeline completes. Nested pipelines
 // may not be started from stage 0 (the serial prologue).
 func (it *Iter) PipeWhile(cond func() bool, body func(*Iter)) {
-	if it.f.serial {
-		RunSerial(cond, body)
-		return
-	}
-	it.PipeWhileThrottled(it.f.eng.opts.Throttle, cond, body)
+	it.PipeWhileThrottled(0, cond, body)
 }
 
-// PipeWhileThrottled is the nested PipeWhile with an explicit throttle.
+// PipeWhileThrottled is the nested PipeWhile with an explicit throttle
+// (0 means the engine default).
 func (it *Iter) PipeWhileThrottled(k int, cond func() bool, body func(*Iter)) {
 	f := it.f
 	if f.serial {
-		RunSerial(cond, body) // serial elision applies recursively
+		// Serial elision applies recursively (see profile.nested).
+		if p := f.prof; p != nil {
+			p.nested(cond, body)
+		} else {
+			RunSerial(cond, body)
+		}
 		return
 	}
 	if f.inStage0 {

@@ -133,19 +133,11 @@ type frame struct {
 	// Runner-local stat shadows, flushed to the engine at finish.
 	nFoldHits, nCrossChecks int64
 
-	// Work/span instrumentation (see instrument.go). nodeStart, curCrit,
-	// workAcc and prevCritCursor are runner-local; critLog is the
-	// published per-node critical-path log read by the successor.
-	instrOn        bool
-	nodeStart      int64
-	curCrit        int64
-	workAcc        int64
-	prevCritCursor int
-	critLog        critLog
-
-	// serial marks a frame driven by RunSerial: no runner, no scheduler,
-	// stage calls only advance the counter.
+	// serial marks a frame driven by the serial elision (runSerial): no
+	// runner, no scheduler, stage calls only advance the counter. prof,
+	// set on a ProfilePipeline frame only, records the dag as it runs.
 	serial bool
+	prof   *profile
 
 	// Closure state.
 	fn    func(w *worker)
@@ -188,9 +180,7 @@ func (f *frame) runBody() {
 				f.eng.stats.abortedIters.Add(1)
 			} else {
 				f.panicked = r
-				if f.pl != nil {
-					f.pl.recordPanicStack(r, debug.Stack())
-				}
+				f.pl.recordPanicStack(r, debug.Stack())
 			}
 			// Join children spawned before the unwind: no fork-join task of
 			// this iteration may outlive its frame's retirement, or a
@@ -202,7 +192,6 @@ func (f *frame) runBody() {
 			}
 		}
 	}()
-	f.instrBeginIteration()
 	f.pl.body(&f.it)
 	// Implicit cilk_sync: every Cilk function syncs before returning, so
 	// children spawned with Go but never Synced join here.
@@ -328,9 +317,7 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 // reference was already dropped by the previous slot's finishIter, which
 // is also why the new slot's cross edges are all vacuously satisfied
 // (prev == nil). Mirrors acquireIterFrame's per-incarnation reset minus
-// the pool, refcount, and chain traffic the batch amortizes away; the
-// instrumentation fields are untouched because openBatch pins
-// instrumented (and traced) pipelines to claim == 1.
+// the pool, refcount, and chain traffic the batch amortizes away.
 func (f *frame) resetBatchIter() {
 	pl := f.pl
 	f.index = pl.nextIndex
@@ -414,7 +401,7 @@ func (f *frame) abortCheck() {
 func (f *frame) drainScope(sc *scope) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, isAbort := r.(abortUnwind); !isAbort && f.pl != nil {
+			if _, isAbort := r.(abortUnwind); !isAbort {
 				f.pl.recordPanicStack(r, debug.Stack())
 			}
 		}
@@ -426,7 +413,6 @@ func (f *frame) drainScope(sc *scope) {
 // iteration is now satisfied.
 func (f *frame) finishIter() {
 	if f.kind == kindIter {
-		f.instrFinishIteration()
 		f.stage.Store(stageDone)
 		f.dropPrev()
 		// An in-batch slot has no predecessor to check, so both shadows
@@ -526,8 +512,7 @@ func (f *frame) crossSatisfied(j int64) bool {
 // re-check after a park: load the predecessor's published stage counter
 // once, refresh the folding cache, and handle the stageDone sentinel
 // (releasing the chain for the garbage collector and the frame pool's
-// recycling refcount — except under instrumentation, which still needs
-// the predecessor's crit log).
+// recycling refcount).
 func (f *frame) crossSatisfiedShared(j int64) bool {
 	p := f.prev
 	if p == nil {
@@ -539,9 +524,7 @@ func (f *frame) crossSatisfiedShared(j int64) bool {
 		f.foldCache = c
 	}
 	if c == stageDone {
-		if !f.instrOn {
-			f.dropPrev()
-		}
+		f.dropPrev()
 		return true
 	}
 	return c > j

@@ -1,5 +1,7 @@
 package core
 
+import "time"
+
 // Schedule-perturbation hooks: a test-only injection point that widens the
 // interleaving space the differential fuzzer and the race detector can
 // explore. Batching, promotion, and the parking protocols are all
@@ -47,15 +49,16 @@ type schedHooks struct {
 	// stealFirst makes a worker's scan raid the other shards before its
 	// own deque, scrambling the preferred LIFO order.
 	stealFirst func() bool
-	// clock replaces the clock openBatch derives per-iteration cost from,
-	// so a test can make the claim sequence a function of declared cost
-	// (or of a seed) instead of the host's speed.
+	// clock replaces the clock openBatch derives per-iteration cost from
+	// and ProfilePipeline stamps its nodes with, so a test can make the
+	// claim sequence and the measured work and span a function of
+	// declared cost (or of a seed) instead of the host's speed.
 	clock func() int64
 	// claim receives every claim the policy decides in openBatch, under
 	// control-frame ownership, and returns the claim the batch runs, which
 	// is also the state the next open doubles from: an observer returns its
 	// argument, a test that pins the run length returns a constant.
-	// Instrumented and traced pipelines run claim 1 without consulting it.
+	// Traced pipelines run claim 1 without consulting it.
 	claim func(int64) int64
 }
 
@@ -67,7 +70,14 @@ func (e *Engine) hookAt(p hookPoint) {
 	}
 }
 
-// batchClock is openBatch's clock read: the clock hook if one is installed.
+// nowNs is the engine's monotonic clock: trace stamps, admission waits,
+// the pre-park spin, and batchClock without a hook.
+func nowNs() int64 { return int64(time.Since(clockEpoch)) }
+
+var clockEpoch = time.Now()
+
+// batchClock is the clock openBatch and ProfilePipeline read: the clock
+// hook if one is installed.
 func (e *Engine) batchClock() int64 {
 	if h := e.hooks; h != nil && h.clock != nil {
 		return h.clock()

@@ -24,12 +24,12 @@ type pipeline struct {
 	control *frame
 
 	// parent is the scope a nested pipe_while completes into; nil for a
-	// top-level pipeline, which signals done instead.
+	// top-level pipeline, which completes through sub instead.
 	parent *scope
-	done   chan struct{}
 
-	// sub is the Handle of an asynchronous submission (nil for blocking
-	// PipeWhile); completion is harvested into it by finishTopLevel.
+	// sub is the Handle of a top-level pipeline — a Submit's, or the one a
+	// blocking launch waits on; completion is harvested into it by
+	// finishTopLevel.
 	sub *Handle
 	// admitted marks a submission holding an admission slot, released by
 	// finishTopLevel when the pipeline completes; tenant is the admission
@@ -49,8 +49,11 @@ type pipeline struct {
 
 	// Control-frame state machine (stepped on the runner of whichever
 	// worker holds the control frame; serialized by frame ownership).
+	// maxLive is the observed maximum of join for the space experiments
+	// (Theorem 13): live iteration frames ≈ iteration stack space.
 	phase    int8
 	prevIter *frame
+	maxLive  int64
 
 	// Batched inline execution (see frame.runInlineBatch). All three words
 	// are control-frame state like phase: serialized by frame ownership,
@@ -62,17 +65,7 @@ type pipeline struct {
 	openNs    int64
 	openIndex int64
 
-	// Work/span instrumentation (see instrument.go).
-	instrument bool
-	workNs     atomic.Int64
-	spanNs     atomic.Int64
-
 	panicVal atomic.Pointer[panicBox]
-
-	// maxLive tracks the observed maximum of join for the space
-	// experiments (Theorem 13): live iteration frames ≈ iteration stack
-	// space.
-	maxLive atomic.Int64
 }
 
 // Control phases.
@@ -88,11 +81,9 @@ type panicBox struct {
 	stack []byte
 }
 
-// recordPanic stores the first panic. CAS (rather than sync.Once) keeps
-// the pipeline reusable through the frame pool.
-func (pl *pipeline) recordPanic(v any) { pl.recordPanicStack(v, nil) }
-
-// recordPanicStack is recordPanic with the panicking goroutine's stack.
+// recordPanicStack stores the first panic with the panicking goroutine's
+// stack. CAS (rather than sync.Once) keeps the pipeline reusable through
+// the frame pool.
 func (pl *pipeline) recordPanicStack(v any, stack []byte) {
 	pl.panicVal.CompareAndSwap(nil, &panicBox{v: v, stack: stack})
 }
@@ -137,11 +128,14 @@ func (it *Iter) Wait(j int64) {
 	f := it.f
 	it.checkStageArg(j)
 	if f.serial {
-		f.serialAdvance(j)
+		if p := f.prof; p != nil {
+			p.advance(j, true)
+		}
+		f.stage.Store(j)
+		f.inStage0 = false
 		return
 	}
 	f.abortCheck()
-	f.instrEndNode(j)
 	f.advance(j)
 	if !f.crossSatisfied(j) {
 		if f.inline {
@@ -160,7 +154,6 @@ func (it *Iter) Wait(j int64) {
 		// the control frame first.
 		f.leaveStage0Inline()
 	}
-	f.instrBeginNode(true, j)
 }
 
 // Continue implements pipe_continue(j): end the current node and begin
@@ -169,16 +162,18 @@ func (it *Iter) Continue(j int64) {
 	f := it.f
 	it.checkStageArg(j)
 	if f.serial {
-		f.serialAdvance(j)
+		if p := f.prof; p != nil {
+			p.advance(j, false)
+		}
+		f.stage.Store(j)
+		f.inStage0 = false
 		return
 	}
 	f.abortCheck()
-	f.instrEndNode(j)
 	f.advance(j)
 	if f.inStage0 {
 		f.leaveStage0Inline()
 	}
-	f.instrBeginNode(false, j)
 }
 
 // WaitNext is Wait with the implicit stage argument j+1.
@@ -214,7 +209,6 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 	f := pl.eng.acquireIterFrame()
 	f.pl = pl
 	f.index = pl.nextIndex
-	f.instrOn = pl.instrument
 	f.prev = prev
 	pl.nextIndex++
 	if prev != nil {
@@ -273,12 +267,8 @@ func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
 				pl.phase = phaseDrain
 				continue
 			}
-			live := pl.join.Add(1)
-			for {
-				m := pl.maxLive.Load()
-				if live <= m || pl.maxLive.CompareAndSwap(m, live) {
-					break
-				}
+			if live := pl.join.Add(1); live > pl.maxLive {
+				pl.maxLive = live
 			}
 
 			pl.eng.hookAt(hookIteration)
@@ -364,11 +354,10 @@ const maxClaim = 64
 // prove a body coarse but not cheap, and the claim stays where it is; from
 // two slots up the window holds every slot but the last in full. A cheap
 // body therefore reaches maxClaim within seven opens, with no seed.
-// Instrumented and traced runs pin the claim to 1: per-node work/span
-// accounting chains critical paths through real predecessor frames, and
-// trace consumers expect one segment per iteration.
+// Traced runs pin the claim to 1: trace consumers expect one segment per
+// iteration.
 func (pl *pipeline) openBatch() int64 {
-	if pl.instrument || pl.eng.tracing.Load() {
+	if pl.eng.tracing.Load() {
 		return 1
 	}
 	g := pl.grain
@@ -429,21 +418,4 @@ func (pl *pipeline) onIterReturn() *frame {
 		}
 	}
 	return nil
-}
-
-// MaxLiveIterations reports the maximum number of simultaneously live
-// iteration frames observed, the quantity bounded by the throttling
-// analysis (Theorem 11 / Theorem 13).
-func (pl *pipeline) MaxLiveIterations() int64 { return pl.maxLive.Load() }
-
-// report snapshots the completed pipeline's space/shape numbers — the
-// single source for both the blocking launch and the async harvest.
-func (pl *pipeline) report() PipelineReport {
-	return PipelineReport{
-		Iterations:        pl.nextIndex,
-		MaxLiveIterations: pl.maxLive.Load(),
-		FinalGrain:        pl.grain,
-		WorkNs:            pl.workNs.Load(),
-		SpanNs:            pl.spanNs.Load(),
-	}
 }

@@ -70,10 +70,6 @@ func (e *Engine) acquireIterFrame() *frame {
 	f.inStage0 = true
 	f.foldCache = 0
 	f.nFoldHits, f.nCrossChecks = 0, 0
-	f.instrOn = false
-	f.nodeStart, f.curCrit, f.workAcc = 0, 0, 0
-	f.prevCritCursor = 0
-	f.critLog.reset()
 	f.curScope = nil
 	f.waitingScope.Store(nil)
 	f.panicked = nil
@@ -145,24 +141,15 @@ func (e *Engine) acquirePipeline() *pipeline {
 		pl.control = &frame{kind: kindControl, eng: e}
 		pl.control.pl = pl
 	}
-	pl.cond, pl.body = nil, nil
+	// releasePipeline already cleared the references.
 	pl.join.Store(0)
-	pl.parent = nil
-	pl.done = nil
-	pl.sub = nil
-	pl.admitted = false
-	pl.tenant = 0
-	pl.abort = nil
+	pl.admitted, pl.tenant = false, 0
 	pl.nextIndex = 0
 	pl.phase = phaseLoop
-	pl.prevIter = nil
 	// The claim starts every pipeline at 1; openBatch takes it from there.
 	pl.grain, pl.openNs, pl.openIndex = 1, 0, 0
-	pl.instrument = false
-	pl.workNs.Store(0)
-	pl.spanNs.Store(0)
 	pl.panicVal.Store(nil)
-	pl.maxLive.Store(0)
+	pl.maxLive = 0
 	cf := pl.control
 	cf.status.Store(statusRunning)
 	cf.w = nil
@@ -170,18 +157,12 @@ func (e *Engine) acquirePipeline() *pipeline {
 }
 
 // releasePipeline recycles a completed pipeline after its results have
-// been read (launch or the nested PipeWhile). At that point every
+// been read (finishTopLevel or the nested PipeWhile). At that point every
 // iteration has retired and the control frame has signalled completion,
 // so only the releasing goroutine still holds the pipeline.
 func (e *Engine) releasePipeline(pl *pipeline) {
 	e.pools.livePipeline.Add(-1)
 	pl.cond, pl.body = nil, nil
-	pl.parent = nil
-	pl.done = nil
-	pl.sub = nil
-	pl.admitted = false
-	pl.tenant = 0
-	pl.abort = nil
-	pl.prevIter = nil
+	pl.parent, pl.sub, pl.abort, pl.prevIter = nil, nil, nil, nil
 	e.pools.pipeline.Put(pl)
 }

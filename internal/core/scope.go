@@ -41,7 +41,11 @@ func runClosureTask(t *frame, w *worker) {
 func (it *Iter) Go(fn func()) {
 	f := it.f
 	if f.serial {
-		fn() // serial elision: a spawn is just a call
+		if p := f.prof; p != nil {
+			p.spawn(fn)
+		} else {
+			fn() // serial elision: a spawn is just a call
+		}
 		return
 	}
 	if f.curScope == nil {
@@ -59,6 +63,9 @@ func (it *Iter) Go(fn func()) {
 // does the iteration suspend, to be resumed by the last returning child.
 func (it *Iter) Sync() {
 	f := it.f
+	if p := f.prof; p != nil {
+		p.sync()
+	}
 	sc := f.curScope
 	if sc == nil {
 		return
@@ -76,14 +83,16 @@ func (it *Iter) For(n, grain int, body func(int)) {
 		return
 	}
 	if f.serial {
+		if p := f.prof; p != nil {
+			p.forLoop(n, grain, body)
+			return
+		}
 		for i := 0; i < n; i++ {
 			body(i)
 		}
 		return
 	}
-	if grain <= 0 {
-		grain = n/(8*f.eng.opts.Workers) + 1
-	}
+	grain = f.eng.forGrain(n, grain)
 	sc := &scope{owner: f}
 	var split func(w *worker, lo, hi int)
 	split = func(w *worker, lo, hi int) {
@@ -103,6 +112,14 @@ func (it *Iter) For(n, grain int, body func(int)) {
 	f.syncScope(sc)
 }
 
+// forGrain is For's leaf-chunk bound: grain if positive, else n/(8P)+1.
+func (e *Engine) forGrain(n, grain int) int {
+	if grain <= 0 {
+		grain = n/(8*e.opts.Workers) + 1
+	}
+	return grain
+}
+
 // syncScope drains the scope: pop and run own children still on the deque
 // (inline, child-first), then park until stolen children return. During
 // the serial stage-0 prefix the iteration may not suspend (the control
@@ -115,9 +132,7 @@ func (f *frame) syncScope(sc *scope) {
 		// *PanicError surfaced on a Handle names the panicking closure
 		// rather than this sync site.
 		if pb := sc.panicVal.Load(); pb != nil {
-			if f.pl != nil {
-				f.pl.recordPanicStack(pb.v, pb.stack)
-			}
+			f.pl.recordPanicStack(pb.v, pb.stack)
 			panic(pb.v)
 		}
 	}()

@@ -58,7 +58,8 @@ type Stats struct {
 	// batch that runs its full claim contributes G-1 (the final slot runs
 	// the plain per-iteration protocol), while one cut short by loop
 	// exhaustion or an abort counts each slot it started. Pipelines that
-	// run claim 1 — coarse, instrumented or traced ones — add zero.
+	// run claim 1 — coarse or traced ones — add zero, and so does
+	// ProfilePipeline, which runs the serial elision without the engine.
 	BatchedIterations int64
 	// BatchSplits counts inline batches ended early because a claimed
 	// slot had to block and promote; the residual claim is abandoned.
@@ -97,8 +98,10 @@ type Stats struct {
 	// AbortedIterations counts live iterations that unwound at a stage
 	// boundary because their submission was canceled.
 	AbortedIterations int64
-	// AbortedPipelines counts submitted pipelines that completed with an
-	// error on their Handle — a cancellation or a captured panic.
+	// AbortedPipelines counts top-level pipelines that completed with an
+	// error on their Handle — a cancellation or a captured panic — blocking
+	// PipeWhile/RunPipeline launches that re-panicked in their caller
+	// included.
 	AbortedPipelines int64
 	// LiveIterFrames, LiveClosureFrames and LivePipelines are gauges of
 	// currently checked-out (acquired, not yet retired) iteration frames,

@@ -296,18 +296,15 @@ func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, bo
 	return h
 }
 
-// finishTopLevel publishes the completion of a top-level pipeline: through
-// the Handle for submitted pipelines, through the done channel for
-// blocking PipeWhile calls. Runs on the worker that retired the control
-// frame; for submitted pipelines it also releases the pipeline, so a
-// Handle left un-Waited never pins scheduler state.
+// finishTopLevel publishes the completion of a top-level pipeline through
+// its Handle, a Submit's or a blocking launch's, on the worker that
+// retired the control frame. It releases the pipeline before closing
+// h.done, so an un-Waited Handle pins no scheduler state and a woken
+// blocking caller finds no live pipeline of its own keeping this worker
+// in its pre-park spin.
 func (e *Engine) finishTopLevel(pl *pipeline) {
 	h := pl.sub
-	if h == nil {
-		close(pl.done)
-		return
-	}
-	h.rep = pl.report()
+	h.rep = PipelineReport{Iterations: pl.nextIndex, MaxLiveIterations: pl.maxLive, FinalGrain: pl.grain}
 	switch {
 	case pl.panicVal.Load() != nil:
 		pb := pl.panicVal.Load()

@@ -175,17 +175,12 @@ func (w *worker) afterDone(f *frame) *frame {
 		case ctrl != nil:
 			return ctrl
 		}
-		return w.deque.Pop()
 	case kindControl:
-		pl := f.pl
-		if pl.parent != nil {
-			if owner := scopeUnitDone(pl.parent); owner != nil {
-				return owner
-			}
-			return w.deque.Pop()
+		if sc := f.pl.parent; sc == nil {
+			w.eng.finishTopLevel(f.pl)
+		} else if owner := scopeUnitDone(sc); owner != nil {
+			return owner
 		}
-		w.eng.finishTopLevel(pl)
-		return w.deque.Pop()
 	}
 	return w.deque.Pop()
 }

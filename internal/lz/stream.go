@@ -101,13 +101,13 @@ type StreamOptions struct {
 	Throttle int
 	// SerialBlocks factorizes a chunk's blocks sequentially inside the
 	// chunk's parallel stage instead of through a nested pipeline —
-	// chunk-level parallelism only. Used by the profiled runs (a flat
-	// stage graph keeps work/span attribution exact) and as the
-	// footprint-minimal configuration.
+	// chunk-level parallelism only. Used by the profiled runs (see
+	// Profile) and as the footprint-minimal configuration.
 	SerialBlocks bool
-	// Profile, when non-nil, runs the outer pipeline instrumented and
-	// stores the work/span report — the scalability harness's input for
-	// the virtual-time speedup model. Implies SerialBlocks.
+	// Profile, when non-nil, profiles the outer pipeline from its serial
+	// elision (piper.ProfilePipe) and stores the work/span report — the
+	// scalability harness's input for the virtual-time speedup model.
+	// Implies SerialBlocks, so the span is a chunk's, not a block's.
 	Profile *piper.PipelineReport
 	// Stats, when non-nil, receives run counters at completion.
 	Stats *StreamStats

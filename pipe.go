@@ -91,10 +91,11 @@ func PipeThrottled[T any](eng *Engine, k int, next func() (T, bool), body func(i
 	})
 }
 
-// Profile runs one pipeline with work/span instrumentation and returns
-// the measured T1, T∞ and their ratio — the scalability-analyzer
-// ("Cilkview") measurement the paper uses to explain dedup's limited
-// parallelism. k is the throttling limit (0 for the engine default).
+// Profile measures one pipeline's work T1 and span T∞ — the
+// scalability-analyzer ("Cilkview") measurement the paper uses to explain
+// dedup's limited parallelism — from its serial elision, run on the
+// calling goroutine (see Engine.ProfilePipeline). k does not enter the
+// profile: SpanNs is the unthrottled span.
 func Profile(eng *Engine, k int, cond func() bool, body func(*Iter)) PipelineReport {
 	return eng.ProfilePipeline(k, cond, body)
 }
