@@ -205,7 +205,7 @@ func (r *runner) runTenant(spec tenantSpec) {
 				case err == nil:
 					r.completed.Add(1)
 					ch.served.record(time.Since(t0))
-				case errors.Is(err, piper.ErrSaturated), errors.Is(err, piper.ErrAdmissionExpired):
+				case errors.Is(err, piper.ErrSaturated):
 					// Rejects resolve in microseconds on the admission fast
 					// path; keeping them out of the histograms stops them
 					// dragging the served-request percentiles toward zero.

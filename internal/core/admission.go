@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Multi-tenant admission: the QoS layer in front of the scheduler.
@@ -20,20 +18,16 @@ import (
 // weighted-fair queue:
 //
 //   - every engine has a registry of tenant classes (Options.Tenants plus
-//     the always-present default class ""), each with a weight, an
-//     optional per-class pending quota, and an optional admission
-//     deadline;
+//     the always-present default class ""), each with a weight and an
+//     optional per-class pending quota;
 //   - a submission that cannot be admitted immediately parks in its
 //     class's FIFO queue; freed capacity is handed to queued waiters by
 //     deficit round-robin across classes (each backlogged class earns
 //     `weight` admissions per round, so every class is served every round
 //     and no class can be starved), FIFO within a class;
-//   - among classes eligible in a round, the one whose head waiter has
-//     the earliest admission deadline is served first (EDF tie-break), so
-//     deadline-bearing traffic is ordered ahead of patient bulk traffic
-//     at the injection boundary;
-//   - a waiter whose class deadline expires before a slot frees is
-//     rejected with ErrAdmissionExpired instead of waiting forever.
+//   - a waiter is bounded only by its caller's context: when ctx is done
+//     before a slot frees, the waiter is withdrawn with the context's
+//     cause instead of waiting forever.
 //
 // All admitter state is guarded by one mutex. Admission is a per-pipeline
 // event (not per-iteration), so this is far off the scheduler's hot path;
@@ -53,7 +47,8 @@ const DefaultTenant = ""
 
 // TenantClass configures one admission class of a multi-tenant engine
 // (Options.Tenants). The zero value of every field is usable: weight
-// defaults to 1, no per-class quota, no admission deadline.
+// defaults to 1, no per-class quota. How long a SubmitWait caller may
+// wait for admission is its own context's business.
 type TenantClass struct {
 	// Name identifies the class to SubmitTenant/SubmitWaitTenant. The
 	// empty name configures the default class used by plain Submit.
@@ -67,12 +62,6 @@ type TenantClass struct {
 	// admitted-but-unfinished pipelines, independent of the engine-wide
 	// Options.MaxPending. 0 means bounded only by the global budget.
 	MaxPending int
-	// Deadline bounds how long a SubmitWait submission of this class may
-	// wait for admission: a waiter still queued when it expires fails
-	// with ErrAdmissionExpired. It also orders the backlog — among
-	// classes eligible in a DRR round, the earliest head-waiter deadline
-	// is admitted first. 0 means no deadline.
-	Deadline time.Duration
 }
 
 // TenantStats is the per-class admission counter snapshot
@@ -80,21 +69,18 @@ type TenantClass struct {
 // Pending and Waiting are gauges. Once a class has no queued waiter,
 // Submitted == Admitted + Rejected + Canceled exactly.
 type TenantStats struct {
-	// Name, Weight, MaxPending, and Deadline echo the class configuration
-	// (normalized).
+	// Name, Weight, and MaxPending echo the class configuration (normalized).
 	Name       string
 	Weight     int
 	MaxPending int
-	Deadline   time.Duration
 	// Submitted counts admission attempts: every Submit/SubmitWait routed
 	// to this class, whatever the outcome.
 	Submitted int64
 	// Admitted counts submissions granted an admission slot.
 	Admitted int64
 	// Rejected counts submissions refused by the admitter: Submit calls
-	// that found the budget full (ErrSaturated), waiters whose class
-	// admission deadline expired (ErrAdmissionExpired), and waiters
-	// released by engine close (ErrEngineClosed).
+	// that found the budget full (ErrSaturated) and waiters released by
+	// engine close (ErrEngineClosed).
 	Rejected int64
 	// Canceled counts SubmitWait submissions whose own context was
 	// canceled or expired while they were queued for admission.
@@ -116,11 +102,8 @@ type TenantStats struct {
 // blocking while it holds the admission mutex: nil means admitted (the
 // slot is charged to the waiter's class), non-nil is the rejection.
 type admitWaiter struct {
-	ch chan error
-	// enq and deadline are absolute nowNs timestamps; deadline 0 means
-	// none.
-	enq      int64
-	deadline int64
+	ch  chan error
+	enq int64 // nowNs at enqueue
 }
 
 // tenantState is one class's admission state. Everything here is guarded
@@ -178,8 +161,8 @@ type admitter struct {
 // newAdmitter builds the admission queue for the given options, or nil
 // when no budget and no tenant classes are configured. Class
 // configuration is normalized here: weights clamp to >= 1, negative
-// quotas and deadlines to 0, and a duplicate name overrides the earlier
-// entry (so callers can re-tune the default class by configuring "").
+// quotas to 0, and a duplicate name overrides the earlier entry (so
+// callers can re-tune the default class by configuring "").
 func newAdmitter(e *Engine, opts *Options) *admitter {
 	if opts.MaxPending <= 0 && len(opts.Tenants) == 0 {
 		return nil
@@ -191,9 +174,6 @@ func newAdmitter(e *Engine, opts *Options) *admitter {
 		}
 		if tc.MaxPending < 0 {
 			tc.MaxPending = 0
-		}
-		if tc.Deadline < 0 {
-			tc.Deadline = 0
 		}
 		if i, ok := a.byName[tc.Name]; ok {
 			a.classes[i].cfg = tc
@@ -256,10 +236,9 @@ func (a *admitter) tryAdmit(ci int) error {
 // waitAdmit is the blocking admission policy (SubmitWait): it admits
 // immediately when there is room, otherwise parks in the class's FIFO
 // queue until the fair-queue scheduler hands it a freed slot, the
-// caller's context is done, the class admission deadline expires, or the
-// engine closes. A nil return means admitted — the caller holds a slot
-// it must release through finishTopLevel (or release it itself on the
-// engine-closed launch path).
+// caller's context is done, or the engine closes. A nil return means
+// admitted — the caller holds a slot it must release through
+// finishTopLevel (or release it itself on the engine-closed launch path).
 func (a *admitter) waitAdmit(ctx context.Context, ci int) error {
 	c := a.classes[ci]
 	a.mu.Lock()
@@ -276,43 +255,30 @@ func (a *admitter) waitAdmit(ctx context.Context, ci int) error {
 		return nil
 	}
 	w := &admitWaiter{ch: make(chan error, 1), enq: nowNs()}
-	var timerC <-chan time.Time
-	var timer *time.Timer
-	if d := c.cfg.Deadline; d > 0 {
-		w.deadline = w.enq + int64(d)
-		timer = time.NewTimer(d)
-		timerC = timer.C
-	}
 	c.q = append(c.q, w)
 	c.waiting++
 	a.mu.Unlock()
-	if timer != nil {
-		defer timer.Stop()
-	}
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done()
 	}
 	select {
 	case err := <-w.ch:
-		// Resolved by the admitter: admitted (nil), rejected by the class
-		// deadline sweep, or released by Close.
+		// Resolved by the admitter: admitted (nil) or released by Close.
 		return err
 	case <-ctxDone:
-		return a.cancelWait(c, w, context.Cause(ctx), true)
-	case <-timerC:
-		return a.cancelWait(c, w, ErrAdmissionExpired, false)
+		return a.cancelWait(c, w, context.Cause(ctx))
 	}
 }
 
-// cancelWait resolves the race between a caller-side wakeup (context
-// done, deadline fired) and the admitter resolving the same waiter. If
-// the waiter is still queued it is withdrawn and cause wins; if the
+// cancelWait resolves the race between the caller's context finishing
+// and the admitter resolving the same waiter. If the waiter is still
+// queued it is withdrawn, counted as canceled, and cause wins; if the
 // admitter got there first, its buffered verdict stands — an admission
 // in particular is kept (the caller proceeds to launch, and a dead
 // context then aborts the pipeline through the ordinary cancellation
 // path), so a slot is never released twice and never leaked.
-func (a *admitter) cancelWait(c *tenantState, w *admitWaiter, cause error, byCtx bool) error {
+func (a *admitter) cancelWait(c *tenantState, w *admitWaiter, cause error) error {
 	a.mu.Lock()
 	if !c.remove(w) {
 		a.mu.Unlock()
@@ -321,11 +287,7 @@ func (a *admitter) cancelWait(c *tenantState, w *admitWaiter, cause error, byCtx
 	c.waiting--
 	wait := nowNs() - w.enq
 	c.waitNs += wait
-	if byCtx {
-		c.cancels++
-	} else {
-		c.rejected++
-	}
+	c.cancels++
 	a.mu.Unlock()
 	a.eng.stats.admissionWaitNs.Add(wait)
 	a.eng.stats.saturations.Add(1)
@@ -347,7 +309,7 @@ func (a *admitter) release(ci int) {
 }
 
 // admitNextLocked drains freed capacity into the class queues: while the
-// global budget has room, pick the next class under DRR+EDF and admit
+// global budget has room, pick the next class under DRR and admit
 // its head waiter. Called with the mutex held whenever capacity may have
 // appeared (a release, including a quota-bound release that frees only
 // class-local room).
@@ -368,43 +330,25 @@ func (a *admitter) admitNextLocked() {
 	}
 }
 
-// pickLocked selects the class whose head waiter is admitted next:
-// deficit round-robin across backlogged classes with per-class quota
-// room, earliest-deadline-first among the classes eligible this round,
-// ring order from the cursor as the final tie-break. Expired waiters are
-// rejected during the scan so they can never consume capacity. Returns
-// nil when no queued waiter is admissible (all queues empty, or every
-// backlogged class is at its own quota).
+// pickLocked selects the class whose head waiter is admitted next by
+// deficit round-robin: the first class in ring order from the cursor that
+// is backlogged, has per-class quota room, and has deficit left this
+// round. Returns nil when no queued waiter is admissible (all queues
+// empty, or every backlogged class is at its own quota).
 func (a *admitter) pickLocked() *tenantState {
 	n := len(a.classes)
 	for pass := 0; pass < 2; pass++ {
-		var best *tenantState
-		bestIdx := -1
-		bestDl := int64(math.MaxInt64)
 		for k := 0; k < n; k++ {
 			i := (a.rr + k) % n
 			c := a.classes[i]
-			a.rejectExpiredLocked(c)
 			if len(c.q) == 0 || !c.room() || c.deficit <= 0 {
 				continue
 			}
-			dl := int64(math.MaxInt64)
-			if d := c.q[0].deadline; d != 0 {
-				dl = d
+			c.deficit--
+			if c.deficit == 0 {
+				a.rr = (i + 1) % n
 			}
-			// best == nil must be checked explicitly: a deadline-free head
-			// has dl == MaxInt64, which never beats the MaxInt64 sentinel
-			// on strict inequality alone.
-			if best == nil || dl < bestDl {
-				best, bestIdx, bestDl = c, i, dl
-			}
-		}
-		if best != nil {
-			best.deficit--
-			if best.deficit == 0 {
-				a.rr = (bestIdx + 1) % n
-			}
-			return best
+			return c
 		}
 		// Every eligible class has spent this round's deficit: replenish
 		// each backlogged class by its weight and rescan. No eligible
@@ -421,27 +365,6 @@ func (a *admitter) pickLocked() *tenantState {
 		}
 	}
 	return nil
-}
-
-// rejectExpiredLocked fails queued waiters of class c whose admission
-// deadline has passed. Run during every eligibility scan so an expired
-// waiter at the head of a queue cannot shadow a live one behind it.
-func (a *admitter) rejectExpiredLocked(c *tenantState) {
-	now := nowNs()
-	for len(c.q) > 0 {
-		w := c.q[0]
-		if w.deadline == 0 || now <= w.deadline {
-			return
-		}
-		c.q = c.q[1:]
-		c.waiting--
-		wait := now - w.enq
-		c.waitNs += wait
-		c.rejected++
-		a.eng.stats.admissionWaitNs.Add(wait)
-		a.eng.stats.saturations.Add(1)
-		w.ch <- ErrAdmissionExpired
-	}
 }
 
 // close fails every queued waiter with ErrEngineClosed. Called by
@@ -479,7 +402,6 @@ func (a *admitter) tenantStats() []TenantStats {
 			Name:            c.cfg.Name,
 			Weight:          c.cfg.Weight,
 			MaxPending:      c.cfg.MaxPending,
-			Deadline:        c.cfg.Deadline,
 			Submitted:       c.submitted,
 			Admitted:        c.admitted,
 			Rejected:        c.rejected,

@@ -242,99 +242,6 @@ func TestTenantQuota(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
-// TestTenantAdmissionDeadline pins the class Deadline: a waiter still
-// queued when it expires fails with ErrAdmissionExpired (which matches
-// context.DeadlineExceeded) and is accounted as rejected.
-func TestTenantAdmissionDeadline(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	opts.Tenants = []TenantClass{{Name: "dl", Deadline: 20 * time.Millisecond}}
-	e := NewEngine(opts)
-	defer e.Close()
-
-	gate := make(chan struct{})
-	h0 := gatedSubmit(e, gate)
-
-	t0 := time.Now()
-	h := e.SubmitWaitTenant(nil, "dl", func() bool { return false }, func(*Iter) {})
-	err := h.Wait()
-	if !errors.Is(err, ErrAdmissionExpired) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired admission: err = %v, want ErrAdmissionExpired (a DeadlineExceeded)", err)
-	}
-	if waited := time.Since(t0); waited < 20*time.Millisecond {
-		t.Fatalf("rejected after %v, before the 20ms class deadline", waited)
-	}
-	ts := e.TenantStats()
-	for _, s := range ts {
-		if s.Name == "dl" && (s.Rejected != 1 || s.Admitted != 0) {
-			t.Errorf("dl class accounting: %+v, want 1 rejected", s)
-		}
-	}
-
-	close(gate)
-	if err := h0.Wait(); err != nil {
-		t.Fatalf("gated pipeline failed: %v", err)
-	}
-	checkEngineDrained(t, e)
-}
-
-// TestTenantDeadlineOrdersAdmission pins the EDF tie-break: among
-// classes eligible in the same DRR round, the class whose head waiter
-// holds the earliest admission deadline is served first, even if the
-// deadline-free class's waiter arrived earlier.
-func TestTenantDeadlineOrdersAdmission(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	opts.Tenants = []TenantClass{
-		{Name: "patient"},
-		{Name: "urgent", Deadline: time.Hour},
-	}
-	e := NewEngine(opts)
-	defer e.Close()
-
-	gate := make(chan struct{})
-	h0 := gatedSubmit(e, gate)
-
-	var (
-		mu    sync.Mutex
-		order []string
-		wg    sync.WaitGroup
-	)
-	enqueue := func(class string) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j := 0
-			h := e.SubmitWaitTenant(nil, class, func() bool { j++; return j == 1 }, func(it *Iter) {
-				mu.Lock()
-				order = append(order, class)
-				mu.Unlock()
-			})
-			if err := h.Wait(); err != nil {
-				t.Errorf("%s: Wait = %v", class, err)
-			}
-		}()
-		waitTenant(t, e, class, 5*time.Second, func(ts TenantStats) bool { return ts.Waiting == 1 })
-	}
-	enqueue("patient") // arrives first...
-	enqueue("urgent")  // ...but urgent holds a deadline
-
-	close(gate)
-	if err := h0.Wait(); err != nil {
-		t.Fatalf("gated pipeline failed: %v", err)
-	}
-	wg.Wait()
-	want := []string{"urgent", "patient"}
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("admission order %v, want %v (EDF before ring order)", order, want)
-		}
-	}
-	checkEngineDrained(t, e)
-}
-
 // TestSubmitUnknownTenant pins the configuration-error contract: an
 // unconfigured class name fails the Handle with ErrUnknownTenant, on
 // engines with and without tenant configuration.
@@ -511,31 +418,52 @@ func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
+// TestSubmitWaitContextDeadline pins that the caller's context is what
+// bounds an admission wait, for the default class and for a named one: a
+// waiter whose ctx expires is withdrawn with DeadlineExceeded and is
+// accounted as canceled, not rejected.
 func TestSubmitWaitContextDeadline(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	e := NewEngine(opts)
-	defer e.Close()
+	for name, tenant := range map[string]string{"default": DefaultTenant, "named": "named"} {
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Workers = 2
+			opts.MaxPending = 1
+			opts.Tenants = []TenantClass{{Name: "named"}}
+			e := NewEngine(opts)
+			defer e.Close()
 
-	gate := make(chan struct{})
-	h1 := gatedSubmit(e, gate)
+			gate := make(chan struct{})
+			h1 := gatedSubmit(e, gate)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
-	defer cancel()
-	h2 := e.SubmitWait(ctx, func() bool { return true }, func(*Iter) {})
-	if err := h2.Wait(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline admission: err = %v, want DeadlineExceeded", err)
-	}
-	if s := e.Stats(); s.Saturations < 1 {
-		t.Errorf("Saturations = %d, want >= 1 after an expired admission", s.Saturations)
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+			defer cancel()
+			h2 := e.SubmitWaitTenant(ctx, tenant, func() bool { return true }, func(*Iter) {})
+			if err := h2.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("deadline admission: err = %v, want DeadlineExceeded", err)
+			}
+			if s := e.Stats(); s.Saturations < 1 {
+				t.Errorf("Saturations = %d, want >= 1 after an expired admission", s.Saturations)
+			}
+			for _, ts := range e.TenantStats() {
+				if ts.Name != tenant {
+					continue
+				}
+				want := int64(1) // the waiter
+				if tenant == DefaultTenant {
+					want = 2 // and the gated pipeline
+				}
+				if ts.Submitted != want || ts.Canceled != 1 || ts.Rejected != 0 || ts.Waiting != 0 || ts.AdmissionWaitNs <= 0 {
+					t.Errorf("class %q after an expired wait: %+v, want Submitted %d, Canceled 1, Rejected 0, Waiting 0, AdmissionWaitNs > 0", tenant, ts, want)
+				}
+			}
 
-	close(gate)
-	if err := h1.Wait(); err != nil {
-		t.Fatalf("gated pipeline failed: %v", err)
+			close(gate)
+			if err := h1.Wait(); err != nil {
+				t.Fatalf("gated pipeline failed: %v", err)
+			}
+			checkEngineDrained(t, e)
+		})
 	}
-	checkEngineDrained(t, e)
 }
 
 // TestSubmitWaitAdmitsAll drives far more pipelines than the budget

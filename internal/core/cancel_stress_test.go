@@ -252,7 +252,7 @@ func TestCancelStressSubmitWaitAdmissionRace(t *testing.T) {
 		t.Errorf("sum: %+v, want Submitted == Admitted+Rejected+Canceled", ts)
 	}
 	if ts.Rejected != 0 {
-		t.Errorf("Rejected = %d on an open engine with no class deadline, want 0", ts.Rejected)
+		t.Errorf("Rejected = %d on an open engine (only ctx or Close can end a wait), want 0", ts.Rejected)
 	}
 	if ts.Admitted < completed.Load() {
 		t.Errorf("Admitted = %d < %d completions", ts.Admitted, completed.Load())

@@ -28,10 +28,11 @@ type Options struct {
 	// Tenants configures the engine's admission classes for multi-tenant
 	// QoS (see TenantClass): per-class pending quotas, weighted-fair
 	// (deficit round-robin) sharing of contended admission capacity, and
-	// optional per-class admission deadlines. The default class "" always
-	// exists (plain Submit/SubmitWait admit through it); listing a class
-	// named "" re-tunes it. Empty means one undifferentiated class, the
-	// pre-tenant behavior. Tenant classes without a MaxPending budget are
+	// per-class accounting; a SubmitWait caller's ctx is the only bound on
+	// its wait. The default class "" always exists (plain
+	// Submit/SubmitWait admit through it); listing a class named ""
+	// re-tunes it. Empty means one undifferentiated class, the pre-tenant
+	// behavior. Tenant classes without a MaxPending budget are
 	// legal: admission then only enforces per-class quotas and keeps
 	// per-class accounting.
 	Tenants []TenantClass
@@ -407,7 +408,7 @@ func (e *Engine) RunPipeline(k int, cond func() bool, body func(*Iter)) Pipeline
 		e.submitMu.RUnlock()
 		panic("piper: PipeWhile on closed engine")
 	}
-	pl := e.newPipeline(k, cond, body, 1)
+	pl := e.newPipeline(k, cond, body)
 	pl.sub = h
 	e.inject(pl.control)
 	e.submitMu.RUnlock()
@@ -449,7 +450,7 @@ func (it *Iter) PipeWhileThrottled(k int, cond func() bool, body func(*Iter)) {
 	if f.inStage0 {
 		panic("piper: nested pipelines may not be started from stage 0")
 	}
-	pl := f.eng.newPipeline(k, cond, body, f.pl.depth+1)
+	pl := f.eng.newPipeline(k, cond, body)
 	// A nested pipeline inherits the root submission's cancellation word,
 	// so canceling a Submit tears down the whole pipeline tree.
 	pl.abort = f.pl.abort
@@ -472,7 +473,7 @@ func (it *Iter) PipeWhileThrottled(k int, cond func() bool, body func(*Iter)) {
 	f.abortCheck()
 }
 
-func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter), depth int) *pipeline {
+func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter)) *pipeline {
 	if k <= 0 {
 		k = e.opts.Throttle
 	}
@@ -480,7 +481,7 @@ func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter), depth in
 	// holds it runs pl.step on that worker's runner; no runner belongs to
 	// it. It recycles together with its pipeline (see pool.go).
 	pl := e.acquirePipeline()
-	pl.cond, pl.body, pl.depth = cond, body, depth
+	pl.cond, pl.body = cond, body
 	pl.K.Store(int64(k))
 	e.stats.pipelines.Add(1)
 	return pl

@@ -42,9 +42,6 @@ type pipeline struct {
 	// (pooled) pipeline.
 	abort *abortState
 
-	// depth is the pipe-nesting depth D of this loop (1 = top level).
-	depth int
-
 	nextIndex int64
 
 	// Control-frame state machine (stepped on the runner of whichever

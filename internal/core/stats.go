@@ -111,8 +111,8 @@ type Stats struct {
 	LiveIterFrames, LiveClosureFrames, LivePipelines int64
 	// Saturations counts admissions that failed against the
 	// Options.MaxPending budget or a tenant class quota: Submit calls
-	// rejected with ErrSaturated plus SubmitWait calls whose context,
-	// class admission deadline, or engine expired before a slot freed.
+	// rejected with ErrSaturated plus SubmitWait calls whose context was
+	// done, or whose engine closed, before a slot freed.
 	// Per-class breakdowns are in Engine.TenantStats.
 	Saturations int64
 	// AdmissionWaitNs is the total time SubmitWait callers spent queued

@@ -57,11 +57,6 @@ var ErrSaturated = errors.New("piper: engine saturated: pending-pipeline budget 
 // QoS accounting.
 var ErrUnknownTenant = errors.New("piper: unknown tenant class")
 
-// ErrAdmissionExpired is reported through a Handle when a SubmitWait
-// submission was still queued for admission when its tenant class's
-// Deadline elapsed. It matches errors.Is(err, context.DeadlineExceeded).
-var ErrAdmissionExpired = fmt.Errorf("piper: tenant admission deadline exceeded: %w", context.DeadlineExceeded)
-
 // PanicError wraps a panic raised by a pipeline's condition or body (or a
 // fork-join child rethrown at its sync). It is reported through the
 // submitting Handle instead of crossing goroutine boundaries.
@@ -193,11 +188,10 @@ func (e *Engine) SubmitTenant(ctx context.Context, tenant string, cond func() bo
 // engine's MaxPending budget (or the class quota) is exhausted it joins
 // the admission queue instead of rejecting. Queued submissions are
 // admitted in FIFO order within a class and weighted-fairly across
-// classes (see TenantClass). It returns a failed Handle only if ctx is
-// done first (context-deadline admission — the Handle reports the
-// context's cause), the class admission deadline expires
-// (ErrAdmissionExpired), or the engine closes while waiting
-// (ErrEngineClosed). Without a budget (MaxPending 0, no tenant classes)
+// classes (see TenantClass). The wait is bounded only by ctx: it returns
+// a failed Handle only if ctx is done first (the Handle reports the
+// context's cause, e.g. context.DeadlineExceeded) or the engine closes
+// while waiting (ErrEngineClosed). Without a budget (MaxPending 0, no tenant classes)
 // it is identical to Submit.
 func (e *Engine) SubmitWait(ctx context.Context, cond func() bool, body func(*Iter)) *Handle {
 	return e.SubmitWaitThrottled(ctx, 0, cond, body)
@@ -268,7 +262,7 @@ func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, bo
 		return h
 	}
 	e.stats.submits.Add(1)
-	pl := e.newPipeline(k, cond, body, 1)
+	pl := e.newPipeline(k, cond, body)
 	pl.abort = &h.abort
 	pl.sub = h
 	pl.admitted = admitted

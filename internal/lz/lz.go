@@ -13,7 +13,7 @@
 // prefix-doubling sort; on a 2-CPU host with Go 1.24.0,
 // BenchmarkFactorize64K went from 26–35 to 8.9–11.5 ms/op.
 //
-// As a piper workload (see pipelines.go) the block factorizer is the
+// As a piper workload (see stream.go) the block factorizer is the
 // interesting kind of pipeline stage for grain control: per-block cost is
 // fine-grained but highly variable — a repetitive block yields a handful
 // of long factors while an entropic one degenerates toward per-byte
@@ -50,20 +50,8 @@ func Factorize(data []byte) []Factor {
 	if n == 0 {
 		return nil
 	}
-	return factorizeInto(data, make([]int32, scratchLen(n)), make([]Factor, 0, 16+n/8))
-}
-
-// factorizeInto is Factorize on caller-provided working memory: backing
-// must hold at least scratchLen(len(data)) int32 elements (their contents
-// do not matter), and factors are appended to dst. A dst with capacity
-// len(data) never reallocates — every factor consumes at least one input
-// position. The pipeline feeds both from recycled arena regions.
-func factorizeInto(data []byte, backing []int32, dst []Factor) []Factor {
-	n := len(data)
-	if n == 0 {
-		return dst
-	}
-	isa, psv, nsv := blockIndex(data, backing)
+	isa, psv, nsv := blockIndex(data, make([]int32, scratchLen(n)))
+	dst := make([]Factor, 0, 16+n/8)
 
 	// Greedy pass: match lengths are computed by direct comparison, but
 	// only at factor start positions, so the total comparison work is

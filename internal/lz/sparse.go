@@ -7,15 +7,15 @@ import (
 
 // Sparse sliding chunk index for the streaming compressor (stream.go).
 //
-// The block pipeline's dense factorizer needs five n-sized int32 arrays
-// per block — fine at 16 KiB blocks, fatal at streaming scale, where the
-// working set must stay O(chunk + index) no matter how large the input
-// grows. Following the sparse suffix/LCP idea (Ayad, Loukides, Pissis,
-// Verbeek, "Sparse Suffix and LCP Array: Simple, Direct, Small, and
-// Fast", arXiv:2310.09023), only positions on an s-aligned sampling grid
-// are indexed: the index stores one int32 per sampled position instead of
-// five per position, trading match-finding exhaustiveness for a footprint
-// the sample rate controls directly.
+// The dense factorizer (Factorize, ModeDense) needs five n-sized int32
+// arrays per block — fine at 16 KiB blocks, fatal at streaming scale,
+// where the working set must stay O(chunk + index) no matter how large
+// the input grows. Following the sparse suffix/LCP idea (Ayad, Loukides,
+// Pissis, Verbeek, "Sparse Suffix and LCP Array: Simple, Direct, Small,
+// and Fast", arXiv:2310.09023), only positions on an s-aligned sampling
+// grid are indexed: the index stores one int32 per sampled position
+// instead of five per position, trading match-finding exhaustiveness for
+// a footprint the sample rate controls directly.
 //
 // Concretely the index is a fingerprint-chained catalogue of the chunk's
 // sampled suffixes: each grid position's 8-byte prefix is hashed into a
@@ -219,7 +219,7 @@ func factorizeBlockSparse(chunk []byte, ix *chunkIndex, start, end int, scratch 
 }
 
 // factorizeBlockDense factorizes chunk[start:end] with the exact dense
-// in-block machinery of factorizeInto — a suffix array of just this block
+// in-block machinery of Factorize — a suffix array of just this block
 // with PSV/NSV candidates — merged at each factor start with the sparse
 // cross-block candidates of the chunk index. backing must hold
 // scratchLen(end-start) int32 elements. The in-block candidates dominate

@@ -15,11 +15,9 @@ import (
 	"piper/internal/arena"
 )
 
-// Streaming compressor: the GB-scale form of the LZ workload.
-//
-// The block pipeline (pipelines.go) factorizes one resident byte slice;
-// this file factorizes an io.Reader of unbounded length under a hard
-// memory ceiling. The shape is the same SPS pipe_while, one level up:
+// Streaming compressor: the package's one LZ pipeline. It factorizes an
+// io.Reader of unbounded length under a hard memory ceiling, as an SPS
+// pipe_while:
 //
 //	stage 0 (serial):    read the next chunk off the stream into a
 //	                     recycled arena region
@@ -44,7 +42,7 @@ type StreamMode int
 
 const (
 	// ModeDense factorizes each block with an exact dense suffix array of
-	// that block (PSV/NSV candidates, as in the block pipeline), merged
+	// that block (PSV/NSV candidates, as in Factorize), merged
 	// with sparse cross-block candidates from the chunk index. Best
 	// compression; per-block scratch is 5 int32 per block byte.
 	ModeDense StreamMode = iota
@@ -83,6 +81,8 @@ const (
 // chunk's working set; shrink ChunkSize or raise the limit.
 var ErrMemLimit = errors.New("lz: MemLimit below the per-chunk working set; shrink ChunkSize or raise MemLimit")
 
+var errCorrupt = errors.New("lz: corrupt stream")
+
 // StreamOptions configures StreamCompress / StreamCompressSerial. The
 // zero value selects the defaults above (dense mode, 2 MiB chunks,
 // 128 KiB blocks, sample rate 8, 256 MiB ceiling).
@@ -92,22 +92,15 @@ type StreamOptions struct {
 	SampleRate int
 	Mode       StreamMode
 	// MemLimit is the hard ceiling on the pipeline's resident memory
-	// (arena bytes checked out across all in-flight chunks). The
+	// (arena bytes checked out across all in-flight chunks). The chunk
 	// throttle is derived as MemLimit / per-chunk footprint; 0 means
 	// DefaultStreamMemLimit.
 	MemLimit int64
-	// Throttle caps in-flight chunks below what MemLimit alone would
-	// allow; 0 means use the MemLimit-derived value.
-	Throttle int
-	// SerialBlocks factorizes a chunk's blocks sequentially inside the
-	// chunk's parallel stage instead of through a nested pipeline —
-	// chunk-level parallelism only. Used by the profiled runs (see
-	// Profile) and as the footprint-minimal configuration.
-	SerialBlocks bool
 	// Profile, when non-nil, profiles the outer pipeline from its serial
 	// elision (piper.ProfilePipe) and stores the work/span report — the
-	// scalability harness's input for the virtual-time speedup model.
-	// Implies SerialBlocks, so the span is a chunk's, not a block's.
+	// scalability harness's input for the virtual-time speedup model. A
+	// profiled run factorizes each chunk's blocks sequentially instead of
+	// through a nested pipeline, so the span is a chunk's, not a block's.
 	Profile *piper.PipelineReport
 	// Stats, when non-nil, receives run counters at completion.
 	Stats *StreamStats
@@ -183,18 +176,12 @@ func (o StreamOptions) normalized() (StreamOptions, int, error) {
 	if o.MemLimit <= 0 {
 		o.MemLimit = DefaultStreamMemLimit
 	}
-	if o.Profile != nil {
-		o.SerialBlocks = true
-	}
 	k := int(o.MemLimit / o.chunkFootprint())
 	if k < 1 {
 		return o, 0, ErrMemLimit
 	}
 	if k > 32 {
 		k = 32 // more in-flight chunks than any pool is wide buys nothing
-	}
-	if o.Throttle > 0 && o.Throttle < k {
-		k = o.Throttle
 	}
 	return o, k, nil
 }
@@ -236,11 +223,11 @@ func (o StreamOptions) blockFactorBytes() int {
 // chunkFootprint is the arena charge of one in-flight chunk, rounded to
 // the classes the arena will bill: raw bytes, encoded output (worst case
 // 2·raw, exact — see appendFactors), sparse index, and the nested block
-// pipeline's in-flight scratch and factor regions. MemLimit divided by
-// this is the chunk throttle.
+// pipeline's in-flight scratch and factor regions (one block's worth on a
+// profiled run). MemLimit divided by this is the chunk throttle.
 func (o StreamOptions) chunkFootprint() int64 {
 	nblocks := streamNestedThrottle
-	if o.SerialBlocks {
+	if o.Profile != nil {
 		nblocks = 1
 	}
 	return classCeil(o.ChunkSize) +
@@ -272,8 +259,8 @@ func appendFactors(dst []byte, fs []Factor) []byte {
 			dst = append(dst, 0, f.Lit)
 			continue
 		}
-		dst = appendUvarint(dst, uint64(f.Len))
-		dst = appendUvarint(dst, uint64(f.Dist))
+		dst = binary.AppendUvarint(dst, uint64(f.Len))
+		dst = binary.AppendUvarint(dst, uint64(f.Dist))
 	}
 	return dst
 }
@@ -353,9 +340,9 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 		if firstErr.Load() != nil {
 			return
 		}
-		rec := appendUvarint(hdr[:0], j.seq)
-		rec = appendUvarint(rec, uint64(len(j.data)))
-		rec = appendUvarint(rec, uint64(len(j.out)))
+		rec := binary.AppendUvarint(hdr[:0], j.seq)
+		rec = binary.AppendUvarint(rec, uint64(len(j.data)))
+		rec = binary.AppendUvarint(rec, uint64(len(j.out)))
 		for _, b := range [][]byte{rec, j.out} {
 			n, err := writeFull(w, b)
 			written += int64(n)
@@ -374,9 +361,9 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	if ep := firstErr.Load(); ep != nil {
 		return written, *ep
 	}
-	term := appendUvarint(hdr[:0], seq)
-	term = appendUvarint(term, 0)
-	term = appendUvarint(term, total)
+	term := binary.AppendUvarint(hdr[:0], seq)
+	term = binary.AppendUvarint(term, 0)
+	term = binary.AppendUvarint(term, total)
 	n, err = writeFull(w, term)
 	written += int64(n)
 	if err != nil {
@@ -399,10 +386,10 @@ func writeFull(w io.Writer, b []byte) (int, error) {
 
 func appendStreamHeader(dst []byte, o StreamOptions) []byte {
 	dst = append(dst, streamMagic[:]...)
-	dst = appendUvarint(dst, uint64(o.ChunkSize))
-	dst = appendUvarint(dst, uint64(o.BlockSize))
-	dst = appendUvarint(dst, uint64(o.SampleRate))
-	return appendUvarint(dst, uint64(o.Mode))
+	dst = binary.AppendUvarint(dst, uint64(o.ChunkSize))
+	dst = binary.AppendUvarint(dst, uint64(o.BlockSize))
+	dst = binary.AppendUvarint(dst, uint64(o.SampleRate))
+	return binary.AppendUvarint(dst, uint64(o.Mode))
 }
 
 func fillStreamStats(st *StreamStats, sc *streamCounters, k int, raw uint64, written int64) {
@@ -421,11 +408,12 @@ func fillStreamStats(st *StreamStats, sc *streamCounters, k int, raw uint64, wri
 }
 
 // compressChunk builds the chunk's sparse index, factorizes its blocks —
-// in a nested pipeline unless SerialBlocks — and encodes the factors into
-// j.out. Runs entirely in the outer pipeline's parallel stage; the nested
-// pipeline is spawned through the iteration handle (it.PipeWhileThrottled
-// suspends this iteration until the inner pipeline drains), never through
-// the engine's top-level entry point, which would park a worker.
+// in a nested pipeline unless the run is profiled — and encodes the
+// factors into j.out. Runs entirely in the outer pipeline's parallel
+// stage; the nested pipeline is spawned through the iteration handle
+// (it.PipeWhileThrottled suspends this iteration until the inner pipeline
+// drains), never through the engine's top-level entry point, which would
+// park a worker.
 func compressChunk(outer *piper.Iter, a *arena.Arena, sc *streamCounters, o StreamOptions, j *chunkJob) {
 	n := len(j.data)
 	idxLen := indexScratchLen(n, o.SampleRate, o.BlockSize)
@@ -438,7 +426,7 @@ func compressChunk(outer *piper.Iter, a *arena.Arena, sc *streamCounters, o Stre
 	out := j.oref.B[:0]
 	sc.chunks.Add(1)
 
-	if o.SerialBlocks {
+	if o.Profile != nil {
 		// Deferred, not straight-line: factorizeBlock runs under a live
 		// cancellation scope, and an unwind between these Gets and a bare
 		// Release would leak both regions until arena teardown (arenaref).
@@ -556,9 +544,9 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 			factors = factorizeBlock(o.Mode, data, &ix, start, end, scratch, factors[:0])
 			out = appendFactors(out, factors)
 		}
-		rec := appendUvarint(hdr[:0], seq)
-		rec = appendUvarint(rec, uint64(nr))
-		rec = appendUvarint(rec, uint64(len(out)))
+		rec := binary.AppendUvarint(hdr[:0], seq)
+		rec = binary.AppendUvarint(rec, uint64(nr))
+		rec = binary.AppendUvarint(rec, uint64(len(out)))
 		for _, b := range [][]byte{rec, out} {
 			nw, werr := writeFull(w, b)
 			written += int64(nw)
@@ -575,9 +563,9 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 			break // partial chunk: the stream ended
 		}
 	}
-	term := appendUvarint(hdr[:0], seq)
-	term = appendUvarint(term, 0)
-	term = appendUvarint(term, total)
+	term := binary.AppendUvarint(hdr[:0], seq)
+	term = binary.AppendUvarint(term, 0)
+	term = binary.AppendUvarint(term, total)
 	n, err = writeFull(w, term)
 	written += int64(n)
 	return written, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -23,8 +24,8 @@ func streamInput(size int64) io.Reader {
 }
 
 // TestStreamPipelineMatchesSerial: the pipeline container must equal the
-// serial reference bit for bit across modes and engine configurations —
-// the streaming analogue of TestPipelineMatchesSerial.
+// serial reference bit for bit across modes and engine configurations:
+// stage 2's pipe_wait makes the emission order serial.
 func TestStreamPipelineMatchesSerial(t *testing.T) {
 	const size = 3 << 20
 	for _, mode := range []struct {
@@ -39,17 +40,19 @@ func TestStreamPipelineMatchesSerial(t *testing.T) {
 			if _, err := StreamCompressSerial(&want, streamInput(size), mode.o); err != nil {
 				t.Fatal(err)
 			}
+			// A MemLimit of exactly one chunk footprint derives throttle 1.
+			oneChunk := mode.o
+			norm, _, _ := oneChunk.normalized()
+			oneChunk.MemLimit = norm.chunkFootprint()
 			cfgs := []struct {
-				name string
-				o    StreamOptions
-				opts []piper.Option
+				name  string
+				o     StreamOptions
+				opts  []piper.Option
+				wantK int // 0: any derived throttle
 			}{
-				{"P1-default", mode.o, nil},
-				{"P4-adaptive", mode.o, []piper.Option{piper.Workers(4)}},
-				{"P4-serialblocks", func() StreamOptions { o := mode.o; o.SerialBlocks = true; return o }(),
-					[]piper.Option{piper.Workers(4)}},
-				{"P2-throttle1", func() StreamOptions { o := mode.o; o.Throttle = 1; return o }(),
-					[]piper.Option{piper.Workers(2)}},
+				{"P1-default", mode.o, nil, 0},
+				{"P4-adaptive", mode.o, []piper.Option{piper.Workers(4)}, 0},
+				{"P2-throttle1", oneChunk, []piper.Option{piper.Workers(2)}, 1},
 			}
 			for _, cfg := range cfgs {
 				eng := piper.NewEngine(cfg.opts...)
@@ -68,6 +71,9 @@ func TestStreamPipelineMatchesSerial(t *testing.T) {
 				if st.RawBytes != size || st.Chunks == 0 || st.Blocks == 0 {
 					t.Fatalf("%s: implausible stats %+v", cfg.name, *st)
 				}
+				if cfg.wantK != 0 && st.DerivedThrottle != cfg.wantK {
+					t.Fatalf("%s: derived throttle %d, want %d", cfg.name, st.DerivedThrottle, cfg.wantK)
+				}
 			}
 			var dec bytes.Buffer
 			if _, err := StreamDecompress(&dec, bytes.NewReader(want.Bytes())); err != nil {
@@ -85,26 +91,29 @@ func TestStreamPipelineMatchesSerial(t *testing.T) {
 }
 
 // TestStreamProfile: the instrumented entry point must produce the same
-// container and a work/span measurement (the scalability harness's input).
+// container and a work/span measurement (the scalability harness's input)
+// in both modes.
 func TestStreamProfile(t *testing.T) {
-	o := StreamOptions{ChunkSize: 128 << 10, BlockSize: 32 << 10, Mode: ModeSparse}
-	var want bytes.Buffer
-	if _, err := StreamCompressSerial(&want, streamInput(1<<20), o); err != nil {
-		t.Fatal(err)
-	}
-	var rep piper.PipelineReport
-	o.Profile = &rep
 	eng := piper.NewEngine(piper.Workers(2))
 	defer eng.Close()
-	var got bytes.Buffer
-	if _, err := StreamCompress(eng, &got, streamInput(1<<20), o); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("profiled run container differs from serial reference")
-	}
-	if rep.WorkNs <= 0 || rep.SpanNs <= 0 || rep.Iterations != 8 {
-		t.Fatalf("implausible profile: %+v", rep)
+	for _, mode := range []StreamMode{ModeSparse, ModeDense} {
+		o := StreamOptions{ChunkSize: 128 << 10, BlockSize: 32 << 10, Mode: mode}
+		var want bytes.Buffer
+		if _, err := StreamCompressSerial(&want, streamInput(1<<20), o); err != nil {
+			t.Fatal(err)
+		}
+		var rep piper.PipelineReport
+		o.Profile = &rep
+		var got bytes.Buffer
+		if _, err := StreamCompress(eng, &got, streamInput(1<<20), o); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("mode %d: profiled run container differs from serial reference", mode)
+		}
+		if rep.WorkNs <= 0 || rep.SpanNs <= 0 || rep.Iterations != 8 {
+			t.Fatalf("mode %d: implausible profile: %+v", mode, rep)
+		}
 	}
 }
 
@@ -278,22 +287,6 @@ func TestStreamMaxArenaRequestBound(t *testing.T) {
 		t.Fatalf("package max arena request %d exceeds chunk-derived bound %d", got, bound)
 	}
 
-	// Block pipeline with a caller-supplied per-input block size: the
-	// clamp must keep the scratch reservation at the maxFactorBlockSize
-	// bound instead of scaling with len(data).
-	resetMaxArenaRequest()
-	data := workload.TextStream(9, 3<<20, 4096, 0.35)
-	enc := Compress(eng, 0, data, len(data)) // pre-clamp: a 5n-int32 region for n = 3 MiB
-	blockBound := int64(scratchLen(maxFactorBlockSize) * 4)
-	if got := debugMaxArenaRequest.Load(); got > blockBound {
-		t.Fatalf("block max arena request %d exceeds clamp-derived bound %d", got, blockBound)
-	}
-	if dec, err := Decompress(enc); err != nil || !bytes.Equal(dec, data) {
-		t.Fatalf("clamped block stream round trip: err=%v equal=%v", err, bytes.Equal(dec, data))
-	}
-	if !bytes.Equal(enc, CompressSerial(data, len(data))) {
-		t.Fatal("clamped pipeline stream differs from clamped serial stream")
-	}
 }
 
 // streamTestSize is the bounded-memory / round-trip stream length:
@@ -421,15 +414,12 @@ func TestStreamGBRoundTrip(t *testing.T) {
 		size>>20, st.CompressedBytes>>20, st.PeakLiveArenaBytes>>20, st.DerivedThrottle)
 }
 
-// TestDenseOutputGolden pins the dense encoders' output bytes. The
-// digests were computed before the suffix sort moved from prefix
-// doubling to induced sorting: a suffix array is unique, so a sorter
-// change that moves either digest changed the format, not the speed.
+// TestDenseOutputGolden pins the dense encoder's output bytes. The
+// digest was computed before the suffix sort moved from prefix doubling
+// to induced sorting: a suffix array is unique, so a sorter change that
+// moves the digest changed the format, not the speed.
 func TestDenseOutputGolden(t *testing.T) {
-	const (
-		streamDigest = "74ce7e26d478a338478dbb19d083537db46742ba584f5a7c8637522777aa7969"
-		blockDigest  = "13bd7378e7903463072d7f95d1486d3ed1e44245ea5e15d791ad8f78a3166a45"
-	)
+	const streamDigest = "74ce7e26d478a338478dbb19d083537db46742ba584f5a7c8637522777aa7969"
 	h := sha256.New()
 	if _, err := StreamCompressSerial(h, workload.StreamReader(1, 4<<20, 4096, 0.35), StreamOptions{Mode: ModeDense}); err != nil {
 		t.Fatal(err)
@@ -437,9 +427,61 @@ func TestDenseOutputGolden(t *testing.T) {
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != streamDigest {
 		t.Errorf("StreamCompressSerial(ModeDense) digest %s, want %s", got, streamDigest)
 	}
-	enc := CompressSerial(workload.TextStream(1, 1<<20, 4096, 0.35), 0)
-	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != blockDigest {
-		t.Errorf("CompressSerial digest %s, want %s", got, blockDigest)
+}
+
+// steadyStateAllocs reports what one run allocates once pools, arena and
+// workers are warm: the allocation count from testing.AllocsPerRun, and the
+// bytes from the runtime's cumulative counter as the least of three rounds
+// of as many runs (a sync.Pool refill lands in one round in a few; a
+// per-block allocation shows in every round).
+func steadyStateAllocs(run func()) (allocs, bytes float64) {
+	const runs = 5
+	run()
+	allocs = testing.AllocsPerRun(runs, run)
+	bytes = math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	return allocs, bytes
+}
+
+// TestStreamSteadyStateAllocs keeps chunk and block factorization in
+// recycled arena regions: 1 MiB through StreamCompress in ModeDense at
+// P=2, to io.Discard, read 30 allocations and 1.7 KB a run when the
+// ceilings were set, and they allow that reading +25 % plus 16
+// allocations and 256 KiB. The same input without arena recycling (78–90
+// allocations, 59.9 MB) must break both, which is what shows the
+// ceilings bind.
+func TestStreamSteadyStateAllocs(t *testing.T) {
+	if workload.RaceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	const (
+		maxAllocs = 30*1.25 + 16
+		maxBytes  = 1682*1.25 + 256<<10
+	)
+	data := workload.TextStream(1234, 1<<20, 4096, 0.35)
+	o := StreamOptions{Mode: ModeDense}
+	measure := func(arena bool) (float64, float64) {
+		eng := piper.NewEngine(piper.Workers(2), piper.ArenaBuffers(arena))
+		defer eng.Close()
+		return steadyStateAllocs(func() { _, _ = StreamCompress(eng, io.Discard, bytes.NewReader(data), o) })
+	}
+	allocs, bytes := measure(true)
+	t.Logf("arena on: %.0f allocs, %.0f bytes per run", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("steady state allocates %.0f allocs / %.0f bytes per run, want <= %.0f / %.0f", allocs, bytes, float64(maxAllocs), float64(maxBytes))
+	}
+	allocs, bytes = measure(false)
+	t.Logf("arena off: %.0f allocs, %.0f bytes per run", allocs, bytes)
+	if allocs <= maxAllocs || bytes <= maxBytes {
+		t.Errorf("ArenaBuffers(false) stays under a ceiling (%.0f allocs / %.0f bytes per run against %.0f / %.0f): the ceilings do not bind", allocs, bytes, float64(maxAllocs), float64(maxBytes))
 	}
 }
 

@@ -15,18 +15,8 @@ import "context"
 // never reports ErrSaturated: it blocks for a slot and fails only with the
 // context's error or ErrEngineClosed.
 func SubmitPipe[T any](ctx context.Context, eng *Engine, next func() (T, bool), body func(it *Iter, v T)) *Handle {
-	var (
-		cur T
-		ok  bool
-	)
-	cond := func() bool {
-		cur, ok = next()
-		return ok
-	}
-	return eng.Submit(ctx, cond, func(it *Iter) {
-		v := cur // stage 0: capture before the next iteration's cond runs
-		body(it, v)
-	})
+	cond, b := loop(next, body)
+	return eng.Submit(ctx, cond, b)
 }
 
 // SubmitPipeWait is SubmitPipe under the blocking admission policy: a
@@ -34,18 +24,8 @@ func SubmitPipe[T any](ctx context.Context, eng *Engine, next func() (T, bool), 
 // frees (or ctx is done, or the engine closes) instead of failing the
 // Handle with ErrSaturated. See Engine.SubmitWait.
 func SubmitPipeWait[T any](ctx context.Context, eng *Engine, next func() (T, bool), body func(it *Iter, v T)) *Handle {
-	var (
-		cur T
-		ok  bool
-	)
-	cond := func() bool {
-		cur, ok = next()
-		return ok
-	}
-	return eng.SubmitWait(ctx, cond, func(it *Iter) {
-		v := cur // stage 0: capture before the next iteration's cond runs
-		body(it, v)
-	})
+	cond, b := loop(next, body)
+	return eng.SubmitWait(ctx, cond, b)
 }
 
 // Pipe runs a pipeline over the elements produced by next. next executes
@@ -77,18 +57,8 @@ func Pipe[T any](eng *Engine, next func() (T, bool), body func(it *Iter, v T)) {
 // PipeThrottled is Pipe with an explicit per-pipeline throttling limit K
 // (0 means the engine default).
 func PipeThrottled[T any](eng *Engine, k int, next func() (T, bool), body func(it *Iter, v T)) {
-	var (
-		cur T
-		ok  bool
-	)
-	cond := func() bool {
-		cur, ok = next()
-		return ok
-	}
-	eng.RunPipeline(k, cond, func(it *Iter) {
-		v := cur // stage 0: capture before the next iteration's cond runs
-		body(it, v)
-	})
+	cond, b := loop(next, body)
+	eng.RunPipeline(k, cond, b)
 }
 
 // Profile measures one pipeline's work T1 and span T∞ — the
@@ -102,18 +72,21 @@ func Profile(eng *Engine, k int, cond func() bool, body func(*Iter)) PipelineRep
 
 // ProfilePipe is Profile over a generic element source, like Pipe.
 func ProfilePipe[T any](eng *Engine, k int, next func() (T, bool), body func(it *Iter, v T)) PipelineReport {
-	var (
-		cur T
-		ok  bool
-	)
-	cond := func() bool {
+	cond, b := loop(next, body)
+	return eng.ProfilePipeline(k, cond, b)
+}
+
+// loop adapts an element source to a pipe_while condition and body: cond
+// pulls the next element, and body passes it to the iteration at entry,
+// in stage 0, before the next iteration's cond overwrites it.
+func loop[T any](next func() (T, bool), body func(it *Iter, v T)) (cond func() bool, b func(*Iter)) {
+	var cur T
+	cond = func() bool {
+		var ok bool
 		cur, ok = next()
 		return ok
 	}
-	return eng.ProfilePipeline(k, cond, func(it *Iter) {
-		v := cur
-		body(it, v)
-	})
+	return cond, func(it *Iter) { body(it, cur) }
 }
 
 // Each applies body to every element of items as pipeline iterations.

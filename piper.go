@@ -86,11 +86,6 @@ var ErrSaturated = core.ErrSaturated
 // SubmitWaitTenant names a class the engine was not configured with.
 var ErrUnknownTenant = core.ErrUnknownTenant
 
-// ErrAdmissionExpired is reported through a Handle when a SubmitWait
-// submission was still queued for admission when its tenant class's
-// Deadline elapsed. Matches errors.Is(err, context.DeadlineExceeded).
-var ErrAdmissionExpired = core.ErrAdmissionExpired
-
 // DefaultTenant is the name of the implicit admission class every engine
 // has; Submit and SubmitWait admit through it.
 const DefaultTenant = core.DefaultTenant
@@ -98,11 +93,9 @@ const DefaultTenant = core.DefaultTenant
 // TenantClass configures one admission class of a multi-tenant engine:
 // a deficit-round-robin weight (contended admission capacity is split
 // across backlogged classes in proportion to their weights), an optional
-// per-class pending quota independent of the global MaxPending budget,
-// and an optional admission deadline bounding how long the class's
-// SubmitWait callers may queue (expired waiters fail with
-// ErrAdmissionExpired, and earlier deadlines are admitted first among
-// classes eligible in a round).
+// and an optional per-class pending quota independent of the global
+// MaxPending budget. How long a SubmitWait caller queues is bounded by
+// its own context, as for any other blocking call.
 type TenantClass = core.TenantClass
 
 // TenantStats is the per-class admission snapshot (Engine.TenantStats):
@@ -128,16 +121,15 @@ func Workers(p int) Option {
 // yet completed — the serving layer's backpressure budget (default 0,
 // unlimited). When the budget is exhausted, Submit rejects immediately
 // (Handle reports ErrSaturated) and SubmitWait queues until a slot
-// frees, its context is done, its class admission deadline expires, or
-// the engine closes. Queued submissions are admitted FIFO within a
+// frees, its context is done, or the engine closes. Queued submissions are admitted FIFO within a
 // tenant class and weighted-fairly across classes (see Tenants).
 func MaxPending(n int) Option {
 	return func(o *core.Options) { o.MaxPending = n }
 }
 
 // Tenants configures the engine's admission classes for multi-tenant
-// QoS. Each class has a DRR weight, an optional per-class pending quota,
-// and an optional admission deadline (see TenantClass); submissions are
+// QoS. Each class has a DRR weight and an optional per-class pending
+// quota (see TenantClass); submissions are
 // routed to a class with Engine.SubmitTenant/SubmitWaitTenant, while
 // plain Submit/SubmitWait use the always-present default class "".
 // Under a contended MaxPending budget the admission queue guarantees

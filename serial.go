@@ -13,16 +13,5 @@ func RunSerial(cond func() bool, body func(*Iter)) PipelineReport {
 
 // SerialPipe is RunSerial over a generic element source, like Pipe.
 func SerialPipe[T any](next func() (T, bool), body func(it *Iter, v T)) PipelineReport {
-	var (
-		cur T
-		ok  bool
-	)
-	cond := func() bool {
-		cur, ok = next()
-		return ok
-	}
-	return core.RunSerial(cond, func(it *Iter) {
-		v := cur
-		body(it, v)
-	})
+	return core.RunSerial(loop(next, body))
 }

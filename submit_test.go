@@ -10,8 +10,8 @@ import (
 )
 
 // TestSubmitPublicAPI exercises the async serving surface end to end
-// through the public package: Submit, Handle, SubmitPipe, cancellation,
-// and panic capture as *piper.PanicError.
+// through the public package: Submit, Handle, SubmitPipe, SubmitPipeWait,
+// cancellation, and panic capture as *piper.PanicError.
 func TestSubmitPublicAPI(t *testing.T) {
 	eng := piper.NewEngine(piper.Workers(4))
 	defer eng.Close()
@@ -31,21 +31,31 @@ func TestSubmitPublicAPI(t *testing.T) {
 		t.Fatalf("sum = %d", got)
 	}
 
-	// SubmitPipe over an element source, canceled mid-flight.
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var once atomic.Bool
-	n := 0
-	h2 := piper.SubmitPipe(ctx, eng, func() (int, bool) { n++; return n, true }, func(it *piper.Iter, v int) {
-		if once.CompareAndSwap(false, true) {
-			close(started)
+	// SubmitPipe and SubmitPipeWait over an element source, canceled
+	// mid-flight.
+	submitPipes := map[string]func(context.Context, *piper.Engine, func() (int, bool), func(*piper.Iter, int)) *piper.Handle{
+		"SubmitPipe":     piper.SubmitPipe[int],
+		"SubmitPipeWait": piper.SubmitPipeWait[int],
+	}
+	for name, submit := range submitPipes {
+		ctx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		var once atomic.Bool
+		n := 0
+		h2 := submit(ctx, eng, func() (int, bool) { n++; return n, true }, func(it *piper.Iter, v int) {
+			if v != int(it.Index())+1 {
+				t.Errorf("%s: iteration %d got element %d", name, it.Index(), v)
+			}
+			if once.CompareAndSwap(false, true) {
+				close(started)
+			}
+			it.Wait(1)
+		})
+		<-started
+		cancel()
+		if err := h2.Wait(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s Wait = %v, want context.Canceled", name, err)
 		}
-		it.Wait(1)
-	})
-	<-started
-	cancel()
-	if err := h2.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitPipe Wait = %v, want context.Canceled", err)
 	}
 
 	// Panic capture.
@@ -60,7 +70,7 @@ func TestSubmitPublicAPI(t *testing.T) {
 
 	// Stats surface the serving counters.
 	s := eng.Stats()
-	if s.Submits != 3 || s.CancelRequests != 1 || s.AbortedPipelines != 2 {
+	if s.Submits != 4 || s.CancelRequests != 2 || s.AbortedPipelines != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
