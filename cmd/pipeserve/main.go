@@ -313,8 +313,8 @@ func summarize(r *runner, total, nTenants int, elapsed time.Duration, s piper.St
 		percentile(allServed, 0.999).Round(time.Microsecond))
 	fmt.Printf("  submits=%d cancelRequests=%d abortedPipelines=%d abortedIterations=%d\n",
 		s.Submits, s.CancelRequests, s.AbortedPipelines, s.AbortedIterations)
-	fmt.Printf("  iterations=%d steals=%d poolHits=%d poolMisses=%d overflows=%d\n",
-		s.Iterations, s.Steals, s.FramePoolHits, s.FramePoolMisses, s.InjectOverflows)
+	fmt.Printf("  iterations=%d steals=%d poolHits=%d poolMisses=%d\n",
+		s.Iterations, s.Steals, s.FramePoolHits, s.FramePoolMisses)
 	fmt.Printf("  admission saturations=%d waitMs=%.2f pending=%d\n",
 		s.Saturations, float64(s.AdmissionWaitNs)/1e6, s.PendingAdmitted)
 	acct := printTenantStats(r)

@@ -88,15 +88,9 @@ func (o *Options) normalize() {
 	}
 }
 
-// injectRingCap is the per-worker injection ring capacity. Root-frame
-// injection is one event per top-level pipeline, so overflow — which
-// falls back to a mutex-guarded list — is effectively unreachable outside
-// adversarial burst tests.
-const injectRingCap = 64
-
 // Engine is a PIPER work-stealing scheduler instance: P workers, each with
-// a work-stealing deque and an injection ring, executing pipeline programs
-// submitted through PipeWhile.
+// a work-stealing deque, fed top-level pipelines through one root queue,
+// executing pipeline programs submitted through PipeWhile.
 //
 // The pool is fixed: workers holds Options.Workers entries for the
 // engine's lifetime, each running the scheduling loop, so thieves and
@@ -115,26 +109,27 @@ type Engine struct {
 	arena *arena.Arena
 
 	// Hot cross-worker words, padded apart from each other and from the
-	// mutex-guarded cold state around them: injectRR is bumped by every
-	// producer, idle is loaded by every pushWork (via signal) and written
-	// on park/unpark, and overflowN is polled by every work scan. Sharing
-	// a line among them — or with idleMu, whose lock word churns whenever
-	// a worker parks — would make each writer invalidate every reader.
-	_         cacheLinePad
-	injectRR  atomic.Uint32
-	_         cacheLinePad
-	idle      atomic.Int64
-	_         cacheLinePad
-	overflowN atomic.Int32
-	_         cacheLinePad
+	// mutex-guarded cold state around them: idle is loaded by every
+	// pushWork (via signal) and by every pre-park spin decision and written
+	// on park/unpark, and rootN is polled by every work scan. Sharing a line
+	// between them — or with rootMu or idleMu, whose lock words churn on
+	// every inject and park — would make each writer invalidate every
+	// reader.
+	_     cacheLinePad
+	idle  atomic.Int64
+	_     cacheLinePad
+	rootN atomic.Int32
+	_     cacheLinePad
 
-	// Root-frame injection is sharded: each worker owns a lock-free MPMC
-	// ring (see deque.Inject) that producers fill round-robin; rings that
-	// are full spill into the mutex-guarded overflow list. Any worker may
-	// drain any ring, so injected work is never stranded behind a busy
-	// shard owner.
-	overflowMu sync.Mutex
-	overflow   []*frame
+	// roots is the root queue: a FIFO of injected top-level control
+	// frames, live from rootHead on, that any worker pops after its own
+	// deque comes up empty, so pipelines start in arrival order. rootN
+	// mirrors its length so that a scan finding it empty takes no lock.
+	// The backing array is reused: rootHead returns to 0 whenever the
+	// queue drains.
+	rootMu   sync.Mutex
+	roots    []*frame
+	rootHead int
 
 	// Parking is event-driven: a worker that finds no work registers in
 	// the idle set and blocks on its private park channel; every signal
@@ -154,11 +149,11 @@ type Engine struct {
 
 	// submitMu orders root-frame injection against Close: injectors hold
 	// the read side across the closed check and the inject, Close takes
-	// the write side to flip closed, so every frame published to a ring
-	// happens-before the closed flag — the final drain scan in findWork
-	// is ordered after that flag and therefore misses nothing. Without
-	// this, a Submit racing Close could strand a queued pipeline and its
-	// Handle.Wait would hang forever.
+	// the write side to flip closed, so every frame published to the root
+	// queue happens-before the closed flag — the final drain scan in
+	// findWork is ordered after that flag and therefore misses nothing.
+	// Without this, a Submit racing Close could strand a queued pipeline
+	// and its Handle.Wait would hang forever.
 	submitMu sync.RWMutex
 	closed   atomic.Bool
 	wg       sync.WaitGroup
@@ -195,7 +190,6 @@ func NewEngine(opts Options) *Engine {
 			eng:    e,
 			id:     i,
 			deque:  deque.New[frame](64),
-			inbox:  deque.NewInject[frame](injectRingCap),
 			parkCh: make(chan struct{}, 1),
 			rng:    workload.NewRNG(uint64(i)*0x9e3779b9 + 1),
 		}
@@ -487,64 +481,47 @@ func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter)) *pipelin
 	return pl
 }
 
-// inject queues a root frame for any worker to pick up: round-robin over
-// the per-worker injection rings, spilling to the overflow list only when
-// every ring is full.
+// inject queues a root frame at the tail of the root queue and wakes a
+// worker for it. An append that would grow an array whose first half is
+// already spent compacts it instead, so a queue that never quite drains
+// does not grow with the number of injects.
 func (e *Engine) inject(f *frame) {
-	if h := e.hooks; h != nil && h.forceOverflow != nil && h.forceOverflow() {
-		// Perturbation: skip the rings and take the overflow spill path, as
-		// if every ring were full.
-		e.spillOverflow(f)
-		return
+	e.rootMu.Lock()
+	if h := e.rootHead; h > 0 && len(e.roots) == cap(e.roots) && 2*h >= len(e.roots) {
+		n := copy(e.roots, e.roots[h:])
+		clear(e.roots[n:])
+		e.roots, e.rootHead = e.roots[:n], 0
 	}
-	n := uint32(len(e.workers))
-	start := e.injectRR.Add(1)
-	for i := uint32(0); i < n; i++ {
-		if e.workers[(start+i)%n].inbox.Offer(f) {
-			e.stats.injects.Add(1)
-			e.signal()
-			return
-		}
-	}
-	e.spillOverflow(f)
-}
-
-// spillOverflow publishes an injected root frame through the mutex-guarded
-// overflow list — the every-ring-full fallback. Shared by the real
-// full-ring path and the forceOverflow perturbation hook so the two can
-// never drift apart.
-func (e *Engine) spillOverflow(f *frame) {
-	e.overflowMu.Lock()
-	e.overflow = append(e.overflow, f)
-	e.overflowN.Add(1)
-	e.overflowMu.Unlock()
-	e.stats.injects.Add(1)
-	e.stats.injectOverflows.Add(1)
+	e.roots = append(e.roots, f)
+	e.rootN.Add(1)
+	e.rootMu.Unlock()
 	e.signal()
 }
 
-// popOverflow drains one frame from the injection overflow list. The
-// atomic emptiness hint keeps the mutex off the common path.
-func (e *Engine) popOverflow() *frame {
-	if e.overflowN.Load() == 0 {
+// popRoot takes the oldest frame from the root queue, or nil if it is
+// empty. The atomic length keeps the mutex off empty scans.
+func (e *Engine) popRoot() *frame {
+	if e.rootN.Load() == 0 {
 		return nil
 	}
-	e.overflowMu.Lock()
-	defer e.overflowMu.Unlock()
-	if len(e.overflow) == 0 {
+	e.rootMu.Lock()
+	defer e.rootMu.Unlock()
+	if e.rootHead == len(e.roots) {
 		return nil
 	}
-	f := e.overflow[0]
-	copy(e.overflow, e.overflow[1:])
-	e.overflow[len(e.overflow)-1] = nil
-	e.overflow = e.overflow[:len(e.overflow)-1]
-	e.overflowN.Add(-1)
+	f := e.roots[e.rootHead]
+	e.roots[e.rootHead] = nil
+	e.rootHead++
+	if e.rootHead == len(e.roots) {
+		e.roots, e.rootHead = e.roots[:0], 0
+	}
+	e.rootN.Add(-1)
 	return f
 }
 
 // signal wakes exactly one parked worker, if any. Pairs with the
 // register-then-rescan protocol in findWork: the caller has already made
-// its work visible (ring/deque/overflow publication happens-before the
+// its work visible (deque or root-queue publication happens-before the
 // idle load), so either this load observes the parked worker, or the
 // worker's rescan observes the work.
 func (e *Engine) signal() {

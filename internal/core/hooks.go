@@ -43,11 +43,8 @@ type schedHooks struct {
 	// point is invoked at the named decision points; it may sleep, spin,
 	// or Gosched to stretch a race window.
 	point func(hookPoint)
-	// forceOverflow makes Engine.inject spill straight to the overflow
-	// list, as if every live injection ring were full.
-	forceOverflow func() bool
-	// stealFirst makes a worker's scan raid the other shards before its
-	// own deque, scrambling the preferred LIFO order.
+	// stealFirst makes a worker's scan raid the other workers' deques
+	// before its own, scrambling the preferred LIFO order.
 	stealFirst func() bool
 	// clock replaces the clock openBatch derives per-iteration cost from
 	// and ProfilePipeline stamps its nodes with, so a test can make the

@@ -8,17 +8,16 @@ import (
 	"testing"
 )
 
-// TestInjectOverflowSubmitBurst is the regression test for the injection
-// overflow path under concurrent Submit bursts. A single worker is held
-// hostage inside a pipeline body while producers submit far more root
-// frames than the worker's injection ring can hold, forcing the spill to
-// the mutex-guarded overflow list. Every submitted pipeline must then
-// execute exactly once — no frame lost in the spill, none double-executed
-// by the ring/overflow handoff — including pipelines canceled while still
-// queued.
+// TestInjectOverflowSubmitBurst is the regression test for the root queue
+// under concurrent Submit bursts. A single worker is held hostage inside a
+// pipeline body while producers submit hundreds of root frames, so the
+// queue grows far past its first capacity with nobody draining it. Every
+// submitted pipeline must then execute exactly once — no frame lost while
+// the queue grows or compacts, none popped twice — including pipelines
+// canceled while still queued.
 func TestInjectOverflowSubmitBurst(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Workers = 1 // one ring (capacity 64), easy to overflow
+	opts.Workers = 1
 	e := NewEngine(opts)
 	defer e.Close()
 
@@ -31,7 +30,7 @@ func TestInjectOverflowSubmitBurst(t *testing.T) {
 	})
 	<-hostageRunning // the only worker is now blocked inside a body
 
-	const burst = 8 * injectRingCap // 512 pipelines against one 64-slot ring
+	const burst = 512
 	const producers = 8
 	runs := make([]atomic.Int32, burst)
 	handles := make([]*Handle, burst)
@@ -62,9 +61,6 @@ func TestInjectOverflowSubmitBurst(t *testing.T) {
 			cancel()
 		}
 	}
-	if got := e.Stats().InjectOverflows; got == 0 {
-		t.Fatalf("burst of %d never hit the overflow path (ring cap %d)", burst, injectRingCap)
-	}
 
 	close(hostageRelease)
 	if err := hostage.Wait(); err != nil {
@@ -91,7 +87,43 @@ func TestInjectOverflowSubmitBurst(t *testing.T) {
 	if executed+skipped != burst {
 		t.Fatalf("%d executed + %d skipped != %d", executed, skipped, burst)
 	}
-	t.Logf("executed=%d canceled-before-start=%d overflows=%d",
-		executed, skipped, e.Stats().InjectOverflows)
+	t.Logf("executed=%d canceled-before-start=%d", executed, skipped)
 	checkEngineDrained(t, e)
+}
+
+// TestRootQueueOrderAndBound drives the root queue directly, with no
+// workers: roots come out in arrival order, and a backlog that never
+// drains keeps the backing array bounded by its peak length instead of
+// growing with every inject.
+func TestRootQueueOrderAndBound(t *testing.T) {
+	e := &Engine{}
+	frames := make([]frame, 8)
+	next, want := 0, 0
+	push := func() {
+		e.inject(&frames[next%len(frames)])
+		next++
+	}
+	pop := func() {
+		t.Helper()
+		if got, exp := e.popRoot(), &frames[want%len(frames)]; got != exp {
+			t.Fatalf("pop %d: got frame %p, want %p (not FIFO)", want, got, exp)
+		}
+		want++
+	}
+	for range 4 {
+		push()
+	}
+	for range 10000 {
+		push()
+		pop()
+	}
+	if c := cap(e.roots); c > 16 {
+		t.Errorf("backlog of 4 over 10000 injects left cap(roots) = %d, want at most 16", c)
+	}
+	for range 4 {
+		pop()
+	}
+	if f := e.popRoot(); f != nil || e.rootN.Load() != 0 || e.rootHead != 0 || len(e.roots) != 0 {
+		t.Errorf("drained queue: pop %p, rootN %d, head %d, len %d", f, e.rootN.Load(), e.rootHead, len(e.roots))
+	}
 }

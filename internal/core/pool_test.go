@@ -129,12 +129,12 @@ func TestBurstInjectionWakesAllWorkers(t *testing.T) {
 	}
 }
 
-// TestInjectOverflow forces the sharded rings to spill into the overflow
-// list by injecting far more pipelines than total ring capacity from many
-// goroutines at once, and checks nothing is lost.
+// TestInjectOverflow injects far more pipelines than there are workers
+// from many goroutines at once, so the root queue grows, compacts and
+// drains under contention, and checks nothing is lost.
 func TestInjectOverflow(t *testing.T) {
 	e := newTestEngine(t, 2)
-	const pipelines = 600 // 2 workers x 64-slot rings << 600 concurrent roots
+	const pipelines = 600
 	var ran atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < pipelines; g++ {

@@ -8,24 +8,28 @@ import (
 )
 
 // Safety of the bounded re-sweep a thief runs before it parks (findWork):
-// it must end promptly on Close and never run on a one-worker engine.
+// it must end promptly on Close and run only while another worker is
+// awake.
 
-// spinProbe counts the work scans a test engine's workers make while not
-// registered idle. Between one piece of work and the next park, findWork
-// makes exactly one such scan — the one at the top of its loop — unless it
-// spins: every spin sweep is another, and the pre-park rescan runs
-// registered. hold, when set, is called on the third such scan in a row,
-// which can therefore only be a spin sweep.
+// spinProbe counts the work scans a test engine's workers make while
+// exactly parked workers are registered idle: the peers the test keeps
+// parked, so the scanning worker is not registered itself. Between one
+// piece of work and the next park, findWork makes exactly one such scan —
+// the one at the top of its loop — unless it spins: every spin sweep is
+// another, and the pre-park rescan runs registered, which raises idle past
+// parked. hold, when set, is called on the third such scan in a row, which
+// can therefore only be a spin sweep.
 type spinProbe struct {
-	eng   atomic.Pointer[Engine]
-	scans atomic.Int64
-	hold  func(e *Engine)
+	eng    atomic.Pointer[Engine]
+	parked int64
+	scans  atomic.Int64
+	hold   func(e *Engine)
 }
 
 func (p *spinProbe) hooks() *schedHooks {
 	return &schedHooks{point: func(pt hookPoint) {
 		e := p.eng.Load()
-		if pt != hookPollWork || e == nil || e.idle.Load() != 0 {
+		if pt != hookPollWork || e == nil || e.idle.Load() != p.parked {
 			return
 		}
 		if p.scans.Add(1) == 3 && p.hold != nil {
@@ -78,7 +82,7 @@ func TestCloseDuringSpin(t *testing.T) {
 			if try < 100 {
 				continue
 			}
-			t.Fatal("no worker ever reached a spin sweep with a pipeline live on a 2-worker engine")
+			t.Fatal("no worker ever reached a spin sweep with its peer awake on a 2-worker engine")
 		}
 		break
 	}
@@ -99,23 +103,41 @@ func TestCloseDuringSpin(t *testing.T) {
 	checkGoroutinesSettle(t, base, 2)
 }
 
-// TestSingleWorkerNeverSpins: with one live worker there is nobody whose
+// TestSingleWorkerNeverSpins: with one worker there is no peer whose
 // continuation a spin could catch, so the worker goes from its scan
-// straight to the park protocol even while a pipeline is live. A pipeline
-// acquired and never launched holds the live gauge up, which a running
-// one cannot do here: it would occupy the only worker.
+// straight to the park protocol. A pipeline acquired and never launched
+// holds the live-pipeline gauge up throughout, so the test also fails a
+// gate that spins merely because some pipeline is live (a running one
+// cannot hold it here: it would occupy the only worker).
 func TestSingleWorkerNeverSpins(t *testing.T) {
-	probe := &spinProbe{}
+	assertNoSpinOnWake(t, 1)
+}
+
+// TestNoSpinWithPeersParked: a worker whose peers are all parked has
+// nothing to catch either, even while a pipeline is live — such as a
+// serving engine's next request, which a goroutine outside the pool
+// injects while the spin would take its CPU.
+func TestNoSpinWithPeersParked(t *testing.T) {
+	assertNoSpinOnWake(t, 2)
+}
+
+// assertNoSpinOnWake parks every worker of a P-worker engine with a
+// pipeline live but not launched, wakes one with a trivial pipeline, and
+// requires it to park again without a spin sweep while its P-1 peers stay
+// parked.
+func assertNoSpinOnWake(t *testing.T, p int) {
+	t.Helper()
+	probe := &spinProbe{parked: int64(p - 1)}
 	opts := DefaultOptions()
-	opts.Workers = 1
+	opts.Workers = p
 	opts.hooks = probe.hooks()
 	e := NewEngine(opts)
 	defer e.Close()
 	pl := e.acquirePipeline()
 	defer e.releasePipeline(pl)
 
-	if !settles(5*time.Second, func() bool { return e.idle.Load() == 1 }) {
-		t.Fatal("the worker never parked")
+	if !settles(5*time.Second, func() bool { return e.idle.Load() == int64(p) }) {
+		t.Fatal("the workers never all parked")
 	}
 	probe.eng.Store(e)
 	parks := e.Stats().Parks
@@ -127,9 +149,9 @@ func TestSingleWorkerNeverSpins(t *testing.T) {
 		t.Fatalf("wake-up pipeline failed: %v", err)
 	}
 	if !settles(5*time.Second, func() bool { return e.Stats().Parks > parks }) {
-		t.Fatal("the worker never parked again")
+		t.Fatal("the woken worker never parked again")
 	}
 	if got := probe.scans.Load(); got > 3 {
-		t.Errorf("%d unregistered work scans around one wake-up on a 1-worker engine, want at most 3 (no spin)", got)
+		t.Errorf("%d unregistered work scans around one wake-up on a %d-worker engine with every peer parked, want at most 3 (no spin)", got, p)
 	}
 }

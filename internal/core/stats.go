@@ -79,15 +79,12 @@ type Stats struct {
 	// Wakes ≈ Parks in the steady state (the old single-slot wake channel
 	// dropped tokens and relied on polling).
 	Wakes int64
-	// Injects counts root frames queued through the sharded injection
-	// path (one per top-level pipeline launch).
-	Injects int64
 	// FramePoolHits and FramePoolMisses count acquisitions served from
 	// the frame/pipeline pools versus fresh allocations (see pool.go).
 	FramePoolHits, FramePoolMisses int64
-	// InjectOverflows counts root-frame injections that found every
-	// per-worker ring full and spilled to the mutex-guarded overflow
-	// list. Nonzero only under Submit bursts that outrun the workers.
+	// InjectOverflows always reads 0. Top-level pipelines reach the
+	// workers through one root queue that has no capacity to overflow;
+	// the field stays for the benchmark, which still reports it.
 	InjectOverflows int64
 	// Submits counts pipelines launched asynchronously through Submit.
 	Submits int64
@@ -167,8 +164,6 @@ type statCounters struct {
 	closureTasks    atomic.Int64
 	parks           atomic.Int64
 	wakes           atomic.Int64
-	injects         atomic.Int64
-	injectOverflows atomic.Int64
 	submits         atomic.Int64
 	cancelRequests  atomic.Int64
 	abortedIters    atomic.Int64
@@ -200,8 +195,6 @@ func (c *statCounters) snapshot() Stats {
 		ClosureTasks:      c.closureTasks.Load(),
 		Parks:             c.parks.Load(),
 		Wakes:             c.wakes.Load(),
-		Injects:           c.injects.Load(),
-		InjectOverflows:   c.injectOverflows.Load(),
 		Submits:           c.submits.Load(),
 		CancelRequests:    c.cancelRequests.Load(),
 

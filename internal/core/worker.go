@@ -16,7 +16,6 @@ type worker struct {
 	eng    *Engine
 	id     int
 	deque  *deque.Deque[frame]
-	inbox  *deque.Inject[frame]
 	parkCh chan struct{}
 	rng    *workload.RNG
 	// r is the runner w enters for its next control segment; nil after a
@@ -197,8 +196,7 @@ func (w *worker) afterClosure(f *frame) *frame {
 
 // stealFrom raids one victim: first the lazy-enabling check-right on the
 // victim's assigned iteration (resuming implicitly enabled work "on the
-// victim's deque"), then the deque proper, then the victim's injection
-// ring so sharded roots are never stranded behind a busy shard owner.
+// victim's deque"), then the deque proper.
 func (w *worker) stealFrom(v *worker) *frame {
 	if a := v.assigned.Load(); a != nil && a.kind == kindIter {
 		if nxt := w.eng.tryWakeRight(a); nxt != nil {
@@ -210,18 +208,15 @@ func (w *worker) stealFrom(v *worker) *frame {
 		w.eng.stats.steals.Add(1)
 		return f
 	}
-	if f := v.inbox.Poll(); f != nil {
-		return f
-	}
 	return nil
 }
 
-// pollWork scans every work source once: the local deque, the worker's
-// own injection ring, the overflow list, then a steal sweep visiting
-// every victim exactly once from a random starting offset. Full coverage
-// (rather than the classic random probing) is what lets parking be
-// event-driven: the pre-park rescan in findWork must be deterministic,
-// because no polling timer will paper over a missed victim.
+// pollWork scans every work source once: the local deque, the engine's
+// root queue, then a steal sweep visiting every victim exactly once from a
+// random starting offset. Full coverage (rather than the classic random
+// probing) is what lets parking be event-driven: the pre-park rescan in
+// findWork must be deterministic, because no polling timer will paper
+// over a missed victim.
 func (w *worker) pollWork() *frame {
 	e := w.eng
 	if h := e.hooks; h != nil {
@@ -229,7 +224,7 @@ func (w *worker) pollWork() *frame {
 			h.point(hookPollWork)
 		}
 		if h.stealFirst != nil && h.stealFirst() {
-			// Perturbation: raid the other shards before the local deque,
+			// Perturbation: raid the other workers' deques before its own,
 			// scrambling the LIFO owner order the scheduler prefers.
 			if f := w.stealSweep(); f != nil {
 				return f
@@ -239,10 +234,7 @@ func (w *worker) pollWork() *frame {
 	if f := w.deque.Pop(); f != nil {
 		return f
 	}
-	if f := w.inbox.Poll(); f != nil {
-		return f
-	}
-	if f := e.popOverflow(); f != nil {
+	if f := e.popRoot(); f != nil {
 		return f
 	}
 	return w.stealSweep()
@@ -282,24 +274,24 @@ func (w *worker) stealSweep() *frame {
 const spinBeforeParkNs = 10000
 
 // findWork implements the thief loop: scan all work sources, re-sweep for
-// spinBeforeParkNs while a pipeline is live and another worker could be
-// about to release its continuation, then park until a signal delivers a
-// wake token. Parking is precise — a worker registers in the idle set and
-// re-scans before blocking, pairing with signal's publish-work-then-claim
-// order, so no wakeup is lost and no polling timer is needed; the spin
-// runs wholly before registration and changes none of that.
+// spinBeforeParkNs while another worker is awake and so could be about to
+// release a continuation, then park until a signal delivers a wake token.
+// A worker whose peers are all parked has nothing to catch: its spin would
+// only take a CPU from goroutines that are not workers, such as the
+// callers that inject the next pipeline. Parking is precise — a worker
+// registers in the idle set and re-scans before blocking, pairing with
+// signal's publish-work-then-claim order, so no wakeup is lost and no
+// polling timer is needed; the spin runs wholly before registration and
+// changes none of that.
 func (w *worker) findWork() *frame {
 	e := w.eng
+	peers := int64(len(e.workers) - 1)
 	for {
 		if f := w.pollWork(); f != nil {
 			return f
 		}
-		if len(e.workers) > 1 && e.pools.livePipeline.Load() > 0 {
-			var f *frame
-			for end := nowNs() + spinBeforeParkNs; f == nil && !e.closed.Load() && nowNs() < end; {
-				f = w.pollWork()
-			}
-			if f != nil {
+		for end := nowNs() + spinBeforeParkNs; e.idle.Load() < peers && !e.closed.Load() && nowNs() < end; {
+			if f := w.pollWork(); f != nil {
 				return f
 			}
 		}

@@ -3,11 +3,10 @@ package deque
 import "sync/atomic"
 
 // Inject is a bounded multi-producer multi-consumer FIFO ring (Vyukov's
-// bounded MPMC queue). The engine shards root-frame injection across one
-// Inject ring per worker, removing the global mutex from the injection
-// path: producers (arbitrary goroutines calling PipeWhile) enqueue with
-// one CAS on the tail, and any worker — the shard's owner in its fast
-// path, or a thief sweeping victims — dequeues with one CAS on the head.
+// bounded MPMC queue): producers enqueue with one CAS on the tail, and
+// consumers dequeue with one CAS on the head. The engine no longer uses
+// it — top-level pipelines reach the workers through one mutex-guarded
+// root queue — and it is kept for the benchmark's deque.inject_* probes.
 //
 // Each cell carries a sequence number that encodes its state relative to
 // the ring lap: seq == pos means "free for the producer at pos", seq ==

@@ -98,9 +98,9 @@ type StreamOptions struct {
 	MemLimit int64
 	// Profile, when non-nil, profiles the outer pipeline from its serial
 	// elision (piper.ProfilePipe) and stores the work/span report — the
-	// scalability harness's input for the virtual-time speedup model. A
-	// profiled run factorizes each chunk's blocks sequentially instead of
-	// through a nested pipeline, so the span is a chunk's, not a block's.
+	// scalability harness's input for the virtual-time speedup model. The
+	// serial elision profiles each chunk's nested block pipeline in place,
+	// so the span is a block's, not a chunk's.
 	Profile *piper.PipelineReport
 	// Stats, when non-nil, receives run counters at completion.
 	Stats *StreamStats
@@ -223,17 +223,13 @@ func (o StreamOptions) blockFactorBytes() int {
 // chunkFootprint is the arena charge of one in-flight chunk, rounded to
 // the classes the arena will bill: raw bytes, encoded output (worst case
 // 2·raw, exact — see appendFactors), sparse index, and the nested block
-// pipeline's in-flight scratch and factor regions (one block's worth on a
-// profiled run). MemLimit divided by this is the chunk throttle.
+// pipeline's in-flight scratch and factor regions. MemLimit divided by
+// this is the chunk throttle.
 func (o StreamOptions) chunkFootprint() int64 {
-	nblocks := streamNestedThrottle
-	if o.Profile != nil {
-		nblocks = 1
-	}
 	return classCeil(o.ChunkSize) +
 		classCeil(2*o.ChunkSize) +
 		classCeil(indexScratchLen(o.ChunkSize, o.SampleRate, o.BlockSize)*4) +
-		int64(nblocks)*(classCeil(o.blockScratchBytes())+classCeil(o.blockFactorBytes()))
+		streamNestedThrottle*(classCeil(o.blockScratchBytes())+classCeil(o.blockFactorBytes()))
 }
 
 // Container format. All integers are uvarints.
@@ -407,13 +403,12 @@ func fillStreamStats(st *StreamStats, sc *streamCounters, k int, raw uint64, wri
 	}
 }
 
-// compressChunk builds the chunk's sparse index, factorizes its blocks —
-// in a nested pipeline unless the run is profiled — and encodes the
-// factors into j.out. Runs entirely in the outer pipeline's parallel
-// stage; the nested pipeline is spawned through the iteration handle
-// (it.PipeWhileThrottled suspends this iteration until the inner pipeline
-// drains), never through the engine's top-level entry point, which would
-// park a worker.
+// compressChunk builds the chunk's sparse index, factorizes its blocks in
+// a nested pipeline, and encodes the factors into j.out. Runs entirely in
+// the outer pipeline's parallel stage; the nested pipeline is spawned
+// through the iteration handle (it.PipeWhileThrottled suspends this
+// iteration until the inner pipeline drains), never through the engine's
+// top-level entry point, which would park a worker.
 func compressChunk(outer *piper.Iter, a *arena.Arena, sc *streamCounters, o StreamOptions, j *chunkJob) {
 	n := len(j.data)
 	idxLen := indexScratchLen(n, o.SampleRate, o.BlockSize)
@@ -425,29 +420,6 @@ func compressChunk(outer *piper.Iter, a *arena.Arena, sc *streamCounters, o Stre
 	j.oref = arenaGet(a, sc, 2*o.ChunkSize)
 	out := j.oref.B[:0]
 	sc.chunks.Add(1)
-
-	if o.Profile != nil {
-		// Deferred, not straight-line: factorizeBlock runs under a live
-		// cancellation scope, and an unwind between these Gets and a bare
-		// Release would leak both regions until arena teardown (arenaref).
-		sref := arenaGet(a, sc, o.blockScratchBytes())
-		defer sref.Release()
-		fref := arenaGet(a, sc, o.blockFactorBytes())
-		defer fref.Release()
-		scratch := arena.View[int32](sref, o.blockScratchBytes()/4)
-		for start := 0; start < n; start += o.BlockSize {
-			end := start + o.BlockSize
-			if end > n {
-				end = n
-			}
-			fs := factorizeBlock(o.Mode, j.data, &ix, start, end, scratch,
-				arena.View[Factor](fref, end-start)[:0])
-			out = appendFactors(out, fs)
-			sc.blocks.Add(1)
-		}
-		j.out = out
-		return
-	}
 
 	// Nested pipeline: suffix-array construction (and all other per-block
 	// factorization work) parallelizes across the chunk's blocks, so one

@@ -92,7 +92,10 @@ func TestStreamPipelineMatchesSerial(t *testing.T) {
 
 // TestStreamProfile: the instrumented entry point must produce the same
 // container and a work/span measurement (the scalability harness's input)
-// in both modes.
+// in both modes. The serial elision profiles each chunk's nested block
+// pipeline, so the span is about a block's work rather than a chunk's and
+// the dense row's parallelism exceeds the chunk count: a span of at least
+// one chunk's work caps it at the number of chunks.
 func TestStreamProfile(t *testing.T) {
 	eng := piper.NewEngine(piper.Workers(2))
 	defer eng.Close()
@@ -113,6 +116,11 @@ func TestStreamProfile(t *testing.T) {
 		}
 		if rep.WorkNs <= 0 || rep.SpanNs <= 0 || rep.Iterations != 8 {
 			t.Fatalf("mode %d: implausible profile: %+v", mode, rep)
+		}
+		t.Logf("mode %d: parallelism %.1f over %d chunks", mode, rep.Parallelism(), rep.Iterations)
+		if mode == ModeDense && rep.Parallelism() <= float64(rep.Iterations) {
+			t.Errorf("mode %d: parallelism %.1f, want above %d: the span is not block-level",
+				mode, rep.Parallelism(), rep.Iterations)
 		}
 	}
 }
