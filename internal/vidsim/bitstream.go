@@ -102,22 +102,21 @@ func (e *Encoder) encodeMBRecord(fi, r, c int, rc *Recon, ref *Recon) mbRecord {
 			rec.mvdx, rec.mvdy = bdx, bdy
 		}
 	}
-	var predAt func(x, y int) int
+	// Prediction row k starts at pred[k*stride], as in reconstructMB.
+	var pred []byte
+	stride := v.W
 	if rec.inter {
-		mx, my := x0+rec.mvdx, y0+rec.mvdy
-		predAt = func(x, y int) int {
-			return int(ref.Pix[(my+(y-y0))*v.W+mx+(x-x0)])
-		}
+		pred = ref.Pix[(y0+rec.mvdy)*v.W+x0+rec.mvdx:]
 	} else {
-		pred := dcPredict(rc.Pix, v.W, x0, y0)
-		predAt = func(x, y int) int { return pred }
+		dc := dcRow(dcPredict(rc.Pix, v.W, x0, y0))
+		pred, stride = dc[:], 0
 	}
 	q := e.Cfg.QShift
 	k := 0
-	for y := y0; y < y0+MB; y++ {
-		row := y * v.W
-		for x := x0; x < x0+MB; x++ {
-			p := predAt(x, y)
+	for y := 0; y < MB; y++ {
+		row := (y0+y)*v.W + x0
+		for x := 0; x < MB; x++ {
+			p := int(pred[y*stride+x])
 			res := int(src[row+x]) - p
 			qv := res / (1 << q) // toward zero, matching reconstructMB
 			rec.qres[k] = int16(qv)
@@ -269,7 +268,8 @@ func Decode(stream []byte) (w, h int, frames []DecodedFrame, err error) {
 			if e2 != nil {
 				return 0, 0, nil, e2
 			}
-			var predAt func(x, y int) int
+			var pred []byte // row k of the prediction starts at pred[k*stride]
+			stride := w
 			switch mode {
 			case mbModeInter:
 				mvdx, mvdy := int(sv()), int(sv())
@@ -280,13 +280,10 @@ func Decode(stream []byte) (w, h int, frames []DecodedFrame, err error) {
 				if mx < 0 || my < 0 || mx+MB > w || my+MB > h {
 					return 0, 0, nil, fmt.Errorf("vidsim: motion vector (%d,%d) out of frame", mvdx, mvdy)
 				}
-				ref := prev
-				predAt = func(x, y int) int {
-					return int(ref[(my+(y-y0))*w+mx+(x-x0)])
-				}
+				pred = prev[my*w+mx:]
 			case mbModeIntra:
-				pred := dcPredict(pix, w, x0, y0)
-				predAt = func(x, y int) int { return pred }
+				dc := dcRow(dcPredict(pix, w, x0, y0))
+				pred, stride = dc[:], 0
 			default:
 				return 0, 0, nil, fmt.Errorf("vidsim: bad MB mode 0x%02x", mode)
 			}
@@ -312,9 +309,9 @@ func Decode(stream []byte) (w, h int, frames []DecodedFrame, err error) {
 				return 0, 0, nil, err
 			}
 			k := 0
-			for y := y0; y < y0+MB; y++ {
-				for x := x0; x < x0+MB; x++ {
-					pix[y*w+x] = clampByte(predAt(x, y) + int(qres[k])*(1<<q))
+			for y := 0; y < MB; y++ {
+				for x := 0; x < MB; x++ {
+					pix[(y0+y)*w+x0+x] = clampByte(int(pred[y*stride+x]) + int(qres[k])*(1<<q))
 					k++
 				}
 			}

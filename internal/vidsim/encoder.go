@@ -1,6 +1,7 @@
 package vidsim
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -154,8 +155,8 @@ func (e *Encoder) encodeIntraMB(fi, r, c int, rc *Recon) (int64, uint64) {
 	v := e.Video
 	src := v.Frames[fi]
 	x0, y0 := c*MB, r*MB
-	pred := dcPredict(rc.Pix, v.W, x0, y0)
-	bits, sig := e.reconstructMB(src, rc, x0, y0, func(x, y int) int { return pred })
+	dc := dcRow(dcPredict(rc.Pix, v.W, x0, y0))
+	bits, sig := e.reconstructMB(src, rc, x0, y0, dc[:], 0)
 	return bits + 6, sig ^ 0xA5A5 // mode header
 }
 
@@ -183,43 +184,49 @@ func (e *Encoder) encodeInterMB(fi, r, c int, rc *Recon, ref *Recon) (int64, uin
 		return e.encodeIntraMB(fi, r, c, rc)
 	}
 
-	mx, my := x0+bdx, y0+bdy
-	bits, sig := e.reconstructMB(src, rc, x0, y0, func(x, y int) int {
-		return int(ref.Pix[(my+(y-y0))*v.W+mx+(x-x0)])
-	})
+	bits, sig := e.reconstructMB(src, rc, x0, y0, ref.Pix[(y0+bdy)*v.W+x0+bdx:], v.W)
 	sig = sig*31 + uint64(uint32(bdx*131071+bdy))
 	return bits + 10, sig // mv + header bits
 }
 
-// reconstructMB quantizes the residual against pred and writes the
-// reconstruction, returning the bit estimate and a content signature.
-func (e *Encoder) reconstructMB(src []byte, rc *Recon, x0, y0 int, pred func(x, y int) int) (int64, uint64) {
-	v := e.Video
+// dcRow is one row of the DC intra predictor; read with stride 0 it is
+// the whole predicted block. dcPredict's mean of bytes always fits a byte.
+func dcRow(dc int) (row [MB]byte) {
+	for i := range row {
+		row[i] = byte(dc)
+	}
+	return row
+}
+
+// reconstructMB quantizes the residual against the prediction block whose
+// row k starts at pred[k*stride] (stride 0 repeats one row: the DC
+// predictor) and writes the reconstruction, returning the bit estimate
+// and a content signature.
+func (e *Encoder) reconstructMB(src []byte, rc *Recon, x0, y0 int, pred []byte, stride int) (int64, uint64) {
+	w := e.Video.W
 	q := e.Cfg.QShift
+	mask := 1<<q - 1
 	var bits int64
 	var sig uint64 = 14695981039346656037
-	for y := y0; y < y0+MB; y++ {
-		row := y * v.W
-		for x := x0; x < x0+MB; x++ {
-			p := pred(x, y)
-			res := int(src[row+x]) - p
-			// Quantize toward zero (Go's integer division), as real
-			// codecs do: small residuals of either sign become 0.
-			qres := res / (1 << q) * (1 << q)
-			rec := p + qres
-			if rec < 0 {
-				rec = 0
-			}
-			if rec > 255 {
-				rec = 255
-			}
-			rc.Pix[row+x] = byte(rec)
+	for k := 0; k < MB; k++ {
+		row := (y0+k)*w + x0
+		s, out, p := src[row:row+MB], rc.Pix[row:row+MB], pred[k*stride:k*stride+MB]
+		for i := range out {
+			res := int(s[i]) - int(p[i])
+			// Quantize toward zero, as real codecs do: small residuals of
+			// either sign become 0. Masking the magnitude is Go's integer
+			// division by 1<<q followed by the multiply back.
 			ares := res
 			if ares < 0 {
 				ares = -ares
 			}
+			qres := ares &^ mask
+			if res < 0 {
+				qres = -qres
+			}
+			out[i] = clampByte(int(p[i]) + qres)
 			bits += int64(ares >> q)
-			sig = (sig ^ uint64(byte(rec))) * 1099511628211
+			sig = (sig ^ uint64(out[i])) * 1099511628211
 		}
 	}
 	return bits, sig
@@ -257,25 +264,58 @@ func (e *Encoder) motionSearch(src, refPix []byte, x0, y0, r int) (int, int, int
 }
 
 // sad computes the sum of absolute differences between the MB at (x0,y0)
-// in src and the block at (x,y) in ref, with early exit past limit.
+// in src and the block at (x,y) in ref, with early exit past limit. The
+// returned sum, partial on an early exit, is that of a byte-by-byte loop
+// that checks the limit after every row: motion search relies on it for
+// its limits and tie-breaks.
+//
+// Each row is two 8-byte words per side. absDiff8 takes the per-byte
+// differences, pairs16 folds them into four 16-bit lanes, and acc
+// accumulates those lanes over the rows: a lane gains at most 4*255 per
+// row, 16 rows keep it under 1<<14, and all four lanes sum to under
+// 1<<16, so the multiply by lanes16 leaves the running sum exact in the
+// top 16 bits.
 func (e *Encoder) sad(src, ref []byte, x0, y0, x, y int, limit int64) int64 {
-	v := e.Video
+	w := e.Video.W
+	le := binary.LittleEndian
+	var acc uint64
 	var s int64
 	for r := 0; r < MB; r++ {
-		a := src[(y0+r)*v.W+x0 : (y0+r)*v.W+x0+MB]
-		b := ref[(y+r)*v.W+x : (y+r)*v.W+x+MB]
-		for i := 0; i < MB; i++ {
-			d := int64(a[i]) - int64(b[i])
-			if d < 0 {
-				d = -d
-			}
-			s += d
-		}
+		a := src[(y0+r)*w+x0:][:MB]
+		b := ref[(y+r)*w+x:][:MB]
+		acc += pairs16(absDiff8(le.Uint64(a), le.Uint64(b))) +
+			pairs16(absDiff8(le.Uint64(a[8:]), le.Uint64(b[8:])))
+		s = int64(acc * lanes16 >> 48)
 		if s >= limit {
 			return s
 		}
 	}
 	return s
+}
+
+const (
+	high8   = 0x8080808080808080 // top bit of every byte lane
+	lanes16 = 0x0001000100010001 // 1 in every 16-bit lane
+)
+
+// absDiff8 returns |a[i]-b[i]| in every byte lane i of two words. No
+// subtraction borrows across a lane: the comparison subtracts 7-bit
+// lanes from lanes with their top bit set, and the final subtraction
+// takes each lane's smaller byte from its larger one.
+func absDiff8(a, b uint64) uint64 {
+	// Top bit of each lane of lo: a's low 7 bits >= b's. Then a >= b
+	// where a has the top bit b lacks, or both agree on it and lo says so.
+	lo := (a | high8) - (b &^ high8)
+	ge := (a&^b | ^(a^b)&lo) & high8
+	m := (ge >> 7) * 0xff // 0xff in every lane where a >= b
+	swap := (a ^ b) & m
+	return (b ^ swap) - (a ^ swap) // max - min per lane
+}
+
+// pairs16 adds the byte lanes of x pairwise into four 16-bit lanes.
+func pairs16(x uint64) uint64 {
+	const even = 0x00ff00ff00ff00ff
+	return x&even + x>>8&even
 }
 
 // EncodeB encodes B-frame bi (no reconstruction is produced; B-frames are
@@ -299,6 +339,8 @@ func (e *Encoder) EncodeB(bi int, fwd, bwd *Recon) (int64, uint64) {
 	// successor) — allocate it lazily from the encoder's pool instead of
 	// burning a frame-sized buffer on every call.
 	var scratch *Recon
+	refs := [2]*Recon{fwd, bwd}
+	cols := v.Cols()
 	defer func() {
 		if scratch != nil {
 			scratch.rowsDone.Store(0)
@@ -306,11 +348,11 @@ func (e *Encoder) EncodeB(bi int, fwd, bwd *Recon) (int64, uint64) {
 		}
 	}()
 	for r := 0; r < rows; r++ {
-		for c := 0; c < v.Cols(); c++ {
+		for c := 0; c < cols; c++ {
 			x0, y0 := c*MB, r*MB
 			best := int64(1) << 62
 			var sig uint64
-			for ri, ref := range []*Recon{fwd, bwd} {
+			for ri, ref := range refs {
 				if ref == nil {
 					continue
 				}

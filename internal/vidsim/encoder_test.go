@@ -20,8 +20,8 @@ func flatVideo(w, h, n int, shade byte) *Video {
 	return v
 }
 
-// TestSADIdenticalBlocksZero: SAD of a block against itself is 0, and
-// the early-exit limit is respected.
+// TestSADProperties: SAD of a block against itself is 0, and the
+// early-exit limit is respected.
 func TestSADProperties(t *testing.T) {
 	v := Generate(31, 64, 32, 2, 0)
 	e := NewEncoder(v, DefaultConfig())

