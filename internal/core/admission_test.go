@@ -393,10 +393,11 @@ func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
 		i := 0
 		admitted <- e.SubmitWait(nil, func() bool { i++; return i <= 3 }, func(*Iter) { n.Add(1) })
 	}()
+	waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool { return ts.Waiting == 1 })
 	select {
 	case <-admitted:
 		t.Fatal("SubmitWait returned while the budget was exhausted")
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
 
 	close(gate)
@@ -416,6 +417,106 @@ func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
 		t.Errorf("AdmissionWaitNs = %d, want > 0 after a blocked admission", s.AdmissionWaitNs)
 	}
 	checkEngineDrained(t, e)
+}
+
+// TestTenantStatsDerivedCounters pins the engine-wide admission counters
+// to the per-class ones after a storm of SubmitWait callers, context
+// cancellations, rejections and a racing Close: at quiescence
+// Stats().Saturations is Σ (Rejected + Canceled), Stats().AdmissionWaitNs
+// is Σ AdmissionWaitNs, and PendingAdmitted and every class's Pending are
+// zero.
+func TestTenantStatsDerivedCounters(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.MaxPending = 2
+	opts.Tenants = []TenantClass{{Name: "a", Weight: 2}, {Name: "b", MaxPending: 1}}
+	e := NewEngine(opts)
+	classes := []string{DefaultTenant, "a", "b"}
+
+	// One of each outcome for certain: with both slots pinned, a Submit is
+	// rejected and a SubmitWait whose deadline passes is withdrawn.
+	gate := make(chan struct{})
+	pinned := []*Handle{gatedSubmit(e, gate), gatedSubmitTenant(e, "a", gate)}
+	if err := e.SubmitTenant(nil, "b", nil, nil).Wait(); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("Submit on a full budget: %v, want ErrSaturated", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	if err := e.SubmitWaitTenant(ctx, "a", nil, nil).Wait(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired SubmitWait: %v, want DeadlineExceeded", err)
+	}
+	cancel()
+	close(gate)
+	for _, h := range pinned {
+		if err := h.Wait(); err != nil {
+			t.Fatalf("pinned pipeline: %v", err)
+		}
+	}
+
+	const callers, per = 6, 30
+	rng := workload.NewRNG(0xd31)
+	var wg sync.WaitGroup
+	// Close races the storm's second half: each caller reports once a
+	// third of its submissions have resolved.
+	warm := make(chan struct{}, callers)
+	for c := range callers {
+		delays := make([]time.Duration, per)
+		for q := range delays {
+			delays[q] = time.Duration(rng.Intn(400)) * time.Microsecond
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q, d := range delays {
+				ctx, cancel := context.WithTimeout(context.Background(), d)
+				i := 0
+				var sink atomic.Uint64
+				cond := func() bool { i++; return i <= 2 }
+				body := func(*Iter) { sink.Add(workload.Spin(300)) }
+				tenant := classes[(c+q)%len(classes)]
+				var h *Handle
+				if q%5 == 0 {
+					h = e.SubmitTenant(ctx, tenant, cond, body)
+				} else {
+					h = e.SubmitWaitTenant(ctx, tenant, cond, body)
+				}
+				if err := h.Wait(); err != nil && !errors.Is(err, ErrSaturated) && !errors.Is(err, ErrEngineClosed) &&
+					!errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("storm handle: %v", err)
+				}
+				cancel()
+				if q == per/3 {
+					warm <- struct{}{}
+				}
+			}
+		}()
+	}
+	for range callers {
+		<-warm
+	}
+	e.Close()
+	wg.Wait()
+
+	s := e.Stats()
+	var sat, wait, pending, rejected, canceled int64
+	for _, ts := range e.TenantStats() {
+		if ts.Waiting != 0 || ts.Submitted != ts.Admitted+ts.Rejected+ts.Canceled {
+			t.Errorf("class %q at quiescence: %+v", ts.Name, ts)
+		}
+		sat += ts.Rejected + ts.Canceled
+		wait += ts.AdmissionWaitNs
+		pending += ts.Pending
+		rejected += ts.Rejected
+		canceled += ts.Canceled
+	}
+	if s.Saturations != sat || s.AdmissionWaitNs != wait {
+		t.Errorf("Stats Saturations %d, AdmissionWaitNs %d; class sums %d, %d", s.Saturations, s.AdmissionWaitNs, sat, wait)
+	}
+	if s.PendingAdmitted != pending || pending != 0 {
+		t.Errorf("PendingAdmitted %d, Σ Pending %d, want both 0", s.PendingAdmitted, pending)
+	}
+	if rejected == 0 || canceled == 0 || wait <= 0 {
+		t.Errorf("storm missed an outcome: rejected %d, canceled %d, wait %d ns", rejected, canceled, wait)
+	}
 }
 
 // TestSubmitWaitContextDeadline pins that the caller's context is what

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"piper/internal/admit"
 	"piper/internal/arena"
 	"piper/internal/deque"
 	"piper/internal/workload"
@@ -31,10 +32,9 @@ type Options struct {
 	// per-class accounting; a SubmitWait caller's ctx is the only bound on
 	// its wait. The default class "" always exists (plain
 	// Submit/SubmitWait admit through it); listing a class named ""
-	// re-tunes it. Empty means one undifferentiated class, the pre-tenant
-	// behavior. Tenant classes without a MaxPending budget are
-	// legal: admission then only enforces per-class quotas and keeps
-	// per-class accounting.
+	// re-tunes it. Tenant classes without a MaxPending budget are legal:
+	// admission then only enforces per-class quotas and keeps per-class
+	// accounting.
 	Tenants []TenantClass
 	// Throttle is the default throttling limit K for pipelines started on
 	// this engine; 0 means 4·P, the paper's recommended setting.
@@ -158,13 +158,12 @@ type Engine struct {
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 
-	// adm is the admission queue (see admission.go): nil when the engine
-	// has neither a MaxPending budget nor tenant classes — submissions
-	// then skip admission entirely, as before. Otherwise every
-	// Submit/SubmitWait acquires a slot from its tenant class here, and
-	// finishTopLevel releases it at pipeline completion, waking queued
-	// SubmitWait callers in weighted-fair order.
-	adm *admitter
+	// adm is the admission semaphore (internal/admit): nil when the engine
+	// has neither a MaxPending budget nor tenant classes, and submissions
+	// skip admission. Otherwise every Submit/SubmitWait acquires a slot of
+	// its tenant class here, and finishTopLevel releases it at pipeline
+	// completion, waking queued SubmitWait callers in weighted-fair order.
+	adm *admit.Sem
 
 	// tracing enables per-segment event capture (see trace.go).
 	tracing atomic.Bool
@@ -183,7 +182,9 @@ func NewEngine(opts Options) *Engine {
 		hooks: opts.hooks,
 		arena: arena.New(opts.ArenaBuffers),
 	}
-	e.adm = newAdmitter(e, &opts)
+	if opts.MaxPending > 0 || len(opts.Tenants) > 0 {
+		e.adm = admit.New(opts.MaxPending, append([]TenantClass{{Name: DefaultTenant}}, opts.Tenants...))
+	}
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
 		e.workers[i] = &worker{
@@ -237,7 +238,7 @@ func (e *Engine) readGauges() statGauges {
 		livePipes:   e.pools.livePipeline.Load(),
 	}
 	if e.adm != nil {
-		g.pendingAdmitted = e.adm.totalGauge.Load()
+		g.pendingAdmitted = e.adm.Held()
 	}
 	ac := e.arena.Stats()
 	g.arenaLive = ac.LiveBytes
@@ -286,6 +287,10 @@ func (e *Engine) Stats() Stats {
 	s.ArenaGets = g.arenaGets
 	s.ArenaPuts = g.arenaPuts
 	s.ArenaMisses = g.arenaMisses
+	for _, c := range e.TenantStats() {
+		s.Saturations += c.Rejected + c.Canceled
+		s.AdmissionWaitNs += c.AdmissionWaitNs
+	}
 	return s
 }
 
@@ -304,10 +309,10 @@ func (e *Engine) Close() {
 	// Release SubmitWait callers queued for admission before waking the
 	// workers: a waiter admitted after this point would inject into a
 	// closing engine, and one left queued would never return. The
-	// admitter fails each with ErrEngineClosed and refuses later
-	// enqueues under the same mutex, so no waiter can slip in between.
+	// semaphore fails each with ErrEngineClosed and refuses later
+	// acquires under the same mutex, so no waiter can slip in between.
 	if e.adm != nil {
-		e.adm.close()
+		e.adm.Close()
 	}
 	// Wake every parked worker: each observes the closed flag, runs a
 	// final drain scan (ordered after the flag, hence after every

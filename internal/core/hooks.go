@@ -67,8 +67,8 @@ func (e *Engine) hookAt(p hookPoint) {
 	}
 }
 
-// nowNs is the engine's monotonic clock: trace stamps, admission waits,
-// the pre-park spin, and batchClock without a hook.
+// nowNs is the engine's monotonic clock: trace stamps, the pre-park spin,
+// and batchClock without a hook.
 func nowNs() int64 { return int64(time.Since(clockEpoch)) }
 
 var clockEpoch = time.Now()

@@ -106,15 +106,16 @@ type Stats struct {
 	// engine all three are zero — the leak invariant the cancellation
 	// paths are tested against.
 	LiveIterFrames, LiveClosureFrames, LivePipelines int64
-	// Saturations counts admissions that failed against the
-	// Options.MaxPending budget or a tenant class quota: Submit calls
-	// rejected with ErrSaturated plus SubmitWait calls whose context was
-	// done, or whose engine closed, before a slot freed.
-	// Per-class breakdowns are in Engine.TenantStats.
+	// Saturations counts admissions that failed on an engine with
+	// admission control: Submit calls rejected with ErrSaturated,
+	// SubmitWait calls whose context was done before a slot freed, and
+	// submissions refused or released by Close (ErrEngineClosed). It is
+	// Σ (Rejected + Canceled) over Engine.TenantStats, read from one
+	// snapshot.
 	Saturations int64
 	// AdmissionWaitNs is the total time SubmitWait callers spent queued
-	// for an admission slot, in nanoseconds, summed over all tenant
-	// classes.
+	// for an admission slot, in nanoseconds: Σ AdmissionWaitNs over
+	// Engine.TenantStats.
 	AdmissionWaitNs int64
 	// PendingAdmitted is the gauge of admission slots currently held —
 	// top-level submitted pipelines admitted and not yet completed. Zero
@@ -143,33 +144,31 @@ type Stats struct {
 
 // statCounters is the atomic backing store inside the engine.
 type statCounters struct {
-	steals          atomic.Int64
-	failedSteals    atomic.Int64
-	lazyEnables     atomic.Int64
-	thiefEnables    atomic.Int64
-	eagerEnables    atomic.Int64
-	parkedEnables   atomic.Int64
-	tailSwaps       atomic.Int64
-	crossSuspends   atomic.Int64
-	throttleParks   atomic.Int64
-	scopeSuspends   atomic.Int64
-	crossChecks     atomic.Int64
-	foldHits        atomic.Int64
-	iterations      atomic.Int64
-	promotions      atomic.Int64
-	batchedIters    atomic.Int64
-	batchSplits     atomic.Int64
-	segments        atomic.Int64
-	pipelines       atomic.Int64
-	closureTasks    atomic.Int64
-	parks           atomic.Int64
-	wakes           atomic.Int64
-	submits         atomic.Int64
-	cancelRequests  atomic.Int64
-	abortedIters    atomic.Int64
-	abortedPipes    atomic.Int64
-	saturations     atomic.Int64
-	admissionWaitNs atomic.Int64
+	steals         atomic.Int64
+	failedSteals   atomic.Int64
+	lazyEnables    atomic.Int64
+	thiefEnables   atomic.Int64
+	eagerEnables   atomic.Int64
+	parkedEnables  atomic.Int64
+	tailSwaps      atomic.Int64
+	crossSuspends  atomic.Int64
+	throttleParks  atomic.Int64
+	scopeSuspends  atomic.Int64
+	crossChecks    atomic.Int64
+	foldHits       atomic.Int64
+	iterations     atomic.Int64
+	promotions     atomic.Int64
+	batchedIters   atomic.Int64
+	batchSplits    atomic.Int64
+	segments       atomic.Int64
+	pipelines      atomic.Int64
+	closureTasks   atomic.Int64
+	parks          atomic.Int64
+	wakes          atomic.Int64
+	submits        atomic.Int64
+	cancelRequests atomic.Int64
+	abortedIters   atomic.Int64
+	abortedPipes   atomic.Int64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -200,7 +199,5 @@ func (c *statCounters) snapshot() Stats {
 
 		AbortedIterations: c.abortedIters.Load(),
 		AbortedPipelines:  c.abortedPipes.Load(),
-		Saturations:       c.saturations.Load(),
-		AdmissionWaitNs:   c.admissionWaitNs.Load(),
 	}
 }

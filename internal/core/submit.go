@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+
+	"piper/internal/admit"
 )
 
 // Async submission and cancellation (the serving layer).
@@ -39,8 +41,9 @@ import (
 // released.
 
 // ErrEngineClosed is reported through a Handle when Submit is called on an
-// engine that has already been closed.
-var ErrEngineClosed = errors.New("piper: engine closed")
+// engine that has already been closed, or when Close releases a
+// SubmitWait caller still queued for admission.
+var ErrEngineClosed = admit.ErrClosed
 
 // ErrSaturated is reported through a Handle when Submit finds the engine's
 // pending-pipeline budget (Options.MaxPending, or the tenant class's own
@@ -48,7 +51,7 @@ var ErrEngineClosed = errors.New("piper: engine closed")
 // immediately, sheds or retries with its own policy, and no scheduler
 // state was allocated. SubmitWait is the blocking alternative — it never
 // reports ErrSaturated.
-var ErrSaturated = errors.New("piper: engine saturated: pending-pipeline budget exhausted")
+var ErrSaturated = admit.ErrSaturated
 
 // ErrUnknownTenant is reported through a Handle when SubmitTenant names a
 // tenant class the engine was not configured with (Options.Tenants). It
@@ -56,6 +59,31 @@ var ErrSaturated = errors.New("piper: engine saturated: pending-pipeline budget 
 // default class: misrouted traffic would otherwise corrupt both tenants'
 // QoS accounting.
 var ErrUnknownTenant = errors.New("piper: unknown tenant class")
+
+// DefaultTenant is the name of the implicit tenant class every engine
+// has: Submit/SubmitWait without a tenant name admit through it.
+const DefaultTenant = ""
+
+// TenantClass configures one admission class of a multi-tenant engine
+// (Options.Tenants): its name, deficit-round-robin weight, and optional
+// per-class pending quota. The policy lives in internal/admit.
+type TenantClass = admit.Class
+
+// TenantStats is the per-class admission snapshot (Engine.TenantStats).
+// Per class, Submitted == Admitted + Rejected + Canceled + Waiting in
+// every snapshot; at quiescence Pending and Waiting are zero.
+type TenantStats = admit.ClassStats
+
+// TenantStats returns the per-class admission snapshot, one entry per
+// tenant class (the default class "" first, then Options.Tenants in
+// registration order), or nil on an engine with no admission control (no
+// MaxPending budget and no tenant classes).
+func (e *Engine) TenantStats() []TenantStats {
+	if e.adm == nil {
+		return nil
+	}
+	return e.adm.Stats()
+}
 
 // PanicError wraps a panic raised by a pipeline's condition or body (or a
 // fork-join child rethrown at its sync). It is reported through the
@@ -217,16 +245,16 @@ func (e *Engine) submitClass(ctx context.Context, tenant string, k int, cond fun
 	ci, admitted := 0, false
 	if e.adm != nil {
 		var ok bool
-		if ci, ok = e.adm.lookup(tenant); !ok {
+		if ci, ok = e.adm.Lookup(tenant); !ok {
 			h.err = fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 			close(h.done)
 			return h
 		}
 		var err error
 		if block {
-			err = e.adm.waitAdmit(ctx, ci)
+			err = e.adm.Acquire(ctx, ci)
 		} else {
-			err = e.adm.tryAdmit(ci)
+			err = e.adm.TryAcquire(ci)
 		}
 		if err != nil {
 			h.err = err
@@ -255,7 +283,7 @@ func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, bo
 	if e.closed.Load() {
 		e.submitMu.RUnlock()
 		if admitted {
-			e.adm.release(ci)
+			e.adm.Release(ci)
 		}
 		h.err = ErrEngineClosed
 		close(h.done)
@@ -316,7 +344,7 @@ func (e *Engine) finishTopLevel(pl *pipeline) {
 		// Release the admission slot before publishing completion, so a
 		// SubmitWait caller blocked on the budget is admitted no later
 		// than this handle's Wait returns.
-		e.adm.release(pl.tenant)
+		e.adm.Release(pl.tenant)
 	}
 	e.releasePipeline(pl)
 	close(h.done)

@@ -92,10 +92,10 @@ const DefaultTenant = core.DefaultTenant
 
 // TenantClass configures one admission class of a multi-tenant engine:
 // a deficit-round-robin weight (contended admission capacity is split
-// across backlogged classes in proportion to their weights), an optional
-// and an optional per-class pending quota independent of the global
-// MaxPending budget. How long a SubmitWait caller queues is bounded by
-// its own context, as for any other blocking call.
+// across backlogged classes in proportion to their weights) and an
+// optional per-class pending quota independent of the global MaxPending
+// budget. How long a SubmitWait caller queues is bounded by its own
+// context, as for any other blocking call.
 type TenantClass = core.TenantClass
 
 // TenantStats is the per-class admission snapshot (Engine.TenantStats):
