@@ -453,8 +453,8 @@ func (it *Iter) PipeWhileThrottled(k int, cond func() bool, body func(*Iter)) {
 	// A nested pipeline inherits the root submission's cancellation word,
 	// so canceling a Submit tears down the whole pipeline tree.
 	pl.abort = f.pl.abort
-	sc := &scope{owner: f}
-	sc.join.Store(1)
+	sc := newScope(f)
+	sc.n.Store(1)
 	pl.parent = sc
 	f.w.pushWork(pl.control)
 	f.syncScope(sc)
@@ -481,7 +481,7 @@ func (e *Engine) newPipeline(k int, cond func() bool, body func(*Iter)) *pipelin
 	// it. It recycles together with its pipeline (see pool.go).
 	pl := e.acquirePipeline()
 	pl.cond, pl.body = cond, body
-	pl.K.Store(int64(k))
+	pl.K = int64(k)
 	e.stats.pipelines.Add(1)
 	return pl
 }

@@ -53,9 +53,7 @@ const (
 const (
 	statusRunning   int32 = iota // executing, assigned, or queued on a deque
 	statusWaitCross              // iteration parked on an unsatisfied cross edge
-	statusWaitScope              // iteration parked in a fork-join sync or nested pipe
-	statusThrottled              // control parked: live iterations == K
-	statusSyncing                // control parked: waiting for iterations to return
+	statusWaitJoin               // parked on waitingJoin: throttle, final sync, or fork-join sync
 	statusDone
 )
 
@@ -65,10 +63,10 @@ type yieldKind int8
 
 const (
 	yDone      yieldKind = iota // control: the pipeline finished
-	ySuspend                    // control: parked, throttled or syncing
+	ySuspend                    // control: parked on its pipeline's join (throttled or syncing)
 	yIterDone                   // iteration child finished after releasing the control frame
 	yParkCross                  // iteration child blocked on a cross edge; it keeps the runner
-	yParkScope                  // iteration child blocked on a fork-join scope; it keeps the runner
+	yParkJoin                   // iteration child blocked on a scope's join; it keeps the runner
 )
 
 type yieldMsg struct {
@@ -147,8 +145,9 @@ type frame struct {
 	// Runner-local.
 	curScope *scope
 
-	// Scope this iteration is parked on (valid while status==statusWaitScope).
-	waitingScope atomic.Pointer[scope]
+	// The join this frame parks on (valid while status==statusWaitJoin): a
+	// scope's for an iteration, its pipeline's for a control frame.
+	waitingJoin atomic.Pointer[join]
 
 	// panicked carries a user panic out of the body.
 	panicked any
@@ -206,7 +205,7 @@ func (f *frame) runBody() {
 // separated by cross-edge checks, as direct calls. The first iteration is
 // already materialized in f by the control frame's step; each later claim
 // slot re-evaluates the loop condition and recycles f in place
-// (resetBatchIter), so the whole run pays one frame acquisition, one
+// (resetIter), so the whole run pays one frame acquisition, one
 // successor-chain link, one throttle token, and at most one deque release
 // of the control frame. Only the final slot runs the plain release
 // protocol; earlier slots defer it (f.batched), keeping the pipe_while
@@ -295,7 +294,7 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 			return true
 		}
 		if fast {
-			// A fast-retired slot changed nothing resetBatchIter resets:
+			// A fast-retired slot changed nothing resetIter resets:
 			// stage stayed 0, status statusRunning, inStage0 true, and the
 			// fold cache and stat shadows untouched. Only the predecessor
 			// reference, which finishIter would have dropped, goes here, so
@@ -304,24 +303,24 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 			f.index = pl.nextIndex
 			pl.nextIndex++
 		} else {
-			f.resetBatchIter()
+			// The generic slot recycles f in place. The batch still holds
+			// the control frame, so no successor frame exists to observe
+			// the resets, and the previous slot's finishIter already
+			// dropped prev: the new slot's cross edges are vacuously
+			// satisfied.
+			f.resetIter(pl.nextIndex)
+			pl.nextIndex++
 		}
 	}
 }
 
-// resetBatchIter recycles f in place for the next claimed slot of an
-// inline batch after a slot that took the generic sequence (the stage-0
-// fast retire recycles by advancing f.index alone). The batch still holds
-// the control frame, so no successor frame exists and nothing outside
-// this runner can observe the non-atomic resets; the predecessor
-// reference was already dropped by the previous slot's finishIter, which
-// is also why the new slot's cross edges are all vacuously satisfied
-// (prev == nil). Mirrors acquireIterFrame's per-incarnation reset minus
-// the pool, refcount, and chain traffic the batch amortizes away.
-func (f *frame) resetBatchIter() {
-	pl := f.pl
-	f.index = pl.nextIndex
-	pl.nextIndex++
+// resetIter gives f the per-incarnation state of iteration index: the
+// fields a body reaches. It serves a frame fresh from the pool (newIter),
+// an inline batch's next generic slot, and the serial elision's one
+// frame; the scheduler's fields (the chain, the park target, the refcount)
+// reset in acquireIterFrame.
+func (f *frame) resetIter(index int64) {
+	f.index = index
 	f.stage.Store(0)
 	f.status.Store(statusRunning)
 	f.waitStage.Store(0)
@@ -429,9 +428,9 @@ func (f *frame) finishIter() {
 }
 
 // park suspends the body: its runner yields kind (yParkCross or
-// yParkScope) to the driving worker and returns once a worker resumes the
+// yParkJoin) to the driving worker and returns once a worker resumes the
 // frame. The caller has stored what it waits for (waitStage or
-// waitingScope) but not the parked status: the driving worker publishes
+// waitingJoin) but not the parked status: the driving worker publishes
 // that in publishPark, after the switch, so no waker can claim the frame
 // and enter its runner before the runner has stopped running.
 func (f *frame) park(kind yieldKind) {
@@ -452,10 +451,9 @@ func (f *frame) park(kind yieldKind) {
 // counter; the claim that follows is then at worst spurious, which the
 // body's re-check after every wake absorbs.
 func (f *frame) publishPark(kind yieldKind) bool {
-	if kind == yParkScope {
-		sc := f.waitingScope.Load()
-		f.status.Store(statusWaitScope)
-		return sc.join.Load() == 0 && f.status.CompareAndSwap(statusWaitScope, statusRunning)
+	if kind == yParkJoin {
+		_, took := f.waitingJoin.Load().publish()
+		return took
 	}
 	p, j := f.prev, f.waitStage.Load()
 	f.eng.stats.crossChecks.Add(1)

@@ -29,9 +29,9 @@ const (
 	// the deque at an iteration's stage-0 exit, while the releasing
 	// iteration's body is still running.
 	hookReleaseControl
-	// hookParkPublish fires inside the cross-edge parking protocol between
-	// publishing the waiting state and re-checking the edge — the window
-	// every waker races against.
+	// hookParkPublish fires inside both parking protocols, the cross
+	// edge's and the join's, between publishing the waiting state and
+	// re-checking the condition — the window every waker races against.
 	hookParkPublish
 	// hookPollWork fires at the top of a worker's work scan.
 	hookPollWork
@@ -55,7 +55,6 @@ type schedHooks struct {
 	// control-frame ownership, and returns the claim the batch runs, which
 	// is also the state the next open doubles from: an observer returns its
 	// argument, a test that pins the run length returns a constant.
-	// Traced pipelines run claim 1 without consulting it.
 	claim func(int64) int64
 }
 

@@ -13,13 +13,12 @@ type pipeline struct {
 	body func(it *Iter)
 
 	// K is the throttling limit: at most K iteration frames are live. Set
-	// once by newPipeline; atomic because step's re-check after publishing
-	// statusThrottled, and onIterReturn after its join decrement, may read
-	// it when the pipeline has already completed and been recycled.
-	K atomic.Int64
-	// join counts live (started, unreturned) iteration frames, plus the
-	// paper's control-frame join-counter role.
-	join atomic.Int64
+	// once by newPipeline and read only by step, which parks under it.
+	K int64
+	// live counts live (started, unreturned) iteration frames: the
+	// paper's control-frame join counter, which the control frame parks on
+	// both to throttle and to sync (see step).
+	live join
 
 	control *frame
 
@@ -46,7 +45,7 @@ type pipeline struct {
 
 	// Control-frame state machine (stepped on the runner of whichever
 	// worker holds the control frame; serialized by frame ownership).
-	// maxLive is the observed maximum of join for the space experiments
+	// maxLive is the observed maximum of live for the space experiments
 	// (Theorem 13): live iteration frames ≈ iteration stack space.
 	phase    int8
 	prevIter *frame
@@ -205,7 +204,7 @@ func (f *frame) parkOnCross(j int64) {
 func (pl *pipeline) newIter(prev *frame) *frame {
 	f := pl.eng.acquireIterFrame()
 	f.pl = pl
-	f.index = pl.nextIndex
+	f.resetIter(pl.nextIndex)
 	f.prev = prev
 	pl.nextIndex++
 	if prev != nil {
@@ -219,7 +218,9 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 // r, entered by worker r.w: it evaluates the loop condition, drives each
 // iteration's serial stage-0 prefix in order, spawns the remainder of the
 // iteration, enforces the throttling limit, and finally syncs on all
-// outstanding iterations.
+// outstanding iterations. The throttle and the sync are one wait on the
+// live-iteration join, under limit K while the loop runs and 1 once it
+// drains.
 //
 // step returns ySuspend when the control frame parked (throttled or
 // syncing; a waker will redeliver it, possibly while this call is still
@@ -232,93 +233,84 @@ func (pl *pipeline) newIter(prev *frame) *frame {
 func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
 	w := r.w
 	cf.w = w
-	pl.eng.stats.segments.Add(1)
+	e := pl.eng
+	e.stats.segments.Add(1)
 	for {
-		if pl.phase == phaseLoop {
-			if pl.panicked() || pl.abortRequested() {
-				// Abort or panic: stop spawning. The loop condition is not
-				// evaluated again (it may consume input), and phaseDrain
-				// syncs on the live iterations, which unwind at their next
-				// stage boundary.
-				pl.phase = phaseDrain
-				continue
-			}
-			// Throttle before testing the loop condition: the condition
-			// is part of the next iteration's serial stage 0, and its
-			// evaluation may consume an input element, so it must run
-			// exactly once per started iteration.
-			if pl.join.Load() >= pl.K.Load() {
-				cf.status.Store(statusThrottled)
-				if pl.join.Load() < pl.K.Load() {
-					if cf.status.CompareAndSwap(statusThrottled, statusRunning) {
-						continue // unparked ourselves
-					}
-					// A waker claimed the frame and is delivering it; it
-					// is no longer ours.
-					return yieldMsg{kind: ySuspend}
-				}
-				pl.eng.stats.throttleParks.Add(1)
-				return yieldMsg{kind: ySuspend}
-			}
-			if !pl.safeCond() {
-				pl.phase = phaseDrain
-				continue
-			}
-			if live := pl.join.Add(1); live > pl.maxLive {
-				pl.maxLive = live
-			}
-
-			pl.eng.hookAt(hookIteration)
-			it := pl.newIter(pl.prevIter)
-			pl.prevIter = it
-			// Drive the iteration from here; stage 0 runs serially in
-			// iteration order, exactly as the pipe_while transformation in
-			// the paper prescribes. Claim a batch of up to openBatch()
-			// consecutive iterations and run their bodies as direct calls
-			// on this runner, all through the one frame just acquired.
-			// The batch's final slot releases this control frame to the
-			// deque at its stage-0 exit (thieves pick it up to run the next
-			// iteration's stage 0), and any slot that must block performs
-			// that release itself before it parks — after either event this
-			// step invocation no longer owns the pipeline and must unwind
-			// through the returned message without touching it.
-			tracing := pl.eng.tracing.Load()
-			var traceStart int64
-			if tracing {
-				traceStart = nowNs()
-			}
-			if !it.runInlineBatch(r, pl.openBatch()) {
-				if it.inline {
-					// A blocked iteration's resumed segments are traced
-					// by the workers that resumed it.
-					w.traceSegment(tracing, kindIter, it.index, traceStart)
-				}
-				return yieldMsg{kind: yIterDone, child: it}
-			}
-			// The batch ran to completion without releasing the control
-			// frame (its final body never left stage 0, or the loop
-			// exhausted/aborted mid-claim): retire the frame here. The
-			// chain slot (pl.prevIter) keeps its reference until the next
-			// iteration links past it.
-			w.traceSegment(tracing, kindIter, it.index, traceStart)
-			pl.join.Add(-1)
-			it.unref()
-			continue
+		if pl.phase == phaseLoop && (pl.panicked() || pl.abortRequested()) {
+			// Abort or panic: stop spawning. The loop condition is not
+			// evaluated again (it may consume input), and phaseDrain
+			// syncs on the live iterations, which unwind at their next
+			// stage boundary.
+			pl.phase = phaseDrain
 		}
-		// phaseDrain — cilk_sync: wait for outstanding iterations.
-		if pl.join.Load() > 0 {
-			cf.status.Store(statusSyncing)
-			if pl.join.Load() == 0 {
-				if cf.status.CompareAndSwap(statusSyncing, statusRunning) {
-					pl.releaseChain()
-					return yieldMsg{kind: yDone}
-				}
-				return yieldMsg{kind: ySuspend}
+		// Throttle before testing the loop condition: the condition is
+		// part of the next iteration's serial stage 0, and its evaluation
+		// may consume an input element, so it must run exactly once per
+		// started iteration.
+		throttled, limit := pl.phase == phaseLoop, int64(1)
+		if throttled {
+			limit = pl.K
+		}
+		if pl.live.n.Load() >= limit {
+			// Park. Once the status is published a leave may claim the
+			// frame and step it on another worker, so nothing of pl is
+			// read after publish: throttled and e were taken before.
+			pl.live.limit.Store(limit)
+			ready, took := pl.live.publish()
+			if took {
+				continue // the count fell meanwhile: unparked ourselves
+			}
+			if throttled && !ready {
+				e.stats.throttleParks.Add(1)
 			}
 			return yieldMsg{kind: ySuspend}
 		}
-		pl.releaseChain()
-		return yieldMsg{kind: yDone}
+		if !throttled {
+			pl.releaseChain()
+			return yieldMsg{kind: yDone}
+		}
+		if !pl.safeCond() {
+			pl.phase = phaseDrain
+			continue
+		}
+		if live := pl.live.n.Add(1); live > pl.maxLive {
+			pl.maxLive = live
+		}
+
+		e.hookAt(hookIteration)
+		it := pl.newIter(pl.prevIter)
+		pl.prevIter = it
+		// Drive the iteration from here; stage 0 runs serially in
+		// iteration order, exactly as the pipe_while transformation in the
+		// paper prescribes. Claim a batch of up to openBatch() consecutive
+		// iterations and run their bodies as direct calls on this runner,
+		// all through the one frame just acquired. The batch's final slot
+		// releases this control frame to the deque at its stage-0 exit
+		// (thieves pick it up to run the next iteration's stage 0), and any
+		// slot that must block performs that release itself before it
+		// parks — after either event this step invocation no longer owns
+		// the pipeline and must unwind through the returned message without
+		// touching it.
+		tracing := e.tracing.Load()
+		var traceStart int64
+		if tracing {
+			traceStart = nowNs()
+		}
+		if !it.runInlineBatch(r, pl.openBatch()) {
+			if it.inline {
+				// A blocked iteration's resumed segments are traced by the
+				// workers that resumed it.
+				w.traceSegment(tracing, kindIter, it.index, traceStart)
+			}
+			return yieldMsg{kind: yIterDone, child: it}
+		}
+		// The batch ran to completion without releasing the control frame
+		// (its final body never left stage 0, or the loop exhausted/aborted
+		// mid-claim): retire the frame here. The chain slot (pl.prevIter)
+		// keeps its reference until the next iteration links past it.
+		w.traceSegment(tracing, kindIter, it.index, traceStart)
+		pl.live.n.Add(-1)
+		it.unref()
 	}
 }
 
@@ -346,17 +338,12 @@ const maxClaim = 64
 // to 1 — the continuation is released at every stage-0 exit, the paper's
 // protocol — and otherwise it doubles up to maxClaim, from 1 on a fresh
 // pipeline. A one-slot sample taken while an older iteration is still live
-// (join > 1: the continuation was stolen, or its iteration suspended)
+// (live > 1: the continuation was stolen, or its iteration suspended)
 // covers only the time the control frame took to change hands, so it can
 // prove a body coarse but not cheap, and the claim stays where it is; from
 // two slots up the window holds every slot but the last in full. A cheap
 // body therefore reaches maxClaim within seven opens, with no seed.
-// Traced runs pin the claim to 1: trace consumers expect one segment per
-// iteration.
 func (pl *pipeline) openBatch() int64 {
-	if pl.eng.tracing.Load() {
-		return 1
-	}
 	g := pl.grain
 	now, slots := pl.eng.batchClock(), pl.nextIndex-1-pl.openIndex
 	cost := (now - pl.openNs) / max(slots, 1)
@@ -365,7 +352,7 @@ func (pl *pipeline) openBatch() int64 {
 	case slots == 0: // first open: probe at the starting grain
 	case cost > coarseIterNs:
 		g = 1
-	case slots > 1 || pl.join.Load() == 1:
+	case slots > 1 || pl.live.n.Load() == 1:
 		g = min(2*g, maxClaim)
 	}
 	if h := pl.eng.hooks; h != nil && h.claim != nil {
@@ -395,24 +382,4 @@ func (pl *pipeline) safeCond() (ok bool) {
 		}
 	}()
 	return pl.cond()
-}
-
-// onIterReturn performs the bookkeeping when an iteration frame returns:
-// decrement the join counter and, if that enables the parked control frame
-// (throttle release or final sync), claim it. Returns the control frame if
-// the caller is now responsible for delivering it.
-func (pl *pipeline) onIterReturn() *frame {
-	n := pl.join.Add(-1)
-	cf := pl.control
-	switch cf.status.Load() {
-	case statusThrottled:
-		if n < pl.K.Load() && cf.status.CompareAndSwap(statusThrottled, statusRunning) {
-			return cf
-		}
-	case statusSyncing:
-		if n == 0 && cf.status.CompareAndSwap(statusSyncing, statusRunning) {
-			return cf
-		}
-	}
-	return nil
 }

@@ -26,7 +26,7 @@ import (
 // predecessor's next pointer — touch only atomic fields plus the
 // immutable kind, and the worst they can do is claim a park of the
 // frame's next incarnation, which the parking protocols already treat as
-// a spurious wake (publish-then-recheck; see parkOnCross and syncScope).
+// a spurious wake (publish-then-recheck; see parkOnCross and join.leave).
 // Each pool therefore serves exactly one frame kind, so kind never
 // changes on reuse and remains safely readable without synchronization.
 
@@ -61,18 +61,11 @@ func (e *Engine) acquireIterFrame() *frame {
 		f = &frame{kind: kindIter, eng: e}
 		f.it.f = f
 	}
-	// Reset the per-incarnation state.
-	f.stage.Store(0)
-	f.status.Store(statusRunning)
-	f.waitStage.Store(0)
+	// Reset the scheduler's per-incarnation state; the body's is
+	// resetIter's, which the caller runs.
 	f.next.Store(nil)
 	f.prev = nil
-	f.inStage0 = true
-	f.foldCache = 0
-	f.nFoldHits, f.nCrossChecks = 0, 0
-	f.curScope = nil
-	f.waitingScope.Store(nil)
-	f.panicked = nil
+	f.waitingJoin.Store(nil)
 	f.w = nil
 	f.inline = false
 	f.batched = false
@@ -140,9 +133,12 @@ func (e *Engine) acquirePipeline() *pipeline {
 		pl = &pipeline{eng: e}
 		pl.control = &frame{kind: kindControl, eng: e}
 		pl.control.pl = pl
+		// The control frame only ever parks on its pipeline's join.
+		pl.live.waiter = pl.control
+		pl.control.waitingJoin.Store(&pl.live)
 	}
 	// releasePipeline already cleared the references.
-	pl.join.Store(0)
+	pl.live.n.Store(0)
 	pl.admitted, pl.tenant = false, 0
 	pl.nextIndex = 0
 	pl.phase = phaseLoop

@@ -284,7 +284,7 @@ func TestProfileRepanics(t *testing.T) {
 	}
 	v = recovered(func(it *Iter) {
 		it.Continue(1)
-		it.f.curScope = &scope{owner: it.f}
+		it.f.curScope = newScope(it.f)
 	})
 	if s, _ := v.(string); !strings.Contains(s, "live fork-join scope") {
 		t.Errorf("profiled frame with a live scope recovered as %#v, want the contract check's panic", v)

@@ -147,7 +147,7 @@ func TestPromotionInsideNestedPipeline(t *testing.T) {
 // the pipeline saturates its throttle window (the control frame parks
 // throttled) while a later iteration promotes and parks on a cross edge.
 // The promoted frame's retirement must release the throttled control
-// frame through the ordinary onIterReturn path and the run must complete
+// frame through the ordinary join.leave path and the run must complete
 // in order within the window bound.
 func TestPromotionWhileThrottleExhausted(t *testing.T) {
 	e := newTestEngine(t, 2)

@@ -6,16 +6,81 @@ import (
 	"sync/atomic"
 )
 
-// scope is a fork-join join point: a counter of outstanding child tasks
-// plus the iteration frame that will sync on them. Scopes are single-use;
-// once the join counter returns to zero the scope is dead.
+// join is a join counter: n live units, and the frame, waiter, that waits
+// for n to fall below limit, parked as statusWaitJoin on waitingJoin. A
+// scope's join counts outstanding children under limit 1, so the owner's
+// sync waits for all of them. A pipeline's counts live iterations, and its
+// control frame parks on it under limit K while the loop runs (the
+// throttle) and under 1 once it drains (the final sync), as the paper's
+// control frame uses its one join counter for both.
+type join struct {
+	n, limit atomic.Int64
+	waiter   *frame
+}
+
+// ready reports whether the count is below the limit.
+func (j *join) ready() bool { return j.n.Load() < j.limit.Load() }
+
+// publish is the waiter's half of a park, after it stored the limit and
+// its waitingJoin: publish the parked status, then re-check (a leave that
+// ran before the publish cannot have seen it). ready reports the re-check,
+// took whether the waiter then took itself back; otherwise it belongs to
+// whichever leave claims it, and the caller must not touch it again.
+func (j *join) publish() (ready, took bool) {
+	f := j.waiter
+	f.status.Store(statusWaitJoin)
+	f.eng.hookAt(hookParkPublish)
+	ready = j.ready()
+	return ready, ready && f.status.CompareAndSwap(statusWaitJoin, statusRunning)
+}
+
+// leave retires one unit of j. If the count falls below the limit and the
+// waiter is parked on j, the caller claims the waiter and must deliver it.
+//
+// No wake is lost. The waiter stores the limit, then its parked status,
+// then re-reads n; leave decrements n, then reads the limit, then the
+// status. If the decrement that takes n below the limit precedes the
+// re-read, the waiter sees it and takes itself back. Otherwise leave reads
+// after all three steps, so it sees the limit and status of that park (or
+// later ones, which exist only once someone claimed it) and claims. Only
+// a live child raises n during a park (a For chunk spawning its sibling),
+// so exactly one decrement takes it below the limit.
+//
+// The count is compared before the waiter is touched, so a leave that
+// cannot release it (a scope child that is not the last) costs one load
+// more than the decrement. The price is a spurious claim when a leave read
+// the throttle's K just before the control frame lowered its limit to 1;
+// step's re-check parks the frame again. The waitingJoin check keeps a
+// leave from claiming a recycled owner frame parked on another join.
+func (j *join) leave() *frame {
+	if j.n.Add(-1) >= j.limit.Load() {
+		return nil
+	}
+	f := j.waiter
+	if f.status.Load() == statusWaitJoin && f.waitingJoin.Load() == j &&
+		f.status.CompareAndSwap(statusWaitJoin, statusRunning) {
+		return f
+	}
+	return nil
+}
+
+// scope is a fork-join join point: a join counting outstanding child tasks
+// under limit 1, whose waiter is the iteration frame that will sync on
+// them. Scopes are single-use; once the count returns to zero the scope is
+// dead.
 type scope struct {
-	owner *frame
-	join  atomic.Int64
+	join
 	// panicVal holds the first panic raised by a child task; the owner's
 	// sync rethrows it in the iteration, mirroring how a spawned Cilk
 	// child's exception surfaces at the sync.
 	panicVal atomic.Pointer[panicBox]
+}
+
+// newScope returns an empty scope that owner syncs on.
+func newScope(owner *frame) *scope {
+	sc := &scope{join: join{waiter: owner}}
+	sc.limit.Store(1)
+	return sc
 }
 
 // recordPanic stores the first child panic with the panicking
@@ -49,10 +114,10 @@ func (it *Iter) Go(fn func()) {
 		return
 	}
 	if f.curScope == nil {
-		f.curScope = &scope{owner: f}
+		f.curScope = newScope(f)
 	}
 	sc := f.curScope
-	sc.join.Add(1)
+	sc.n.Add(1)
 	t := f.eng.acquireClosureFrame(sc, func(*worker) { fn() })
 	f.w.pushWork(t)
 }
@@ -93,13 +158,13 @@ func (it *Iter) For(n, grain int, body func(int)) {
 		return
 	}
 	grain = f.eng.forGrain(n, grain)
-	sc := &scope{owner: f}
+	sc := newScope(f)
 	var split func(w *worker, lo, hi int)
 	split = func(w *worker, lo, hi int) {
 		for hi-lo > grain {
 			mid := lo + (hi-lo)/2
 			lo2, hi2 := mid, hi
-			sc.join.Add(1)
+			sc.n.Add(1)
 			t := f.eng.acquireClosureFrame(sc, func(w2 *worker) { split(w2, lo2, hi2) })
 			w.pushWork(t)
 			hi = mid
@@ -137,7 +202,7 @@ func (f *frame) syncScope(sc *scope) {
 		}
 	}()
 	for {
-		if sc.join.Load() == 0 {
+		if sc.ready() {
 			return
 		}
 		t := f.w.deque.PopIf(func(x *frame) bool {
@@ -147,7 +212,7 @@ func (f *frame) syncScope(sc *scope) {
 			f.eng.stats.closureTasks.Add(1)
 			runClosureTask(t, f.w)
 			f.eng.releaseClosureFrame(t)
-			if sc.join.Add(-1) == 0 {
+			if sc.n.Add(-1) == 0 {
 				break
 			}
 			continue
@@ -166,24 +231,8 @@ func (f *frame) syncScope(sc *scope) {
 		}
 		// The driving worker publishes the park and re-checks the join
 		// counter (publishPark); the loop re-checks it after every wake.
-		f.waitingScope.Store(sc)
+		f.waitingJoin.Store(&sc.join)
 		f.eng.stats.scopeSuspends.Add(1)
-		f.park(yParkScope)
+		f.park(yParkJoin)
 	}
-}
-
-// scopeUnitDone retires one child of sc. If that was the last child and
-// the owner iteration is parked on sc, the caller claims it; the returned
-// frame (if any) must be delivered to a worker.
-func scopeUnitDone(sc *scope) *frame {
-	if sc.join.Add(-1) != 0 {
-		return nil
-	}
-	o := sc.owner
-	if o.status.Load() == statusWaitScope && o.waitingScope.Load() == sc {
-		if o.status.CompareAndSwap(statusWaitScope, statusRunning) {
-			return o
-		}
-	}
-	return nil
 }

@@ -17,14 +17,14 @@ func RunSerial(cond func() bool, body func(*Iter)) PipelineReport {
 // runSerial is the serial elision's one loop, shared by RunSerial,
 // ProfilePipeline and every nested pipeline either reaches; with f.prof
 // set it records the dag, and the report carries its work and span. The
-// one frame is reused across iterations: resetSerialIter gives each the
-// state acquireIterFrame would, and serialContractCheck guards the one
-// field only a broken elision could leave set.
+// one frame is reused across iterations: resetIter gives each the state
+// newIter would, and serialContractCheck guards the one field only a
+// broken elision could leave set.
 func runSerial(f *frame, cond func() bool, body func(*Iter)) PipelineReport {
 	it := &Iter{f: f}
 	var n int64
 	for cond() {
-		f.resetSerialIter(n)
+		f.resetIter(n)
 		body(it)
 		f.serialContractCheck()
 		if p := f.prof; p != nil {
@@ -43,18 +43,6 @@ func runSerial(f *frame, cond func() bool, body func(*Iter)) PipelineReport {
 // e's worker count for For's grain. Its Iter reports e as its Engine.
 func (e *Engine) profileFrame() *frame {
 	return &frame{kind: kindIter, serial: true, eng: e, prof: &profile{eng: e, at: e.batchClock()}}
-}
-
-// resetSerialIter is the serial mirror of acquireIterFrame's
-// per-incarnation reset, restricted to the fields a serial body can reach.
-func (f *frame) resetSerialIter(index int64) {
-	f.index = index
-	f.stage.Store(0)
-	f.waitStage.Store(0)
-	f.inStage0 = true
-	f.foldCache = 0
-	f.curScope = nil
-	f.panicked = nil
 }
 
 // serialContractCheck asserts the serial-elision invariant at iteration

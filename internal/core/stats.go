@@ -58,7 +58,7 @@ type Stats struct {
 	// batch that runs its full claim contributes G-1 (the final slot runs
 	// the plain per-iteration protocol), while one cut short by loop
 	// exhaustion or an abort counts each slot it started. Pipelines that
-	// run claim 1 — coarse or traced ones — add zero, and so does
+	// run claim 1 — coarse ones — add zero, and so does
 	// ProfilePipeline, which runs the serial elision without the engine.
 	BatchedIterations int64
 	// BatchSplits counts inline batches ended early because a claimed

@@ -104,25 +104,20 @@ func (e *PanicError) Error() string {
 // every pipeline nested under it. It outlives the (pooled) pipeline
 // because it is owned by the Handle.
 type abortState struct {
-	flag atomic.Int32
-	err  atomic.Pointer[error]
+	err atomic.Pointer[error]
 }
 
 // request asks the pipeline tree to abort with the given error, reporting
-// whether this call was the first. The error is published before the flag
-// so any reader that observes the flag also observes the error.
+// whether this call was the first. A non-nil err word is the request, so
+// any reader that observes it also observes the error.
 func (a *abortState) request(err error) bool {
 	if err == nil {
 		err = context.Canceled
 	}
-	if a.err.CompareAndSwap(nil, &err) {
-		a.flag.Store(1)
-		return true
-	}
-	return false
+	return a.err.CompareAndSwap(nil, &err)
 }
 
-func (a *abortState) requested() bool { return a.flag.Load() != 0 }
+func (a *abortState) requested() bool { return a.err.Load() != nil }
 
 func (a *abortState) loadErr() error {
 	if p := a.err.Load(); p != nil {

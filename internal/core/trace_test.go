@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,31 @@ func TestTraceCapturesSegments(t *testing.T) {
 	if !sawIter || !sawControl {
 		t.Fatalf("missing event kinds: iter=%v control=%v", sawIter, sawControl)
 	}
+}
+
+// TestTracedRunBatches: tracing records the schedule without changing it.
+// A traced pipeline of bodies that cost nothing (on a clock that says so)
+// on one worker claims batches exactly as an untraced one does.
+func TestTracedRunBatches(t *testing.T) {
+	e := newEngineOpts(t, func(o *Options) {
+		o.Workers = 1
+		o.hooks = withClock(nil, new(costClock).ns.Load)
+	})
+	e.StartTrace()
+	const n = 2000
+	i := 0
+	rep := e.RunPipeline(0, func() bool { return i < n }, func(it *Iter) { i++ })
+	if err := e.StopTrace(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Iterations != n {
+		t.Fatalf("Iterations = %d, want %d", rep.Iterations, n)
+	}
+	if s := e.Stats(); s.BatchedIterations == 0 || rep.FinalGrain == 1 {
+		t.Errorf("traced run: BatchedIterations = %d, FinalGrain = %d; want batches as in an untraced run",
+			s.BatchedIterations, rep.FinalGrain)
+	}
+	checkEngineDrained(t, e)
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {

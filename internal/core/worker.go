@@ -114,7 +114,7 @@ func (w *worker) execute(f *frame) {
 				w.returnRunner(r)
 			}
 			f = w.afterDone(msg.child)
-		default: // yParkCross, yParkScope
+		default: // yParkCross, yParkJoin
 			if r == w.r {
 				w.r = nil // the parked body keeps the runner
 			}
@@ -154,7 +154,7 @@ func (w *worker) afterDone(f *frame) *frame {
 		if right != nil {
 			w.eng.stats.lazyEnables.Add(1)
 		}
-		ctrl := f.pl.onIterReturn()
+		ctrl := f.pl.live.leave()
 		f.next.Store(nil)
 		f.unref() // drop the scheduler's reference; f may now recycle
 		switch {
@@ -177,7 +177,7 @@ func (w *worker) afterDone(f *frame) *frame {
 	case kindControl:
 		if sc := f.pl.parent; sc == nil {
 			w.eng.finishTopLevel(f.pl)
-		} else if owner := scopeUnitDone(sc); owner != nil {
+		} else if owner := sc.leave(); owner != nil {
 			return owner
 		}
 	}
@@ -188,7 +188,7 @@ func (w *worker) afterDone(f *frame) *frame {
 func (w *worker) afterClosure(f *frame) *frame {
 	sc := f.scope
 	w.eng.releaseClosureFrame(f)
-	if owner := scopeUnitDone(sc); owner != nil {
+	if owner := sc.leave(); owner != nil {
 		return owner
 	}
 	return w.deque.Pop()

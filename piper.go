@@ -25,8 +25,9 @@
 // worker claims runs of up to 64 consecutive iterations and runs their
 // bodies back-to-back, paying one frame acquisition and one release of
 // the stealable pipe_while continuation per run; costlier iterations run
-// one at a time, the paper's protocol. Profiled and traced runs always
-// run one at a time, so work/span accounting stays exact.
+// one at a time, the paper's protocol. Traced runs batch like untraced
+// ones, so a trace shows the schedule the engine runs; profiled runs take
+// the serial elision on the caller, so work/span accounting stays exact.
 //
 // Beyond the blocking PipeWhile, Engine.Submit launches pipelines
 // asynchronously for serving workloads: many concurrent pipelines per
