@@ -6,6 +6,11 @@
 // match from the lexicographic neighbours with smaller text positions
 // (PSV/NSV), computing match lengths only at factor start positions.
 //
+// The two candidates come from one left-to-right stack pass over the
+// suffix array that stores them by text position, as in KKP3 (Kärkkäinen,
+// Kempa and Puglisi, "Linear Time Lempel-Ziv Factorization: Simple, Fast,
+// Small", CPM 2013), so a block needs 3 int32 of scratch per byte.
+//
 // The suffix array is built by induced sorting (SA-IS: Nong, Zhang and
 // Chan, 2009) in linear time, with a port of the int32 path of the Go
 // standard library's index/suffixarray (sais.go) that sorts in the
@@ -34,12 +39,11 @@ type Factor struct {
 }
 
 // scratchLen is the factorizer's working-memory requirement for an
-// n-byte block, in int32 elements: the layout blockIndex carves, five
-// n-sized arrays (sa, isa, psv, nsv and the ANSV stack). The suffix sort
-// fills sa and borrows the other four as its tmp, which they outsize
-// for any n ≥ 128; below that the backing grows to give the sort its
-// 512-entry minimum.
-func scratchLen(n int) int { return n + max(4*n, saisMinTmp(n)) }
+// n-byte block, in int32 elements: the layout blockIndex carves, sa and
+// the 2n-entry candidate pairs. The suffix sort fills sa and borrows the
+// pairs' slots as its tmp, which they cover for any n ≥ 256; below that
+// the backing grows to give the sort its 512-entry minimum.
+func scratchLen(n int) int { return n + max(2*n, saisMinTmp(n)) }
 
 // Factorize computes the greedy LZ77 factorization of data: at each
 // position the longest match against any earlier position (or a literal
@@ -50,7 +54,7 @@ func Factorize(data []byte) []Factor {
 	if n == 0 {
 		return nil
 	}
-	isa, psv, nsv := blockIndex(data, make([]int32, scratchLen(n)))
+	pn := blockIndex(data, make([]int32, scratchLen(n)))
 	dst := make([]Factor, 0, 16+n/8)
 
 	// Greedy pass: match lengths are computed by direct comparison, but
@@ -68,8 +72,7 @@ func Factorize(data []byte) []Factor {
 		return l
 	}
 	for p := 0; p < n; {
-		r := isa[p]
-		q1, q2 := psv[r], nsv[r]
+		q1, q2 := pn[2*p], pn[2*p+1]
 		l1, l2 := match(p, q1), match(p, q2)
 		src, l := q1, l1
 		if l2 > l1 || (l2 == l1 && q2 > q1) {
@@ -89,62 +92,52 @@ func Factorize(data []byte) []Factor {
 }
 
 // blockIndex builds the in-block match candidates of data in backing,
-// which must hold scratchLen(len(data)) int32 elements: isa[p] is the
-// lexicographic rank of the suffix at p, and psv[r]/nsv[r] are the text
-// positions of the nearest smaller-positioned suffixes before and after
-// rank r (ansvInto), -1 when there is none. Layout, in n-sized slots:
-// sa, isa, psv, nsv, stack. The suffix sort writes sa and uses
-// everything after it as tmp; the ANSV sweep then reuses the last slot
-// as its stack. All three results are views of backing.
-func blockIndex(data []byte, backing []int32) (isa, psv, nsv []int32) {
+// which must hold scratchLen(len(data)) int32 elements, and returns them
+// by text position: pn[2p] and pn[2p+1] are the text positions of the
+// suffixes nearest to p's in lexicographic order, before and after it,
+// among those that start before p (its previous and next smaller values
+// over the suffix array), -1 when there is none. They are the only two
+// candidates for p's longest previous match: any other earlier suffix is
+// lexicographically farther, hence shares a no-longer common prefix.
+//
+// Layout: sa in the first n slots, pn in the next 2n. The suffix sort
+// writes sa and borrows everything after it as tmp; then one
+// left-to-right pass over sa (KKP3: Kärkkäinen, Kempa and Puglisi, CPM
+// 2013) keeps a stack of text positions increasing toward its top in the
+// prefix of sa it has already read. A suffix popped by a smaller position
+// p has p as its next smaller value and the entry beneath it as its
+// previous one, so both land in its pair with one write each, in the
+// cache line of the position a factor will later start at. sa is dead
+// after the pass; pn is a view of backing.
+func blockIndex(data []byte, backing []int32) (pn []int32) {
 	n := len(data)
 	sa := backing[:n:n]
 	suffixArrayInto(data, sa, backing[n:scratchLen(n)])
-	isa = backing[n : 2*n : 2*n]
-	psv = backing[2*n : 3*n : 3*n]
-	nsv = backing[3*n : 4*n : 4*n]
-	for r, p := range sa {
-		isa[p] = int32(r)
+	pn = backing[n : 3*n : 3*n]
+	top := 0 // the stack is sa[:top]; top never passes the read index
+	for _, p := range sa {
+		for top > 0 && sa[top-1] > p {
+			top--
+			x := sa[top]
+			pn[2*x+1] = p
+			pn[2*x] = -1
+			if top > 0 {
+				pn[2*x] = sa[top-1]
+			}
+		}
+		sa[top] = p
+		top++
 	}
-	ansvInto(sa, psv, nsv, backing[4*n:5*n:5*n])
-	return isa, psv, nsv
-}
-
-// ansvInto fills psv[r]/nsv[r] with, for the suffix ranked r, the text
-// position of the nearest lexicographic neighbour (previous/next rank)
-// whose text position is smaller — the only two candidates for the
-// longest previous match of SA[r] (any other earlier suffix is
-// lexicographically farther, hence shares a no-longer common prefix).
-// Computed with the classic all-nearest-smaller-values stack sweep; ext
-// is stack storage of at least len(sa) elements.
-func ansvInto(sa, psv, nsv, ext []int32) {
-	n := len(sa)
-	stack := ext[:0]
-	for r := 0; r < n; r++ {
-		p := sa[r]
-		for len(stack) > 0 && stack[len(stack)-1] > p {
-			stack = stack[:len(stack)-1]
+	for top > 0 {
+		top--
+		x := sa[top]
+		pn[2*x+1] = -1
+		pn[2*x] = -1
+		if top > 0 {
+			pn[2*x] = sa[top-1]
 		}
-		if len(stack) > 0 {
-			psv[r] = stack[len(stack)-1]
-		} else {
-			psv[r] = -1
-		}
-		stack = append(stack, p)
 	}
-	stack = stack[:0]
-	for r := n - 1; r >= 0; r-- {
-		p := sa[r]
-		for len(stack) > 0 && stack[len(stack)-1] > p {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) > 0 {
-			nsv[r] = stack[len(stack)-1]
-		} else {
-			nsv[r] = -1
-		}
-		stack = append(stack, p)
-	}
+	return pn
 }
 
 // Reconstruct expands factors into dst (which must be empty or nil) and

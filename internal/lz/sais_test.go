@@ -2,6 +2,7 @@ package lz
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"sort"
 	"testing"
@@ -20,17 +21,55 @@ func naiveSuffixArray(data []byte) []int32 {
 	return sa
 }
 
-// sortOnScratch runs suffixArrayInto the way blockIndex does: sa and tmp
-// carved from one scratchLen backing, prefilled with junk because arena
-// scratch arrives dirty.
-func sortOnScratch(data []byte) []int32 {
-	n := len(data)
+// dirtyScratch returns a scratchLen(n) backing prefilled with junk,
+// because arena scratch arrives dirty.
+func dirtyScratch(n int) []int32 {
 	backing := make([]int32, scratchLen(n))
 	for i := range backing {
 		backing[i] = int32(i*7919) - 1
 	}
+	return backing
+}
+
+// sortOnScratch runs suffixArrayInto the way blockIndex does: sa and tmp
+// carved from one dirty scratchLen backing.
+func sortOnScratch(data []byte) []int32 {
+	n := len(data)
+	backing := dirtyScratch(n)
 	suffixArrayInto(data, backing[:n:n], backing[n:])
 	return backing[:n:n]
+}
+
+// checkBlockIndex compares blockIndex's candidate pair at every text
+// position of data with its definition, scanned from the reference
+// suffix array sa: pn[2p] is the text position at the nearest rank
+// before p's whose text position is smaller than p, pn[2p+1] the one at
+// the nearest such rank after it, -1 where there is none.
+func checkBlockIndex(t *testing.T, name string, data []byte, sa []int32) {
+	t.Helper()
+	n := len(data)
+	pn := blockIndex(data, dirtyScratch(n))
+	if len(pn) != 2*n {
+		t.Fatalf("%s: %d candidate entries, want %d", name, len(pn), 2*n)
+	}
+	for r, p := range sa {
+		want := [2]int32{-1, -1}
+		for l := r - 1; l >= 0; l-- {
+			if sa[l] < p {
+				want[0] = sa[l]
+				break
+			}
+		}
+		for h := r + 1; h < n; h++ {
+			if sa[h] < p {
+				want[1] = sa[h]
+				break
+			}
+		}
+		if got := [2]int32{pn[2*p], pn[2*p+1]}; got != want {
+			t.Fatalf("%s: candidates of position %d (rank %d) = %v, want psv/nsv %v", name, p, r, got, want)
+		}
+	}
 }
 
 // saisLengths are the text lengths the differential test sorts: the
@@ -122,24 +161,46 @@ func FuzzSuffixArray(f *testing.F) {
 				t.Fatalf("n=%d: sa[%d] = %d, reference %d", len(data), i, got[i], want[i])
 			}
 		}
+		checkBlockIndex(t, fmt.Sprintf("n=%d", len(data)), data, want)
 	})
 }
 
-// TestSuffixArrayNoAllocs: the sort runs entirely in caller scratch at
-// every size, including below the 128-byte floor where the scratch grows
-// to give the sort its 512-entry tables, and on the alternating text,
-// whose recursion needs the most tmp.
+// TestBlockIndexMatchesDefinition: the one-pass candidate pairs must
+// equal their definition over the reference suffix array on every shape
+// and length, plus both sides of n = 256, where the pairs' 2n slots stop
+// covering the sort's 512-entry minimum tmp.
+func TestBlockIndexMatchesDefinition(t *testing.T) {
+	for _, shape := range saisShapes {
+		for _, n := range append([]int{1, 2, 255, 256, 257}, saisLengths...) {
+			data := saisText(shape, n)
+			checkBlockIndex(t, fmt.Sprintf("%s/n=%d", shape, n), data, naiveSuffixArray(data))
+		}
+	}
+}
+
+// TestSuffixArrayNoAllocs: the sort, and blockIndex around it, run
+// entirely in caller scratch at every size, including below the 256-byte
+// floor where the scratch grows to give the sort its 512-entry tables,
+// and on the alternating text, whose recursion needs the most tmp. From
+// 256 bytes up the backing is exactly 3n: sa and the candidate pairs.
 func TestSuffixArrayNoAllocs(t *testing.T) {
 	if workload.RaceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
-	for _, n := range []int{1, 100, 127, 128, 4096, 128 << 10} {
+	for _, n := range []int{1, 100, 127, 128, 255, 256, 4096, 128 << 10} {
 		for _, shape := range []string{"text", "high-low", "alpha-256"} {
 			data := saisText(shape, n)
 			backing := make([]int32, scratchLen(n))
+			if n >= 256 && len(backing) != 3*n {
+				t.Fatalf("n=%d: scratch of %d entries, want 3n = %d", n, len(backing), 3*n)
+			}
 			allocs := testing.AllocsPerRun(3, func() { suffixArrayInto(data, backing[:n:n], backing[n:]) })
 			if allocs != 0 {
 				t.Errorf("%s/n=%d: %.0f allocations per sort, want 0", shape, n, allocs)
+			}
+			allocs = testing.AllocsPerRun(3, func() { blockIndex(data, backing) })
+			if allocs != 0 {
+				t.Errorf("%s/n=%d: %.0f allocations per blockIndex, want 0", shape, n, allocs)
 			}
 		}
 	}

@@ -7,14 +7,15 @@ import (
 
 // Sparse sliding chunk index for the streaming compressor (stream.go).
 //
-// The dense factorizer (Factorize, ModeDense) needs five n-sized int32
-// arrays per block — fine at 16 KiB blocks, fatal at streaming scale,
-// where the working set must stay O(chunk + index) no matter how large
-// the input grows. Following the sparse suffix/LCP idea (Ayad, Loukides,
-// Pissis, Verbeek, "Sparse Suffix and LCP Array: Simple, Direct, Small,
-// and Fast", arXiv:2310.09023), only positions on an s-aligned sampling
-// grid are indexed: the index stores one int32 per sampled position
-// instead of five per position, trading match-finding exhaustiveness for
+// The dense factorizer (Factorize, ModeDense) needs three int32 per
+// block byte (the suffix array and two match candidates) — fine at
+// 16 KiB blocks, costly at streaming scale, where the working set must
+// stay O(chunk + index) no matter how large the input grows. Following
+// the sparse suffix/LCP idea (Ayad, Loukides, Pissis, Verbeek, "Sparse
+// Suffix and LCP Array: Simple, Direct, Small, and Fast",
+// arXiv:2310.09023), only positions on an s-aligned sampling grid are
+// indexed: the index stores one int32 per sampled position instead of
+// three per position, trading match-finding exhaustiveness for
 // a footprint the sample rate controls directly.
 //
 // Concretely the index is a fingerprint-chained catalogue of the chunk's
@@ -231,7 +232,7 @@ func factorizeBlockDense(chunk []byte, ix *chunkIndex, start, end int, backing [
 	if nb == 0 {
 		return dst
 	}
-	isa, psv, nsv := blockIndex(block, backing)
+	pn := blockIndex(block, backing)
 
 	match := func(p int, q int32) int32 {
 		if q < 0 {
@@ -240,8 +241,7 @@ func factorizeBlockDense(chunk []byte, ix *chunkIndex, start, end int, backing [
 		return commonLen(block, int(q), p, nb-p)
 	}
 	for pr := 0; pr < nb; {
-		r := isa[pr]
-		q1, q2 := psv[r], nsv[r]
+		q1, q2 := pn[2*pr], pn[2*pr+1]
 		l1, l2 := match(pr, q1), match(pr, q2)
 		rel, bestL := q1, l1
 		if l2 > l1 || (l2 == l1 && q2 > q1) {

@@ -44,7 +44,7 @@ const (
 	// ModeDense factorizes each block with an exact dense suffix array of
 	// that block (PSV/NSV candidates, as in Factorize), merged
 	// with sparse cross-block candidates from the chunk index. Best
-	// compression; per-block scratch is 5 int32 per block byte.
+	// compression; per-block scratch is 3 int32 per block byte.
 	ModeDense StreamMode = iota
 	// ModeSparse matches only on the sampled grid, in-block and cross-
 	// block alike. Scratch falls to one int32 per SampleRate block bytes
@@ -275,6 +275,11 @@ var chunkJobPool = sync.Pool{New: func() any { return new(chunkJob) }}
 // StreamCompress compresses r onto w through eng's pipeline and returns
 // the bytes written. The output is bit-identical to
 // StreamCompressSerial(w, r, o) for the same options and input.
+//
+// Closing eng while a stream is in flight waits for the stream, which
+// then completes normally. On an engine that is already closed,
+// StreamCompress writes the container header to w and then panics with
+// "piper: PipeWhile on closed engine".
 func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions) (int64, error) {
 	o, k, err := o.normalized()
 	if err != nil {

@@ -437,6 +437,71 @@ func TestDenseOutputGolden(t *testing.T) {
 	}
 }
 
+// FuzzStreamRoundTrip has two halves. enc, read as a container, must
+// never panic StreamDecompress, whatever the bytes. Then enc followed by
+// size%384 KiB of workload.StreamReader(seed, ...) is compressed under
+// options drawn from the remaining arguments (dense or sparse, ChunkSize
+// 64–256 KiB, BlockSize 4–64 KiB): StreamCompressSerial's container must
+// decompress back to the input, and StreamCompress on a Workers(2)
+// engine must write exactly the serial bytes. The seed corpus in
+// testdata/fuzz/FuzzStreamRoundTrip holds valid, truncated and junk
+// containers, the empty stream, and multi-chunk streams in both modes.
+func FuzzStreamRoundTrip(f *testing.F) {
+	eng := piper.NewEngine(piper.Workers(2))
+	f.Cleanup(eng.Close)
+	f.Fuzz(func(t *testing.T, enc []byte, seed uint64, size uint32, chunkKiB, blockKiB uint8, sparse bool) {
+		_, _ = StreamDecompress(io.Discard, bytes.NewReader(enc))
+
+		tail, err := io.ReadAll(workload.StreamReader(seed, int64(size%(384<<10)), 4096, 0.35))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := append(append([]byte(nil), enc...), tail...)
+		o := StreamOptions{
+			ChunkSize: (64 + int(chunkKiB)%193) << 10,
+			BlockSize: (4 + int(blockKiB)%61) << 10,
+			Mode:      ModeDense,
+		}
+		if sparse {
+			o.Mode = ModeSparse
+		}
+		var want bytes.Buffer
+		if _, err := StreamCompressSerial(&want, bytes.NewReader(raw), o); err != nil {
+			t.Fatalf("%+v: serial: %v", o, err)
+		}
+		if dec, err := decompressBytes(want.Bytes()); err != nil || !bytes.Equal(dec, raw) {
+			t.Fatalf("%+v: %d bytes round-tripped to %d (err %v)", o, len(raw), len(dec), err)
+		}
+		var got bytes.Buffer
+		if _, err := StreamCompress(eng, &got, bytes.NewReader(raw), o); err != nil {
+			t.Fatalf("%+v: pipeline: %v", o, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%+v: pipeline container differs from serial reference (%d vs %d bytes)", o, got.Len(), want.Len())
+		}
+	})
+}
+
+// BenchmarkStreamCompressSerialDense times the dense block kernel on
+// lz-stream's input, 4 MiB of workload.StreamReader(1, 4<<20, 4096, 0.35),
+// through StreamCompressSerial: no engine, so only the factorizer and the
+// container encoding are measured. The input is read once, outside the
+// timer.
+func BenchmarkStreamCompressSerialDense(b *testing.B) {
+	data, err := io.ReadAll(workload.StreamReader(1, 4<<20, 4096, 0.35))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := StreamCompressSerial(io.Discard, bytes.NewReader(data), StreamOptions{Mode: ModeDense}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // steadyStateAllocs reports what one run allocates once pools, arena and
 // workers are warm: the allocation count from testing.AllocsPerRun, and the
 // bytes from the runtime's cumulative counter as the least of three rounds
@@ -585,6 +650,67 @@ func TestStreamCompressReaderError(t *testing.T) {
 	boom := errors.New("disk on fire")
 	r := &failingReader{r: streamInput(8 << 20), after: 3 << 20, err: boom}
 	streamCompressFails(t, io.Discard, r, func() time.Time { return r.failed }, boom)
+}
+
+// startSignal passes r's bytes through and closes started on the first
+// Read, which StreamCompress makes from inside its pipeline.
+type startSignal struct {
+	r       io.Reader
+	started chan struct{}
+}
+
+func (s *startSignal) Read(p []byte) (int, error) {
+	if s.started != nil {
+		close(s.started)
+		s.started = nil
+	}
+	return s.r.Read(p)
+}
+
+// TestStreamCompressCloseDuringRun: closing the engine while a stream is
+// in flight waits for the stream. An 8 MiB dense stream starts on
+// Workers(2) and Close comes at several delays after its first read:
+// each time Close returns, the stream returns no error, and its bytes
+// equal the serial reference's.
+func TestStreamCompressCloseDuringRun(t *testing.T) {
+	const size = 8 << 20
+	o := StreamOptions{ChunkSize: 256 << 10, BlockSize: 32 << 10, Mode: ModeDense}
+	var want bytes.Buffer
+	if _, err := StreamCompressSerial(&want, streamInput(size), o); err != nil {
+		t.Fatal(err)
+	}
+	for _, delay := range []time.Duration{0, time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond} {
+		eng := piper.NewEngine(piper.Workers(2))
+		r := &startSignal{r: streamInput(size), started: make(chan struct{})}
+		started := r.started
+		var got bytes.Buffer
+		done := make(chan error, 1)
+		go func() {
+			_, err := StreamCompress(eng, &got, r, o)
+			done <- err
+		}()
+		<-started
+		time.Sleep(delay)
+		if len(done) != 0 {
+			t.Logf("delay %v: the stream finished before Close", delay)
+		}
+		closed := make(chan struct{})
+		go func() {
+			eng.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("delay %v: Close did not return", delay)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("delay %v: StreamCompress returned %v", delay, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("delay %v: container differs from serial reference (%d vs %d bytes)", delay, got.Len(), want.Len())
+		}
+	}
 }
 
 // TestStreamCompressShortWrite: a writer that stops after the header and
