@@ -12,9 +12,9 @@
 // Small", CPM 2013), so a block needs 3 int32 of scratch per byte.
 //
 // The suffix array is built by induced sorting (SA-IS: Nong, Zhang and
-// Chan, 2009) in linear time, with a port of the int32 path of the Go
-// standard library's index/suffixarray (sais.go) that sorts in the
-// caller's scratch and never allocates. It replaced an O(n log n)
+// Chan, 2009) in linear time, with one port of the Go standard library's
+// index/suffixarray, generic over byte and int32 texts (sais.go), that
+// sorts in the caller's scratch and never allocates. It replaced an O(n log n)
 // prefix-doubling sort; on a 2-CPU host with Go 1.24.0,
 // BenchmarkFactorize64K went from 26–35 to 8.9–11.5 ms/op.
 //
@@ -167,8 +167,8 @@ func suffixArrayInto(data []byte, sa, tmp []int32) {
 	if len(tmp) < saisMinTmp(len(data)) {
 		panic("lz: suffix sort scratch too short")
 	}
-	clear(sa) // sais_8_32 requires a zeroed sa
-	sais_8_32(data, 256, sa, tmp)
+	clear(sa) // sais requires a zeroed sa
+	sais(data, 256, sa, tmp)
 }
 
 // saisMinTmp is suffixArrayInto's tmp requirement for an n-byte text:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 
@@ -203,5 +204,100 @@ func TestSuffixArrayNoAllocs(t *testing.T) {
 				t.Errorf("%s/n=%d: %.0f allocations per blockIndex, want 0", shape, n, allocs)
 			}
 		}
+	}
+}
+
+// TestSAISTextTypesAndTables calls both instantiations of sais directly,
+// each with both table layouts: two tables (len(tmp) ≥ 2·textMax, the
+// frequencies and the buckets) and one (textMax ≤ len(tmp) < 2·textMax,
+// the buckets only, into which the frequencies are recomputed each time
+// they are needed). suffixArrayInto always hands the sort two tables, so
+// only this test reaches the one-table branch. The byte texts are every
+// saisShapes shape; the int32 texts, which the sort otherwise sees only
+// as recursion levels, range over alphabets on both sides of a byte's.
+func TestSAISTextTypesAndTables(t *testing.T) {
+	for _, n := range saisLengths {
+		for _, shape := range saisShapes {
+			checkSAIS(t, fmt.Sprintf("byte/%s/n=%d", shape, n), saisText(shape, n), 256)
+		}
+		for _, k := range []int{1, 2, 255, 256, 257, 4096} {
+			checkSAIS(t, fmt.Sprintf("int32/alphabet=%d/n=%d", k, n), saisInt32Text(n, k), k)
+		}
+	}
+}
+
+// saisInt32Text returns an n-symbol text over [0, k) that holds k-1: a
+// period-13 pattern with one symbol in 16 replaced at random, so that
+// LMS-substrings repeat and the sort recurses over large alphabets too.
+func saisInt32Text(n, k int) []int32 {
+	rng := workload.NewRNG(uint64(n)*977 + uint64(k))
+	var pattern [13]int32
+	for i := range pattern {
+		pattern[i] = int32(rng.Intn(k))
+	}
+	text := make([]int32, n)
+	for i := range text {
+		text[i] = pattern[i%len(pattern)]
+		if rng.Intn(16) == 0 {
+			text[i] = int32(rng.Intn(k))
+		}
+	}
+	if n > 0 {
+		text[n/2] = int32(k - 1)
+	}
+	return text
+}
+
+// checkSAIS sorts text over an alphabet of the given size with a
+// two-table and with a one-table tmp, each prefilled with junk, and
+// compares both with a sort.Slice reference. Every layout also holds
+// the n/2 entries the recursion needs, so where n/2 exceeds the
+// alphabet, the one-table call raises textMax to n/2: still a bound on
+// every symbol, so the call is a legal one.
+func checkSAIS[T byte | int32](t *testing.T, name string, text []T, alphabet int) {
+	t.Helper()
+	n := len(text)
+	want := make([]int32, n)
+	for i := range want {
+		want[i] = int32(i)
+	}
+	sort.Slice(want, func(a, b int) bool { return slices.Compare(text[want[a]:], text[want[b]:]) < 0 })
+
+	oneMax := max(alphabet, n/2)
+	for _, c := range []struct {
+		layout          string
+		textMax, tmpLen int
+	}{
+		{"two tables", alphabet, max(2*alphabet, n/2)},
+		{"one table", oneMax, oneMax},
+	} {
+		sa := make([]int32, n)
+		tmp := make([]int32, c.tmpLen)
+		for i := range tmp {
+			tmp[i] = int32(i*7919) - 1
+		}
+		sais(text, c.textMax, sa, tmp)
+		if !slices.Equal(sa, want) {
+			i := 0
+			for sa[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s, %s: sa[%d] = %d, reference %d", name, c.layout, i, sa[i], want[i])
+		}
+	}
+}
+
+// BenchmarkSuffixArray128K times the suffix sort alone on one
+// DefaultStreamBlockSize block of workload.TextStream, sorting in a
+// scratchLen backing allocated outside the timer, as blockIndex does.
+func BenchmarkSuffixArray128K(b *testing.B) {
+	n := DefaultStreamBlockSize
+	data := workload.TextStream(77, n, 4096, 0.35)
+	backing := make([]int32, scratchLen(n))
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		suffixArrayInto(data, backing[:n:n], backing[n:])
 	}
 }

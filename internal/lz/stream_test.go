@@ -441,9 +441,11 @@ func TestDenseOutputGolden(t *testing.T) {
 // never panic StreamDecompress, whatever the bytes. Then enc followed by
 // size%384 KiB of workload.StreamReader(seed, ...) is compressed under
 // options drawn from the remaining arguments (dense or sparse, ChunkSize
-// 64–256 KiB, BlockSize 4–64 KiB): StreamCompressSerial's container must
-// decompress back to the input, and StreamCompress on a Workers(2)
-// engine must write exactly the serial bytes. The seed corpus in
+// 64–256 KiB, BlockSize 4–64 KiB, MemLimit 1–4 chunk footprints by
+// seed%4): StreamCompressSerial's container must decompress back to the
+// input, and StreamCompress on a Workers(2) engine must write exactly the
+// serial bytes at that many chunks in flight, its arena's live bytes
+// never past MemLimit. The seed corpus in
 // testdata/fuzz/FuzzStreamRoundTrip holds valid, truncated and junk
 // containers, the empty stream, and multi-chunk streams in both modes.
 func FuzzStreamRoundTrip(f *testing.F) {
@@ -465,6 +467,12 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if sparse {
 			o.Mode = ModeSparse
 		}
+		no, _, err := o.normalized()
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		k := 1 + int(seed%4)
+		o.MemLimit = int64(k) * no.chunkFootprint()
 		var want bytes.Buffer
 		if _, err := StreamCompressSerial(&want, bytes.NewReader(raw), o); err != nil {
 			t.Fatalf("%+v: serial: %v", o, err)
@@ -473,11 +481,17 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			t.Fatalf("%+v: %d bytes round-tripped to %d (err %v)", o, len(raw), len(dec), err)
 		}
 		var got bytes.Buffer
-		if _, err := StreamCompress(eng, &got, bytes.NewReader(raw), o); err != nil {
+		var st StreamStats
+		po := o
+		po.Stats = &st
+		if _, err := StreamCompress(eng, &got, bytes.NewReader(raw), po); err != nil {
 			t.Fatalf("%+v: pipeline: %v", o, err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%+v: pipeline container differs from serial reference (%d vs %d bytes)", o, got.Len(), want.Len())
+		}
+		if st.DerivedThrottle != k || st.PeakLiveArenaBytes > o.MemLimit {
+			t.Fatalf("%+v: chunk throttle %d (want %d), peak live arena %d B past the %d B MemLimit", o, st.DerivedThrottle, k, st.PeakLiveArenaBytes, o.MemLimit)
 		}
 	})
 }
