@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+
+	"piper/internal/workload"
 )
 
 // BenchmarkCrossSatisfied measures the cross-edge check on its hot paths:
@@ -88,4 +92,50 @@ func BenchmarkSuspendResume(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(e.Stats().CrossSuspends-pre)/float64(b.N), "suspends/op")
+}
+
+// BenchmarkBatchedStages measures ns per iteration of sched-floor's two
+// fine-grained shapes on the real clock, so the claim policy batches them
+// as it would in production: the chain of four empty Waits, and SPS
+// (Continue(1), a spin of about a microsecond, Wait(2)). One pipeline runs
+// b.N iterations on Workers(1) and on Workers(2); Wakes/op is how often a
+// parked worker was woken per iteration.
+func BenchmarkBatchedStages(b *testing.B) {
+	shapes := []struct {
+		name string
+		body func(it *Iter) uint64
+	}{
+		{"Chain", func(it *Iter) uint64 {
+			it.Wait(1)
+			it.Wait(2)
+			it.Wait(3)
+			it.Wait(4)
+			return 1
+		}},
+		{"SPS", func(it *Iter) uint64 {
+			it.Continue(1)
+			x := workload.Spin(512)
+			it.Wait(2)
+			return x
+		}},
+	}
+	for _, sh := range shapes {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/W%d", sh.name, workers), func(b *testing.B) {
+				opts := DefaultOptions()
+				opts.Workers = workers
+				e := NewEngine(opts)
+				defer e.Close()
+				var sink atomic.Uint64
+				pre := e.Stats().Wakes
+				i := 0
+				b.ResetTimer()
+				e.PipeWhile(func() bool { i++; return i <= b.N }, func(it *Iter) {
+					sink.Add(sh.body(it))
+				})
+				b.StopTimer()
+				b.ReportMetric(float64(e.Stats().Wakes-pre)/float64(b.N), "wakes/op")
+			})
+		}
+	}
 }

@@ -528,7 +528,8 @@ func (e *Engine) popRoot() *frame {
 // register-then-rescan protocol in findWork: the caller has already made
 // its work visible (deque or root-queue publication happens-before the
 // idle load), so either this load observes the parked worker, or the
-// worker's rescan observes the work.
+// worker's rescan observes the work. A batched control-frame release
+// publishes without a signal; its releaser takes it back (releaseControl).
 func (e *Engine) signal() {
 	if e.idle.Load() == 0 {
 		return

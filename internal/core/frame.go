@@ -18,8 +18,9 @@
 // iterations into one control frame (grain control, pipeline.openBatch):
 // the batch executes their bodies back-to-back through one recycled frame
 // with one deque release for the whole run, and splits at the first
-// iteration that must actually block. A slot whose body never leaves
-// stage 0 retires with no per-slot publication at all; the batch
+// iteration that must actually block. A slot that never released the
+// control frame and never blocked publishes nothing — no stage, no
+// completion — because no successor frame exists to read it; the batch
 // publishes its completion once, at exit.
 //
 // Only when an iteration must actually block — an unsatisfied cross edge,
@@ -122,6 +123,7 @@ type frame struct {
 	index    int64
 	prev     *frame // iteration index-1; runner-local, nil once satisfied-done
 	inStage0 bool   // runner-local: still in the serial stage-0 prefix
+	cur      int64  // runner-local stage the body is in; stage lags it in a batch slot
 
 	// Dependency folding: the most recently observed value of prev's stage
 	// counter. Runner-local, so reads cost nothing. Never written when the
@@ -204,11 +206,10 @@ func (f *frame) runBody() {
 // iterations of f's pipeline back-to-back on f, on runner r: stage bodies
 // separated by cross-edge checks, as direct calls. The first iteration is
 // already materialized in f by the control frame's step; each later claim
-// slot re-evaluates the loop condition and recycles f in place
-// (resetIter), so the whole run pays one frame acquisition, one
-// successor-chain link, one throttle token, and at most one deque release
-// of the control frame. Only the final slot runs the plain release
-// protocol; earlier slots defer it (f.batched), keeping the pipe_while
+// slot re-evaluates the loop condition and recycles f in place, so the
+// whole run pays one frame acquisition, one successor-chain link, one
+// throttle token, one completion store, and at most one deque release of
+// the control frame. Only the final slot runs the plain release protocol; earlier slots defer it (f.batched), keeping the pipe_while
 // continuation on this worker so the next body starts with no scheduler
 // traffic at all. Wait and Continue promote (see promote) only if an
 // iteration must actually block — promotion performs the deferred release
@@ -225,22 +226,22 @@ func (f *frame) runBody() {
 // unwind to the worker loop, which retires the iteration through
 // afterDone.
 //
-// A slot whose body returned without blocking, still in stage 0 and
-// without a panic, takes the stage-0 fast retire: it never published a
-// stage, never parked and never touched its stat shadows, so the next slot
-// only advances f.index, and its completion (finishIter) is published
-// once, at whichever batch exit follows. That is sound because the batch
-// holds the control frame for its whole run: no successor frame exists to
-// read the stage counter, and nothing outside this runner observes the
-// recycled slot. A slot that left stage 0, blocked or panicked takes the
-// generic per-slot sequence, so one batch may mix both kinds of slot.
+// A slot that returned without a panic and without releasing the control
+// frame — a deferred-release slot that never blocked, or a final slot that
+// never left stage 0 — takes the fast retire: its stage lived in f.cur
+// alone (advance), and its completion (finishIter) is published once, at
+// whichever batch exit follows. That is sound because the batch holds the
+// control frame for its whole run: no successor frame exists to read the
+// stage counter, and nothing outside this runner observes the recycled
+// slot. Any other slot released the control frame and ends the batch, so
+// the loop continues only after a fast slot.
 func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 	e := f.eng
 	pl := f.pl
 	f.w, f.r = r.w, r
 	var started, deferred int64
-	// fast marks a slot retired on the stage-0 fast branch, whose
-	// completion is still unpublished.
+	// fast marks a slot retired on the fast branch, whose completion is
+	// still unpublished.
 	var fast bool
 	flush := func() {
 		if fast {
@@ -261,7 +262,7 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 		f.inline = true
 		started++
 		f.runBody()
-		fast = f.inline && f.inStage0 && f.panicked == nil
+		fast = f.inline && (f.inStage0 || f.batched) && f.panicked == nil
 		if !fast {
 			f.finishIter()
 		}
@@ -293,34 +294,24 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 			flush()
 			return true
 		}
-		if fast {
-			// A fast-retired slot changed nothing resetIter resets:
-			// stage stayed 0, status statusRunning, inStage0 true, and the
-			// fold cache and stat shadows untouched. Only the predecessor
-			// reference, which finishIter would have dropped, goes here, so
-			// the next slot's cross edges are vacuously satisfied.
-			f.dropPrev()
-			f.index = pl.nextIndex
-			pl.nextIndex++
-		} else {
-			// The generic slot recycles f in place. The batch still holds
-			// the control frame, so no successor frame exists to observe
-			// the resets, and the previous slot's finishIter already
-			// dropped prev: the new slot's cross edges are vacuously
-			// satisfied.
-			f.resetIter(pl.nextIndex)
-			pl.nextIndex++
-		}
+		// A fast slot (a panic stopped the batch above) left the shared
+		// words as the batch found them, so only runner-local state resets;
+		// the stat shadows wait for the batch's one finishIter. Dropping
+		// prev leaves the next slot's cross edges vacuously satisfied.
+		f.dropPrev()
+		f.index = pl.nextIndex
+		pl.nextIndex++
+		f.cur, f.inStage0, f.foldCache = 0, true, 0
 	}
 }
 
 // resetIter gives f the per-incarnation state of iteration index: the
-// fields a body reaches. It serves a frame fresh from the pool (newIter),
-// an inline batch's next generic slot, and the serial elision's one
-// frame; the scheduler's fields (the chain, the park target, the refcount)
-// reset in acquireIterFrame.
+// fields a body reaches. It serves a frame fresh from the pool (newIter)
+// and the serial elision's one frame; the scheduler's fields (the chain,
+// the park target, the refcount) reset in acquireIterFrame.
 func (f *frame) resetIter(index int64) {
 	f.index = index
+	f.cur = 0
 	f.stage.Store(0)
 	f.status.Store(statusRunning)
 	f.waitStage.Store(0)
@@ -360,10 +351,12 @@ func (f *frame) promote() {
 		// stage-0 prefix, or a batch slot that deferred its release — so
 		// hand it to the deque first and the pipeline keeps unfolding
 		// while we park. A blocked slot also ends its batch: the residual
-		// claim is abandoned by runInlineBatch.
+		// claim is abandoned by runInlineBatch. The release is the first
+		// moment a successor can exist, so publish cur (see advance) first.
 		if f.batched {
 			f.batched = false
 			e.stats.batchSplits.Add(1)
+			f.stage.Store(f.cur)
 		}
 		f.releaseControl()
 	}
@@ -377,12 +370,19 @@ func (f *frame) promote() {
 // pipeline: the continuation becomes stealable and the worker keeps the
 // child, preserving the spawned-child-first discipline. The frozen step
 // invocation learns of the release through runInlineBatch's result and
-// unwinds without touching the pipeline again.
+// unwinds without touching the pipeline again. A batched release (claim
+// above 1) wakes nobody: this worker is back at its deque within one
+// iteration cheaper than coarseIterNs, long before a ~50 µs wake lands,
+// and an awake peer still steals the frame. Claim 1 keeps the wake.
 func (f *frame) releaseControl() {
 	f.inStage0 = false
-	w := f.w
+	w, pl := f.w, f.pl
 	w.assigned.Store(f)
-	w.pushWork(f.pl.control)
+	if pl.grain > 1 {
+		w.deque.Push(pl.control)
+	} else {
+		w.pushWork(pl.control)
+	}
 	f.eng.hookAt(hookReleaseControl)
 }
 
@@ -464,16 +464,21 @@ func (f *frame) publishPark(kind yieldKind) bool {
 
 // --- Cross-edge protocol -------------------------------------------------
 
-// advance moves the iteration's stage counter to j, completing all nodes
-// with stage < j: the one stage-publication rule, shared by Wait and
-// Continue. After the store it performs the check-right that lazy
-// enabling defers, on every advance under the EagerEnabling ablation and
-// otherwise only while a worker is parked. Lazy enabling counts on awake thieves to find a
-// satisfied waiter through stealFrom's check-right; ours park, and with one
-// asleep nobody else may look, so the claimed waiter goes through pushWork,
-// whose signal wakes the sleeper. next sits on this frame's just-written
-// line, so an in-batch slot (next == nil) pays one owned load and a branch.
+// advance moves the iteration to stage j, completing all nodes with
+// stage < j, for Wait and Continue. A deferred-release batch slot has no
+// successor, so it only moves cur (promote publishes it if the slot
+// blocks). Any other iteration stores the shared counter, then performs
+// the check-right that lazy enabling defers, on every advance under the
+// EagerEnabling ablation and otherwise only while a worker is parked. Lazy
+// enabling counts on awake thieves to find a satisfied waiter through
+// stealFrom's check-right; ours park, and with one asleep nobody else may
+// look, so the claimed waiter goes through pushWork, whose signal wakes
+// the sleeper.
 func (f *frame) advance(j int64) {
+	f.cur = j
+	if f.batched {
+		return
+	}
 	f.stage.Store(j)
 	e := f.eng
 	if f.next.Load() == nil || e.idle.Load() == 0 && !e.opts.EagerEnabling {

@@ -103,14 +103,14 @@ type Iter struct {
 func (it *Iter) Index() int64 { return it.f.index }
 
 // Stage reports the stage number of the node currently executing.
-func (it *Iter) Stage() int64 { return it.f.stage.Load() }
+func (it *Iter) Stage() int64 { return it.f.cur }
 
 // Engine returns the engine executing this iteration, for spawning nested
 // pipelines.
 func (it *Iter) Engine() *Engine { return it.f.eng }
 
 func (it *Iter) checkStageArg(j int64) {
-	if cur := it.f.stage.Load(); j <= cur {
+	if cur := it.f.cur; j <= cur {
 		panic(fmt.Sprintf("piper: stage arguments must strictly increase: at stage %d, requested %d", cur, j))
 	}
 	if j >= stageDone {
@@ -128,6 +128,7 @@ func (it *Iter) Wait(j int64) {
 			p.advance(j, true)
 		}
 		f.stage.Store(j)
+		f.cur = j
 		f.inStage0 = false
 		return
 	}
@@ -162,6 +163,7 @@ func (it *Iter) Continue(j int64) {
 			p.advance(j, false)
 		}
 		f.stage.Store(j)
+		f.cur = j
 		f.inStage0 = false
 		return
 	}

@@ -4,17 +4,20 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// Stage-0 fast retire tests: a batch slot whose body never leaves stage 0
-// defers its completion to the batch's exit (see runInlineBatch). Every
-// exit — a panic, a cancel, a promotion, loop exhaustion, a slot that
-// leaves stage 0 — must publish it, and a batch mixing both kinds of slot
-// must keep the serial-stage ordering and the outputs of the serial
-// elision. The first two tests hold the same for shapes that leave stage
-// 0 in every or every other iteration.
+// Fast retire tests: a batch slot that never released the control frame
+// and never blocked publishes nothing — its stage moves stay in the
+// runner-local cur, and its completion is deferred to the batch's exit
+// (see runInlineBatch). Every exit — a panic, a cancel, a promotion, loop
+// exhaustion, a final slot that releases — must publish it, a slot that
+// blocks must publish its stage before the release that lets a successor
+// exist, and batches of slots that leave stage 0 or stay there must keep
+// the serial-stage ordering and the outputs of the serial elision.
 
 // TestInteriorContinueOrdering runs a shape-stable pipeline whose tail is
 // a run of short interior continues, with a cross edge before them, and
@@ -232,6 +235,165 @@ func TestStage0BatchMixedShapes(t *testing.T) {
 	}
 	if s := e.Stats(); s.BatchedIterations == 0 {
 		t.Error("BatchedIterations = 0, want > 0 (no batch ran)")
+	}
+	checkEngineDrained(t, e)
+}
+
+// stageOp is one Wait (wait) or Continue of a shape, to stage j.
+type stageOp struct {
+	wait bool
+	j    int64
+}
+
+// TestUnpublishedSlotShapes runs shapes that leave stage 0 in every slot
+// — SPS, a chain of four Waits, a run of Continues — with the claim pinned
+// at maxClaim, so nearly every slot is a deferred-release slot whose stage
+// moves are never published. Each shape runs twice on one engine, the
+// second time on pooled frames. In every slot Stage reads 0 on entry and
+// then the stage just entered; the outputs equal the serial elision's; the
+// ordering invariant of TestInteriorContinueOrdering holds; and on one
+// worker BatchedIterations counts every slot but each full batch's last,
+// as it did when such slots published every stage.
+func TestUnpublishedSlotShapes(t *testing.T) {
+	const n = 1000
+	shapes := []struct {
+		name string
+		ops  []stageOp
+	}{
+		{"sps", []stageOp{{false, 1}, {true, 2}}},
+		{"chain", []stageOp{{true, 1}, {true, 2}, {true, 3}, {true, 4}}},
+		{"continues", []stageOp{{false, 1}, {false, 2}, {false, 3}, {false, 4}, {false, 5}}},
+	}
+	for _, sh := range shapes {
+		run := func(launch func(cond func() bool, body func(*Iter))) (out []uint64, violations, stageErrs int64) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: pipeline panicked: %v", sh.name, r)
+				}
+			}()
+			out = make([]uint64, n)
+			progress := make([]atomic.Int64, n+1)
+			var viol, serrs atomic.Int64
+			i := 0
+			launch(func() bool { i++; return i <= n }, func(it *Iter) {
+				idx := int(it.Index())
+				if it.Stage() != 0 {
+					serrs.Add(1)
+				}
+				acc := uint64(idx)*0x9e3779b97f4a7c15 + 1
+				for _, op := range sh.ops {
+					progress[idx].Store(op.j)
+					if op.wait {
+						it.Wait(op.j)
+						if idx > 0 && progress[idx-1].Load() <= op.j {
+							viol.Add(1)
+						}
+					} else {
+						it.Continue(op.j)
+					}
+					if it.Stage() != op.j {
+						serrs.Add(1)
+					}
+					acc = acc*31 + uint64(op.j)
+				}
+				out[idx] = acc
+				progress[idx].Store(math.MaxInt64)
+			})
+			return out, viol.Load(), serrs.Load()
+		}
+		want, _, _ := run(func(cond func() bool, body func(*Iter)) { RunSerial(cond, body) })
+		for _, workers := range []int{1, 2} {
+			e := newEngineOpts(t, func(o *Options) {
+				o.Workers = workers
+				o.hooks = &schedHooks{claim: pinClaim(maxClaim)}
+			})
+			for round := 0; round < 2; round++ {
+				pre := e.Stats().BatchedIterations
+				got, violations, stageErrs := run(func(cond func() bool, body func(*Iter)) { e.PipeWhile(cond, body) })
+				if violations != 0 || stageErrs != 0 {
+					t.Errorf("%s, Workers(%d), round %d: %d ordering violations, %d Stage mismatches",
+						sh.name, workers, round, violations, stageErrs)
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%s, Workers(%d), round %d: iteration %d produced %#x, serial %#x",
+							sh.name, workers, round, k, got[k], want[k])
+					}
+				}
+				batched := e.Stats().BatchedIterations - pre
+				if wantB := int64(n - n/maxClaim); workers == 1 && batched != wantB {
+					t.Errorf("%s, Workers(1), round %d: BatchedIterations = %d, want %d", sh.name, round, batched, wantB)
+				} else if batched == 0 {
+					t.Errorf("%s, Workers(%d), round %d: no slot ran batched", sh.name, workers, round)
+				}
+			}
+			checkEngineDrained(t, e)
+		}
+	}
+}
+
+// TestUnpublishedSlotPublishesAtPromotion: a deferred-release slot that
+// left stage 0 and then blocks must publish the stage it reached before
+// its promotion releases the control frame, because that release is the
+// first moment a successor exists. Iteration 0 (a batch's first slot at
+// claim maxClaim) enters stage 2 unpublished, then syncs on a child the
+// other worker has stolen; the child returns only once iteration 1's
+// Wait(1), an edge iteration 0 already left, has resolved. Without the
+// publish that Wait parks behind the parked slot and the child gives up
+// after its timeout. Three rounds on one engine run the later ones on
+// pooled frames, whose Stage must read 0 on entry.
+func TestUnpublishedSlotPublishesAtPromotion(t *testing.T) {
+	e := newEngineOpts(t, func(o *Options) {
+		o.Workers = 2
+		o.hooks = &schedHooks{claim: pinClaim(maxClaim)}
+	})
+	const timeout = 5 * time.Second
+	for round := 0; round < 3; round++ {
+		var childStarted atomic.Bool
+		var stageErrs, unstolen, timeouts atomic.Int64
+		resolved := make(chan struct{})
+		i := 0
+		h := e.Submit(nil, func() bool { i++; return i <= 2 }, func(it *Iter) {
+			if it.Stage() != 0 {
+				stageErrs.Add(1)
+			}
+			if it.Index() == 1 {
+				it.Wait(1)
+				close(resolved)
+				return
+			}
+			it.Continue(1)
+			it.Continue(2)
+			if it.Stage() != 2 {
+				stageErrs.Add(1)
+			}
+			it.Go(func() {
+				childStarted.Store(true)
+				select {
+				case <-resolved:
+				case <-time.After(timeout):
+					timeouts.Add(1)
+				}
+			})
+			// Sync only once the child is stolen, so the slot blocks.
+			for end := time.Now().Add(timeout); !childStarted.Load() && time.Now().Before(end); {
+				runtime.Gosched()
+			}
+			if !childStarted.Load() {
+				unstolen.Add(1)
+			}
+			it.Sync()
+		})
+		if err := h.Wait(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if stageErrs.Load() != 0 || unstolen.Load() != 0 || timeouts.Load() != 0 {
+			t.Fatalf("round %d: %d Stage mismatches, %d children not stolen, %d successor Waits unresolved while the slot was parked (after %v)",
+				round, stageErrs.Load(), unstolen.Load(), timeouts.Load(), timeout)
+		}
+	}
+	if s := e.Stats(); s.BatchSplits == 0 {
+		t.Error("BatchSplits = 0, want > 0 (the slot never blocked)")
 	}
 	checkEngineDrained(t, e)
 }

@@ -49,8 +49,9 @@ func (w *worker) loop() {
 	}
 }
 
-// pushWork makes f stealable on w's deque. Safe to call from the worker's
-// goroutine or from the runner it is currently driving.
+// pushWork makes f stealable on w's deque and wakes a parked worker for
+// it (a batched control-frame release skips the wake: releaseControl).
+// Safe to call from the worker's goroutine or from its current runner.
 func (w *worker) pushWork(f *frame) {
 	w.deque.Push(f)
 	w.eng.signal()
@@ -266,11 +267,12 @@ func (w *worker) stealSweep() *frame {
 // futex sleep, a ~50 µs wake, and on a virtualized host a stall of that
 // order for the worker that issues the wake: a thief that swept inside the
 // window would come back to find the owner has taken the continuation
-// again. The bound stays at the steal and stage-0 time scale on purpose:
-// spinning for a wake's length takes CPUs from whatever else the process
-// runs (20 µs cost the serve-open benchmark a fifth of its throughput,
-// 5 and 10 µs nothing; on dedup 10 µs leaves a quarter of the parks 5 µs
-// does).
+// again (which is also why a batched release wakes nobody; see
+// releaseControl). The bound stays at the steal and stage-0 time scale on
+// purpose: spinning for a wake's length takes CPUs from whatever else the
+// process runs (20 µs cost the serve-open benchmark a fifth of its
+// throughput, 5 and 10 µs nothing; on dedup 10 µs leaves a quarter of the
+// parks 5 µs does).
 const spinBeforeParkNs = 10000
 
 // findWork implements the thief loop: scan all work sources, re-sweep for
