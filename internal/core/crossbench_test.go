@@ -94,29 +94,35 @@ func BenchmarkSuspendResume(b *testing.B) {
 	b.ReportMetric(float64(e.Stats().CrossSuspends-pre)/float64(b.N), "suspends/op")
 }
 
-// BenchmarkBatchedStages measures ns per iteration of sched-floor's two
+// batchedSink keeps BenchmarkBatchedStages' bodies from being optimized
+// away.
+var batchedSink atomic.Uint64
+
+// BenchmarkBatchedStages measures ns per iteration of sched-floor's three
 // fine-grained shapes on the real clock, so the claim policy batches them
-// as it would in production: the chain of four empty Waits, and SPS
-// (Continue(1), a spin of about a microsecond, Wait(2)). One pipeline runs
-// b.N iterations on Workers(1) and on Workers(2); Wakes/op is how often a
-// parked worker was woken per iteration.
+// as it would in production: the empty body (stage 0 only), the chain of
+// four empty Waits, and SPS (Continue(1), a spin of about a microsecond,
+// Wait(2)). One pipeline runs b.N iterations on Workers(1) and on
+// Workers(2); Wakes/op is how often a parked worker was woken per
+// iteration.
 func BenchmarkBatchedStages(b *testing.B) {
 	shapes := []struct {
 		name string
-		body func(it *Iter) uint64
+		body func(it *Iter)
 	}{
-		{"Chain", func(it *Iter) uint64 {
+		{"Empty", func(*Iter) {}},
+		{"Chain", func(it *Iter) {
 			it.Wait(1)
 			it.Wait(2)
 			it.Wait(3)
 			it.Wait(4)
-			return 1
+			batchedSink.Add(1)
 		}},
-		{"SPS", func(it *Iter) uint64 {
+		{"SPS", func(it *Iter) {
 			it.Continue(1)
 			x := workload.Spin(512)
 			it.Wait(2)
-			return x
+			batchedSink.Add(x)
 		}},
 	}
 	for _, sh := range shapes {
@@ -126,13 +132,10 @@ func BenchmarkBatchedStages(b *testing.B) {
 				opts.Workers = workers
 				e := NewEngine(opts)
 				defer e.Close()
-				var sink atomic.Uint64
 				pre := e.Stats().Wakes
 				i := 0
 				b.ResetTimer()
-				e.PipeWhile(func() bool { i++; return i <= b.N }, func(it *Iter) {
-					sink.Add(sh.body(it))
-				})
+				e.PipeWhile(func() bool { i++; return i <= b.N }, sh.body)
 				b.StopTimer()
 				b.ReportMetric(float64(e.Stats().Wakes-pre)/float64(b.N), "wakes/op")
 			})

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"piper/internal/workload"
 )
 
 // TestImplicitSyncAtIterationEnd: children spawned with Go but never
@@ -193,4 +195,40 @@ func TestForPanicPropagates(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestGoSpawnAllocs: on a warmed engine a Go spawn allocates nothing of
+// its own — the pooled task frame holds the user's func as is, with no
+// wrapper closure around it. The marginal cost of eight more spawns per
+// iteration is measured, so the per-Sync scope and the pipeline's own
+// allocations cancel out; a wrapper per spawn would read 1.0.
+func TestGoSpawnAllocs(t *testing.T) {
+	if workload.RaceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	const iters = 200
+	e := newEngineOpts(t, func(o *Options) { o.Workers = 1 })
+	var sum atomic.Int64
+	child := func() { sum.Add(1) }
+	run := func(spawns int) func() {
+		return func() {
+			i := 0
+			e.PipeWhile(func() bool { i++; return i <= iters }, func(it *Iter) {
+				it.Continue(1)
+				for k := 0; k < spawns; k++ {
+					it.Go(child)
+				}
+				it.Sync()
+			})
+		}
+	}
+	one, nine := run(1), run(9)
+	one() // warm the pools and the runners
+	nine()
+	perGo := (testing.AllocsPerRun(5, nine) - testing.AllocsPerRun(5, one)) / (8 * iters)
+	t.Logf("allocs per extra Go: %.3f", perGo)
+	if perGo > 0.25 {
+		t.Errorf("a Go spawn allocates %.2f times, want 0 on a warmed engine", perGo)
+	}
+	checkEngineDrained(t, e)
 }

@@ -21,7 +21,9 @@
 // iteration that must actually block. A slot that never released the
 // control frame and never blocked publishes nothing — no stage, no
 // completion — because no successor frame exists to read it; the batch
-// publishes its completion once, at exit.
+// publishes its completion once, at exit. The slot loop is straight-line:
+// one deferred recover per batch, not one per body and per loop-condition
+// call, turns a user panic or a cancel unwind into pipeline state.
 //
 // Only when an iteration must actually block — an unsatisfied cross edge,
 // a fork-join sync on stolen children, a nested pipeline — does it
@@ -139,8 +141,11 @@ type frame struct {
 	serial bool
 	prof   *profile
 
-	// Closure state.
+	// Closure state: a Go child runs call, a For chunk runs fn on the
+	// worker that executes it. Go stores the user's func as is, so a
+	// spawn allocates no wrapper.
 	fn    func(w *worker)
+	call  func()
 	scope *scope
 
 	// curScope accumulates children spawned with Go until the next Sync.
@@ -150,9 +155,6 @@ type frame struct {
 	// The join this frame parks on (valid while status==statusWaitJoin): a
 	// scope's for an iteration, its pipeline's for a control frame.
 	waitingJoin atomic.Pointer[join]
-
-	// panicked carries a user panic out of the body.
-	panicked any
 
 	// --- hot cross-thread words -----------------------------------------
 	// The successor polls stage on every cross-edge check and wakers CAS
@@ -167,41 +169,6 @@ type frame struct {
 	_         cacheLinePad
 }
 
-// runBody executes the iteration body, converting a user panic into
-// pipeline panic state. An abortUnwind sentinel (a cancel observed at a
-// stage boundary) exits through the same path without recording a panic.
-// A suspension mid-body does not leave it — the body stays on its
-// runner's stack — so cancellation and panic capture behave identically
-// whether or not the iteration ever suspends, and on whichever worker it
-// was resumed.
-func (f *frame) runBody() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isAbort := r.(abortUnwind); isAbort {
-				f.eng.stats.abortedIters.Add(1)
-			} else {
-				f.panicked = r
-				f.pl.recordPanicStack(r, debug.Stack())
-			}
-			// Join children spawned before the unwind: no fork-join task of
-			// this iteration may outlive its frame's retirement, or a
-			// canceled Submit would complete while user closures still run
-			// (and the frame would recycle under a live scope owner).
-			if sc := f.curScope; sc != nil {
-				f.curScope = nil
-				f.drainScope(sc)
-			}
-		}
-	}()
-	f.pl.body(&f.it)
-	// Implicit cilk_sync: every Cilk function syncs before returning, so
-	// children spawned with Go but never Synced join here.
-	if sc := f.curScope; sc != nil {
-		f.curScope = nil
-		f.syncScope(sc)
-	}
-}
-
 // runInlineBatch executes a claimed run of up to claim consecutive
 // iterations of f's pipeline back-to-back on f, on runner r: stage bodies
 // separated by cross-edge checks, as direct calls. The first iteration is
@@ -209,7 +176,8 @@ func (f *frame) runBody() {
 // slot re-evaluates the loop condition and recycles f in place, so the
 // whole run pays one frame acquisition, one successor-chain link, one
 // throttle token, one completion store, and at most one deque release of
-// the control frame. Only the final slot runs the plain release protocol; earlier slots defer it (f.batched), keeping the pipe_while
+// the control frame. Only the final slot runs the plain release protocol;
+// earlier slots defer it (f.batched), keeping the pipe_while
 // continuation on this worker so the next body starts with no scheduler
 // traffic at all. Wait and Continue promote (see promote) only if an
 // iteration must actually block — promotion performs the deferred release
@@ -226,15 +194,27 @@ func (f *frame) runBody() {
 // unwind to the worker loop, which retires the iteration through
 // afterDone.
 //
-// A slot that returned without a panic and without releasing the control
-// frame — a deferred-release slot that never blocked, or a final slot that
-// never left stage 0 — takes the fast retire: its stage lived in f.cur
-// alone (advance), and its completion (finishIter) is published once, at
+// A slot that returned without releasing the control frame — a
+// deferred-release slot that never blocked, or a final slot that never
+// left stage 0 — takes the fast retire: its stage lived in f.cur alone
+// (advance), and its completion (finishIter) is published once, at
 // whichever batch exit follows. That is sound because the batch holds the
 // control frame for its whole run: no successor frame exists to read the
 // stage counter, and nothing outside this runner observes the recycled
 // slot. Any other slot released the control frame and ends the batch, so
 // the loop continues only after a fast slot.
+//
+// One deferred recover serves the whole batch: every slot's body, with
+// its implicit sync, and every in-batch loop-condition call run under it,
+// and inBody and inCond say which of them was running. A body panic is
+// recorded into the pipeline (an abortUnwind sentinel, a cancel observed
+// at a stage boundary, is only counted), children spawned before the
+// unwind are joined, and the slot retires as one that returned; a
+// condition panic is recorded and exhausts the loop. Either way the batch
+// ends there, as the claim gates below would end it. A suspension
+// mid-body does not leave the frame — the body stays on its runner's
+// stack — so cancellation and panic capture behave identically whether or
+// not the iteration ever suspends, and on whichever worker it was resumed.
 func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 	e := f.eng
 	pl := f.pl
@@ -243,6 +223,23 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 	// fast marks a slot retired on the fast branch, whose completion is
 	// still unpublished.
 	var fast bool
+	// retire ends the slot that just ran and reports whether the control
+	// frame is still ours.
+	retire := func() bool {
+		fast = f.inline && (f.inStage0 || f.batched)
+		if !fast {
+			f.finishIter()
+		}
+		if f.batched {
+			f.batched = false
+			deferred++
+			return true
+		}
+		// A final slot that released the control frame — a slot that
+		// blocked always did, because promote cleared f.batched and
+		// released — leaves it to whoever stole it.
+		return f.inStage0
+	}
 	flush := func() {
 		if fast {
 			f.finishIter()
@@ -256,23 +253,54 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 			e.stats.batchedIters.Add(deferred)
 		}
 	}
+	var inBody, inCond bool
+	defer func() {
+		if !inBody && !inCond {
+			return // not a user panic: let it through
+		}
+		v := recover()
+		if v == nil {
+			return // runtime.Goexit: nothing to recover
+		}
+		if inCond {
+			pl.recordPanicStack(v, debug.Stack())
+			pl.phase = phaseDrain
+			owned = true
+			flush()
+			return
+		}
+		if _, isAbort := v.(abortUnwind); isAbort {
+			e.stats.abortedIters.Add(1)
+		} else {
+			pl.recordPanicStack(v, debug.Stack())
+		}
+		// Join children spawned before the unwind: no fork-join task of
+		// this iteration may outlive its frame's retirement, or a canceled
+		// Submit would complete while user closures still run (and the
+		// frame would recycle under a live scope owner).
+		if sc := f.curScope; sc != nil {
+			f.curScope = nil
+			f.drainScope(sc)
+		}
+		owned = retire()
+		flush()
+	}()
 	for {
 		claim--
 		f.batched = claim > 0
 		f.inline = true
 		started++
-		f.runBody()
-		fast = f.inline && (f.inStage0 || f.batched) && f.panicked == nil
-		if !fast {
-			f.finishIter()
+		inBody = true
+		pl.body(&f.it)
+		// Implicit cilk_sync: every Cilk function syncs before returning,
+		// so children spawned with Go but never Synced join here.
+		if sc := f.curScope; sc != nil {
+			f.curScope = nil
+			f.syncScope(sc)
 		}
-		if f.batched {
-			f.batched = false
-			deferred++
-		} else if !f.inStage0 {
-			// Final slot, and it released the control frame: a thief may
-			// be stepping the pipeline right now. A slot that blocked always
-			// lands here, because promote cleared f.batched and released.
+		inBody = false
+		if !retire() {
+			// A thief may be stepping the pipeline right now.
 			flush()
 			return false
 		}
@@ -287,17 +315,20 @@ func (f *frame) runInlineBatch(r *runner, claim int64) (owned bool) {
 			return true
 		}
 		e.hookAt(hookBatchSlot)
-		if !pl.safeCond() {
+		inCond = true
+		more := pl.cond()
+		inCond = false
+		if !more {
 			// Record the exhausted loop so step does not evaluate the
 			// condition again (it may consume input).
 			pl.phase = phaseDrain
 			flush()
 			return true
 		}
-		// A fast slot (a panic stopped the batch above) left the shared
-		// words as the batch found them, so only runner-local state resets;
-		// the stat shadows wait for the batch's one finishIter. Dropping
-		// prev leaves the next slot's cross edges vacuously satisfied.
+		// A fast slot left the shared words as the batch found them, so
+		// only runner-local state resets; the stat shadows wait for the
+		// batch's one finishIter. Dropping prev leaves the next slot's
+		// cross edges vacuously satisfied.
 		f.dropPrev()
 		f.index = pl.nextIndex
 		pl.nextIndex++
@@ -319,7 +350,6 @@ func (f *frame) resetIter(index int64) {
 	f.foldCache = 0
 	f.nFoldHits, f.nCrossChecks = 0, 0
 	f.curScope = nil
-	f.panicked = nil
 }
 
 // leaveStage0Inline ends the serial stage-0 prefix of an inline
@@ -467,18 +497,23 @@ func (f *frame) publishPark(kind yieldKind) bool {
 // advance moves the iteration to stage j, completing all nodes with
 // stage < j, for Wait and Continue. A deferred-release batch slot has no
 // successor, so it only moves cur (promote publishes it if the slot
-// blocks). Any other iteration stores the shared counter, then performs
-// the check-right that lazy enabling defers, on every advance under the
+// blocks); any other iteration publishes the stage (publishStage). The
+// split keeps the batch slot's transition inlined into its caller.
+func (f *frame) advance(j int64) {
+	f.cur = j
+	if !f.batched {
+		f.publishStage(j)
+	}
+}
+
+// publishStage stores the shared stage counter, then performs the
+// check-right that lazy enabling defers, on every advance under the
 // EagerEnabling ablation and otherwise only while a worker is parked. Lazy
 // enabling counts on awake thieves to find a satisfied waiter through
 // stealFrom's check-right; ours park, and with one asleep nobody else may
 // look, so the claimed waiter goes through pushWork, whose signal wakes
 // the sleeper.
-func (f *frame) advance(j int64) {
-	f.cur = j
-	if f.batched {
-		return
-	}
+func (f *frame) publishStage(j int64) {
 	f.stage.Store(j)
 	e := f.eng
 	if f.next.Load() == nil || e.idle.Load() == 0 && !e.opts.EagerEnabling {
@@ -502,10 +537,15 @@ func (f *frame) advance(j int64) {
 // every stage argument, so a retired predecessor is satisfied forever
 // after one read. Everything that must touch the shared counter (or the
 // DependencyFolding ablation, which never populates the cache) lives in
-// crossSatisfiedShared.
+// crossSatisfiedShared. An iteration without a predecessor (the first
+// one, a batch slot past the first, one whose predecessor retired) is
+// satisfied inline too, after the cache so FoldHits count the same.
 func (f *frame) crossSatisfied(j int64) bool {
 	if f.foldCache > j {
 		f.nFoldHits++
+		return true
+	}
+	if f.prev == nil {
 		return true
 	}
 	return f.crossSatisfiedShared(j)
@@ -515,12 +555,11 @@ func (f *frame) crossSatisfied(j int64) bool {
 // re-check after a park: load the predecessor's published stage counter
 // once, refresh the folding cache, and handle the stageDone sentinel
 // (releasing the chain for the garbage collector and the frame pool's
-// recycling refcount).
+// recycling refcount). f.prev is non-nil: crossSatisfied returned early
+// otherwise, and a parked iteration keeps its predecessor until this
+// check sees it retire.
 func (f *frame) crossSatisfiedShared(j int64) bool {
 	p := f.prev
-	if p == nil {
-		return true
-	}
 	f.nCrossChecks++
 	c := p.stage.Load()
 	if f.eng.opts.DependencyFolding {

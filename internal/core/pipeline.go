@@ -292,7 +292,9 @@ func (pl *pipeline) step(cf *frame, r *runner) yieldMsg {
 		// slot that must block performs that release itself before it
 		// parks — after either event this step invocation no longer owns
 		// the pipeline and must unwind through the returned message without
-		// touching it.
+		// touching it. A panic or a cancel unwind in any slot's body, or a
+		// panic in the loop condition between slots, is caught by the
+		// batch's one recover and ends the batch there.
 		tracing := e.tracing.Load()
 		var traceStart int64
 		if tracing {
@@ -375,7 +377,9 @@ func (pl *pipeline) releaseChain() {
 }
 
 // safeCond evaluates the user's loop condition, converting a panic into
-// pipeline panic state (the condition runs on a worker goroutine).
+// pipeline panic state (the condition runs on a worker goroutine). It
+// serves step's call, once per batch; the calls inside a batch run under
+// the batch's own recover (runInlineBatch).
 func (pl *pipeline) safeCond() (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -96,18 +96,18 @@ func (f *frame) dropPrev() {
 	}
 }
 
-// acquireClosureFrame returns a fork-join task frame bound to sc and fn.
-func (e *Engine) acquireClosureFrame(sc *scope, fn func(*worker)) *frame {
+// acquireClosureFrame returns a fork-join task frame bound to sc that runs
+// fn or call, whichever is non-nil.
+func (e *Engine) acquireClosureFrame(sc *scope, fn func(*worker), call func()) *frame {
 	e.pools.liveClosure.Add(1)
 	if v := e.pools.task.Get(); v != nil {
 		t := v.(*frame)
 		e.pools.hits.Add(1)
-		t.scope = sc
-		t.fn = fn
+		t.scope, t.fn, t.call = sc, fn, call
 		return t
 	}
 	e.pools.misses.Add(1)
-	return &frame{kind: kindClosure, eng: e, scope: sc, fn: fn}
+	return &frame{kind: kindClosure, eng: e, scope: sc, fn: fn, call: call}
 }
 
 // releaseClosureFrame recycles a retired task frame. Closure frames are
@@ -115,8 +115,7 @@ func (e *Engine) acquireClosureFrame(sc *scope, fn func(*worker)) *frame {
 // top/bottom window are never dereferenced), so no refcount is needed.
 func (e *Engine) releaseClosureFrame(t *frame) {
 	e.pools.liveClosure.Add(-1)
-	t.scope = nil
-	t.fn = nil
+	t.scope, t.fn, t.call = nil, nil, nil
 	e.pools.task.Put(t)
 }
 

@@ -97,7 +97,11 @@ func runClosureTask(t *frame, w *worker) {
 			t.scope.recordPanic(r, debug.Stack())
 		}
 	}()
-	t.fn(w)
+	if t.call != nil {
+		t.call()
+	} else {
+		t.fn(w)
+	}
 }
 
 // Go spawns fn as a fork-join child of the current iteration, to be joined
@@ -118,7 +122,7 @@ func (it *Iter) Go(fn func()) {
 	}
 	sc := f.curScope
 	sc.n.Add(1)
-	t := f.eng.acquireClosureFrame(sc, func(*worker) { fn() })
+	t := f.eng.acquireClosureFrame(sc, nil, fn)
 	f.w.pushWork(t)
 }
 
@@ -165,7 +169,7 @@ func (it *Iter) For(n, grain int, body func(int)) {
 			mid := lo + (hi-lo)/2
 			lo2, hi2 := mid, hi
 			sc.n.Add(1)
-			t := f.eng.acquireClosureFrame(sc, func(w2 *worker) { split(w2, lo2, hi2) })
+			t := f.eng.acquireClosureFrame(sc, func(w2 *worker) { split(w2, lo2, hi2) }, nil)
 			w.pushWork(t)
 			hi = mid
 		}
@@ -192,10 +196,10 @@ func (e *Engine) forGrain(n, grain int) int {
 func (f *frame) syncScope(sc *scope) {
 	defer func() {
 		// Rethrow the first child panic at the sync point. Record it into
-		// the pipeline first, under the child's own stack: the recover up
-		// in runBody also records, but its CAS loses to this one, so the
-		// *PanicError surfaced on a Handle names the panicking closure
-		// rather than this sync site.
+		// the pipeline first, under the child's own stack: the batch's
+		// recover (runInlineBatch) also records, but its CAS loses to this
+		// one, so the *PanicError surfaced on a Handle names the panicking
+		// closure rather than this sync site.
 		if pb := sc.panicVal.Load(); pb != nil {
 			f.pl.recordPanicStack(pb.v, pb.stack)
 			panic(pb.v)

@@ -22,10 +22,10 @@ import (
 // points of a pipe_while program: once an abort is requested, the control
 // frame stops spawning iterations (the loop condition is not evaluated
 // again), and every live iteration unwinds at its next Wait or Continue
-// via a private panic sentinel that runBody recovers. The unwind
-// path is the ordinary retirement path — finishIter publishes
-// stageDone (waking any successor parked on a cross edge, so aborts
-// cascade down the chain instead of deadlocking it), outstanding fork-join
+// via a private panic sentinel that the batch's recover (runInlineBatch)
+// catches. The unwind path is the ordinary retirement path — finishIter
+// publishes stageDone (waking any successor parked on a cross edge, so
+// aborts cascade down the chain instead of deadlocking it), outstanding fork-join
 // children are joined first, the join counter releases the throttling
 // window, and the frame recycles through its pool. Abort therefore
 // composes with every runtime optimization for free: lazy enabling and
@@ -128,8 +128,8 @@ func (a *abortState) loadErr() error {
 
 // abortUnwind is the sentinel panic value that unwinds an iteration body
 // at a stage boundary after an abort request. It never escapes the
-// runtime: runBody recovers it and retires the frame through
-// the normal path. User code that recovers indiscriminately can swallow
+// runtime: the batch's recover (runInlineBatch) catches it and retires
+// the frame through the normal path. User code that recovers indiscriminately can swallow
 // it and delay (but not break) cancellation, like any cooperative scheme.
 type abortUnwind struct{}
 

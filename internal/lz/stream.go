@@ -278,8 +278,10 @@ var chunkJobPool = sync.Pool{New: func() any { return new(chunkJob) }}
 //
 // Closing eng while a stream is in flight waits for the stream, which
 // then completes normally. On an engine that is already closed,
-// StreamCompress writes the container header to w and then panics with
-// "piper: PipeWhile on closed engine".
+// StreamCompress writes nothing and returns an error matching
+// piper.ErrEngineClosed. (With o.Profile set it runs the serial elision
+// on the calling goroutine, which needs no workers, so a closed engine
+// still profiles.)
 func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions) (int64, error) {
 	o, k, err := o.normalized()
 	if err != nil {
@@ -287,17 +289,13 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	}
 	a := eng.Arena()
 	sc := &streamCounters{}
-	var written int64
-	var hdr [4 * binary.MaxVarintLen64]byte
-	n, err := writeFull(w, appendStreamHeader(hdr[:0], o))
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-
 	var (
-		seq   uint64
-		total uint64
+		written int64
+		hdr     [4 * binary.MaxVarintLen64]byte
+		seq     uint64
+		total   uint64
+		// headerOut is touched by next only, which runs serially.
+		headerOut bool
 	)
 	// firstErr is set in the serial emit stage (write failures) and in the
 	// serial read stage (read failures); the two stages belong to
@@ -307,6 +305,17 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	next := func() (*chunkJob, bool) {
 		if firstErr.Load() != nil {
 			return nil, false
+		}
+		if !headerOut {
+			// The header goes out from inside the pipeline, before any
+			// record: a launch the engine refused writes nothing.
+			headerOut = true
+			n, err := writeFull(w, appendStreamHeader(hdr[:0], o))
+			written += int64(n)
+			if err != nil {
+				setErr(err)
+				return nil, false
+			}
 		}
 		ref := arenaGet(a, sc, o.ChunkSize)
 		buf := ref.B[:o.ChunkSize]
@@ -356,8 +365,8 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	}
 	if o.Profile != nil {
 		*o.Profile = piper.ProfilePipe(eng, k, next, body)
-	} else {
-		piper.PipeThrottled(eng, k, next, body)
+	} else if err := pipeStream(eng, k, next, body); err != nil {
+		return 0, err
 	}
 	if ep := firstErr.Load(); ep != nil {
 		return written, *ep
@@ -365,13 +374,33 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	term := binary.AppendUvarint(hdr[:0], seq)
 	term = binary.AppendUvarint(term, 0)
 	term = binary.AppendUvarint(term, total)
-	n, err = writeFull(w, term)
+	n, err := writeFull(w, term)
 	written += int64(n)
 	if err != nil {
 		return written, err
 	}
 	fillStreamStats(o.Stats, sc, k, total, written)
 	return written, nil
+}
+
+// closedLaunch is the panic value with which a blocking launch on a closed
+// engine refuses to start (Engine.RunPipeline).
+const closedLaunch = "piper: PipeWhile on closed engine"
+
+// pipeStream runs the stream's pipeline on eng and reports a closed
+// engine's refusal to launch it as piper.ErrEngineClosed. The refusal
+// comes before next first runs; any other panic passes through.
+func pipeStream(eng *piper.Engine, k int, next func() (*chunkJob, bool), body func(*piper.Iter, *chunkJob)) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			if v != closedLaunch {
+				panic(v)
+			}
+			err = fmt.Errorf("lz: stream compression: %w", piper.ErrEngineClosed)
+		}
+	}()
+	piper.PipeThrottled(eng, k, next, body)
+	return nil
 }
 
 // writeFull is w.Write with the io.Writer contract enforced: a short

@@ -727,6 +727,26 @@ func TestStreamCompressCloseDuringRun(t *testing.T) {
 	}
 }
 
+// TestStreamCompressClosedEngine: on an engine that is already closed,
+// StreamCompress writes nothing and fails with ErrEngineClosed, and the
+// stream's input is never read.
+func TestStreamCompressClosedEngine(t *testing.T) {
+	eng := piper.NewEngine(piper.Workers(2))
+	eng.Close()
+	r := &startSignal{r: streamInput(1 << 20), started: make(chan struct{})}
+	var got bytes.Buffer
+	n, err := StreamCompress(eng, &got, r, StreamOptions{})
+	if !errors.Is(err, piper.ErrEngineClosed) {
+		t.Fatalf("StreamCompress on a closed engine = %v, want ErrEngineClosed", err)
+	}
+	if n != 0 || got.Len() != 0 {
+		t.Errorf("StreamCompress wrote %d bytes (reported %d), want 0", got.Len(), n)
+	}
+	if r.started == nil {
+		t.Error("StreamCompress read its input on a closed engine")
+	}
+}
+
 // TestStreamCompressShortWrite: a writer that stops after the header and
 // the first chunk record (three Write calls) fails the stream, whether
 // it reports its short write or not.
