@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"piper"
+	"piper/internal/core"
 	"piper/internal/dedup"
 	"piper/internal/lz"
 	"piper/internal/workload"
@@ -16,7 +17,7 @@ import (
 // Arena data-plane ablation: what buffer recycling buys on the two
 // stream workloads whose payloads flow through the arena (dedup's
 // per-chunk deflate buffers; StreamCompress's chunk, index and output
-// regions and its per-block suffix-sort scratch and factor lists). The disabled configuration (ArenaBuffers(false)) keeps
+// regions and its per-block suffix-sort scratch and factor lists). The disabled configuration (core.Options.ArenaBuffers false) keeps
 // the identical ownership API — same retain/release hand-offs, same
 // gauges — but every Get allocates and every final Release goes to the
 // GC, so the delta isolates recycling itself from the refactoring.
@@ -50,7 +51,9 @@ func ArenaAblation(w io.Writer, pmax int, sz SizeSpec) *Table {
 			name = "arena off"
 		}
 		for _, wk := range works {
-			e := piper.NewEngine(piper.Workers(pmax), piper.ArenaBuffers(enabled))
+			opts := core.DefaultOptions()
+			opts.Workers, opts.ArenaBuffers = pmax, enabled
+			e := core.NewEngine(opts)
 			wk.body(e) // warm pools, workers, and size classes
 
 			// Allocation counters bracket the timed reps; per-op numbers
@@ -91,7 +94,7 @@ func ArenaAblation(w io.Writer, pmax int, sz SizeSpec) *Table {
 		}
 	}
 	tbl.Notes = append(tbl.Notes,
-		"arena off (ArenaBuffers(false)) keeps the Ref ownership API and gauges but never recycles: every Get allocates, every final Release goes to the GC",
+		"arena off (core.Options.ArenaBuffers false) keeps the Ref ownership API and gauges but never recycles: every Get allocates, every final Release goes to the GC",
 		"allocs/op counts every heap allocation during one full pipeline run (runtime.MemStats.Mallocs delta); both workloads write to io.Discard",
 		"misses are arena checkouts that allocated fresh storage; the warm-up run outside the measurement makes steady-state misses ≈ 0 with the arena on")
 	if w != nil {

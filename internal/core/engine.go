@@ -54,7 +54,8 @@ type Options struct {
 	// internal/arena). Disable only for ablation: Engine.Arena then
 	// returns a pass-through arena whose Get always allocates fresh
 	// storage and whose Release hands it to the GC, with the full Ref
-	// ownership API (and the LiveArenaBytes gauge) intact.
+	// ownership API (and the LiveArenaBytes gauge) intact. It has no
+	// public Option; internal/bench and the allocation-ceiling tests set it.
 	ArenaBuffers bool
 
 	// hooks is the test-only schedule-perturbation injection point (see

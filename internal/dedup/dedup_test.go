@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"piper"
+	"piper/internal/core"
 	"piper/internal/workload"
 )
 
@@ -251,7 +252,9 @@ func TestCompressPiperSteadyStateAllocs(t *testing.T) {
 	)
 	data := testData(1234, 1<<20, 0.35)
 	measure := func(arena bool) (float64, float64) {
-		eng := piper.NewEngine(piper.Workers(2), piper.ArenaBuffers(arena))
+		opts := core.DefaultOptions()
+		opts.Workers, opts.ArenaBuffers = 2, arena
+		eng := core.NewEngine(opts)
 		defer eng.Close()
 		return steadyStateAllocs(func() { _ = CompressPiper(eng, 8, data, io.Discard) })
 	}
@@ -263,6 +266,6 @@ func TestCompressPiperSteadyStateAllocs(t *testing.T) {
 	allocs, bytes = measure(false)
 	t.Logf("arena off: %.0f allocs, %.0f bytes per run", allocs, bytes)
 	if allocs <= maxAllocs || bytes <= maxBytes {
-		t.Errorf("ArenaBuffers(false) stays under a ceiling (%.0f allocs / %.0f bytes per run against %.0f / %.0f): the ceilings do not bind", allocs, bytes, float64(maxAllocs), float64(maxBytes))
+		t.Errorf("ArenaBuffers = false stays under a ceiling (%.0f allocs / %.0f bytes per run against %.0f / %.0f): the ceilings do not bind", allocs, bytes, float64(maxAllocs), float64(maxBytes))
 	}
 }

@@ -9,11 +9,12 @@ import (
 // AtomicAlign machine-checks the two layout disciplines the hot structs
 // (frame, engine, worker, the deque) maintain by hand:
 //
-//   - any field passed by address to a raw 64-bit sync/atomic function
-//     must sit at an 8-aligned offset under 32-bit (GOARCH=386) struct
-//     layout, where the compiler only guarantees 4-byte alignment —
-//     misalignment faults at run time on 32-bit hardware. (The typed
-//     atomic.Int64/Uint64 wrappers are exempt: the runtime aligns them.)
+//   - no raw 64-bit sync/atomic function (atomic.AddInt64(&x, 1) and
+//     kin) is called: their operand must be 8-aligned, which 32-bit
+//     (GOARCH=386) struct layout does not guarantee, and a misaligned
+//     access faults at run time. The typed atomic.Int64/Uint64 wrappers
+//     are always aligned, and the tree uses only them, so a ban is both
+//     simpler and stricter than checking each operand's offset.
 //   - a cache-line pad field must actually work: the fields on either
 //     side of it must land in distinct 64-byte lines under amd64 layout,
 //     otherwise the pad is silently too small and the "isolated" hot
@@ -21,8 +22,8 @@ import (
 var AtomicAlign = &Analyzer{
 	Name:  "atomicalign",
 	Allow: "align",
-	Doc: "check that raw 64-bit sync/atomic operands are 8-aligned under 32-bit struct layout and " +
-		"that cache-line pad fields actually separate their neighbors into distinct 64-byte lines",
+	Doc: "ban the raw 64-bit sync/atomic functions in favour of the always-aligned atomic.Int64/Uint64 and " +
+		"check that cache-line pad fields actually separate their neighbors into distinct 64-byte lines",
 	Run: runAtomicAlign,
 }
 
@@ -41,87 +42,24 @@ var atomic64Funcs = map[string]bool{
 	"sync/atomic.CompareAndSwapUint64": true,
 }
 
-var (
-	sizes386   = types.SizesFor("gc", "386")
-	sizesAMD64 = types.SizesFor("gc", "amd64")
-)
+var sizesAMD64 = types.SizesFor("gc", "amd64")
 
 func runAtomicAlign(p *Pass) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkAtomicOperand(p, n)
+				if key := callKey(p.Info, n); atomic64Funcs[key] {
+					p.Reportf(n.Pos(), "raw 64-bit atomic %s: its operand must be 8-aligned, which 32-bit "+
+						"(GOARCH=386) struct layout does not guarantee; use atomic.Int64 or atomic.Uint64, "+
+						"which are always aligned", strings.TrimPrefix(key, "sync/"))
+				}
 			case *ast.TypeSpec:
 				checkPadding(p, n)
 			}
 			return true
 		})
 	}
-}
-
-// checkAtomicOperand flags atomic.XxxInt64(&s.f, ...) where f's offset is
-// not 8-aligned under 386 layout.
-func checkAtomicOperand(p *Pass, call *ast.CallExpr) {
-	if !atomic64Funcs[callKey(p.Info, call)] || len(call.Args) == 0 {
-		return
-	}
-	addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !ok {
-		return
-	}
-	sel, ok := ast.Unparen(addr.X).(*ast.SelectorExpr)
-	if !ok {
-		return // &local or &slice[i]: the compiler/runtime align those
-	}
-	off, path, ok := fieldOffset(p.Info, sel, sizes386)
-	if !ok {
-		return
-	}
-	if off%8 != 0 {
-		p.Reportf(call.Args[0].Pos(), "64-bit atomic operand %s sits at offset %d under 32-bit "+
-			"(GOARCH=386) struct layout, which only guarantees 4-byte alignment: the access faults "+
-			"on 32-bit hardware; move the field to the front of the struct or pad it to an "+
-			"8-aligned offset", path, off)
-	}
-}
-
-// fieldOffset computes the cumulative byte offset of the field a selector
-// chain denotes within its outermost struct, under the given layout.
-func fieldOffset(info *types.Info, sel *ast.SelectorExpr, sizes types.Sizes) (int64, string, bool) {
-	selection := info.Selections[sel]
-	if selection == nil || selection.Kind() != types.FieldVal {
-		return 0, "", false
-	}
-	t := selection.Recv()
-	var off int64
-	for _, idx := range selection.Index() {
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok {
-			return 0, "", false
-		}
-		fields := make([]*types.Var, st.NumFields())
-		for i := range fields {
-			fields[i] = st.Field(i)
-		}
-		off += sizes.Offsetsof(fields)[idx]
-		t = st.Field(idx).Type()
-	}
-	name := selection.Obj().Name()
-	if recv, ok := deref(selection.Recv()).(*types.Named); ok {
-		name = recv.Obj().Name() + "." + name
-	}
-	return off, name, true
-}
-
-func deref(t types.Type) types.Type {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		return ptr.Elem()
-	}
-	return t
 }
 
 // isPadField recognizes a deliberate cache-line pad: a byte-array field

@@ -3,8 +3,9 @@
 // optimizations rest on — the batch-safety rule from pipe.go (bodies may
 // block only through piper primitives), the arena ownership rules from
 // internal/arena (every checked-out region releases on every unwind
-// path), monotone stage discipline, 64-bit atomic alignment with honest
-// cache-line padding, and accounted goroutine spawns. The dynamic layer
+// path), monotone stage discipline, no raw 64-bit atomics (only the
+// always-aligned typed ones) with honest cache-line padding, and
+// accounted goroutine spawns. The dynamic layer
 // (differential fuzzer, SetDebug poisoning, leak storms) finds violations
 // after they run; these analyzers find them before.
 //

@@ -1,5 +1,6 @@
-// Package atomicalign is the atomicalign analyzer fixture: misaligned
-// raw 64-bit atomics and undersized cache-line pads, plus clean layouts.
+// Package atomicalign is the atomicalign analyzer fixture: raw 64-bit
+// atomics, aligned or not, and undersized cache-line pads, plus clean
+// uses.
 package atomicalign
 
 import "sync/atomic"
@@ -10,26 +11,41 @@ type misaligned struct {
 }
 
 func bump(m *misaligned) {
-	atomic.AddInt64(&m.n, 1) // want "64-bit atomic operand misaligned.n sits at offset 4"
+	atomic.AddInt64(&m.n, 1) // want "raw 64-bit atomic atomic.AddInt64"
 }
 
+// A raw 64-bit atomic is banned even where the layout happens to align it.
 type aligned struct {
 	n    int64
 	flag bool
 }
 
 func bumpAligned(a *aligned) {
+	atomic.AddInt64(&a.n, 1) // want "raw 64-bit atomic atomic.AddInt64"
+}
+
+func loadLocal() uint64 {
+	var n uint64
+	return atomic.LoadUint64(&n) // want "raw 64-bit atomic atomic.LoadUint64"
+}
+
+func bumpAccepted(a *aligned) {
+	//piper:allow-align the fixture's documented exemption
 	atomic.AddInt64(&a.n, 1)
 }
 
-// The typed wrappers are runtime-aligned; only raw pointer atomics need
-// the layout check.
+// The typed wrappers are always aligned, and 32-bit raw atomics need no
+// 8-byte alignment.
 type typed struct {
 	flag bool
 	n    atomic.Int64
+	m    int32
 }
 
-func bumpTyped(t *typed) { t.n.Add(1) }
+func bumpTyped(t *typed) {
+	t.n.Add(1)
+	atomic.AddInt32(&t.m, 1)
+}
 
 type badPad struct { // want "pad field badPad._pad is too small"
 	hot  atomic.Int64

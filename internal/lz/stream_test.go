@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"piper"
+	"piper/internal/core"
 	"piper/internal/workload"
 )
 
@@ -556,7 +557,9 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	data := workload.TextStream(1234, 1<<20, 4096, 0.35)
 	o := StreamOptions{Mode: ModeDense}
 	measure := func(arena bool) (float64, float64) {
-		eng := piper.NewEngine(piper.Workers(2), piper.ArenaBuffers(arena))
+		opts := core.DefaultOptions()
+		opts.Workers, opts.ArenaBuffers = 2, arena
+		eng := core.NewEngine(opts)
 		defer eng.Close()
 		return steadyStateAllocs(func() { _, _ = StreamCompress(eng, io.Discard, bytes.NewReader(data), o) })
 	}
@@ -568,7 +571,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	allocs, bytes = measure(false)
 	t.Logf("arena off: %.0f allocs, %.0f bytes per run", allocs, bytes)
 	if allocs <= maxAllocs || bytes <= maxBytes {
-		t.Errorf("ArenaBuffers(false) stays under a ceiling (%.0f allocs / %.0f bytes per run against %.0f / %.0f): the ceilings do not bind", allocs, bytes, float64(maxAllocs), float64(maxBytes))
+		t.Errorf("ArenaBuffers = false stays under a ceiling (%.0f allocs / %.0f bytes per run against %.0f / %.0f): the ceilings do not bind", allocs, bytes, float64(maxAllocs), float64(maxBytes))
 	}
 }
 

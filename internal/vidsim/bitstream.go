@@ -5,16 +5,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Bitstream serialization: a real (if simple) coded representation of the
 // reference frames, with a decoder that reconstructs them bit-exactly.
-// The stream codes, per reference frame, each macroblock's prediction
-// mode, motion vector, and quantized residual (zero-run-length coded), so
-// decode(encode(v)) reproduces the encoder's reconstruction exactly —
-// the strongest possible oracle for the pipeline's dependency handling:
-// any out-of-order row encode changes the predictions and breaks the
-// decoder comparison.
+// The stream is an optional sink of the one macroblock encoder
+// (encodeRow): each macroblock's record is written from the prediction
+// its reconstruction uses, so decode(encode(v)) reproduces the encoder's
+// reconstruction exactly — the strongest possible oracle for the
+// pipeline's dependency handling: any out-of-order row encode changes the
+// predictions and breaks the decoder comparison. EncodeStream and
+// EncodePiperStream are the serial and the Figure 2 drivers with the sink
+// attached; without it they are EncodeSerial and EncodePiper.
 //
 // Stream layout:
 //
@@ -37,19 +40,21 @@ const (
 	endMarker   = 0xFF
 )
 
-// mbRecord is the coded form of one macroblock.
-type mbRecord struct {
-	inter      bool
-	mvdx, mvdy int
-	// qres holds the quantized residual values (res >> QShift), row
-	// major, MB×MB entries.
-	qres [MB * MB]int16
-}
-
 // streamWriter accumulates the coded stream.
 type streamWriter struct {
 	buf bytes.Buffer
 	tmp [binary.MaxVarintLen64]byte
+}
+
+// newStreamWriter starts a stream of v coded at cfg with its header.
+func newStreamWriter(v *Video, cfg Config) *streamWriter {
+	w := &streamWriter{}
+	w.buf.Write(streamMagic)
+	w.uvarint(uint64(v.W))
+	w.uvarint(uint64(v.H))
+	w.uvarint(uint64(len(v.Frames)))
+	w.uvarint(uint64(cfg.QShift))
+	return w
 }
 
 func (w *streamWriter) uvarint(v uint64) {
@@ -62,69 +67,44 @@ func (w *streamWriter) varint(v int64) {
 	w.buf.Write(w.tmp[:n])
 }
 
-func (w *streamWriter) mb(rec *mbRecord) {
-	if rec.inter {
-		w.buf.WriteByte(mbModeInter)
-		w.varint(int64(rec.mvdx))
-		w.varint(int64(rec.mvdy))
-	} else {
-		w.buf.WriteByte(mbModeIntra)
-	}
-	// Zero-run-length code the residuals.
-	i := 0
-	for i < len(rec.qres) {
-		run := 0
-		for i+run < len(rec.qres) && rec.qres[i+run] == 0 {
-			run++
-		}
-		if i+run == len(rec.qres) {
-			w.uvarint(uint64(run)) // trailing zeros: run with no value
-			break
-		}
-		w.uvarint(uint64(run))
-		w.varint(int64(rec.qres[i+run]))
-		i += run + 1
-	}
+// frame starts a reference frame's record; its macroblocks follow.
+func (w *streamWriter) frame(job *ipJob) {
+	w.buf.WriteByte(frameMarker)
+	w.uvarint(uint64(job.fi))
+	w.buf.WriteByte(byte(job.typ))
 }
 
-// encodeMBRecord computes the coded record for one macroblock and applies
-// its reconstruction, sharing dcPredict/motionSearch with the estimating
-// path so the two can never choose different predictions.
-func (e *Encoder) encodeMBRecord(fi, r, c int, rc *Recon, ref *Recon) mbRecord {
-	v := e.Video
-	src := v.Frames[fi]
-	x0, y0 := c*MB, r*MB
-	var rec mbRecord
-	if ref != nil {
-		bdx, bdy, bestSAD := e.motionSearch(src, ref.Pix, x0, y0, r)
-		if bestSAD <= 24*MB*MB {
-			rec.inter = true
-			rec.mvdx, rec.mvdy = bdx, bdy
+// end closes the stream and returns its bytes.
+func (w *streamWriter) end() []byte {
+	w.buf.WriteByte(endMarker)
+	return w.buf.Bytes()
+}
+
+// codeResidual zero-run-length codes the quantized residual of the
+// macroblock at (x0, y0) against the prediction block whose row k starts
+// at pred[k*stride], as reconstructMB reads it. The quantized value is
+// (src − pred) / 2^QShift, truncated toward zero: exactly the multiple of
+// 2^QShift that reconstructMB's mask form adds back to the prediction,
+// so the decoder rebuilds the encoder's reconstruction.
+func (e *Encoder) codeResidual(w *streamWriter, src []byte, x0, y0 int, pred []byte, stride int) {
+	d := 1 << e.Cfg.QShift
+	run := 0
+	for k := 0; k < MB; k++ {
+		s, p := src[(y0+k)*e.Video.W+x0:][:MB], pred[k*stride:][:MB]
+		for i := range s {
+			qv := (int(s[i]) - int(p[i])) / d
+			if qv == 0 {
+				run++
+				continue
+			}
+			w.uvarint(uint64(run))
+			w.varint(int64(qv))
+			run = 0
 		}
 	}
-	// Prediction row k starts at pred[k*stride], as in reconstructMB.
-	var pred []byte
-	stride := v.W
-	if rec.inter {
-		pred = ref.Pix[(y0+rec.mvdy)*v.W+x0+rec.mvdx:]
-	} else {
-		dc := dcRow(dcPredict(rc.Pix, v.W, x0, y0))
-		pred, stride = dc[:], 0
+	if run > 0 {
+		w.uvarint(uint64(run)) // trailing zeros: a run with no value
 	}
-	q := e.Cfg.QShift
-	k := 0
-	for y := 0; y < MB; y++ {
-		row := (y0+y)*v.W + x0
-		for x := 0; x < MB; x++ {
-			p := int(pred[y*stride+x])
-			res := int(src[row+x]) - p
-			qv := res / (1 << q) // toward zero, matching reconstructMB
-			rec.qres[k] = int16(qv)
-			k++
-			rc.Pix[row+x] = clampByte(p + qv*(1<<q))
-		}
-	}
-	return rec
 }
 
 func clampByte(v int) byte {
@@ -137,70 +117,24 @@ func clampByte(v int) byte {
 	return byte(v)
 }
 
-// EncodeRowStream codes macroblock row r into w and applies the
-// reconstruction, the stream-producing twin of EncodeRow.
-func (e *Encoder) EncodeRowStream(fi int, typ FrameType, r int, rc *Recon, ref *Recon, w *streamWriter) {
-	useRef := ref
-	if typ == TypeI {
-		useRef = nil
-	}
-	if useRef != nil {
-		rows := e.Video.Rows()
-		need := r + e.Cfg.W
-		if need > rows-1 {
-			need = rows - 1
-		}
-		if useRef.RowsDone() < need+1 {
-			e.violations.Add(1)
-		}
-	}
-	for c := 0; c < e.Video.Cols(); c++ {
-		rec := e.encodeMBRecord(fi, r, c, rc, useRef)
-		w.mb(&rec)
-	}
-	rc.rowsDone.Store(int32(r + 1))
-}
-
 // Stream is a fully coded video plus the encoder reconstructions for
 // verification.
 type Stream struct {
-	Bytes  []byte
-	Recons []*Recon // reference-frame reconstructions, in encode order
+	Bytes []byte
+	// Recons holds the reference-frame reconstructions in encode order.
+	// EncodePiperStream leaves it nil: its reconstructions are arena
+	// regions, recycled while the pipeline runs.
+	Recons []*Recon
 }
 
-// EncodeStream codes all reference frames of the video serially (B-frames
-// are cost-modelled only, as in the pipelines) and returns the stream.
+// EncodeStream codes all reference frames of the video with the serial
+// encoder (B-frames are cost-modelled only, as in the pipelines) and
+// returns the stream.
 func EncodeStream(v *Video, cfg Config) *Stream {
-	e := NewEncoder(v, cfg)
-	d := NewTypeDecider(v, cfg.Gop, cfg.BRun, cfg.CutThresh)
-	w := &streamWriter{}
-	w.buf.Write(streamMagic)
-	w.uvarint(uint64(v.W))
-	w.uvarint(uint64(v.H))
-	w.uvarint(uint64(len(v.Frames)))
-	w.uvarint(uint64(e.Cfg.QShift))
-
-	var prevRef *Recon
-	var recons []*Recon
-	cursor := 0
-	for {
-		job, ok := gather(d, len(v.Frames), &cursor)
-		if !ok {
-			break
-		}
-		job.prev = prevRef
-		job.rc = e.NewRecon(job.fi)
-		prevRef = job.rc
-		w.buf.WriteByte(frameMarker)
-		w.uvarint(uint64(job.fi))
-		w.buf.WriteByte(byte(job.typ))
-		for r := 0; r < v.Rows(); r++ {
-			e.EncodeRowStream(job.fi, job.typ, r, job.rc, job.prev, w)
-		}
-		recons = append(recons, job.rc)
-	}
-	w.buf.WriteByte(endMarker)
-	return &Stream{Bytes: w.buf.Bytes(), Recons: recons}
+	sw, st := newStreamWriter(v, cfg), &Stream{}
+	encodeSerial(v, cfg, sw, &st.Recons)
+	st.Bytes = sw.end()
+	return st
 }
 
 // DecodedFrame is one reconstructed reference frame.
@@ -335,40 +269,5 @@ func PSNR(a, b []byte) float64 {
 	if mse == 0 {
 		return 99
 	}
-	// 10*log10(255^2/mse) without importing math: log10 via a small
-	// series is overkill — use the change-of-base with natural log
-	// approximated by repeated square root (Briggs). Precision to 0.01dB
-	// is ample for tests.
-	return 10 * log10(255*255/mse)
-}
-
-// log10 is Briggs' method: log10(x) = log2(x)/log2(10) with log2 via
-// repeated squaring/halving. Stdlib math would be fine; this keeps the
-// kernel self-contained and deterministic across platforms.
-func log10(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Normalize x into [1, 10).
-	n := 0
-	for x >= 10 {
-		x /= 10
-		n++
-	}
-	for x < 1 {
-		x *= 10
-		n--
-	}
-	// Binary digits of log10(x) for x in [1,10).
-	frac := 0.0
-	add := 0.5
-	for i := 0; i < 40; i++ {
-		x *= x
-		if x >= 10 {
-			frac += add
-			x /= 10
-		}
-		add /= 2
-	}
-	return float64(n) + frac
+	return 10 * math.Log10(255*255/mse)
 }

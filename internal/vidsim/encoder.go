@@ -105,7 +105,17 @@ func (e *Encoder) searchRange() int { return e.Cfg.W * MB }
 // EncodeRow encodes macroblock row r of frame fi into rc. For TypeP the
 // ref reconstruction must have rows 0..min(r+W, rows-1) complete; the
 // encoder audits this. It returns the row's bit cost and a checksum.
+// It codes no bitstream; encodeRow is the same encoder with the sink
+// that EncodeStream and EncodePiperStream attach.
 func (e *Encoder) EncodeRow(fi int, typ FrameType, r int, rc *Recon, ref *Recon) (int64, uint64) {
+	return e.encodeRow(fi, typ, r, rc, ref, nil)
+}
+
+// encodeRow is EncodeRow with an optional sink: when sw is non-nil, each
+// macroblock's record (mode, motion vector, quantized residual) is
+// written to it from the same prediction the reconstruction uses, so the
+// coded stream and the estimate come from one decision per macroblock.
+func (e *Encoder) encodeRow(fi int, typ FrameType, r int, rc *Recon, ref *Recon, sw *streamWriter) (int64, uint64) {
 	v := e.Video
 	cols := v.Cols()
 	var bits int64
@@ -114,9 +124,9 @@ func (e *Encoder) EncodeRow(fi int, typ FrameType, r int, rc *Recon, ref *Recon)
 		var mbBits int64
 		var mbSig uint64
 		if typ == TypeI || ref == nil {
-			mbBits, mbSig = e.encodeIntraMB(fi, r, c, rc)
+			mbBits, mbSig = e.encodeIntraMB(fi, r, c, rc, sw)
 		} else {
-			mbBits, mbSig = e.encodeInterMB(fi, r, c, rc, ref)
+			mbBits, mbSig = e.encodeInterMB(fi, r, c, rc, ref, sw)
 		}
 		bits += mbBits
 		sum = (sum ^ mbSig) * 1099511628211
@@ -151,18 +161,22 @@ func dcPredict(pix []byte, stride, x0, y0 int) int {
 
 // encodeIntraMB performs DC intra prediction from the already-encoded
 // neighbours inside the same reconstruction.
-func (e *Encoder) encodeIntraMB(fi, r, c int, rc *Recon) (int64, uint64) {
+func (e *Encoder) encodeIntraMB(fi, r, c int, rc *Recon, sw *streamWriter) (int64, uint64) {
 	v := e.Video
 	src := v.Frames[fi]
 	x0, y0 := c*MB, r*MB
 	dc := dcRow(dcPredict(rc.Pix, v.W, x0, y0))
+	if sw != nil {
+		sw.buf.WriteByte(mbModeIntra)
+		e.codeResidual(sw, src, x0, y0, dc[:], 0)
+	}
 	bits, sig := e.reconstructMB(src, rc, x0, y0, dc[:], 0)
 	return bits + 6, sig ^ 0xA5A5 // mode header
 }
 
 // encodeInterMB motion-searches the reference reconstruction within the
 // legal window and falls back to intra when the match is poor.
-func (e *Encoder) encodeInterMB(fi, r, c int, rc *Recon, ref *Recon) (int64, uint64) {
+func (e *Encoder) encodeInterMB(fi, r, c int, rc *Recon, ref *Recon, sw *streamWriter) (int64, uint64) {
 	v := e.Video
 	src := v.Frames[fi]
 	x0, y0 := c*MB, r*MB
@@ -181,10 +195,17 @@ func (e *Encoder) encodeInterMB(fi, r, c int, rc *Recon, ref *Recon) (int64, uin
 
 	// Intra fallback for bad matches (e.g. right after occlusions).
 	if bestSAD > 24*MB*MB {
-		return e.encodeIntraMB(fi, r, c, rc)
+		return e.encodeIntraMB(fi, r, c, rc, sw)
 	}
 
-	bits, sig := e.reconstructMB(src, rc, x0, y0, ref.Pix[(y0+bdy)*v.W+x0+bdx:], v.W)
+	pred := ref.Pix[(y0+bdy)*v.W+x0+bdx:]
+	if sw != nil {
+		sw.buf.WriteByte(mbModeInter)
+		sw.varint(int64(bdx))
+		sw.varint(int64(bdy))
+		e.codeResidual(sw, src, x0, y0, pred, v.W)
+	}
+	bits, sig := e.reconstructMB(src, rc, x0, y0, pred, v.W)
 	sig = sig*31 + uint64(uint32(bdx*131071+bdy))
 	return bits + 10, sig // mv + header bits
 }
@@ -374,7 +395,7 @@ func (e *Encoder) EncodeB(bi int, fwd, bwd *Recon) (int64, uint64) {
 						scratch = &Recon{Pix: make([]byte, len(src))}
 					}
 				}
-				b, g := e.encodeIntraMB(bi, r, c, scratch)
+				b, g := e.encodeIntraMB(bi, r, c, scratch, nil)
 				bits += b
 				sum = (sum ^ g) * 1099511628211
 				continue

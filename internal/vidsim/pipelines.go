@@ -88,7 +88,11 @@ func (j *ipJob) bRefs() (fwd, bwd *Recon) {
 }
 
 // EncodeSerial is the single-threaded reference encoder (TS).
-func EncodeSerial(v *Video, cfg Config) *Result {
+func EncodeSerial(v *Video, cfg Config) *Result { return encodeSerial(v, cfg, nil, nil) }
+
+// encodeSerial is EncodeSerial, coding the reference frames into sw and
+// appending their reconstructions to recons when sw is non-nil.
+func encodeSerial(v *Video, cfg Config, sw *streamWriter, recons *[]*Recon) *Result {
 	e := NewEncoder(v, cfg)
 	d := NewTypeDecider(v, cfg.Gop, cfg.BRun, cfg.CutThresh)
 	stats := make([]FrameStat, len(v.Frames))
@@ -103,19 +107,24 @@ func EncodeSerial(v *Video, cfg Config) *Result {
 		job.prev = prevRef
 		job.rc = e.NewRecon(job.fi)
 		prevRef = job.rc
-		encodeJob(e, job, stats)
+		if sw != nil {
+			sw.frame(job)
+			*recons = append(*recons, job.rc)
+		}
+		encodeJob(e, job, stats, sw)
 		order = append(order, job.fi)
 	}
 	return finalize(e, stats, order)
 }
 
-// encodeJob runs the row loop and the B-frame batch for one job.
-func encodeJob(e *Encoder, job *ipJob, stats []FrameStat) {
+// encodeJob runs the row loop, coding the rows into sw when it is
+// non-nil, and the B-frame batch for one job.
+func encodeJob(e *Encoder, job *ipJob, stats []FrameStat, sw *streamWriter) {
 	rows := e.Video.Rows()
 	var bits int64
 	var sig uint64 = 99194853094755497
 	for r := 0; r < rows; r++ {
-		b, s := e.EncodeRow(job.fi, job.typ, r, job.rc, refFor(job))
+		b, s := e.encodeRow(job.fi, job.typ, r, job.rc, refFor(job), sw)
 		bits += b
 		sig = (sig ^ s) * 1099511628211
 	}
@@ -148,6 +157,24 @@ func refFor(job *ipJob) *Recon {
 // cancellation or panic unwinding the body cannot leak pixels; the final
 // chain reference is released when the pipeline returns.
 func EncodePiper(eng *piper.Engine, k int, v *Video, cfg Config) *Result {
+	return encodePiper(eng, k, v, cfg, nil)
+}
+
+// EncodePiperStream produces the coded bitstream with the pipeline of
+// EncodePiper, byte-identical to EncodeStream for any worker count. It
+// returns Bytes only: the reconstructions are arena regions, recycled
+// while the pipeline runs.
+func EncodePiperStream(eng *piper.Engine, k int, v *Video, cfg Config) *Stream {
+	sw := newStreamWriter(v, cfg)
+	encodePiper(eng, k, v, cfg, sw)
+	return &Stream{Bytes: sw.end()}
+}
+
+// encodePiper is EncodePiper, coding the reference frames into sw when
+// it is non-nil. A frame's rows run in order inside its iteration, so
+// each frame codes into a buffer of its own from the parallel row stages
+// and the serial END stage splices the buffers into sw in frame order.
+func encodePiper(eng *piper.Engine, k int, v *Video, cfg Config, sw *streamWriter) *Result {
 	e := NewEncoder(v, cfg)
 	e.A = eng.Arena()
 	cfg = e.Cfg
@@ -174,6 +201,11 @@ func EncodePiper(eng *piper.Engine, k int, v *Video, cfg Config) *Result {
 		defer job.prev.release()
 		skip := int64(cfg.W * iterIdx)
 		iterIdx++
+		var fw *streamWriter
+		if sw != nil {
+			fw = &streamWriter{}
+			fw.frame(job)
+		}
 
 		base := processIPFrame + skip
 		it.Wait(base) //piper:allow-dynamic-stage line 17: offset dependency into the row stages (base grows by W per iteration)
@@ -181,7 +213,7 @@ func EncodePiper(eng *piper.Engine, k int, v *Video, cfg Config) *Result {
 		var bits int64
 		var sig uint64 = 99194853094755497
 		for r := 0; r < rows; r++ {
-			b, s := e.EncodeRow(job.fi, job.typ, r, job.rc, refFor(job))
+			b, s := e.encodeRow(job.fi, job.typ, r, job.rc, refFor(job), fw)
 			bits += b
 			sig = (sig ^ s) * 1099511628211
 			// Lines 20–24: conditional dependency on the previous
@@ -206,6 +238,9 @@ func EncodePiper(eng *piper.Engine, k int, v *Video, cfg Config) *Result {
 
 		it.Wait(endStage) // line 30: serial, in-order output
 		order = append(order, job.fi)
+		if fw != nil {
+			sw.buf.Write(fw.buf.Bytes())
+		}
 	})
 	return finalize(e, stats, order)
 }
@@ -268,11 +303,6 @@ func EncodeThreads(v *Video, cfg Config, threads int) *Result {
 				bits += b
 				sig = (sig ^ s) * 1099511628211
 				syncs[i].rowDone()
-			}
-			if job.typ == TypeI && refSync != nil {
-				// I-frames produce no row waits, but their B-batch timing
-				// must not matter: bRefs drops the forward ref for IDR.
-				_ = refSync
 			}
 			stats[job.fi] = FrameStat{Frame: job.fi, Type: job.typ, Bits: bits, Sig: sig}
 			fwd, bwd := job.bRefs()

@@ -168,18 +168,6 @@ func TailSwap(enabled bool) Option {
 	return func(o *core.Options) { o.TailSwap = enabled }
 }
 
-// ArenaBuffers toggles the engine's recycled payload-buffer arena
-// (default on). Engine.Arena hands pipeline stages recycled, cache-line-
-// aligned, ref-counted byte regions that flow through stages by ownership
-// hand-off (Retain on publish, Release at the consuming stage) instead of
-// per-item allocation — the data-plane counterpart of frame pooling. When
-// disabled, the arena keeps its full Ref API and leak gauges but never
-// recycles: every Get allocates and every final Release goes to the GC,
-// which is the ablation configuration for measuring what recycling buys.
-func ArenaBuffers(enabled bool) Option {
-	return func(o *core.Options) { o.ArenaBuffers = enabled }
-}
-
 // NewEngine starts a scheduler with the given options.
 func NewEngine(opts ...Option) *Engine {
 	o := core.DefaultOptions()
