@@ -4,6 +4,8 @@ package cmd_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -65,6 +67,40 @@ func TestDedupCmdRoundTrip(t *testing.T) {
 	}
 	if ai.Size() >= int64(len(data))/10 {
 		t.Fatalf("highly repetitive input compressed to only %d of %d bytes", ai.Size(), len(data))
+	}
+}
+
+// TestDedupCmdRejectsHostileArchive: an archive whose recorded lengths lie
+// (a compressed length that wraps int, an end total past 2^63) is an
+// error on exit 1 under both readers, never a panic.
+func TestDedupCmdRejectsHostileArchive(t *testing.T) {
+	dir := t.TempDir()
+	bin := build(t, dir, "dedup")
+	// Magic, then a unique record of rawLen 5 or the end record.
+	wrap := binary.AppendUvarint([]byte("PDAR1\x00\x00\x05"), math.MaxUint64)
+	wrap = append(append(wrap, make([]byte, 28)...), 0xFF, 5)
+	huge := binary.AppendUvarint([]byte("PDAR1\x00\xFF"), 1<<63+5)
+	for name, archive := range map[string][]byte{"wrapping compLen": wrap, "huge total": huge} {
+		in := filepath.Join(dir, "hostile.pdar")
+		if err := os.WriteFile(in, archive, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, pipeline := range []string{"piper", "serial"} {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, "-mode", "restore", "-pipeline", pipeline, "-p", "2",
+				"-in", in, "-out", filepath.Join(dir, "out"))
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			code := -1
+			if ee, ok := err.(*exec.ExitError); ok {
+				code = ee.ExitCode()
+			}
+			msg := stderr.String()
+			if code != 1 || !strings.HasPrefix(msg, "dedup:") || strings.Contains(msg, "panic:") {
+				t.Errorf("%s, -pipeline %s: exit %d (%v), want 1 with a dedup: message; stderr:\n%s",
+					name, pipeline, code, err, msg)
+			}
+		}
 	}
 }
 

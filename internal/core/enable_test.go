@@ -8,7 +8,7 @@ import (
 )
 
 // Tests for the check-right a stage advance performs while a worker is
-// parked (frame.advance): PIPER's lazy enabling leaves a satisfied cross
+// parked (frame.publishStage): PIPER's lazy enabling leaves a satisfied cross
 // edge for an awake thief to find, and ours park, so with one asleep the
 // advancing iteration must deliver the waiter itself.
 
@@ -61,7 +61,7 @@ func runParkedEnable(t *testing.T) (early bool, s Stats) {
 }
 
 // TestParkedWorkerEnabledByAdvance: the holder's advance past the waiter's
-// edge must wake the parked worker. Before frame.advance checked right
+// edge must wake the parked worker. Before a stage advance checked right
 // while a worker was parked, the waiter stayed parked until the holder
 // retired.
 func TestParkedWorkerEnabledByAdvance(t *testing.T) {

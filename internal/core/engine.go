@@ -44,7 +44,7 @@ type Options struct {
 	DependencyFolding bool
 	// EagerEnabling disables lazy enabling: every stage advance performs
 	// a check-right immediately, not only while a worker is parked (see
-	// frame.advance). For ablation only.
+	// frame.publishStage). For ablation only.
 	EagerEnabling bool
 	// TailSwap enables the tail-swap rule at iteration completion
 	// (on by default via DefaultOptions).
@@ -592,7 +592,7 @@ func (e *Engine) cancelIdle(w *worker) {
 // tryWakeRight performs PIPER's check-right on behalf of iteration f: if
 // iteration f.index+1 is parked on a cross edge that f's progress has
 // satisfied, claim it. The caller must deliver the returned frame. Run at
-// segment boundaries, by thieves (stealFrom), and by frame.advance.
+// segment boundaries, by thieves (stealFrom), and by frame.publishStage.
 func (e *Engine) tryWakeRight(f *frame) *frame {
 	nxt := f.next.Load()
 	if nxt == nil || nxt.status.Load() != statusWaitCross {

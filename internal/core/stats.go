@@ -21,7 +21,7 @@ type Stats struct {
 	// EagerEnabling ablation option is set.
 	EagerEnables int64
 	// ParkedEnables counts wakeups performed inside Wait/Continue under
-	// lazy enabling because a worker was parked (see frame.advance).
+	// lazy enabling because a worker was parked (see frame.publishStage).
 	ParkedEnables int64
 	// TailSwaps counts iteration completions where both the right
 	// neighbour and the throttled control frame were enabled and the

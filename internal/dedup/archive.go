@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 )
 
@@ -108,68 +110,142 @@ func (aw *Writer) Close() error {
 }
 
 // Restore decompresses an archive back into the original stream,
-// verifying each unique chunk's SHA-1.
+// verifying each unique chunk's length and SHA-1. Its serial loop is the
+// reference RestorePiper is checked against.
 func Restore(archive []byte) ([]byte, error) {
-	if !bytes.HasPrefix(archive, archiveMagic) {
-		return nil, errors.New("dedup: bad archive magic")
+	recs, hint, err := parseRecords(archive)
+	if err != nil {
+		return nil, err
 	}
-	r := bytes.NewReader(archive[len(archiveMagic):])
-	var out bytes.Buffer
-	var uniques [][]byte
-	for {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("dedup: truncated archive: %w", err)
+	out := make([]byte, 0, hint)
+	for _, rec := range recs {
+		if rec.ref != nil {
+			out = append(out, rec.ref.raw...)
+			continue
 		}
+		if rec.raw, err = unpack(rec); err != nil {
+			return nil, err
+		}
+		out = append(out, rec.raw...)
+	}
+	return out, nil
+}
+
+// rawRecord is one parsed archive record before decompression.
+type rawRecord struct {
+	rawLen int             // the referenced chunk's, for a ref
+	comp   []byte          // aliases the archive for unique records
+	sum    [sha1.Size]byte // unique records only
+	ref    *rawRecord      // the unique record a ref repeats; nil for a unique
+
+	// raw and err are filled when the record is inflated.
+	raw []byte
+	err error
+}
+
+// maxTotal bounds an archive's total: the output must fit in one slice,
+// and unpack reads one byte past a chunk's recorded length.
+const maxTotal = math.MaxInt - 1
+
+var errMalformed = errors.New("dedup: truncated or malformed archive")
+
+// parseRecords decodes an archive into records without inflating them.
+// It is the one place that decides what a well-formed archive is: every
+// compressed span lies inside the archive, every ref names an earlier
+// unique record, and the end record's total is the sum of the records'
+// lengths. No recorded length sizes an allocation: hint is the total with
+// each record trusted for at most maxChunk bytes, which is the exact total
+// of any archive this package's chunker wrote.
+func parseRecords(archive []byte) (recs []*rawRecord, hint int, err error) {
+	b, ok := bytes.CutPrefix(archive, archiveMagic)
+	if !ok {
+		return nil, 0, errors.New("dedup: bad archive magic")
+	}
+	var uniques []*rawRecord
+	total := 0
+	for len(b) > 0 {
+		// Every record is a kind byte and a uvarint: rawLen, index or total.
+		kind := b[0]
+		v, n := binary.Uvarint(b[1:])
+		if n <= 0 {
+			break
+		}
+		b = b[1+n:]
+		rec := &rawRecord{}
 		switch kind {
 		case recUnique:
-			rawLen, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
+			compLen, m := binary.Uvarint(b)
+			b = b[max(m, 0):]
+			if m <= 0 || len(b) < sha1.Size || compLen > uint64(len(b)-sha1.Size) {
+				return nil, 0, errMalformed
 			}
-			compLen, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
-			}
-			comp := make([]byte, compLen)
-			if _, err := io.ReadFull(r, comp); err != nil {
-				return nil, err
-			}
-			var sum [sha1.Size]byte
-			if _, err := io.ReadFull(r, sum[:]); err != nil {
-				return nil, err
-			}
-			raw, err := inflate(comp, int(rawLen))
-			if err != nil {
-				return nil, err
-			}
-			if sha1.Sum(raw) != sum {
-				return nil, fmt.Errorf("dedup: SHA-1 mismatch in chunk %d", len(uniques))
-			}
-			uniques = append(uniques, raw)
-			out.Write(raw)
+			rec.comp, b = b[:compLen:compLen], b[compLen:]
+			b = b[copy(rec.sum[:], b):]
+			uniques = append(uniques, rec)
 		case recRef:
-			idx, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
+			if v >= uint64(len(uniques)) {
+				return nil, 0, fmt.Errorf("dedup: dangling chunk reference %d", v)
 			}
-			if idx >= uint64(len(uniques)) {
-				return nil, fmt.Errorf("dedup: dangling chunk reference %d", idx)
-			}
-			out.Write(uniques[idx])
+			rec.ref = uniques[v]
+			v = uint64(rec.ref.rawLen)
 		case recEnd:
-			total, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
+			if v != uint64(total) {
+				return nil, 0, fmt.Errorf("dedup: size mismatch: records hold %d bytes, end record says %d", total, v)
 			}
-			if uint64(out.Len()) != total {
-				return nil, fmt.Errorf("dedup: size mismatch: got %d, recorded %d", out.Len(), total)
-			}
-			return out.Bytes(), nil
+			return recs, hint, nil
 		default:
-			return nil, fmt.Errorf("dedup: unknown record kind 0x%02x", kind)
+			return nil, 0, fmt.Errorf("dedup: unknown record kind 0x%02x", kind)
+		}
+		if v > uint64(maxTotal-total) {
+			return nil, 0, errors.New("dedup: archive holds more bytes than fit in memory")
+		}
+		rec.rawLen = int(v)
+		total += rec.rawLen
+		hint += min(rec.rawLen, maxChunk)
+		recs = append(recs, rec)
+	}
+	return nil, 0, errMalformed
+}
+
+// inflaterPool recycles flate readers as compressorPool recycles writers:
+// flate.NewReader allocates ~40 KiB of state, ten times a typical chunk.
+var inflaterPool sync.Pool
+
+// unpack inflates one unique record and checks it against its recorded
+// length and SHA-1. The length is trusted only as a capacity hint up to
+// maxChunk, and the stream is read at most one byte past it, so a record
+// whose stream expands beyond its length costs no more than the record.
+func unpack(rec *rawRecord) ([]byte, error) {
+	src := bytes.NewReader(rec.comp)
+	fr, ok := inflaterPool.Get().(io.ReadCloser)
+	if ok {
+		fr.(flate.Resetter).Reset(src, nil)
+	} else {
+		fr = flate.NewReader(src)
+	}
+	defer inflaterPool.Put(fr)
+	lr := io.LimitReader(fr, int64(rec.rawLen)+1)
+	raw := make([]byte, 0, min(rec.rawLen, maxChunk)+1)
+	for {
+		if len(raw) == cap(raw) {
+			raw = slices.Grow(raw, 1)
+		}
+		n, err := lr.Read(raw[len(raw):cap(raw)])
+		raw = raw[:len(raw)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
+	if len(raw) != rec.rawLen {
+		return nil, fmt.Errorf("dedup: chunk does not inflate to its recorded %d bytes", rec.rawLen)
+	}
+	if sha1.Sum(raw) != rec.sum {
+		return nil, errors.New("dedup: SHA-1 mismatch")
+	}
+	return raw, nil
 }
 
 // compressor pairs a reusable deflate state with the append sink it
@@ -220,15 +296,4 @@ func CompressInto(dst, chunk []byte) []byte {
 // Compress deflates one chunk into a fresh buffer.
 func Compress(chunk []byte) []byte {
 	return CompressInto(nil, chunk)
-}
-
-func inflate(comp []byte, rawLen int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(comp))
-	defer fr.Close()
-	raw := make([]byte, 0, rawLen)
-	buf := bytes.NewBuffer(raw)
-	if _, err := io.Copy(buf, fr); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -1,102 +1,18 @@
 package dedup
 
-import (
-	"bytes"
-	"crypto/sha1"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-
-	"piper"
-)
-
-// rawRecord is one parsed archive record before decompression.
-type rawRecord struct {
-	kind     byte
-	rawLen   int
-	comp     []byte // aliases the archive for unique records
-	sum      [sha1.Size]byte
-	refIndex int64
-
-	// raw is filled by the decompression stage for unique records.
-	raw []byte
-	err error
-}
-
-// parseRecords scans an archive into records without decompressing,
-// returning the records and the recorded total size.
-func parseRecords(archive []byte) ([]*rawRecord, uint64, error) {
-	if !bytes.HasPrefix(archive, archiveMagic) {
-		return nil, 0, errors.New("dedup: bad archive magic")
-	}
-	r := bytes.NewReader(archive[len(archiveMagic):])
-	base := len(archiveMagic)
-	var recs []*rawRecord
-	for {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return nil, 0, fmt.Errorf("dedup: truncated archive: %w", err)
-		}
-		switch kind {
-		case recUnique:
-			rawLen, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, 0, err
-			}
-			compLen, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, 0, err
-			}
-			off := base + int(r.Size()) - r.Len()
-			if off+int(compLen)+sha1.Size > len(archive) {
-				return nil, 0, errors.New("dedup: truncated chunk")
-			}
-			rec := &rawRecord{
-				kind:   recUnique,
-				rawLen: int(rawLen),
-				comp:   archive[off : off+int(compLen)],
-			}
-			if _, err := r.Seek(int64(compLen), io.SeekCurrent); err != nil {
-				return nil, 0, err
-			}
-			if _, err := io.ReadFull(r, rec.sum[:]); err != nil {
-				return nil, 0, err
-			}
-			recs = append(recs, rec)
-		case recRef:
-			idx, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, 0, err
-			}
-			recs = append(recs, &rawRecord{kind: recRef, refIndex: int64(idx)})
-		case recEnd:
-			total, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, 0, err
-			}
-			return recs, total, nil
-		default:
-			return nil, 0, fmt.Errorf("dedup: unknown record kind 0x%02x", kind)
-		}
-	}
-}
+import "piper"
 
 // RestorePiper restores an archive with a pipeline: a serial stage feeds
-// records, a parallel stage inflates and SHA-1-verifies unique chunks
-// (the compute-heavy part), and a serial in-order stage resolves
-// duplicate references against earlier chunks and assembles the output.
+// records, a parallel stage inflates and verifies unique chunks (the
+// compute-heavy part), and a serial in-order stage resolves duplicate
+// references against earlier chunks and assembles the output. It parses
+// and unpacks records exactly as Restore does.
 func RestorePiper(eng *piper.Engine, k int, archive []byte) ([]byte, error) {
-	recs, total, err := parseRecords(archive)
+	recs, hint, err := parseRecords(archive)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		out      bytes.Buffer
-		uniques  [][]byte
-		firstErr error
-	)
-	out.Grow(int(total))
+	out := make([]byte, 0, hint)
 	i := 0
 	piper.PipeThrottled(eng, k, func() (*rawRecord, bool) {
 		if i >= len(recs) {
@@ -107,43 +23,23 @@ func RestorePiper(eng *piper.Engine, k int, archive []byte) ([]byte, error) {
 		return rec, true
 	}, func(it *piper.Iter, rec *rawRecord) {
 		it.Continue(1) // parallel: inflate + verify
-		if rec.kind == recUnique {
-			raw, err := inflate(rec.comp, rec.rawLen)
-			switch {
-			case err != nil:
-				rec.err = err
-			case sha1.Sum(raw) != rec.sum:
-				rec.err = errors.New("dedup: SHA-1 mismatch")
-			default:
-				rec.raw = raw
-			}
+		if rec.ref == nil {
+			rec.raw, rec.err = unpack(rec)
 		}
 
 		it.Wait(2) // serial: ordered assembly
-		if firstErr != nil {
-			return
-		}
-		switch rec.kind {
-		case recUnique:
-			if rec.err != nil {
-				firstErr = rec.err
-				return
-			}
-			uniques = append(uniques, rec.raw)
-			out.Write(rec.raw)
-		case recRef:
-			if rec.refIndex >= int64(len(uniques)) {
-				firstErr = fmt.Errorf("dedup: dangling chunk reference %d", rec.refIndex)
-				return
-			}
-			out.Write(uniques[rec.refIndex])
+		switch {
+		case err != nil:
+		case rec.err != nil:
+			err = rec.err
+		case rec.ref != nil:
+			out = append(out, rec.ref.raw...)
+		default:
+			out = append(out, rec.raw...)
 		}
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
-	if uint64(out.Len()) != total {
-		return nil, fmt.Errorf("dedup: size mismatch: got %d, recorded %d", out.Len(), total)
-	}
-	return out.Bytes(), nil
+	return out, nil
 }

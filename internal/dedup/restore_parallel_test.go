@@ -75,16 +75,16 @@ func TestParseRecordsCounts(t *testing.T) {
 	if err := CompressSerial(data, &arch); err != nil {
 		t.Fatal(err)
 	}
-	recs, total, err := parseRecords(arch.Bytes())
+	recs, hint, err := parseRecords(arch.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != uint64(len(data)) {
-		t.Fatalf("total = %d, want %d", total, len(data))
+	if hint != len(data) { // every chunk is at most maxChunk long
+		t.Fatalf("size hint = %d, want %d", hint, len(data))
 	}
 	var uniq, refs int
 	for _, r := range recs {
-		if r.kind == recUnique {
+		if r.ref == nil {
 			uniq++
 		} else {
 			refs++

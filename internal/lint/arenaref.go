@@ -31,23 +31,9 @@ var ArenaRef = &Analyzer{
 
 const arenaPkgPath = "piper/internal/arena"
 
-// isRefType reports whether t is *arena.Ref.
-func isRefType(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == arenaPkgPath && named.Obj().Name() == "Ref"
-}
-
 // producesRef reports whether call's result is a single *arena.Ref.
 func producesRef(info *types.Info, call *ast.CallExpr) bool {
-	t := info.TypeOf(call)
-	return t != nil && isRefType(t)
+	return isPtrTo(info.TypeOf(call), arenaPkgPath, "Ref")
 }
 
 func runArenaRef(p *Pass) {

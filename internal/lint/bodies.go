@@ -2,40 +2,27 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
-// pipelineEntries names every function and method through which user code
-// hands the scheduler a pipeline condition or body. Each function-literal
-// argument of a call to one of these runs inside pipeline iterations —
-// the cond/next closure is the serial stage-0 prefix, the body closure is
-// the iteration — so both are bound by the batch-safety contract.
-var pipelineEntries = map[string]bool{
-	// Root-package entry points (pipe.go, piper.go).
-	"piper.Pipe":           true,
-	"piper.PipeThrottled":  true,
-	"piper.SubmitPipe":     true,
-	"piper.SubmitPipeWait": true,
-	"piper.Profile":        true,
-	"piper.ProfilePipe":    true,
-	"piper.Each":           true,
-	"piper.Run":            true,
-	// Engine methods (the aliased core types).
-	"piper/internal/core.Engine.PipeWhile":           true,
-	"piper/internal/core.Engine.PipeWhileThrottled":  true,
-	"piper/internal/core.Engine.RunPipeline":         true,
-	"piper/internal/core.Engine.ProfilePipeline":     true,
-	"piper/internal/core.Engine.Submit":              true,
-	"piper/internal/core.Engine.SubmitThrottled":     true,
-	"piper/internal/core.Engine.SubmitWait":          true,
-	"piper/internal/core.Engine.SubmitWaitThrottled": true,
-	// Nested pipelines spawned through the iteration handle.
-	"piper/internal/core.Iter.PipeWhile":          true,
-	"piper/internal/core.Iter.PipeWhileThrottled": true,
-}
-
-// isPipelineEntry reports whether call registers pipeline code.
+// isPipelineEntry reports whether call hands the scheduler pipeline code:
+// whether one of its arguments is a function whose first parameter is
+// *core.Iter. Every entry point takes its body that way — Pipe, Submit,
+// SubmitWaitTenant, Iter.PipeWhile and the rest — so a new one is covered
+// with no table to keep in step. Each function-literal argument of such a
+// call runs inside pipeline iterations — the cond/next closure is the
+// serial stage-0 prefix, the body closure is the iteration — so both are
+// bound by the batch-safety contract.
 func isPipelineEntry(p *Pass, call *ast.CallExpr) bool {
-	return pipelineEntries[callKey(p.Info, call)]
+	for _, arg := range call.Args {
+		if t := p.Info.TypeOf(arg); t != nil {
+			if sig, ok := t.Underlying().(*types.Signature); ok && sig.Params().Len() > 0 &&
+				isPtrTo(sig.Params().At(0).Type(), enginePkgPath, "Iter") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // pipelineBody is one closure the scheduler will execute inside

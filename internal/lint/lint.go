@@ -232,6 +232,17 @@ func funcKey(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
+// isPtrTo reports whether t is *pkgPath.name, seeing through aliases:
+// piper.Iter is an alias of core.Iter, and Go 1.24 materializes it.
+func isPtrTo(t types.Type, pkgPath, name string) bool {
+	ptr, ok := types.Unalias(t).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
+}
+
 // callKey is funcKey for a call expression, or "" if unresolvable.
 func callKey(info *types.Info, call *ast.CallExpr) string {
 	return funcKey(funcObj(info, call))

@@ -3,6 +3,7 @@
 package batchsafety
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -43,6 +44,19 @@ func flaggedCond(eng *piper.Engine, ch chan int) {
 		v, ok := <-ch // want "raw channel receive in pipeline body"
 		return v, ok
 	}, func(it *piper.Iter, v int) { _ = v })
+}
+
+// Tenant submissions are found by the body's type like every other entry
+// point, inline or through a local variable.
+func flaggedTenant(ctx context.Context, eng *piper.Engine, ch chan int) {
+	i := 0
+	eng.SubmitTenant(ctx, "batch", func() bool { i++; return i < 3 }, func(it *piper.Iter) {
+		time.Sleep(time.Millisecond) // want "time.Sleep in pipeline body"
+	})
+	body := func(it *piper.Iter) {
+		ch <- 1 // want "raw channel send in pipeline body"
+	}
+	eng.SubmitWaitTenant(ctx, "quiet", func() bool { return false }, body)
 }
 
 func clean(eng *piper.Engine, ch chan int, mu *sync.Mutex, sink []int) {

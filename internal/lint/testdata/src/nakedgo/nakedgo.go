@@ -2,13 +2,28 @@
 // goroutines inside pipeline bodies versus Iter.Go.
 package nakedgo
 
-import "piper"
+import (
+	"context"
+
+	"piper"
+)
 
 func flagged(eng *piper.Engine, results []int) {
 	i := 0
 	piper.Pipe(eng, func() (int, bool) { i++; return i, i < 8 }, func(it *piper.Iter, v int) {
 		go func() { results[v] = v * v }() // want "raw go statement in pipeline body"
 	})
+}
+
+func flaggedTenant(ctx context.Context, eng *piper.Engine, results []int) {
+	i := 0
+	eng.SubmitTenant(ctx, "batch", func() bool { i++; return i < 3 }, func(it *piper.Iter) {
+		go func() { results[i] = i }() // want "raw go statement in pipeline body"
+	})
+	body := func(it *piper.Iter) {
+		go func() { results[0] = 0 }() // want "raw go statement in pipeline body"
+	}
+	eng.SubmitWaitTenant(ctx, "quiet", func() bool { return false }, body)
 }
 
 func clean(eng *piper.Engine, results []int) {

@@ -96,7 +96,9 @@ func TestStreamPipelineMatchesSerial(t *testing.T) {
 // in both modes. The serial elision profiles each chunk's nested block
 // pipeline, so the span is about a block's work rather than a chunk's and
 // the dense row's parallelism exceeds the chunk count: a span of at least
-// one chunk's work caps it at the number of chunks.
+// one chunk's work caps it at the number of chunks. The span is measured
+// in wall time, so a block preempted by the host lengthens it: the check
+// takes the largest parallelism of up to five profiles of the same input.
 func TestStreamProfile(t *testing.T) {
 	eng := piper.NewEngine(piper.Workers(2))
 	defer eng.Close()
@@ -108,20 +110,27 @@ func TestStreamProfile(t *testing.T) {
 		}
 		var rep piper.PipelineReport
 		o.Profile = &rep
-		var got bytes.Buffer
-		if _, err := StreamCompress(eng, &got, streamInput(1<<20), o); err != nil {
-			t.Fatal(err)
+		best := 0.0
+		for try := 0; try < 5; try++ {
+			var got bytes.Buffer
+			if _, err := StreamCompress(eng, &got, streamInput(1<<20), o); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("mode %d: profiled run container differs from serial reference", mode)
+			}
+			if rep.WorkNs <= 0 || rep.SpanNs <= 0 || rep.Iterations != 8 {
+				t.Fatalf("mode %d: implausible profile: %+v", mode, rep)
+			}
+			t.Logf("mode %d: parallelism %.1f over %d chunks", mode, rep.Parallelism(), rep.Iterations)
+			best = max(best, rep.Parallelism())
+			if mode != ModeDense || best > float64(rep.Iterations) {
+				break
+			}
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("mode %d: profiled run container differs from serial reference", mode)
-		}
-		if rep.WorkNs <= 0 || rep.SpanNs <= 0 || rep.Iterations != 8 {
-			t.Fatalf("mode %d: implausible profile: %+v", mode, rep)
-		}
-		t.Logf("mode %d: parallelism %.1f over %d chunks", mode, rep.Parallelism(), rep.Iterations)
-		if mode == ModeDense && rep.Parallelism() <= float64(rep.Iterations) {
-			t.Errorf("mode %d: parallelism %.1f, want above %d: the span is not block-level",
-				mode, rep.Parallelism(), rep.Iterations)
+		if mode == ModeDense && best <= float64(rep.Iterations) {
+			t.Errorf("mode %d: parallelism at most %.1f over five profiles, want above %d: the span is not block-level",
+				mode, best, rep.Iterations)
 		}
 	}
 }
