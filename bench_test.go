@@ -1,234 +1,102 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section 10) and the throttling experiments (Section 11).
-// Each benchmark iteration executes one full workload run; compare
-// sub-benchmarks to read the tables (e.g. Fig6Ferret/CilkP-P2 vs
-// Fig6Ferret/Serial gives the speedup column). cmd/piperbench prints the
-// same data as paper-shaped tables.
+// evaluation (Section 10) and the throttling experiments (Section 11),
+// from the declarations cmd/piperbench prints as tables (internal/bench)
+// at its Small size. Each benchmark iteration executes one full workload
+// run; compare sub-benchmarks to read the tables (e.g. Fig6Ferret/CilkP-P2
+// vs Fig6Ferret/Serial gives the speedup column).
 package piper_test
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"piper"
+	"piper/internal/bench"
 	"piper/internal/dag"
-	"piper/internal/dedup"
-	"piper/internal/ferret"
-	"piper/internal/pipefib"
-	"piper/internal/vidsim"
-	"piper/internal/workload"
 )
 
-var benchPs = []int{1, 2, 4}
+var (
+	benchPs   = []int{1, 2, 4} // worker counts of the scaling figures
+	benchSize = bench.Small()
+)
 
-// --- Figure 6: ferret ------------------------------------------------------
+const benchP = 2 // workers of the single-P experiments
 
-func BenchmarkFig6Ferret(b *testing.B) {
-	c := ferret.BuildCorpus(300, 32, 32)
-	qs := ferret.QuerySet{Offset: 1 << 20, N: 120, TopK: 10}
-	b.Run("Serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.RunSerial(qs)
-		}
-	})
-	for _, p := range benchPs {
-		b.Run(fmt.Sprintf("CilkP-P%d", p), func(b *testing.B) {
-			eng := piper.NewEngine(piper.Workers(p))
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.RunPiper(eng, 10*p, qs)
-			}
-		})
-		b.Run(fmt.Sprintf("Pthreads-P%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.RunBindStage(p, 10*p, qs)
-			}
-		})
-		b.Run(fmt.Sprintf("TBB-P%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.RunTBB(p, 10*p, qs)
-			}
-		})
+// loop times b.N runs of run, then calls stop.
+func loop(b *testing.B, run, stop func()) {
+	defer stop()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 
-// --- Figure 7: dedup -------------------------------------------------------
-
-func BenchmarkFig7Dedup(b *testing.B) {
-	data := workload.TextStream(1234, 4<<20, 4096, 0.35)
-	b.SetBytes(int64(len(data)))
+// scaling runs a Fig 6–8 declaration: its serial reference, then every
+// system at every worker count.
+func scaling(b *testing.B, s bench.Scaling) {
 	b.Run("Serial", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			_ = dedup.CompressSerial(data, io.Discard)
-		}
+		b.SetBytes(s.Bytes)
+		loop(b, s.Serial, func() {})
 	})
 	for _, p := range benchPs {
-		b.Run(fmt.Sprintf("CilkP-P%d", p), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			eng := piper.NewEngine(piper.Workers(p))
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = dedup.CompressPiper(eng, 4*p, data, io.Discard)
-			}
-		})
-		b.Run(fmt.Sprintf("Pthreads-P%d", p), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				_ = dedup.CompressBindStage(data, p, 4*p, io.Discard)
-			}
-		})
-		b.Run(fmt.Sprintf("TBB-P%d", p), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				_ = dedup.CompressTBB(data, p, 4*p, io.Discard)
-			}
-		})
-	}
-}
-
-// --- Figure 8: x264 --------------------------------------------------------
-
-func BenchmarkFig8X264(b *testing.B) {
-	video := vidsim.Generate(777, 192, 96, 60, 20)
-	cfg := vidsim.DefaultConfig()
-	b.Run("Serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vidsim.EncodeSerial(video, cfg)
-		}
-	})
-	for _, p := range benchPs {
-		b.Run(fmt.Sprintf("CilkP-P%d", p), func(b *testing.B) {
-			eng := piper.NewEngine(piper.Workers(p))
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vidsim.EncodePiper(eng, 4*p, video, cfg)
-			}
-		})
-		b.Run(fmt.Sprintf("Pthreads-P%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				vidsim.EncodeThreads(video, cfg, p)
-			}
-		})
-	}
-}
-
-// --- Figure 9: pipe-fib dependency folding ----------------------------------
-
-func BenchmarkFig9PipeFib(b *testing.B) {
-	const n = 3000
-	b.Run("SerialFine", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pipefib.SerialFine(n)
-		}
-	})
-	b.Run("SerialCoarse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pipefib.SerialCoarse(n)
-		}
-	})
-	for _, cfg := range []struct {
-		name    string
-		folding bool
-		coarse  bool
-	}{
-		{"Fine-NoFold", false, false},
-		{"Fine-Fold", true, false},
-		{"Coarse-NoFold", false, true},
-		{"Coarse-Fold", true, true},
-	} {
-		for _, p := range benchPs {
-			b.Run(fmt.Sprintf("%s-P%d", cfg.name, p), func(b *testing.B) {
-				eng := piper.NewEngine(piper.Workers(p), piper.DependencyFolding(cfg.folding))
-				defer eng.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if cfg.coarse {
-						pipefib.Coarse(eng, 4*p, n)
-					} else {
-						pipefib.Fine(eng, 4*p, n)
-					}
-				}
+		for _, sys := range s.Systems {
+			b.Run(fmt.Sprintf("%s-P%d", sys.Name, p), func(b *testing.B) {
+				b.SetBytes(s.Bytes)
+				run, stop := sys.Start(p, s.K*p)
+				loop(b, run, stop)
 			})
 		}
 	}
 }
 
-// --- Theorem 12: uniform pipelines under throttling -------------------------
+func BenchmarkFig6Ferret(b *testing.B) { scaling(b, bench.Ferret(benchSize)) }
+func BenchmarkFig7Dedup(b *testing.B)  { scaling(b, bench.Dedup(benchSize)) }
+func BenchmarkFig8X264(b *testing.B)   { scaling(b, bench.X264(benchSize)) }
 
-func benchSpinPipeline(b *testing.B, p, k int, model *dag.Pipeline) {
-	eng := piper.NewEngine(piper.Workers(p))
-	defer eng.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iter := 0
-		eng.RunPipeline(k, func() bool { return iter < len(model.Iters) }, func(it *piper.Iter) {
-			row := model.Iters[iter]
-			iter++
-			workload.SpinMicros(row[0].Weight)
-			for j := 1; j < len(row); j++ {
-				if row[j].Cross {
-					it.Wait(row[j].Stage)
-				} else {
-					it.Continue(row[j].Stage)
-				}
-				workload.SpinMicros(row[j].Weight)
-			}
+func BenchmarkFig9PipeFib(b *testing.B) {
+	n := benchSize.PipeFibN
+	for _, f := range bench.PipeFibs {
+		b.Run("Serial"+f.Name, func(b *testing.B) {
+			loop(b, func() { f.Serial(f.Scale * n) }, func() {})
 		})
 	}
+	for _, f := range bench.PipeFibs {
+		for _, fold := range bench.Folding {
+			for _, p := range benchPs {
+				b.Run(fmt.Sprintf("%s-%s-P%d", f.Name, fold.Name, p), func(b *testing.B) {
+					eng, run := f.Start(p, n, piper.DependencyFolding(fold.On))
+					loop(b, run, eng.Close)
+				})
+			}
+		}
+	}
+}
+
+// spin replays model at benchP workers with throttling limit k.
+func spin(b *testing.B, k int, model *dag.Pipeline) {
+	eng := piper.NewEngine(piper.Workers(benchP))
+	loop(b, func() { bench.SpinPipeline(eng, k, model) }, eng.Close)
 }
 
 func BenchmarkThm12Uniform(b *testing.B) {
-	const n, stages, micros = 150, 4, 30
-	model := dag.Uniform(n, stages, micros)
-	for _, a := range []int{1, 2, 4, 8} {
-		p := 2
-		b.Run(fmt.Sprintf("K=%dP", a), func(b *testing.B) {
-			benchSpinPipeline(b, p, a*p, model)
-		})
+	model := bench.Uniform(benchSize)
+	for _, a := range bench.UniformFactors {
+		b.Run(fmt.Sprintf("K=%dP", a), func(b *testing.B) { spin(b, a*benchP, model) })
 	}
 }
-
-// --- Figure 10 / Theorem 13: pathological pipeline ---------------------------
 
 func BenchmarkFig10Pathological(b *testing.B) {
-	model := dag.PathologicalThm13(1 << 16)
-	cbrt := 1
-	for int64(cbrt*cbrt*cbrt) < model.Work() {
-		cbrt++
-	}
-	for _, k := range []int{2, 8, cbrt + 2} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			benchSpinPipeline(b, 2, k, model)
-		})
+	model := bench.Pathological(benchSize)
+	for _, k := range bench.PathologicalKs(model, benchP) {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) { spin(b, k, model) })
 	}
 }
 
-// --- Section 9 ablations -----------------------------------------------------
-
 func BenchmarkAblations(b *testing.B) {
-	const n = 1500
-	for _, cfg := range []struct {
-		name string
-		opts []piper.Option
-	}{
-		{"AllOn", nil},
-		{"NoFolding", []piper.Option{piper.DependencyFolding(false)}},
-		{"EagerEnabling", []piper.Option{piper.LazyEnabling(false)}},
-		{"NoTailSwap", []piper.Option{piper.TailSwap(false)}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := append([]piper.Option{piper.Workers(2)}, cfg.opts...)
-			eng := piper.NewEngine(opts...)
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pipefib.Fine(eng, 8, n)
-			}
+	for _, c := range bench.Ablated {
+		b.Run(c.Name, func(b *testing.B) {
+			eng, run := c.Start(benchP, benchSize)
+			loop(b, run, eng.Close)
 		})
 	}
 }

@@ -72,7 +72,8 @@ func TestDedupCmdRoundTrip(t *testing.T) {
 
 // TestDedupCmdRejectsHostileArchive: an archive whose recorded lengths lie
 // (a compressed length that wraps int, an end total past 2^63) is an
-// error on exit 1 under both readers, never a panic.
+// error on exit 1 under both readers, never a panic; the message carries
+// one "dedup:" prefix, and the failed run leaves no -out file.
 func TestDedupCmdRejectsHostileArchive(t *testing.T) {
 	dir := t.TempDir()
 	bin := build(t, dir, "dedup")
@@ -86,9 +87,13 @@ func TestDedupCmdRejectsHostileArchive(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pipeline := range []string{"piper", "serial"} {
+			out := filepath.Join(dir, "out")
+			if err := os.RemoveAll(out); err != nil {
+				t.Fatal(err)
+			}
 			var stderr bytes.Buffer
 			cmd := exec.Command(bin, "-mode", "restore", "-pipeline", pipeline, "-p", "2",
-				"-in", in, "-out", filepath.Join(dir, "out"))
+				"-in", in, "-out", out)
 			cmd.Stderr = &stderr
 			err := cmd.Run()
 			code := -1
@@ -96,9 +101,13 @@ func TestDedupCmdRejectsHostileArchive(t *testing.T) {
 				code = ee.ExitCode()
 			}
 			msg := stderr.String()
-			if code != 1 || !strings.HasPrefix(msg, "dedup:") || strings.Contains(msg, "panic:") {
-				t.Errorf("%s, -pipeline %s: exit %d (%v), want 1 with a dedup: message; stderr:\n%s",
+			if code != 1 || !strings.HasPrefix(msg, "dedup:") || strings.Contains(msg, "dedup: dedup:") ||
+				strings.Contains(msg, "panic:") {
+				t.Errorf("%s, -pipeline %s: exit %d (%v), want 1 with one dedup: prefix; stderr:\n%s",
 					name, pipeline, code, err, msg)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("%s, -pipeline %s: failed run left %s behind (stat: %v)", name, pipeline, out, err)
 			}
 		}
 	}

@@ -7,10 +7,11 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"piper"
 	"piper/internal/dedup"
@@ -31,52 +32,50 @@ func main() {
 	}
 	data, err := os.ReadFile(*in)
 	check(err)
-	f, err := os.Create(*out)
-	check(err)
-	defer f.Close()
-	w := bufio.NewWriter(f)
 
+	// The result is written only once it is whole, so a failed run leaves
+	// no -out file behind.
+	var result []byte
 	switch *mode {
 	case "compress":
+		var buf bytes.Buffer
 		switch *pipeline {
 		case "serial":
-			err = dedup.CompressSerial(data, w)
+			err = dedup.CompressSerial(data, &buf)
 		case "piper":
 			eng := piper.NewEngine(piper.Workers(*p))
 			defer eng.Close()
-			err = dedup.CompressPiper(eng, 4**p, data, w)
+			err = dedup.CompressPiper(eng, 4**p, data, &buf)
 		case "pthreads":
-			err = dedup.CompressBindStage(data, *p, 4**p, w)
+			err = dedup.CompressBindStage(data, *p, 4**p, &buf)
 		case "tbb":
-			err = dedup.CompressTBB(data, *p, 4**p, w)
+			err = dedup.CompressTBB(data, *p, 4**p, &buf)
 		default:
 			fmt.Fprintf(os.Stderr, "dedup: unknown pipeline %q\n", *pipeline)
 			os.Exit(2)
 		}
-		check(err)
+		result = buf.Bytes()
 	case "restore":
-		var raw []byte
-		var rerr error
 		if *pipeline == "piper" {
 			eng := piper.NewEngine(piper.Workers(*p))
 			defer eng.Close()
-			raw, rerr = dedup.RestorePiper(eng, 4**p, data)
+			result, err = dedup.RestorePiper(eng, 4**p, data)
 		} else {
-			raw, rerr = dedup.Restore(data)
+			result, err = dedup.Restore(data)
 		}
-		check(rerr)
-		_, err = w.Write(raw)
-		check(err)
 	default:
 		fmt.Fprintf(os.Stderr, "dedup: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	check(w.Flush())
+	check(err)
+	check(os.WriteFile(*out, result, 0o666))
 }
 
+// check exits 1 on err, printing it behind one "dedup:" (the dedup
+// package's errors carry that prefix already; the os ones do not).
 func check(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dedup:", err)
+		fmt.Fprintln(os.Stderr, "dedup:", strings.TrimPrefix(err.Error(), "dedup: "))
 		os.Exit(1)
 	}
 }

@@ -50,19 +50,19 @@ func main() {
 	}
 
 	fmt.Printf("host: %d CPUs, GOMAXPROCS=%d\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	run := map[string]func(){
-		"fig6":   func() { bench.Fig6Ferret(os.Stdout, ps, sz) },
-		"fig7":   func() { bench.Fig7Dedup(os.Stdout, ps, sz) },
-		"fig8":   func() { bench.Fig8X264(os.Stdout, ps, sz) },
-		"fig9":   func() { bench.Fig9PipeFib(os.Stdout, *pmax, sz) },
-		"thm12":  func() { bench.Thm12Uniform(os.Stdout, *pmax, sz) },
-		"fig10":  func() { bench.Fig10Pathological(os.Stdout, *pmax, sz) },
-		"ablate": func() { bench.Ablations(os.Stdout, *pmax, sz) },
-		"arena":  func() { bench.ArenaAblation(os.Stdout, *pmax, sz) },
+	run := map[string]func() *bench.Table{
+		"fig6":   func() *bench.Table { return bench.Ferret(sz).Table(ps, sz.Reps) },
+		"fig7":   func() *bench.Table { return bench.Dedup(sz).Table(ps, sz.Reps) },
+		"fig8":   func() *bench.Table { return bench.X264(sz).Table(ps, sz.Reps) },
+		"fig9":   func() *bench.Table { return bench.Fig9PipeFib(*pmax, sz) },
+		"thm12":  func() *bench.Table { return bench.Thm12Uniform(*pmax, sz) },
+		"fig10":  func() *bench.Table { return bench.Fig10Pathological(*pmax, sz) },
+		"ablate": func() *bench.Table { return bench.Ablations(*pmax, sz) },
+		"arena":  func() *bench.Table { return bench.ArenaAblation(*pmax, sz) },
 	}
 	if *experiment == "all" {
 		for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "thm12", "fig10", "ablate", "arena"} {
-			run[name]()
+			run[name]().Fprint(os.Stdout)
 		}
 		return
 	}
@@ -71,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "piperbench: unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
-	f()
+	f().Fprint(os.Stdout)
 }
 
 func defaultPs() []int {

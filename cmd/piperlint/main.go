@@ -7,23 +7,11 @@
 //
 //	go run ./cmd/piperlint ./...
 //	piperlint -only batchsafety,nakedgo ./internal/lz
-//
-// It also speaks enough of the vet tool protocol (-V=full handshake plus
-// unitchecker-style .cfg units) to run as `go vet -vettool=$(which
-// piperlint) ./...`, type-checking each unit from the compiler's export
-// data instead of source.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"io"
 	"os"
 	"strings"
 
@@ -36,8 +24,6 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("piperlint", flag.ExitOnError)
-	versionFlag := fs.String("V", "", "vet tool protocol handshake (-V=full)")
-	printFlags := fs.Bool("flags", false, "print the tool's flags as JSON (vet tool protocol)")
 	only := fs.String("only", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	fs.Usage = func() {
@@ -48,45 +34,6 @@ func run(args []string) int {
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *versionFlag != "" {
-		// The go command probes vet tools with -V=full and requires the
-		// exact shape "<prog> version devel ... buildID=<id>" to identify
-		// the tool binary for its action cache; the content hash of the
-		// executable is the id.
-		prog, err := os.Executable()
-		if err != nil {
-			prog = os.Args[0]
-		}
-		h := sha256.New()
-		if f, err := os.Open(prog); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-		fmt.Printf("%s version devel buildID=%x\n", prog, h.Sum(nil))
-		return 0
-	}
-	if *printFlags {
-		// The go command's other probe: `tool -flags` must print the
-		// tool's flags as a JSON array so vet can validate user flags.
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var flags []jsonFlag
-		fs.VisitAll(func(f *flag.Flag) {
-			b, ok := f.Value.(interface{ IsBoolFlag() bool })
-			flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-		})
-		data, err := json.MarshalIndent(flags, "", "\t")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
-		return 0
 	}
 	if *list {
 		for _, a := range lint.Analyzers() {
@@ -99,11 +46,6 @@ func run(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-
-	// A single *.cfg argument is the go command handing us one vet unit.
-	if fs.NArg() == 1 && strings.HasSuffix(fs.Arg(0), ".cfg") {
-		return runVetUnit(fs.Arg(0), analyzers)
 	}
 
 	patterns := fs.Args()
@@ -144,91 +86,4 @@ func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// vetConfig is the unit description the go command writes for vet tools
-// (the unitchecker wire format).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one unit under `go vet -vettool`. Dependencies are
-// imported from the export data the go command already built, so no
-// source re-type-checking happens.
-func runVetUnit(cfgFile string, analyzers []*lint.Analyzer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "piperlint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// The go command requires an output file (its facts cache) even though
-	// these analyzers export none.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			os.WriteFile(cfg.VetxOutput, []byte{}, 0o666)
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency pass: nothing to analyze, nothing to export.
-		writeVetx()
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		exportFile, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(exportFile)
-	})
-	pkg, err := lint.CheckFiles(fset, imp, cfg.ImportPath, cfg.Dir, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	diags := lint.Run([]*lint.Package{pkg}, analyzers)
-	for _, d := range diags {
-		// The go command relays anything on stderr as the vet failure.
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	writeVetx()
-	return 0
 }

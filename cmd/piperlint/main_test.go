@@ -2,12 +2,6 @@ package main
 
 import "testing"
 
-func TestVersionHandshake(t *testing.T) {
-	if code := run([]string{"-V=full"}); code != 0 {
-		t.Fatalf("-V=full exited %d, want 0", code)
-	}
-}
-
 func TestSelectAnalyzers(t *testing.T) {
 	all, err := selectAnalyzers("")
 	if err != nil || len(all) < 5 {

@@ -23,10 +23,8 @@ import (
 // GC, so the delta isolates recycling itself from the refactoring.
 
 // ArenaAblation renders the arena on/off comparison.
-func ArenaAblation(w io.Writer, pmax int, sz SizeSpec) *Table {
-	if pmax < 1 {
-		pmax = 1
-	}
+func ArenaAblation(pmax int, sz SizeSpec) *Table {
+	pmax = max(pmax, 1)
 	data := workload.TextStream(1234, sz.DedupBytes, 4096, 0.35)
 
 	tbl := &Table{
@@ -58,10 +56,7 @@ func ArenaAblation(w io.Writer, pmax int, sz SizeSpec) *Table {
 
 			// Allocation counters bracket the timed reps; per-op numbers
 			// divide out the rep count.
-			reps := sz.Reps
-			if reps < 1 {
-				reps = 1
-			}
+			reps := max(sz.Reps, 1)
 			// The explicit GC (for a clean Mallocs bracket) pushes the
 			// warmed regions into the sync.Pool victim caches, one natural
 			// GC away from being freed — a collection triggered by the
@@ -97,8 +92,5 @@ func ArenaAblation(w io.Writer, pmax int, sz SizeSpec) *Table {
 		"arena off (core.Options.ArenaBuffers false) keeps the Ref ownership API and gauges but never recycles: every Get allocates, every final Release goes to the GC",
 		"allocs/op counts every heap allocation during one full pipeline run (runtime.MemStats.Mallocs delta); both workloads write to io.Discard",
 		"misses are arena checkouts that allocated fresh storage; the warm-up run outside the measurement makes steady-state misses ≈ 0 with the arena on")
-	if w != nil {
-		tbl.Fprint(w)
-	}
 	return tbl
 }

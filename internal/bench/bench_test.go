@@ -27,7 +27,7 @@ func TestTableFormatting(t *testing.T) {
 func TestFig6Small(t *testing.T) {
 	sz := Small()
 	sz.FerretCorpus, sz.FerretQueries = 60, 20
-	tbl := Fig6Ferret(nil, []int{1, 2}, sz)
+	tbl := Ferret(sz).Table([]int{1, 2}, sz.Reps)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -39,7 +39,7 @@ func TestFig6Small(t *testing.T) {
 func TestFig7Small(t *testing.T) {
 	sz := Small()
 	sz.DedupBytes = 256 << 10
-	tbl := Fig7Dedup(nil, []int{1, 2}, sz)
+	tbl := Dedup(sz).Table([]int{1, 2}, sz.Reps)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -51,7 +51,7 @@ func TestFig7Small(t *testing.T) {
 func TestFig8Small(t *testing.T) {
 	sz := Small()
 	sz.X264Frames = 20
-	tbl := Fig8X264(nil, []int{1, 2}, sz)
+	tbl := X264(sz).Table([]int{1, 2}, sz.Reps)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -60,7 +60,7 @@ func TestFig8Small(t *testing.T) {
 func TestFig9Small(t *testing.T) {
 	sz := Small()
 	sz.PipeFibN = 600
-	tbl := Fig9PipeFib(nil, 2, sz)
+	tbl := Fig9PipeFib(2, sz)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 variants", len(tbl.Rows))
 	}
@@ -68,7 +68,7 @@ func TestFig9Small(t *testing.T) {
 
 func TestThm12Small(t *testing.T) {
 	sz := Small()
-	tbl := Thm12Uniform(nil, 2, sz)
+	tbl := Thm12Uniform(2, sz)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -76,7 +76,7 @@ func TestThm12Small(t *testing.T) {
 
 func TestFig10Small(t *testing.T) {
 	sz := Small()
-	tbl := Fig10Pathological(nil, 2, sz)
+	tbl := Fig10Pathological(2, sz)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -90,7 +90,7 @@ func TestFig10Small(t *testing.T) {
 func TestAblationsSmall(t *testing.T) {
 	sz := Small()
 	sz.PipeFibN = 800
-	tbl := Ablations(nil, 2, sz)
+	tbl := Ablations(2, sz)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want baseline + the paper's three switches", len(tbl.Rows))
 	}
@@ -113,7 +113,7 @@ func TestAblationsSmall(t *testing.T) {
 func TestArenaAblationSmall(t *testing.T) {
 	sz := Small()
 	sz.DedupBytes = 128 << 10
-	tbl := ArenaAblation(nil, 2, sz)
+	tbl := ArenaAblation(2, sz)
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want on/off × dedup/lz", len(tbl.Rows))
 	}

@@ -6,12 +6,13 @@
 // Measured columns are wall-clock on this host; "model" columns are the
 // greedy-bound predictions min(P, T1/T∞(K)) from the dag analyzer, which
 // extend the tables past the host's core count (the paper's machine had
-// 16 cores; see EXPERIMENTS.md for the comparison protocol).
+// 16 cores).
 package bench
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 )
@@ -63,24 +64,14 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// timeIt measures one execution of f.
-func timeIt(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// bestOf runs f reps times and keeps the minimum duration, the standard
-// noise-rejection protocol for small benchmarks.
+// bestOf runs f reps times (at least once) and keeps the minimum
+// duration, the standard noise-rejection protocol for small benchmarks.
 func bestOf(reps int, f func()) time.Duration {
-	if reps < 1 {
-		reps = 1
-	}
-	best := timeIt(f)
-	for i := 1; i < reps; i++ {
-		if d := timeIt(f); d < best {
-			best = d
-		}
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < max(reps, 1); i++ {
+		start := time.Now()
+		f()
+		best = min(best, time.Since(start))
 	}
 	return best
 }

@@ -116,8 +116,8 @@ func TestDuplicatesDetected(t *testing.T) {
 }
 
 // TestAllExecutorsProduceIdenticalArchives is the cross-executor oracle:
-// piper, bind-to-stage, and TBB must emit byte-identical archives to the
-// serial implementation.
+// piper, bind-to-stage, TBB and the profiled piper pipeline must emit
+// byte-identical archives to the serial implementation.
 func TestAllExecutorsProduceIdenticalArchives(t *testing.T) {
 	data := testData(7, 768<<10, 0.35)
 	var want bytes.Buffer
@@ -149,6 +149,20 @@ func TestAllExecutorsProduceIdenticalArchives(t *testing.T) {
 	}
 	if !bytes.Equal(gotTBB.Bytes(), want.Bytes()) {
 		t.Error("TBB archive differs from serial")
+	}
+
+	// The profile behind Figure 7's parallelism note runs CompressPiper's
+	// own pipeline, so it writes the same archive.
+	var gotProfile bytes.Buffer
+	rep, err := ProfilePiper(eng, data, &gotProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotProfile.Bytes(), want.Bytes()) {
+		t.Error("profiled archive differs from serial")
+	}
+	if n := int64(len(ChunkAll(data))); rep.Iterations != n || rep.Parallelism() <= 1 {
+		t.Errorf("profile: %d iterations, parallelism %.2f; want %d and above 1", rep.Iterations, rep.Parallelism(), n)
 	}
 }
 

@@ -57,26 +57,14 @@ func (d *dupTable) classify(t *task) {
 }
 
 // CompressSerial is the reference single-threaded implementation (TS in
-// the paper's tables).
+// the paper's tables): the stages of the non-arena executors below, run
+// in order on one goroutine.
 func CompressSerial(data []byte, out io.Writer) error {
 	aw := NewWriter(out)
 	table := newDupTable()
-	c := NewChunker(data)
-	var seq int64
-	for {
-		chunk := c.Next()
-		if chunk == nil {
-			break
-		}
-		t := &task{chunk: chunk}
-		t.rec.Seq = seq
-		t.rec.RawLen = len(chunk)
-		seq++
-		table.classify(t)
-		if !t.rec.Dup {
-			t.rec.Compressed = Compress(chunk)
-		}
-		aw.WriteRecord(&t.rec)
+	next := taskSource(data)
+	for v, ok := next(); ok; v, ok = next() {
+		aw.sink(compressStage(table.stage(v)))
 	}
 	return aw.Close()
 }
@@ -94,14 +82,39 @@ func CompressSerial(data []byte, out io.Writer) error {
 // chunk.
 func CompressPiper(eng *piper.Engine, k int, data []byte, out io.Writer) error {
 	aw := NewWriter(out)
+	compressPipe(eng.Arena(), data, aw, func(next func() ([]byte, bool), body func(*piper.Iter, []byte)) {
+		piper.PipeThrottled(eng, k, next, body)
+	})
+	return aw.Close()
+}
+
+// ProfilePiper measures the work and span of CompressPiper's pipeline —
+// the paper's Cilkview measurement of dedup — from its serial elision on
+// the calling goroutine (piper.ProfilePipe), writing the same archive to
+// out.
+func ProfilePiper(eng *piper.Engine, data []byte, out io.Writer) (piper.PipelineReport, error) {
+	aw := NewWriter(out)
+	var rep piper.PipelineReport
+	compressPipe(eng.Arena(), data, aw, func(next func() ([]byte, bool), body func(*piper.Iter, []byte)) {
+		rep = piper.ProfilePipe(eng, 0, next, body)
+	})
+	return rep, aw.Close()
+}
+
+// compressPipe hands pipe the element source and the body of the Figure
+// 4 pipeline, which write data's archive to aw with regions from a. pipe
+// runs them (PipeThrottled or ProfilePipe); passing the pair to a call
+// rather than returning it keeps the body visible to piperlint, which
+// finds pipeline code at the call that receives it.
+func compressPipe(a *arena.Arena, data []byte, aw *Writer, pipe func(next func() ([]byte, bool), body func(*piper.Iter, []byte))) {
 	table := newDupTable()
 	c := NewChunker(data)
-	a := eng.Arena()
 	var seq int64
-	piper.PipeThrottled(eng, k, func() ([]byte, bool) {
+	next := func() ([]byte, bool) {
 		chunk := c.Next()
 		return chunk, chunk != nil
-	}, func(it *piper.Iter, chunk []byte) {
+	}
+	body := func(it *piper.Iter, chunk []byte) {
 		t := taskPool.Get().(*task)
 		t.chunk = chunk
 		t.rec = Record{Seq: seq, RawLen: len(chunk)}
@@ -128,79 +141,64 @@ func CompressPiper(eng *piper.Engine, k int, data []byte, out io.Writer) error {
 
 		it.Wait(3) // serial: write
 		aw.WriteRecord(&t.rec)
-	})
-	return aw.Close()
+	}
+	pipe(next, body)
 }
+
+// The serial, bind-to-stage and TBB executors pass each chunk's *task
+// through the stages below as an any: taskSource reads and chunks,
+// dupTable.stage deduplicates (serial), compressStage deflates
+// (parallel), and Writer.sink writes the record (serial, in order).
+
+// taskSource returns stage 0: it cuts data into chunks and numbers a
+// task for each.
+func taskSource(data []byte) func() (any, bool) {
+	c := NewChunker(data)
+	var seq int64
+	return func() (any, bool) {
+		chunk := c.Next()
+		if chunk == nil {
+			return nil, false
+		}
+		t := &task{chunk: chunk, rec: Record{Seq: seq, RawLen: len(chunk)}}
+		seq++
+		return t, true
+	}
+}
+
+func (d *dupTable) stage(v any) any {
+	d.classify(v.(*task))
+	return v
+}
+
+func compressStage(v any) any {
+	if t := v.(*task); !t.rec.Dup {
+		t.rec.Compressed = Compress(t.chunk)
+	}
+	return v
+}
+
+func (w *Writer) sink(v any) { w.WriteRecord(&v.(*task).rec) }
 
 // CompressBindStage is the Pthreads-style bind-to-stage implementation:
 // one thread each for the serial stages, q threads for compression, with
 // bounded queues of capacity queueCap.
 func CompressBindStage(data []byte, q, queueCap int, out io.Writer) error {
 	aw := NewWriter(out)
-	table := newDupTable()
-	c := NewChunker(data)
-	var seq int64
-	p := bindstage.New(queueCap).
-		AddSerial(func(v any) any { // deduplicate
-			t := v.(*task)
-			table.classify(t)
-			return t
-		}).
-		AddParallel(q, func(v any) any { // compress
-			t := v.(*task)
-			if !t.rec.Dup {
-				t.rec.Compressed = Compress(t.chunk)
-			}
-			return t
-		}).
-		AddSerial(func(v any) any { return v }) // write happens in sink
-	p.Run(func() (any, bool) {
-		chunk := c.Next()
-		if chunk == nil {
-			return nil, false
-		}
-		t := &task{chunk: chunk}
-		t.rec.Seq = seq
-		t.rec.RawLen = len(chunk)
-		seq++
-		return t, true
-	}, func(v any) {
-		aw.WriteRecord(&v.(*task).rec)
-	})
+	bindstage.New(queueCap).
+		AddSerial(newDupTable().stage).
+		AddParallel(q, compressStage).
+		AddSerial(func(v any) any { return v }). // write happens in sink
+		Run(taskSource(data), aw.sink)
 	return aw.Close()
 }
 
 // CompressTBB is the construct-and-run token-pipeline implementation.
 func CompressTBB(data []byte, workers, tokens int, out io.Writer) error {
 	aw := NewWriter(out)
-	table := newDupTable()
-	c := NewChunker(data)
-	var seq int64
-	p := tbbpipe.New().
-		Add(tbbpipe.SerialInOrder, func(v any) any { // deduplicate
-			t := v.(*task)
-			table.classify(t)
-			return t
-		}).
-		Add(tbbpipe.ParallelMode, func(v any) any { // compress
-			t := v.(*task)
-			if !t.rec.Dup {
-				t.rec.Compressed = Compress(t.chunk)
-			}
-			return t
-		})
-	p.Run(workers, tokens, func() (any, bool) {
-		chunk := c.Next()
-		if chunk == nil {
-			return nil, false
-		}
-		t := &task{chunk: chunk}
-		t.rec.Seq = seq
-		t.rec.RawLen = len(chunk)
-		seq++
-		return t, true
-	}, func(v any) {
-		aw.WriteRecord(&v.(*task).rec)
-	})
+	tbbpipe.New().
+		Add(tbbpipe.SerialInOrder, newDupTable().stage).
+		Add(tbbpipe.ParallelMode, compressStage).
+		Run(workers, tokens, taskSource(data), aw.sink)
 	return aw.Close()
 }

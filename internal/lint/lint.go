@@ -137,33 +137,20 @@ func buildAllow(fset *token.FileSet, files []*ast.File, verb string) map[string]
 }
 
 // Run applies the analyzers to every package and returns the surviving
-// findings sorted by position.
-//
-// Test files are excluded: the contracts govern shipped code, and the
-// test suite deliberately violates them — misuse tests assert the
-// runtime panics, scheduler tests probe blocking with raw channels. The
-// standalone loader never sees test files (`go list` GoFiles), but vet
-// units include them, so the filter lives here where every mode passes
-// through.
+// findings sorted by position. Packages hold no test files: both loaders
+// (Load's `go list` GoFiles and CheckDir) leave them out.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		var files []*ast.File
-		for _, f := range pkg.Files {
-			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-				continue
-			}
-			files = append(files, f)
-		}
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
-				Files:    files,
+				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				diags:    &diags,
-				allow:    buildAllow(pkg.Fset, files, a.Allow),
+				allow:    buildAllow(pkg.Fset, pkg.Files, a.Allow),
 			}
 			a.Run(pass)
 		}

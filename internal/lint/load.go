@@ -147,14 +147,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, fil
 		}
 		asts = append(asts, f)
 	}
-	return CheckFiles(fset, imp, path, dir, asts)
-}
-
-// CheckFiles type-checks already-parsed files as one package. The vet
-// driver uses it directly: under `go vet -vettool` the go command hands
-// over the file list and an export-data importer, so there is nothing
-// left to discover.
-func CheckFiles(fset *token.FileSet, imp types.Importer, path, dir string, asts []*ast.File) (*Package, error) {
 	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, asts, info)
