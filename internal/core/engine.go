@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -406,7 +407,7 @@ func (e *Engine) RunPipeline(k int, cond func() bool, body func(*Iter)) Pipeline
 	e.submitMu.RLock()
 	if e.closed.Load() {
 		e.submitMu.RUnlock()
-		panic("piper: PipeWhile on closed engine")
+		panic(fmt.Errorf("%w: PipeWhile not started", ErrEngineClosed))
 	}
 	pl := e.newPipeline(k, cond, body)
 	pl.sub = h

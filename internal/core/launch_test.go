@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // A blocking launch (PipeWhile, RunPipeline) completes like a Submit:
 // finishTopLevel fills a Handle on the worker that retires the pipeline,
@@ -69,7 +72,7 @@ func TestBlockingLaunchReleasesBeforeReturn(t *testing.T) {
 }
 
 // TestBlockingLaunchClosedEngine: PipeWhile on a closed engine panics with
-// the closed-engine message and leaves no pipeline behind.
+// an error matching ErrEngineClosed and leaves no pipeline behind.
 func TestBlockingLaunchClosedEngine(t *testing.T) {
 	e := NewEngine(DefaultOptions())
 	e.Close()
@@ -78,7 +81,7 @@ func TestBlockingLaunchClosedEngine(t *testing.T) {
 		e.PipeWhile(func() bool { return false }, func(*Iter) {})
 		return nil
 	}()
-	if v != "piper: PipeWhile on closed engine" {
+	if err, ok := v.(error); !ok || !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("PipeWhile on a closed engine panicked with %#v", v)
 	}
 	if s := e.Stats(); s.LivePipelines != 0 || s.LiveIterFrames != 0 || s.Pipelines != 0 || s.Submits != 0 {

@@ -147,6 +147,11 @@ type rawRecord struct {
 // and unpack reads one byte past a chunk's recorded length.
 const maxTotal = math.MaxInt - 1
 
+// maxHintExpansion bounds the output presize per archive byte: 16× holds
+// a text-like stream with few repeats (about 4×) exactly, and a more
+// repetitive stream grows its output past it by append.
+const maxHintExpansion = 16
+
 var errMalformed = errors.New("dedup: truncated or malformed archive")
 
 // parseRecords decodes an archive into records without inflating them.
@@ -155,7 +160,9 @@ var errMalformed = errors.New("dedup: truncated or malformed archive")
 // unique record, and the end record's total is the sum of the records'
 // lengths. No recorded length sizes an allocation: hint is the total with
 // each record trusted for at most maxChunk bytes, which is the exact total
-// of any archive this package's chunker wrote.
+// of any archive this package's chunker wrote, and with the whole trusted
+// for at most maxHintExpansion bytes per archive byte, so that refs, two
+// bytes each, cannot claim their unique's length many times over.
 func parseRecords(archive []byte) (recs []*rawRecord, hint int, err error) {
 	b, ok := bytes.CutPrefix(archive, archiveMagic)
 	if !ok {
@@ -191,6 +198,9 @@ func parseRecords(archive []byte) (recs []*rawRecord, hint int, err error) {
 		case recEnd:
 			if v != uint64(total) {
 				return nil, 0, fmt.Errorf("dedup: size mismatch: records hold %d bytes, end record says %d", total, v)
+			}
+			if hint/maxHintExpansion > len(archive) {
+				hint = maxHintExpansion * len(archive)
 			}
 			return recs, hint, nil
 		default:

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -233,11 +234,21 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 // slot makes one round in a few pay for a fresh deflate state (~1.2 MB),
 // which recycling did not cause; a per-chunk allocation shows in every
 // round.
+//
+// GC is held off across the rounds unless the process grows by 64 MiB,
+// which only an arena-off engine does: a collection moves the arena's
+// sync.Pool classes to their victim caches and the next one drops them,
+// so collections inside a round make it re-allocate regions that
+// recycling did not lose.
 func steadyStateAllocs(run func()) (allocs, bytes float64) {
 	const runs = 5
 	run()
 	allocs = testing.AllocsPerRun(runs, run)
 	bytes = math.Inf(1)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(int64(ms.Sys-ms.HeapReleased) + 64<<20))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for round := 0; round < 3; round++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -36,6 +36,15 @@ import (
 // MemLimit divided by that per-chunk footprint. The steady state recycles
 // every region, so a terabyte stream runs in the same few dozen MiB as a
 // gigabyte one.
+//
+// This pipeline and its serial reference, StreamCompressSerial, are two
+// drivers over one chunk reader (readChunk) and one container writer
+// (containerWriter), so they write the same bytes and return the same
+// count and error whatever r and w do. A short chunk is the last one. A
+// read error ends the stream: the chunks read before it, the short one
+// included, are written in order, no terminator follows, and the read
+// error is returned. After a write error nothing more is written or read,
+// and that error is returned, ahead of any read error.
 
 // StreamMode selects how a chunk's blocks find their matches.
 type StreamMode int
@@ -122,14 +131,6 @@ type StreamStats struct {
 	DerivedThrottle int
 }
 
-// debugMaxArenaRequest tracks the largest arena region request the
-// package has made since the last reset — the regression hook for the
-// reserve-per-chunk sizing contract (tests assert it stays at a bound
-// derived from chunk/block geometry even for GiB inputs).
-var debugMaxArenaRequest atomic.Int64
-
-func resetMaxArenaRequest() { debugMaxArenaRequest.Store(0) }
-
 func noteArenaRequest(track *atomic.Int64, n int64) {
 	for {
 		cur := track.Load()
@@ -140,22 +141,19 @@ func noteArenaRequest(track *atomic.Int64, n int64) {
 }
 
 // arenaGet is the package's single arena checkout point: it records the
-// request size against the sizing contract and, when a run is being
-// measured, the post-checkout live high-water mark.
+// request size against the sizing contract and the post-checkout live
+// high-water mark in the run's counters.
 func arenaGet(a *arena.Arena, sc *streamCounters, n int) *arena.Ref {
-	noteArenaRequest(&debugMaxArenaRequest, int64(n))
 	r := a.Get(n)
-	if sc != nil {
-		noteArenaRequest(&sc.maxReq, int64(n))
-		noteArenaRequest(&sc.peakLive, a.Stats().LiveBytes)
-	}
+	noteArenaRequest(&sc.maxReq, int64(n))
+	noteArenaRequest(&sc.peakLive, a.Stats().LiveBytes)
 	return r
 }
 
 // streamCounters is the atomic backing for StreamStats during a run.
 type streamCounters struct {
-	chunks, blocks, raw atomic.Int64
-	peakLive, maxReq    atomic.Int64
+	chunks, blocks   atomic.Int64
+	peakLive, maxReq atomic.Int64
 }
 
 // normalized applies defaults and clamps, returning the derived chunk
@@ -164,15 +162,15 @@ func (o StreamOptions) normalized() (StreamOptions, int, error) {
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = DefaultStreamChunkSize
 	}
-	o.ChunkSize = clampInt(o.ChunkSize, minStreamChunkSize, maxStreamChunkSize)
+	o.ChunkSize = min(max(o.ChunkSize, minStreamChunkSize), maxStreamChunkSize)
 	if o.BlockSize <= 0 {
 		o.BlockSize = DefaultStreamBlockSize
 	}
-	o.BlockSize = clampInt(o.BlockSize, minStreamBlockSize, o.ChunkSize)
+	o.BlockSize = min(max(o.BlockSize, minStreamBlockSize), o.ChunkSize)
 	if o.SampleRate <= 0 {
 		o.SampleRate = DefaultSampleRate
 	}
-	o.SampleRate = clampInt(o.SampleRate, 1, 256)
+	o.SampleRate = min(max(o.SampleRate, 1), 256)
 	if o.MemLimit <= 0 {
 		o.MemLimit = DefaultStreamMemLimit
 	}
@@ -184,16 +182,6 @@ func (o StreamOptions) normalized() (StreamOptions, int, error) {
 		k = 32 // more in-flight chunks than any pool is wide buys nothing
 	}
 	return o, k, nil
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // classCeil rounds a request to the arena size class that will actually
@@ -261,9 +249,81 @@ func appendFactors(dst []byte, fs []Factor) []byte {
 	return dst
 }
 
+// readChunk fills buf from r and reports how many bytes it read. more is
+// true only for a full chunk read without error: a short chunk is the
+// last one, whatever r would return next. A read error ends the stream
+// after the n bytes read before it and comes back as err.
+func readChunk(r io.Reader, buf []byte) (n int, more bool, err error) {
+	n, err = io.ReadFull(r, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return n, false, nil
+	}
+	return n, err == nil, err
+}
+
+// containerWriter writes one pLZ1 container to w: the header, the chunk
+// records in stream order and the terminator, each encoded here and
+// nowhere else. It counts the bytes w accepted and keeps the first write
+// error, after which it writes nothing more; failed publishes that error
+// to a reader running beside the writer.
+type containerWriter struct {
+	w          io.Writer
+	written    int64
+	seq, total uint64
+	err        error
+	failed     atomic.Bool
+	buf        [4 * binary.MaxVarintLen64]byte
+}
+
+func (c *containerWriter) write(b []byte) {
+	if c.err != nil {
+		return
+	}
+	n, err := writeFull(c.w, b)
+	c.written += int64(n)
+	if err != nil {
+		c.err = err
+		c.failed.Store(true)
+	}
+}
+
+func (c *containerWriter) header(o StreamOptions) {
+	b := append(c.buf[:0], streamMagic[:]...)
+	b = binary.AppendUvarint(b, uint64(o.ChunkSize))
+	b = binary.AppendUvarint(b, uint64(o.BlockSize))
+	b = binary.AppendUvarint(b, uint64(o.SampleRate))
+	c.write(binary.AppendUvarint(b, uint64(o.Mode)))
+}
+
+// record writes the next chunk's record: raw is the chunk, enc its
+// encoded factors.
+func (c *containerWriter) record(raw, enc []byte) {
+	b := binary.AppendUvarint(c.buf[:0], c.seq)
+	b = binary.AppendUvarint(b, uint64(len(raw)))
+	c.write(binary.AppendUvarint(b, uint64(len(enc))))
+	c.write(enc)
+	c.seq++
+	c.total += uint64(len(raw))
+}
+
+// end closes the container after its last record. A stream that ended
+// cleanly gets the terminator; after a read error nothing follows the
+// records, so the container decodes as truncated. The first write error
+// wins over readErr.
+func (c *containerWriter) end(readErr error) (int64, error) {
+	if readErr == nil {
+		b := binary.AppendUvarint(c.buf[:0], c.seq)
+		b = binary.AppendUvarint(b, 0)
+		c.write(binary.AppendUvarint(b, c.total))
+	}
+	if c.err != nil {
+		return c.written, c.err
+	}
+	return c.written, readErr
+}
+
 // chunkJob carries one chunk through the outer pipeline.
 type chunkJob struct {
-	seq  uint64
 	data []byte // view of raw
 	out  []byte // encoded payload, view of outRef
 	raw  *arena.Ref
@@ -273,8 +333,9 @@ type chunkJob struct {
 var chunkJobPool = sync.Pool{New: func() any { return new(chunkJob) }}
 
 // StreamCompress compresses r onto w through eng's pipeline and returns
-// the bytes written. The output is bit-identical to
-// StreamCompressSerial(w, r, o) for the same options and input.
+// the bytes written. The output, the count and the error are those of
+// StreamCompressSerial(w, r, o) for the same options and input, also
+// when r or w fails.
 //
 // Closing eng while a stream is in flight waits for the stream, which
 // then completes normally. On an engine that is already closed,
@@ -289,50 +350,34 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 	}
 	a := eng.Arena()
 	sc := &streamCounters{}
+	cw := &containerWriter{w: w}
+	// Stage 0 owns started, more and readErr. cw takes the header from
+	// stage 0's first call and every record from stage 2; stage 0 reads
+	// only its failed flag, to stop reading once a write has failed.
 	var (
-		written int64
-		hdr     [4 * binary.MaxVarintLen64]byte
-		seq     uint64
-		total   uint64
-		// headerOut is touched by next only, which runs serially.
-		headerOut bool
+		started, more = false, true
+		readErr       error
 	)
-	// firstErr is set in the serial emit stage (write failures) and in the
-	// serial read stage (read failures); the two stages belong to
-	// different iterations and may overlap, hence the atomic.
-	var firstErr atomic.Pointer[error]
-	setErr := func(e error) { firstErr.CompareAndSwap(nil, &e) }
 	next := func() (*chunkJob, bool) {
-		if firstErr.Load() != nil {
-			return nil, false
-		}
-		if !headerOut {
+		if !started {
 			// The header goes out from inside the pipeline, before any
 			// record: a launch the engine refused writes nothing.
-			headerOut = true
-			n, err := writeFull(w, appendStreamHeader(hdr[:0], o))
-			written += int64(n)
-			if err != nil {
-				setErr(err)
-				return nil, false
-			}
+			started = true
+			cw.header(o)
+		}
+		if !more || cw.failed.Load() {
+			return nil, false
 		}
 		ref := arenaGet(a, sc, o.ChunkSize)
 		buf := ref.B[:o.ChunkSize]
-		nr, re := io.ReadFull(r, buf)
-		if nr == 0 {
+		var n int
+		n, more, readErr = readChunk(r, buf)
+		if n == 0 {
 			ref.Release()
-			if re != nil && re != io.EOF && re != io.ErrUnexpectedEOF {
-				setErr(re)
-			}
 			return nil, false
 		}
-		if re != nil && re != io.EOF && re != io.ErrUnexpectedEOF {
-			setErr(re) // compress what we read, then stop
-		}
 		j := chunkJobPool.Get().(*chunkJob)
-		j.raw, j.data, j.seq = ref, buf[:nr], seq
-		seq++
+		j.raw, j.data = ref, buf[:n]
 		return j, true
 	}
 	body := func(it *piper.Iter, j *chunkJob) {
@@ -347,45 +392,19 @@ func StreamCompress(eng *piper.Engine, w io.Writer, r io.Reader, o StreamOptions
 		it.Continue(1)
 		compressChunk(it, a, sc, o, j)
 		it.Wait(2)
-		if firstErr.Load() != nil {
-			return
-		}
-		rec := binary.AppendUvarint(hdr[:0], j.seq)
-		rec = binary.AppendUvarint(rec, uint64(len(j.data)))
-		rec = binary.AppendUvarint(rec, uint64(len(j.out)))
-		for _, b := range [][]byte{rec, j.out} {
-			n, err := writeFull(w, b)
-			written += int64(n)
-			if err != nil {
-				setErr(err)
-				return
-			}
-		}
-		total += uint64(len(j.data))
+		cw.record(j.data, j.out)
 	}
 	if o.Profile != nil {
 		*o.Profile = piper.ProfilePipe(eng, k, next, body)
 	} else if err := pipeStream(eng, k, next, body); err != nil {
 		return 0, err
 	}
-	if ep := firstErr.Load(); ep != nil {
-		return written, *ep
+	written, err := cw.end(readErr)
+	if err == nil {
+		fillStreamStats(o.Stats, sc, k, cw.total, written)
 	}
-	term := binary.AppendUvarint(hdr[:0], seq)
-	term = binary.AppendUvarint(term, 0)
-	term = binary.AppendUvarint(term, total)
-	n, err := writeFull(w, term)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	fillStreamStats(o.Stats, sc, k, total, written)
-	return written, nil
+	return written, err
 }
-
-// closedLaunch is the panic value with which a blocking launch on a closed
-// engine refuses to start (Engine.RunPipeline).
-const closedLaunch = "piper: PipeWhile on closed engine"
 
 // pipeStream runs the stream's pipeline on eng and reports a closed
 // engine's refusal to launch it as piper.ErrEngineClosed. The refusal
@@ -393,7 +412,7 @@ const closedLaunch = "piper: PipeWhile on closed engine"
 func pipeStream(eng *piper.Engine, k int, next func() (*chunkJob, bool), body func(*piper.Iter, *chunkJob)) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			if v != closedLaunch {
+			if e, ok := v.(error); !ok || !errors.Is(e, piper.ErrEngineClosed) {
 				panic(v)
 			}
 			err = fmt.Errorf("lz: stream compression: %w", piper.ErrEngineClosed)
@@ -412,14 +431,6 @@ func writeFull(w io.Writer, b []byte) (int, error) {
 		err = io.ErrShortWrite
 	}
 	return n, err
-}
-
-func appendStreamHeader(dst []byte, o StreamOptions) []byte {
-	dst = append(dst, streamMagic[:]...)
-	dst = binary.AppendUvarint(dst, uint64(o.ChunkSize))
-	dst = binary.AppendUvarint(dst, uint64(o.BlockSize))
-	dst = binary.AppendUvarint(dst, uint64(o.SampleRate))
-	return binary.AppendUvarint(dst, uint64(o.Mode))
 }
 
 func fillStreamStats(st *StreamStats, sc *streamCounters, k int, raw uint64, written int64) {
@@ -517,64 +528,32 @@ func StreamCompressSerial(w io.Writer, r io.Reader, o StreamOptions) (int64, err
 	if err != nil {
 		return 0, err
 	}
-	var written int64
-	var hdr [4 * binary.MaxVarintLen64]byte
-	n, err := writeFull(w, appendStreamHeader(hdr[:0], o))
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
+	cw := &containerWriter{w: w}
+	cw.header(o)
 	chunk := make([]byte, o.ChunkSize)
 	idx := make([]int32, indexScratchLen(o.ChunkSize, o.SampleRate, o.BlockSize))
 	scratch := make([]int32, o.blockScratchBytes()/4)
 	factors := make([]Factor, 0, o.BlockSize)
 	out := make([]byte, 0, 2*o.ChunkSize)
-	var seq, total uint64
-	for {
-		nr, re := io.ReadFull(r, chunk)
-		if nr == 0 {
-			if re != nil && re != io.EOF && re != io.ErrUnexpectedEOF {
-				return written, re
-			}
+	var readErr error
+	for more := true; more && cw.err == nil; {
+		var n int
+		n, more, readErr = readChunk(r, chunk)
+		if n == 0 {
 			break
 		}
-		data := chunk[:nr]
+		data := chunk[:n]
 		var ix chunkIndex
 		buildChunkIndex(&ix, data, o.SampleRate, o.BlockSize, idx)
 		out = out[:0]
-		for start := 0; start < nr; start += o.BlockSize {
-			end := start + o.BlockSize
-			if end > nr {
-				end = nr
-			}
+		for start := 0; start < n; start += o.BlockSize {
+			end := min(start+o.BlockSize, n)
 			factors = factorizeBlock(o.Mode, data, &ix, start, end, scratch, factors[:0])
 			out = appendFactors(out, factors)
 		}
-		rec := binary.AppendUvarint(hdr[:0], seq)
-		rec = binary.AppendUvarint(rec, uint64(nr))
-		rec = binary.AppendUvarint(rec, uint64(len(out)))
-		for _, b := range [][]byte{rec, out} {
-			nw, werr := writeFull(w, b)
-			written += int64(nw)
-			if werr != nil {
-				return written, werr
-			}
-		}
-		seq++
-		total += uint64(nr)
-		if re != nil {
-			if re != io.EOF && re != io.ErrUnexpectedEOF {
-				return written, re
-			}
-			break // partial chunk: the stream ended
-		}
+		cw.record(data, out)
 	}
-	term := binary.AppendUvarint(hdr[:0], seq)
-	term = binary.AppendUvarint(term, 0)
-	term = binary.AppendUvarint(term, total)
-	n, err = writeFull(w, term)
-	written += int64(n)
-	return written, err
+	return cw.end(readErr)
 }
 
 // StreamDecompress decodes a container produced by StreamCompress or

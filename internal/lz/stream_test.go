@@ -9,7 +9,9 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"piper"
@@ -288,7 +290,6 @@ func TestStreamMemLimitError(t *testing.T) {
 // through 2 MiB chunks must request nothing larger than the 2·ChunkSize
 // output region.
 func TestStreamMaxArenaRequestBound(t *testing.T) {
-	resetMaxArenaRequest()
 	o := StreamOptions{Mode: ModeSparse}
 	eng := piper.NewEngine(piper.Workers(2))
 	defer eng.Close()
@@ -301,10 +302,6 @@ func TestStreamMaxArenaRequestBound(t *testing.T) {
 	if st.MaxArenaRequest > bound {
 		t.Fatalf("stream max arena request %d exceeds chunk-derived bound %d", st.MaxArenaRequest, bound)
 	}
-	if got := debugMaxArenaRequest.Load(); got > bound {
-		t.Fatalf("package max arena request %d exceeds chunk-derived bound %d", got, bound)
-	}
-
 }
 
 // streamTestSize is the bounded-memory / round-trip stream length:
@@ -447,15 +444,17 @@ func TestDenseOutputGolden(t *testing.T) {
 	}
 }
 
-// FuzzStreamRoundTrip has two halves. enc, read as a container, must
+// FuzzStreamRoundTrip has three phases. enc, read as a container, must
 // never panic StreamDecompress, whatever the bytes. Then enc followed by
 // size%384 KiB of workload.StreamReader(seed, ...) is compressed under
 // options drawn from the remaining arguments (dense or sparse, ChunkSize
 // 64–256 KiB, BlockSize 4–64 KiB, MemLimit 1–4 chunk footprints by
 // seed%4): StreamCompressSerial's container must decompress back to the
 // input, and StreamCompress on a Workers(2) engine must write exactly the
-// serial bytes at that many chunks in flight, its arena's live bytes
-// never past MemLimit. The seed corpus in
+// serial bytes at that many chunks in flight, its arena's live bytes never
+// past MemLimit. Last, the same input behind a reader that fails after an
+// offset drawn from seed: both drivers must write the same bytes, return
+// the same count, and fail with the reader's error. The seed corpus in
 // testdata/fuzz/FuzzStreamRoundTrip holds valid, truncated and junk
 // containers, the empty stream, and multi-chunk streams in both modes.
 func FuzzStreamRoundTrip(f *testing.F) {
@@ -503,6 +502,18 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if st.DerivedThrottle != k || st.PeakLiveArenaBytes > o.MemLimit {
 			t.Fatalf("%+v: chunk throttle %d (want %d), peak live arena %d B past the %d B MemLimit", o, st.DerivedThrottle, k, st.PeakLiveArenaBytes, o.MemLimit)
 		}
+
+		boom := errors.New("read failed")
+		off := int((seed >> 2) % uint64(len(raw)+1))
+		failing := func() io.Reader { return io.MultiReader(bytes.NewReader(raw[:off]), iotest.ErrReader(boom)) }
+		want.Reset()
+		got.Reset()
+		wantN, wantErr := StreamCompressSerial(&want, failing(), o)
+		n, err := StreamCompress(eng, &got, failing(), o)
+		if wantErr != boom || err != boom || n != wantN || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%+v, read error at %d: pipeline wrote %d B (reported %d, %v), serial %d B (reported %d, %v)",
+				o, off, got.Len(), n, err, want.Len(), wantN, wantErr)
+		}
 	})
 }
 
@@ -531,11 +542,21 @@ func BenchmarkStreamCompressSerialDense(b *testing.B) {
 // bytes from the runtime's cumulative counter as the least of three rounds
 // of as many runs (a sync.Pool refill lands in one round in a few; a
 // per-block allocation shows in every round).
+//
+// GC is held off across the rounds unless the process grows by 64 MiB,
+// which only an arena-off engine does: a collection moves the arena's
+// sync.Pool classes to their victim caches and the next one drops them,
+// so collections inside a round make it re-allocate regions that
+// recycling did not lose.
 func steadyStateAllocs(run func()) (allocs, bytes float64) {
 	const runs = 5
 	run()
 	allocs = testing.AllocsPerRun(runs, run)
 	bytes = math.Inf(1)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(int64(ms.Sys-ms.HeapReleased) + 64<<20))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for round := 0; round < 3; round++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -607,22 +628,117 @@ func (f *failingReader) Read(p []byte) (int, error) {
 
 // shortWriter accepts its first ok Write calls and answers every later
 // one with half of it written and err (nil models a writer that breaks
-// the io.Writer contract by not reporting its short write).
+// the io.Writer contract by not reporting its short write). got holds
+// every byte it reported written.
 type shortWriter struct {
 	ok     int
 	err    error
 	failed time.Time
+	got    bytes.Buffer
 }
 
 func (w *shortWriter) Write(p []byte) (int, error) {
 	if w.ok > 0 {
 		w.ok--
-		return len(p), nil
+		return w.got.Write(p)
 	}
 	if w.failed.IsZero() {
 		w.failed = time.Now()
 	}
-	return len(p) / 2, w.err
+	n, _ := w.got.Write(p[:len(p)/2])
+	return n, w.err
+}
+
+// eofThenMore returns its first reader's bytes, then io.EOF once, then
+// its second reader's bytes: an EOF that is not final.
+type eofThenMore struct {
+	first, rest io.Reader
+	eofSeen     bool
+}
+
+func (r *eofThenMore) Read(p []byte) (int, error) {
+	if r.eofSeen {
+		return r.rest.Read(p)
+	}
+	n, err := r.first.Read(p)
+	if err == io.EOF {
+		r.eofSeen = true
+	}
+	return n, err
+}
+
+// TestStreamDriversAgree: StreamCompress writes what StreamCompressSerial
+// writes, returns the same count and the same error, when the reader
+// fails, trickles, or ends early and when the writer fails or writes
+// short, on one and two workers, one chunk in flight and the derived
+// throttle. A failed stream ends without a terminator, so its container
+// does not decode.
+func TestStreamDriversAgree(t *testing.T) {
+	const chunk = 64 << 10
+	boom, full := errors.New("disk on fire"), errors.New("device full")
+	// A repetitive input factorizes in long copies, which halves the
+	// test's time under the race detector.
+	raw, err := io.ReadAll(workload.StreamReader(0xBEEF, 2*chunk+chunk/2, 4096, 0.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failAt := func(off int) func() io.Reader {
+		return func() io.Reader { return io.MultiReader(bytes.NewReader(raw[:off]), iotest.ErrReader(boom)) }
+	}
+	readers := []struct {
+		name string
+		new  func() io.Reader
+	}{
+		{"fail-mid-chunk", failAt(chunk + chunk/3)},
+		{"fail-at-boundary", failAt(2 * chunk)},
+		{"data-err", func() io.Reader { return iotest.DataErrReader(bytes.NewReader(raw)) }},
+		{"one-byte", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(raw)) }},
+		{"half", func() io.Reader { return iotest.HalfReader(bytes.NewReader(raw)) }},
+		{"eof-then-more", func() io.Reader {
+			return &eofThenMore{first: bytes.NewReader(raw[:chunk+chunk/3]), rest: bytes.NewReader(raw[chunk+chunk/3:])}
+		}},
+	}
+	// The header is one Write and a record two: ok 3 fails on the second
+	// record's prefix, ok 4 on its payload.
+	writers := []struct {
+		name string
+		new  func() *shortWriter
+	}{
+		{"good", func() *shortWriter { return &shortWriter{ok: math.MaxInt} }},
+		{"short-unreported", func() *shortWriter { return &shortWriter{ok: 3} }},
+		{"fails-after-4", func() *shortWriter { return &shortWriter{ok: 4, err: full} }},
+	}
+	o := StreamOptions{ChunkSize: chunk, BlockSize: 32 << 10, Mode: ModeSparse}
+	oneChunk := o
+	norm, _, _ := o.normalized()
+	oneChunk.MemLimit = norm.chunkFootprint()
+	engines := []*piper.Engine{piper.NewEngine(piper.Workers(1)), piper.NewEngine(piper.Workers(2))}
+	for _, eng := range engines {
+		defer eng.Close()
+	}
+	for _, rd := range readers {
+		for _, wr := range writers {
+			sw := wr.new()
+			wantN, wantErr := StreamCompressSerial(sw, rd.new(), o)
+			want := sw.got.Bytes()
+			if _, err := decompressBytes(want); (err == nil) != (wantErr == nil) {
+				t.Errorf("%s/%s: serial returned %v, its container decodes with %v", rd.name, wr.name, wantErr, err)
+			}
+			for p, eng := range engines {
+				for _, po := range []StreamOptions{oneChunk, o} {
+					for rep := 0; rep < 10; rep++ {
+						w := wr.new()
+						n, err := StreamCompress(eng, w, rd.new(), po)
+						if n != wantN || err != wantErr || !bytes.Equal(w.got.Bytes(), want) {
+							t.Errorf("%s/%s P=%d MemLimit=%d rep %d: pipeline wrote %d B (reported %d, %v), serial %d B (reported %d, %v)",
+								rd.name, wr.name, p+1, po.MemLimit, rep, w.got.Len(), n, err, len(want), wantN, wantErr)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // streamCompressFails runs StreamCompress into a failure and checks that

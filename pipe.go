@@ -50,6 +50,10 @@ func SubmitPipeWait[T any](ctx context.Context, eng *Engine, next func() (T, boo
 // contract statically: raw channel operations, select, mutex/WaitGroup
 // waits, and time.Sleep inside a body are flagged unless annotated
 // //piper:allow-block with a reason.
+//
+// Pipe blocks until the pipeline completes and re-panics with a body's
+// panic value. On a closed engine it panics with an error matching
+// ErrEngineClosed, before next is first called.
 func Pipe[T any](eng *Engine, next func() (T, bool), body func(it *Iter, v T)) {
 	PipeThrottled(eng, 0, next, body)
 }

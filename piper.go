@@ -74,7 +74,7 @@ type Handle = core.Handle
 type PanicError = core.PanicError
 
 // ErrEngineClosed is reported through a Handle when Submit is called on a
-// closed engine.
+// closed engine; a blocking launch there panics with an error matching it.
 var ErrEngineClosed = core.ErrEngineClosed
 
 // ErrSaturated is reported through a Handle when Submit finds the
