@@ -117,30 +117,57 @@ func Restore(archive []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, hint)
-	for _, rec := range recs {
-		if rec.ref != nil {
-			out = append(out, rec.ref.raw...)
+	var out []byte
+	for {
+		rec, done, err := recs.next()
+		switch {
+		case err != nil:
+			return nil, err
+		case done:
+			return out, nil
+		case rec.dup:
+			out = append(out, out[rec.from:][:rec.rawLen]...)
 			continue
 		}
-		if rec.raw, err = unpack(rec); err != nil {
+		raw, err := unpack(rec)
+		if err != nil {
 			return nil, err
 		}
-		out = append(out, rec.raw...)
+		out = appendChunk(out, raw, hint)
 	}
-	return out, nil
 }
 
-// rawRecord is one parsed archive record before decompression.
-type rawRecord struct {
-	rawLen int             // the referenced chunk's, for a ref
-	comp   []byte          // aliases the archive for unique records
-	sum    [sha1.Size]byte // unique records only
-	ref    *rawRecord      // the unique record a ref repeats; nil for a unique
+// appendChunk appends a verified unique chunk to the output. The output
+// is presized to hint at the first one, so an archive rejected at its
+// first chunk reserves nothing.
+func appendChunk(out, raw []byte, hint int) []byte {
+	if out == nil {
+		out = make([]byte, 0, hint)
+	}
+	return append(out, raw...)
+}
 
-	// raw and err are filled when the record is inflated.
-	raw []byte
-	err error
+// rawRecord is one archive record before decompression: a unique chunk,
+// whose deflate stream aliases the archive, or a dup, which repeats an
+// earlier unique that the output already holds.
+type rawRecord struct {
+	dup    bool
+	rawLen int
+	comp   []byte          // a unique's deflate stream
+	sum    [sha1.Size]byte // a unique's SHA-1
+	from   int             // a dup's: where its unique starts in the output
+}
+
+// uniqueChunk is where a unique record's chunk lies in the output.
+type uniqueChunk struct{ from, rawLen int }
+
+// records decodes an archive's records in order. It keeps one
+// uniqueChunk per unique record and nothing per ref, so a 2-byte ref
+// costs a reader no memory.
+type records struct {
+	b       []byte        // the records not yet read
+	uniques []uniqueChunk // every unique record read so far
+	total   int           // the output length of the records read so far
 }
 
 // maxTotal bounds an archive's total: the output must fit in one slice,
@@ -154,67 +181,84 @@ const maxHintExpansion = 16
 
 var errMalformed = errors.New("dedup: truncated or malformed archive")
 
-// parseRecords decodes an archive into records without inflating them.
-// It is the one place that decides what a well-formed archive is: every
-// compressed span lies inside the archive, every ref names an earlier
-// unique record, and the end record's total is the sum of the records'
-// lengths. No recorded length sizes an allocation: hint is the total with
-// each record trusted for at most maxChunk bytes, which is the exact total
-// of any archive this package's chunker wrote, and with the whole trusted
-// for at most maxHintExpansion bytes per archive byte, so that refs, two
-// bytes each, cannot claim their unique's length many times over.
-func parseRecords(archive []byte) (recs []*rawRecord, hint int, err error) {
+// parseRecords checks a whole archive without inflating it and returns
+// a reader at its first record. records.next is the one place that
+// decides what a well-formed archive is: every compressed span lies
+// inside the archive, every ref names an earlier unique record, and the
+// end record's total is the sum of the records' lengths. No recorded
+// length sizes an allocation: hint is the total with each record trusted
+// for at most maxChunk bytes, which is the exact total of any archive
+// this package's chunker wrote, and with the whole trusted for at most
+// maxHintExpansion bytes per archive byte, so that refs, two bytes each,
+// cannot claim their unique's length many times over.
+func parseRecords(archive []byte) (recs records, hint int, err error) {
 	b, ok := bytes.CutPrefix(archive, archiveMagic)
 	if !ok {
-		return nil, 0, errors.New("dedup: bad archive magic")
+		return records{}, 0, errors.New("dedup: bad archive magic")
 	}
-	var uniques []*rawRecord
-	total := 0
-	for len(b) > 0 {
-		// Every record is a kind byte and a uvarint: rawLen, index or total.
-		kind := b[0]
-		v, n := binary.Uvarint(b[1:])
-		if n <= 0 {
+	check := records{b: b}
+	for {
+		rec, done, err := check.next()
+		if err != nil {
+			return records{}, 0, err
+		}
+		if done {
 			break
 		}
-		b = b[1+n:]
-		rec := &rawRecord{}
-		switch kind {
-		case recUnique:
-			compLen, m := binary.Uvarint(b)
-			b = b[max(m, 0):]
-			if m <= 0 || len(b) < sha1.Size || compLen > uint64(len(b)-sha1.Size) {
-				return nil, 0, errMalformed
-			}
-			rec.comp, b = b[:compLen:compLen], b[compLen:]
-			b = b[copy(rec.sum[:], b):]
-			uniques = append(uniques, rec)
-		case recRef:
-			if v >= uint64(len(uniques)) {
-				return nil, 0, fmt.Errorf("dedup: dangling chunk reference %d", v)
-			}
-			rec.ref = uniques[v]
-			v = uint64(rec.ref.rawLen)
-		case recEnd:
-			if v != uint64(total) {
-				return nil, 0, fmt.Errorf("dedup: size mismatch: records hold %d bytes, end record says %d", total, v)
-			}
-			if hint/maxHintExpansion > len(archive) {
-				hint = maxHintExpansion * len(archive)
-			}
-			return recs, hint, nil
-		default:
-			return nil, 0, fmt.Errorf("dedup: unknown record kind 0x%02x", kind)
-		}
-		if v > uint64(maxTotal-total) {
-			return nil, 0, errors.New("dedup: archive holds more bytes than fit in memory")
-		}
-		rec.rawLen = int(v)
-		total += rec.rawLen
 		hint += min(rec.rawLen, maxChunk)
-		recs = append(recs, rec)
 	}
-	return nil, 0, errMalformed
+	if hint/maxHintExpansion > len(archive) {
+		hint = maxHintExpansion * len(archive)
+	}
+	// The reader refills check's table with the same entries as it goes.
+	return records{b: b, uniques: check.uniques[:0]}, hint, nil
+}
+
+// next decodes the next record; done reports a well-formed end record.
+func (r *records) next() (rec rawRecord, done bool, err error) {
+	if len(r.b) == 0 {
+		return rec, false, errMalformed
+	}
+	// Every record is a kind byte and a uvarint: rawLen, index or total.
+	kind := r.b[0]
+	v, n := binary.Uvarint(r.b[1:])
+	if n <= 0 {
+		return rec, false, errMalformed
+	}
+	b := r.b[1+n:]
+	switch kind {
+	case recUnique:
+		compLen, m := binary.Uvarint(b)
+		b = b[max(m, 0):]
+		if m <= 0 || len(b) < sha1.Size || compLen > uint64(len(b)-sha1.Size) {
+			return rec, false, errMalformed
+		}
+		rec.comp, b = b[:compLen:compLen], b[compLen:]
+		b = b[copy(rec.sum[:], b):]
+	case recRef:
+		if v >= uint64(len(r.uniques)) {
+			return rec, false, fmt.Errorf("dedup: dangling chunk reference %d", v)
+		}
+		u := r.uniques[v]
+		rec.dup, rec.from, v = true, u.from, uint64(u.rawLen)
+	case recEnd:
+		if v != uint64(r.total) {
+			return rec, false, fmt.Errorf("dedup: size mismatch: records hold %d bytes, end record says %d", r.total, v)
+		}
+		return rec, true, nil
+	default:
+		return rec, false, fmt.Errorf("dedup: unknown record kind 0x%02x", kind)
+	}
+	if v > uint64(maxTotal-r.total) {
+		return rec, false, errors.New("dedup: archive holds more bytes than fit in memory")
+	}
+	rec.rawLen = int(v)
+	if !rec.dup {
+		r.uniques = append(r.uniques, uniqueChunk{r.total, rec.rawLen})
+	}
+	r.total += rec.rawLen
+	r.b = b
+	return rec, false, nil
 }
 
 // inflaterPool recycles flate readers as compressorPool recycles writers:
@@ -225,7 +269,7 @@ var inflaterPool sync.Pool
 // length and SHA-1. The length is trusted only as a capacity hint up to
 // maxChunk, and the stream is read at most one byte past it, so a record
 // whose stream expands beyond its length costs no more than the record.
-func unpack(rec *rawRecord) ([]byte, error) {
+func unpack(rec rawRecord) ([]byte, error) {
 	src := bytes.NewReader(rec.comp)
 	fr, ok := inflaterPool.Get().(io.ReadCloser)
 	if ok {

@@ -12,32 +12,34 @@ func RestorePiper(eng *piper.Engine, k int, archive []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, hint)
-	i := 0
-	piper.PipeThrottled(eng, k, func() (*rawRecord, bool) {
-		if i >= len(recs) {
-			return nil, false
-		}
-		rec := recs[i]
-		i++
-		return rec, true
-	}, func(it *piper.Iter, rec *rawRecord) {
+	var out []byte
+	var nextErr error // set by the serial producer only
+	piper.PipeThrottled(eng, k, func() (rawRecord, bool) {
+		rec, done, err := recs.next()
+		nextErr = err
+		return rec, !done && err == nil
+	}, func(it *piper.Iter, rec rawRecord) {
 		it.Continue(1) // parallel: inflate + verify
-		if rec.ref == nil {
-			rec.raw, rec.err = unpack(rec)
+		var raw []byte
+		var uerr error
+		if !rec.dup {
+			raw, uerr = unpack(rec)
 		}
 
 		it.Wait(2) // serial: ordered assembly
 		switch {
 		case err != nil:
-		case rec.err != nil:
-			err = rec.err
-		case rec.ref != nil:
-			out = append(out, rec.ref.raw...)
+		case uerr != nil:
+			err = uerr
+		case rec.dup:
+			out = append(out, out[rec.from:][:rec.rawLen]...)
 		default:
-			out = append(out, rec.raw...)
+			out = appendChunk(out, raw, hint)
 		}
 	})
+	if err == nil {
+		err = nextErr // every record before it was restored, as in Restore
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -83,11 +83,18 @@ func TestParseRecordsCounts(t *testing.T) {
 		t.Fatalf("size hint = %d, want %d", hint, len(data))
 	}
 	var uniq, refs int
-	for _, r := range recs {
-		if r.ref == nil {
-			uniq++
-		} else {
+	for {
+		rec, done, err := recs.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if rec.dup {
 			refs++
+		} else {
+			uniq++
 		}
 	}
 	if refs == 0 {

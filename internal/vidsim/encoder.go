@@ -290,22 +290,40 @@ func (e *Encoder) motionSearch(src, refPix []byte, x0, y0, r int) (int, int, int
 // that checks the limit after every row: motion search relies on it for
 // its limits and tie-breaks.
 //
-// Each row is two 8-byte words per side. absDiff8 takes the per-byte
-// differences, pairs16 folds them into four 16-bit lanes, and acc
-// accumulates those lanes over the rows: a lane gains at most 4*255 per
-// row, 16 rows keep it under 1<<14, and all four lanes sum to under
-// 1<<16, so the multiply by lanes16 leaves the running sum exact in the
-// top 16 bits.
+// sad cuts each block's span, first row to last, out of its frame with
+// mbSpan and hands both to sadKernel: the SSE2 sadRows on amd64,
+// sadSWAR on every other GOARCH and under the race detector. mbSpan's
+// checks are the kernels' bounds checks; the assembly has none of its
+// own.
 func (e *Encoder) sad(src, ref []byte, x0, y0, x, y int, limit int64) int64 {
 	w := e.Video.W
+	return sadKernel(mbSpan(src, w, x0, y0), mbSpan(ref, w, x, y), w, limit)
+}
+
+// mbSpan is the span of frame p, w pixels wide, from the first to the
+// last pixel of the MB×MB block at (x, y). Slicing checks the span's end
+// against cap(p) only, so the index checks it against len(p).
+func mbSpan(p []byte, w, x, y int) []byte {
+	end := (y+MB-1)*w + x + MB
+	_ = p[end-1]
+	return p[y*w+x : end]
+}
+
+// sadSWAR is the portable SAD kernel on two block spans whose rows start
+// every stride bytes. Each row is two 8-byte words per side. absDiff8
+// takes the per-byte differences, pairs16 folds them into four 16-bit
+// lanes, and acc accumulates those lanes over the rows: a lane gains at
+// most 4*255 per row, 16 rows keep it under 1<<14, and all four lanes
+// sum to under 1<<16, so the multiply by lanes16 leaves the running sum
+// exact in the top 16 bits.
+func sadSWAR(a, b []byte, stride int, limit int64) int64 {
 	le := binary.LittleEndian
 	var acc uint64
 	var s int64
 	for r := 0; r < MB; r++ {
-		a := src[(y0+r)*w+x0:][:MB]
-		b := ref[(y+r)*w+x:][:MB]
-		acc += pairs16(absDiff8(le.Uint64(a), le.Uint64(b))) +
-			pairs16(absDiff8(le.Uint64(a[8:]), le.Uint64(b[8:])))
+		ra, rb := a[r*stride:][:MB], b[r*stride:][:MB]
+		acc += pairs16(absDiff8(le.Uint64(ra), le.Uint64(rb))) +
+			pairs16(absDiff8(le.Uint64(ra[8:]), le.Uint64(rb[8:])))
 		s = int64(acc * lanes16 >> 48)
 		if s >= limit {
 			return s

@@ -12,14 +12,20 @@
 // exercises the same code paths: motion search finds real matches, scene
 // cuts force real I-frames, and B-frames buffer between references.
 //
-// Motion search dominates the encode. Its SAD kernel compares 8 pixels
-// per word with SWAR arithmetic (absDiff8) and keeps the byte loop's
-// per-row early exit and partial sums exactly, and reconstruction reads
+// Motion search dominates the encode. Its SAD keeps the byte loop's
+// per-row early exit and partial sums exactly, with one of two kernels
+// chosen by the build: on amd64, one SSE2 PSADBW per 16-pixel row
+// (sad_amd64.s); on every other GOARCH and under the race detector,
+// SWAR arithmetic on 8 pixels per word (sadSWAR). Reconstruction reads
 // its prediction as a row slice instead of calling a closure per pixel.
 // Against the byte loop, on a 2-vCPU host with Go 1.24.0,
 // BenchmarkSAD (81 full SADs over one macroblock) went from 44–58 to
-// 14–18 µs/op and BenchmarkEncodeSerial (the 320×176, 120-frame video
-// TestEncodeGolden pins) from 368–412 to 138–149 ms/op.
+// 14–18 µs/op with the SWAR kernel and BenchmarkEncodeSerial (the
+// 320×176, 120-frame video TestEncodeGolden pins) from 368–412 to
+// 138–149 ms/op. On the same kind of host the SSE2 kernel reads
+// 3.2–3.5 µs/op and 41–45 ms/op, in five runs alternating with a build
+// that had only the SWAR kernel, which read 13–19 µs/op and 121–132
+// ms/op.
 package vidsim
 
 import "piper/internal/workload"
