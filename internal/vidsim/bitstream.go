@@ -80,25 +80,25 @@ func (w *streamWriter) end() []byte {
 	return w.buf.Bytes()
 }
 
-// codeResidual zero-run-length codes the quantized residual of the
-// macroblock at (x0, y0) against the prediction block whose row k starts
-// at pred[k*stride], as reconstructMB reads it. The quantized value is
-// (src − pred) / 2^QShift, truncated toward zero: exactly the multiple of
-// 2^QShift that reconstructMB's mask form adds back to the prediction,
-// so the decoder rebuilds the encoder's reconstruction.
-func (e *Encoder) codeResidual(w *streamWriter, src []byte, x0, y0 int, pred []byte, stride int) {
-	d := 1 << e.Cfg.QShift
+// codeResidual zero-run-length codes a macroblock's quantized residual, as
+// reconstructMB leaves it: each value is a pixel's magnitude shifted
+// down by QShift, negated where its sign byte is set. The decoder adds
+// it times 2^QShift to its own prediction and so rebuilds the encoder's
+// reconstruction.
+func (w *streamWriter) codeResidual(res *residual, shift uint) {
 	run := 0
-	for k := 0; k < MB; k++ {
-		s, p := src[(y0+k)*e.Video.W+x0:][:MB], pred[k*stride:][:MB]
-		for i := range s {
-			qv := (int(s[i]) - int(p[i])) / d
-			if qv == 0 {
+	for j, mag := range res.mag {
+		for b := 0; b < 64; b += 8 {
+			v := int64(mag >> b & 0xff >> shift)
+			if v == 0 {
 				run++
 				continue
 			}
+			if res.neg[j]>>b&1 != 0 {
+				v = -v
+			}
 			w.uvarint(uint64(run))
-			w.varint(int64(qv))
+			w.varint(v)
 			run = 0
 		}
 	}
@@ -107,6 +107,8 @@ func (e *Encoder) codeResidual(w *streamWriter, src []byte, x0, y0 int, pred []b
 	}
 }
 
+// clampByte clamps the decoder's reconstruction, which a hostile stream
+// can push out of [0, 255]; the encoder's never leaves it.
 func clampByte(v int) byte {
 	if v < 0 {
 		return 0

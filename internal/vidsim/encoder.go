@@ -166,11 +166,12 @@ func (e *Encoder) encodeIntraMB(fi, r, c int, rc *Recon, sw *streamWriter) (int6
 	src := v.Frames[fi]
 	x0, y0 := c*MB, r*MB
 	dc := dcRow(dcPredict(rc.Pix, v.W, x0, y0))
+	var res residual
+	bits, sig := e.reconstructMB(src, rc, x0, y0, dc[:], 0, &res)
 	if sw != nil {
 		sw.buf.WriteByte(mbModeIntra)
-		e.codeResidual(sw, src, x0, y0, dc[:], 0)
+		sw.codeResidual(&res, e.Cfg.QShift)
 	}
-	bits, sig := e.reconstructMB(src, rc, x0, y0, dc[:], 0)
 	return bits + 6, sig ^ 0xA5A5 // mode header
 }
 
@@ -198,14 +199,14 @@ func (e *Encoder) encodeInterMB(fi, r, c int, rc *Recon, ref *Recon, sw *streamW
 		return e.encodeIntraMB(fi, r, c, rc, sw)
 	}
 
-	pred := ref.Pix[(y0+bdy)*v.W+x0+bdx:]
+	var res residual
+	bits, sig := e.reconstructMB(src, rc, x0, y0, ref.Pix[(y0+bdy)*v.W+x0+bdx:], v.W, &res)
 	if sw != nil {
 		sw.buf.WriteByte(mbModeInter)
 		sw.varint(int64(bdx))
 		sw.varint(int64(bdy))
-		e.codeResidual(sw, src, x0, y0, pred, v.W)
+		sw.codeResidual(&res, e.Cfg.QShift)
 	}
-	bits, sig := e.reconstructMB(src, rc, x0, y0, pred, v.W)
 	sig = sig*31 + uint64(uint32(bdx*131071+bdy))
 	return bits + 10, sig // mv + header bits
 }
@@ -219,76 +220,111 @@ func dcRow(dc int) (row [MB]byte) {
 	return row
 }
 
+// residual is a macroblock's quantized residual as reconstructMB leaves
+// it for the bitstream sink, eight pixels to a word in raster order: in
+// each byte of mag the magnitude |src − pred| &^ (2^QShift − 1), and in
+// each byte of neg 0xff where src < pred.
+type residual struct{ mag, neg [MB * MB / 8]uint64 }
+
 // reconstructMB quantizes the residual against the prediction block whose
 // row k starts at pred[k*stride] (stride 0 repeats one row: the DC
-// predictor) and writes the reconstruction, returning the bit estimate
-// and a content signature.
-func (e *Encoder) reconstructMB(src []byte, rc *Recon, x0, y0 int, pred []byte, stride int) (int64, uint64) {
+// predictor), writes the reconstruction, and leaves the quantized
+// residual in res. It returns the bit estimate and a content signature.
+//
+// Quantization truncates toward zero, as real codecs do: the coded value
+// is (src − pred) / 2^QShift, so small residuals of either sign become
+// 0, and the reconstruction adds it times 2^QShift back. Each row takes
+// two passes. The first has no branch and works on eight pixels a word:
+// absDiffSign8 gives |src − pred| and its sign, masking drops the
+// magnitude's low QShift bits, and out = pred ± that lies between pred
+// and src, so no lane carries or borrows and no clamp is needed; the bit
+// estimate, the sum of the magnitudes over 2^QShift, is accumulated in
+// pairs16's lanes. The second folds the output row into the FNV-1a
+// signature.
+func (e *Encoder) reconstructMB(src []byte, rc *Recon, x0, y0 int, pred []byte, stride int, res *residual) (int64, uint64) {
 	w := e.Video.W
-	q := e.Cfg.QShift
-	mask := 1<<q - 1
-	var bits int64
+	keep := uint64(byte(0xff<<e.Cfg.QShift)) * 0x0101010101010101
+	le := binary.LittleEndian
+	var acc uint64 // pairs16 lanes: all four sum to under 1<<16, as in sadSWAR
 	var sig uint64 = 14695981039346656037
 	for k := 0; k < MB; k++ {
 		row := (y0+k)*w + x0
-		s, out, p := src[row:row+MB], rc.Pix[row:row+MB], pred[k*stride:k*stride+MB]
-		for i := range out {
-			res := int(s[i]) - int(p[i])
-			// Quantize toward zero, as real codecs do: small residuals of
-			// either sign become 0. Masking the magnitude is Go's integer
-			// division by 1<<q followed by the multiply back.
-			ares := res
-			if ares < 0 {
-				ares = -ares
-			}
-			qres := ares &^ mask
-			if res < 0 {
-				qres = -qres
-			}
-			out[i] = clampByte(int(p[i]) + qres)
-			bits += int64(ares >> q)
-			sig = (sig ^ uint64(out[i])) * 1099511628211
+		s, out, p := src[row:][:MB], rc.Pix[row:][:MB], pred[k*stride:][:MB]
+		for h := 0; h < MB; h += 8 {
+			pw := le.Uint64(p[h:])
+			d, ge := absDiffSign8(le.Uint64(s[h:]), pw)
+			a := d & keep
+			le.PutUint64(out[h:], pw+a&ge-a&^ge)
+			res.mag[2*k+h/8], res.neg[2*k+h/8] = a, ^ge
+			acc += pairs16(a)
+		}
+		for _, b := range out {
+			sig = (sig ^ uint64(b)) * 1099511628211
 		}
 	}
-	return bits, sig
+	return int64(acc*lanes16>>48) >> e.Cfg.QShift, sig
 }
 
+// searchFunc is the signature of the motion-search kernels: searchGrid
+// and searchSWAR.
+type searchFunc func(src, win []byte, stride, nx, zero, n int) (idx int, sad int64)
+
 // motionSearch finds the best motion vector for the MB at (x0, y0) of
-// row r within the legal window (reference rows <= r + W), scanning a
-// 4-pixel grid with deterministic tie-breaking. It returns the vector
-// and its SAD.
+// row r within the legal window (reference rows <= r + W), on a 4-pixel
+// grid. It returns the vector and its SAD, exactly those of
+// motionSearchRef in kernel_test.go, the definition: take the SAD at
+// (0,0) in full, then visit the grid in raster order, sum each candidate
+// row by row until the sum reaches the best so far, and take a candidate
+// whose sum ends below the best, or equal to it when the candidate comes
+// first in raster order (which only happens before (0,0), while (0,0) is
+// the best).
+//
+// It clips the grid once and makes one kernel call, searchGrid, on the
+// source block and on the reference span that holds every candidate.
 func (e *Encoder) motionSearch(src, refPix []byte, x0, y0, r int) (int, int, int64) {
+	return e.searchWith(searchGrid, src, refPix, x0, y0, r)
+}
+
+// searchWith is motionSearch with its kernel as a parameter, so the tests
+// and benchmarks can run the portable one on amd64 too. The clipped
+// bounds are multiples of 4 because MB, x0, y0 and the frame size are
+// multiples of 16.
+func (e *Encoder) searchWith(kernel searchFunc, src, refPix []byte, x0, y0, r int) (int, int, int64) {
 	v := e.Video
-	bestSAD, bdx, bdy := e.sad(src, refPix, x0, y0, x0, y0, int64(1)<<62), 0, 0
 	rangePx := e.searchRange()
-	maxY := (r+e.Cfg.W+1)*MB - MB // stay within completed ref rows
-	if maxY > v.H-MB {
-		maxY = v.H - MB
-	}
-	for dy := -rangePx; dy <= rangePx; dy += 4 {
-		y := y0 + dy
-		if y < 0 || y > maxY {
-			continue
-		}
-		for dx := -rangePx; dx <= rangePx; dx += 4 {
-			x := x0 + dx
-			if x < 0 || x > v.W-MB {
+	maxY := min((r+e.Cfg.W)*MB, v.H-MB) // stay within completed ref rows
+	loX, hiX := -min(rangePx, x0), min(rangePx, v.W-MB-x0)
+	loY, hiY := -min(rangePx, y0), min(rangePx, maxY-y0)
+	nx := (hiX-loX)/4 + 1
+	n := nx * ((hiY-loY)/4 + 1)
+	zero := -loY/4*nx - loX/4
+	idx, s := kernel(mbSpan(src, v.W, x0, y0),
+		span(refPix, v.W, x0+loX, y0+loY, hiX-loX+MB, hiY-loY+MB), v.W, nx, zero, n)
+	return loX + idx%nx*4, loY + idx/nx*4, s
+}
+
+// searchSWAR is the portable searchGrid: sadSWAR on each candidate, with
+// its per-row early exit at the best so far, under motionSearch's rule.
+func searchSWAR(src, win []byte, stride, nx, zero, n int) (int, int64) {
+	idx, best := zero, sadSWAR(src, win[zero/nx*4*stride+zero%nx*4:], stride, 1<<62)
+	for i, row := 0, 0; i < n; row += 4 * stride { // row: offset of a grid row
+		for off := row; off < row+4*nx; off, i = off+4, i+1 {
+			if i == zero {
 				continue
 			}
-			s := e.sad(src, refPix, x0, y0, x, y, bestSAD)
-			if s < bestSAD || (s == bestSAD && (dy < bdy || (dy == bdy && dx < bdx))) {
-				bestSAD, bdx, bdy = s, dx, dy
+			if s := sadSWAR(src, win[off:], stride, best); s < best || s == best && i < idx {
+				idx, best = i, s
 			}
 		}
 	}
-	return bdx, bdy, bestSAD
+	return idx, best
 }
 
 // sad computes the sum of absolute differences between the MB at (x0,y0)
 // in src and the block at (x,y) in ref, with early exit past limit. The
 // returned sum, partial on an early exit, is that of a byte-by-byte loop
-// that checks the limit after every row: motion search relies on it for
-// its limits and tie-breaks.
+// that checks the limit after every row. EncodeB compares its two
+// references with it; motionSearch has its own kernel.
 //
 // sad cuts each block's span, first row to last, out of its frame with
 // mbSpan and hands both to sadKernel: the SSE2 sadRows on amd64,
@@ -300,11 +336,15 @@ func (e *Encoder) sad(src, ref []byte, x0, y0, x, y int, limit int64) int64 {
 	return sadKernel(mbSpan(src, w, x0, y0), mbSpan(ref, w, x, y), w, limit)
 }
 
-// mbSpan is the span of frame p, w pixels wide, from the first to the
-// last pixel of the MB×MB block at (x, y). Slicing checks the span's end
+// mbSpan is the span of the MB×MB block at (x, y) of frame p, w pixels
+// wide.
+func mbSpan(p []byte, w, x, y int) []byte { return span(p, w, x, y, MB, MB) }
+
+// span is the span of frame p, w pixels wide, from the first to the last
+// pixel of the bw×bh rectangle at (x, y). Slicing checks the span's end
 // against cap(p) only, so the index checks it against len(p).
-func mbSpan(p []byte, w, x, y int) []byte {
-	end := (y+MB-1)*w + x + MB
+func span(p []byte, w, x, y, bw, bh int) []byte {
+	end := (y+bh-1)*w + x + bw
 	_ = p[end-1]
 	return p[y*w+x : end]
 }
@@ -337,18 +377,24 @@ const (
 	lanes16 = 0x0001000100010001 // 1 in every 16-bit lane
 )
 
-// absDiff8 returns |a[i]-b[i]| in every byte lane i of two words. No
-// subtraction borrows across a lane: the comparison subtracts 7-bit
-// lanes from lanes with their top bit set, and the final subtraction
-// takes each lane's smaller byte from its larger one.
+// absDiff8 returns |a[i]-b[i]| in every byte lane i of two words.
 func absDiff8(a, b uint64) uint64 {
+	d, _ := absDiffSign8(a, b)
+	return d
+}
+
+// absDiffSign8 returns |a[i]-b[i]| in every byte lane i of two words,
+// and 0xff in every lane of ge where a[i] >= b[i]. No subtraction
+// borrows across a lane: the comparison subtracts 7-bit lanes from lanes
+// with their top bit set, and the final subtraction takes each lane's
+// smaller byte from its larger one.
+func absDiffSign8(a, b uint64) (d, ge uint64) {
 	// Top bit of each lane of lo: a's low 7 bits >= b's. Then a >= b
 	// where a has the top bit b lacks, or both agree on it and lo says so.
 	lo := (a | high8) - (b &^ high8)
-	ge := (a&^b | ^(a^b)&lo) & high8
-	m := (ge >> 7) * 0xff // 0xff in every lane where a >= b
-	swap := (a ^ b) & m
-	return (b ^ swap) - (a ^ swap) // max - min per lane
+	ge = ((a&^b | ^(a^b)&lo) & high8 >> 7) * 0xff
+	swap := (a ^ b) & ge
+	return (b ^ swap) - (a ^ swap), ge // max - min per lane
 }
 
 // pairs16 adds the byte lanes of x pairwise into four 16-bit lanes.

@@ -15,3 +15,14 @@ func sadKernel(a, b []byte, stride int, limit int64) int64 {
 //
 //go:noescape
 func sadRows(a, b *byte, stride int, limit int64) int64
+
+// searchGrid is motionSearch's kernel in this build, in SSE2 assembly
+// (sad_amd64.s). src is the source block's span and win the reference
+// span holding every candidate, both rows stride bytes apart; candidate
+// i of the n on the grid, nx to a row, is the block at
+// win[i/nx*4*stride+i%nx*4], and candidate zero is the vector (0,0). It
+// returns the index and SAD motionSearch's rule picks, reading no byte
+// outside src and win: the caller's slicing bounds the assembly.
+//
+//go:noescape
+func searchGrid(src, win []byte, stride, nx, zero, n int) (idx int, sad int64)

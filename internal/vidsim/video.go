@@ -12,20 +12,24 @@
 // exercises the same code paths: motion search finds real matches, scene
 // cuts force real I-frames, and B-frames buffer between references.
 //
-// Motion search dominates the encode. Its SAD keeps the byte loop's
-// per-row early exit and partial sums exactly, with one of two kernels
-// chosen by the build: on amd64, one SSE2 PSADBW per 16-pixel row
-// (sad_amd64.s); on every other GOARCH and under the race detector,
-// SWAR arithmetic on 8 pixels per word (sadSWAR). Reconstruction reads
-// its prediction as a row slice instead of calling a closure per pixel.
-// Against the byte loop, on a 2-vCPU host with Go 1.24.0,
-// BenchmarkSAD (81 full SADs over one macroblock) went from 44–58 to
-// 14–18 µs/op with the SWAR kernel and BenchmarkEncodeSerial (the
-// 320×176, 120-frame video TestEncodeGolden pins) from 368–412 to
-// 138–149 ms/op. On the same kind of host the SSE2 kernel reads
-// 3.2–3.5 µs/op and 41–45 ms/op, in five runs alternating with a build
-// that had only the SWAR kernel, which read 13–19 µs/op and 121–132
-// ms/op.
+// Motion search and reconstruction are most of the encode. The search
+// clips its 9×9 grid of 4-pixel steps once per macroblock and makes one
+// kernel call over the whole reference window (searchGrid): on amd64,
+// SSE2 assembly that holds the source block's first eight rows in
+// registers and checks the running sum every four rows (sad_amd64.s);
+// on every other GOARCH and under the race detector, SWAR arithmetic on
+// 8 pixels per word (searchSWAR over sadSWAR). Both pick the vector and
+// SAD of the byte loop that checks after every row, tie rule included
+// (motionSearchRef in kernel_test.go). Reconstruction quantizes eight
+// pixels a word with no branch and no clamp, leaves the quantized
+// residual for the bitstream sink, and then folds each output row into
+// the FNV-1a signature. On a 2-vCPU host with Go 1.24.0,
+// BenchmarkEncodeSerial (the 320×176, 120-frame video TestEncodeGolden
+// pins) read 368–412 ms/op with the byte loops, 138–149 with the SWAR
+// SAD kernel and 41–45 with the SSE2 one. With one search call per
+// macroblock and the word-parallel reconstruction it read 16–20 ms/op
+// in five runs alternating with the per-candidate SSE2 build, which
+// read 37–40.
 package vidsim
 
 import "piper/internal/workload"
