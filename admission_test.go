@@ -1,4 +1,4 @@
-package core
+package piper_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"piper"
 	"piper/internal/workload"
 )
 
@@ -15,7 +16,7 @@ import (
 // the test after timeout. The admission gauges are exact under the
 // admitter mutex, so polling them is how these tests sequence waiter
 // arrival deterministically.
-func waitTenant(t *testing.T, e *Engine, name string, timeout time.Duration, pred func(TenantStats) bool) {
+func waitTenant(t *testing.T, e *piper.Engine, name string, timeout time.Duration, pred func(piper.TenantStats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -33,9 +34,9 @@ func waitTenant(t *testing.T, e *Engine, name string, timeout time.Duration, pre
 
 // gatedSubmitTenant pins one admission slot of the named class until
 // gate closes.
-func gatedSubmitTenant(e *Engine, tenant string, gate <-chan struct{}) *Handle {
+func gatedSubmitTenant(e *piper.Engine, tenant string, gate <-chan struct{}) *piper.Handle {
 	i := 0
-	return e.SubmitTenant(nil, tenant, func() bool { i++; return i == 1 }, func(it *Iter) {
+	return e.SubmitTenant(nil, tenant, func() bool { i++; return i == 1 }, func(it *piper.Iter) {
 		it.Continue(1)
 		<-gate
 	})
@@ -49,10 +50,7 @@ func gatedSubmitTenant(e *Engine, tenant string, gate <-chan struct{}) *Handle {
 // queue could defer any given waiter indefinitely; the FIFO class queue
 // makes the order deterministic and the wait bounded.
 func TestSubmitWaitFIFOAdmission(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1))
 	defer e.Close()
 
 	gate := make(chan struct{})
@@ -64,7 +62,7 @@ func TestSubmitWaitFIFOAdmission(t *testing.T) {
 		order []int
 		wg    sync.WaitGroup
 	)
-	handles := make([]*Handle, n)
+	handles := make([]*piper.Handle, n)
 	for i := 0; i < n; i++ {
 		i := i
 		wg.Add(1)
@@ -73,7 +71,7 @@ func TestSubmitWaitFIFOAdmission(t *testing.T) {
 			j := 0
 			// With MaxPending 1 the admitted pipelines run one at a time,
 			// so the order their bodies record is the admission order.
-			handles[i] = e.SubmitWait(nil, func() bool { j++; return j == 1 }, func(it *Iter) {
+			handles[i] = e.SubmitWait(nil, func() bool { j++; return j == 1 }, func(it *piper.Iter) {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
@@ -84,7 +82,7 @@ func TestSubmitWaitFIFOAdmission(t *testing.T) {
 		}()
 		// Sequence the arrivals: waiter i must be queued before waiter
 		// i+1 starts, or the arrival order itself would be racy.
-		waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool {
+		waitTenant(t, e, piper.DefaultTenant, 5*time.Second, func(ts piper.TenantStats) bool {
 			return ts.Waiting == int64(i+1)
 		})
 	}
@@ -115,14 +113,10 @@ func TestSubmitWaitFIFOAdmission(t *testing.T) {
 // one-slot budget, freed slots must be granted in a 1-bulk/3-gold cycle
 // regardless of arrival interleaving.
 func TestTenantWeightedFairShare(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	opts.Tenants = []TenantClass{
-		{Name: "bulk", Weight: 1},
-		{Name: "gold", Weight: 3},
-	}
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1), piper.Tenants(
+		piper.TenantClass{Name: "bulk", Weight: 1},
+		piper.TenantClass{Name: "gold", Weight: 3},
+	))
 	defer e.Close()
 
 	gate := make(chan struct{})
@@ -139,7 +133,7 @@ func TestTenantWeightedFairShare(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			j := 0
-			h := e.SubmitWaitTenant(nil, class, func() bool { j++; return j == 1 }, func(it *Iter) {
+			h := e.SubmitWaitTenant(nil, class, func() bool { j++; return j == 1 }, func(it *piper.Iter) {
 				mu.Lock()
 				order = append(order, class)
 				mu.Unlock()
@@ -148,7 +142,7 @@ func TestTenantWeightedFairShare(t *testing.T) {
 				t.Errorf("%s: Wait = %v", class, err)
 			}
 		}()
-		waitTenant(t, e, class, 5*time.Second, func(ts TenantStats) bool {
+		waitTenant(t, e, class, 5*time.Second, func(ts piper.TenantStats) bool {
 			return ts.Waiting == already+1
 		})
 	}
@@ -195,27 +189,23 @@ func TestTenantWeightedFairShare(t *testing.T) {
 // quota rejects (Submit) or queues (SubmitWait) even while the global
 // budget and other classes have room.
 func TestTenantQuota(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 4
-	opts.Tenants = []TenantClass{
-		{Name: "capped", MaxPending: 1},
-		{Name: "free"},
-	}
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(4), piper.Tenants(
+		piper.TenantClass{Name: "capped", MaxPending: 1},
+		piper.TenantClass{Name: "free"},
+	))
 	defer e.Close()
 
 	gate := make(chan struct{})
 	h0 := gatedSubmitTenant(e, "capped", gate)
-	waitTenant(t, e, "capped", 5*time.Second, func(ts TenantStats) bool { return ts.Pending == 1 })
+	waitTenant(t, e, "capped", 5*time.Second, func(ts piper.TenantStats) bool { return ts.Pending == 1 })
 
 	// The capped class is full: reject policy fails fast...
-	h1 := e.SubmitTenant(nil, "capped", func() bool { return false }, func(*Iter) {})
-	if err := h1.Wait(); !errors.Is(err, ErrSaturated) {
+	h1 := e.SubmitTenant(nil, "capped", func() bool { return false }, func(*piper.Iter) {})
+	if err := h1.Wait(); !errors.Is(err, piper.ErrSaturated) {
 		t.Fatalf("capped class at quota: err = %v, want ErrSaturated", err)
 	}
 	// ...while the global budget still admits other classes.
-	h2 := e.SubmitTenant(nil, "free", func() bool { return false }, func(*Iter) {})
+	h2 := e.SubmitTenant(nil, "free", func() bool { return false }, func(*piper.Iter) {})
 	if err := h2.Wait(); err != nil {
 		t.Fatalf("free class blocked by capped class's quota: %v", err)
 	}
@@ -223,10 +213,10 @@ func TestTenantQuota(t *testing.T) {
 	// A queued capped waiter is admitted as soon as the quota frees.
 	done := make(chan error, 1)
 	go func() {
-		h := e.SubmitWaitTenant(nil, "capped", func() bool { return false }, func(*Iter) {})
+		h := e.SubmitWaitTenant(nil, "capped", func() bool { return false }, func(*piper.Iter) {})
 		done <- h.Wait()
 	}()
-	waitTenant(t, e, "capped", 5*time.Second, func(ts TenantStats) bool { return ts.Waiting == 1 })
+	waitTenant(t, e, "capped", 5*time.Second, func(ts piper.TenantStats) bool { return ts.Waiting == 1 })
 	close(gate)
 	if err := h0.Wait(); err != nil {
 		t.Fatalf("gated pipeline failed: %v", err)
@@ -246,26 +236,23 @@ func TestTenantQuota(t *testing.T) {
 // unconfigured class name fails the Handle with ErrUnknownTenant, on
 // engines with and without tenant configuration.
 func TestSubmitUnknownTenant(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 1
-	opts.Tenants = []TenantClass{{Name: "known"}}
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(1), piper.Tenants(piper.TenantClass{Name: "known"}))
 	defer e.Close()
-	if err := e.SubmitTenant(nil, "mystery", nil, nil).Wait(); !errors.Is(err, ErrUnknownTenant) {
+	if err := e.SubmitTenant(nil, "mystery", nil, nil).Wait(); !errors.Is(err, piper.ErrUnknownTenant) {
 		t.Fatalf("unknown tenant: err = %v, want ErrUnknownTenant", err)
 	}
-	if err := e.SubmitWaitTenant(nil, "mystery", nil, nil).Wait(); !errors.Is(err, ErrUnknownTenant) {
+	if err := e.SubmitWaitTenant(nil, "mystery", nil, nil).Wait(); !errors.Is(err, piper.ErrUnknownTenant) {
 		t.Fatalf("unknown tenant (wait): err = %v, want ErrUnknownTenant", err)
 	}
 
 	// No admission control at all: only the default class exists.
-	plain := NewEngine(Options{Workers: 1})
+	plain := piper.NewEngine(piper.Workers(1))
 	defer plain.Close()
-	if err := plain.SubmitTenant(nil, "anyone", nil, nil).Wait(); !errors.Is(err, ErrUnknownTenant) {
+	if err := plain.SubmitTenant(nil, "anyone", nil, nil).Wait(); !errors.Is(err, piper.ErrUnknownTenant) {
 		t.Fatalf("tenant on plain engine: err = %v, want ErrUnknownTenant", err)
 	}
 	i := 0
-	if err := plain.SubmitTenant(nil, DefaultTenant, func() bool { i++; return i == 1 }, func(*Iter) {}).Wait(); err != nil {
+	if err := plain.SubmitTenant(nil, piper.DefaultTenant, func() bool { i++; return i == 1 }, func(*piper.Iter) {}).Wait(); err != nil {
 		t.Fatalf("default tenant on plain engine: %v", err)
 	}
 }
@@ -274,10 +261,7 @@ func TestSubmitUnknownTenant(t *testing.T) {
 // every parked SubmitWait caller must resolve with ErrEngineClosed, and
 // the class accounting must balance.
 func TestTenantCloseReleasesWaiters(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1))
 
 	gate := make(chan struct{})
 	h0 := gatedSubmit(e, gate)
@@ -286,11 +270,11 @@ func TestTenantCloseReleasesWaiters(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			h := e.SubmitWait(nil, func() bool { return false }, func(*Iter) {})
+			h := e.SubmitWait(nil, func() bool { return false }, func(*piper.Iter) {})
 			errs <- h.Wait()
 		}()
 		i := i
-		waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool {
+		waitTenant(t, e, piper.DefaultTenant, 5*time.Second, func(ts piper.TenantStats) bool {
 			return ts.Waiting == int64(i+1)
 		})
 	}
@@ -309,7 +293,7 @@ func TestTenantCloseReleasesWaiters(t *testing.T) {
 			switch {
 			case err == nil:
 				admitted++
-			case errors.Is(err, ErrEngineClosed):
+			case errors.Is(err, piper.ErrEngineClosed):
 				closed++
 			default:
 				t.Errorf("waiter err = %v, want nil or ErrEngineClosed", err)
@@ -330,28 +314,15 @@ func TestTenantCloseReleasesWaiters(t *testing.T) {
 	}
 }
 
-// gatedSubmit submits a pipeline that blocks until gate closes, pinning
-// one admission slot (and one worker) for the duration.
-func gatedSubmit(e *Engine, gate <-chan struct{}) *Handle {
-	i := 0
-	return e.Submit(nil, func() bool { i++; return i == 1 }, func(it *Iter) {
-		it.Continue(1)
-		<-gate
-	})
-}
-
 func TestSubmitRejectSaturated(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1))
 	defer e.Close()
 
 	gate := make(chan struct{})
 	h1 := gatedSubmit(e, gate)
 
-	h2 := e.Submit(nil, func() bool { return false }, func(*Iter) {})
-	if err := h2.Wait(); !errors.Is(err, ErrSaturated) {
+	h2 := e.Submit(nil, func() bool { return false }, func(*piper.Iter) {})
+	if err := h2.Wait(); !errors.Is(err, piper.ErrSaturated) {
 		t.Fatalf("second Submit on a full budget: err = %v, want ErrSaturated", err)
 	}
 	if s := e.Stats(); s.Saturations != 1 {
@@ -367,7 +338,7 @@ func TestSubmitRejectSaturated(t *testing.T) {
 	}
 	// The slot is released before the Handle completes, so a new Submit
 	// is admitted immediately.
-	h3 := e.Submit(nil, func() bool { return false }, func(*Iter) {})
+	h3 := e.Submit(nil, func() bool { return false }, func(*piper.Iter) {})
 	if err := h3.Wait(); err != nil {
 		t.Fatalf("Submit after release: err = %v, want nil", err)
 	}
@@ -378,22 +349,19 @@ func TestSubmitRejectSaturated(t *testing.T) {
 }
 
 func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 1
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1))
 	defer e.Close()
 
 	gate := make(chan struct{})
 	h1 := gatedSubmit(e, gate)
 
-	admitted := make(chan *Handle, 1)
+	admitted := make(chan *piper.Handle, 1)
 	go func() {
 		var n atomic.Int64
 		i := 0
-		admitted <- e.SubmitWait(nil, func() bool { i++; return i <= 3 }, func(*Iter) { n.Add(1) })
+		admitted <- e.SubmitWait(nil, func() bool { i++; return i <= 3 }, func(*piper.Iter) { n.Add(1) })
 	}()
-	waitTenant(t, e, DefaultTenant, 5*time.Second, func(ts TenantStats) bool { return ts.Waiting == 1 })
+	waitTenant(t, e, piper.DefaultTenant, 5*time.Second, func(ts piper.TenantStats) bool { return ts.Waiting == 1 })
 	select {
 	case <-admitted:
 		t.Fatal("SubmitWait returned while the budget was exhausted")
@@ -404,7 +372,7 @@ func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
 	if err := h1.Wait(); err != nil {
 		t.Fatalf("gated pipeline failed: %v", err)
 	}
-	var h2 *Handle
+	var h2 *piper.Handle
 	select {
 	case h2 = <-admitted:
 	case <-time.After(5 * time.Second):
@@ -426,18 +394,14 @@ func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
 // is Σ AdmissionWaitNs, and PendingAdmitted and every class's Pending are
 // zero.
 func TestTenantStatsDerivedCounters(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 2
-	opts.Tenants = []TenantClass{{Name: "a", Weight: 2}, {Name: "b", MaxPending: 1}}
-	e := NewEngine(opts)
-	classes := []string{DefaultTenant, "a", "b"}
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(2), piper.Tenants(piper.TenantClass{Name: "a", Weight: 2}, piper.TenantClass{Name: "b", MaxPending: 1}))
+	classes := []string{piper.DefaultTenant, "a", "b"}
 
 	// One of each outcome for certain: with both slots pinned, a Submit is
 	// rejected and a SubmitWait whose deadline passes is withdrawn.
 	gate := make(chan struct{})
-	pinned := []*Handle{gatedSubmit(e, gate), gatedSubmitTenant(e, "a", gate)}
-	if err := e.SubmitTenant(nil, "b", nil, nil).Wait(); !errors.Is(err, ErrSaturated) {
+	pinned := []*piper.Handle{gatedSubmit(e, gate), gatedSubmitTenant(e, "a", gate)}
+	if err := e.SubmitTenant(nil, "b", nil, nil).Wait(); !errors.Is(err, piper.ErrSaturated) {
 		t.Fatalf("Submit on a full budget: %v, want ErrSaturated", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
@@ -471,15 +435,15 @@ func TestTenantStatsDerivedCounters(t *testing.T) {
 				i := 0
 				var sink atomic.Uint64
 				cond := func() bool { i++; return i <= 2 }
-				body := func(*Iter) { sink.Add(workload.Spin(300)) }
+				body := func(*piper.Iter) { sink.Add(workload.Spin(300)) }
 				tenant := classes[(c+q)%len(classes)]
-				var h *Handle
+				var h *piper.Handle
 				if q%5 == 0 {
 					h = e.SubmitTenant(ctx, tenant, cond, body)
 				} else {
 					h = e.SubmitWaitTenant(ctx, tenant, cond, body)
 				}
-				if err := h.Wait(); err != nil && !errors.Is(err, ErrSaturated) && !errors.Is(err, ErrEngineClosed) &&
+				if err := h.Wait(); err != nil && !errors.Is(err, piper.ErrSaturated) && !errors.Is(err, piper.ErrEngineClosed) &&
 					!errors.Is(err, context.DeadlineExceeded) {
 					t.Errorf("storm handle: %v", err)
 				}
@@ -524,13 +488,9 @@ func TestTenantStatsDerivedCounters(t *testing.T) {
 // waiter whose ctx expires is withdrawn with DeadlineExceeded and is
 // accounted as canceled, not rejected.
 func TestSubmitWaitContextDeadline(t *testing.T) {
-	for name, tenant := range map[string]string{"default": DefaultTenant, "named": "named"} {
+	for name, tenant := range map[string]string{"default": piper.DefaultTenant, "named": "named"} {
 		t.Run(name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Workers = 2
-			opts.MaxPending = 1
-			opts.Tenants = []TenantClass{{Name: "named"}}
-			e := NewEngine(opts)
+			e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1), piper.Tenants(piper.TenantClass{Name: "named"}))
 			defer e.Close()
 
 			gate := make(chan struct{})
@@ -538,7 +498,7 @@ func TestSubmitWaitContextDeadline(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 			defer cancel()
-			h2 := e.SubmitWaitTenant(ctx, tenant, func() bool { return true }, func(*Iter) {})
+			h2 := e.SubmitWaitTenant(ctx, tenant, func() bool { return true }, func(*piper.Iter) {})
 			if err := h2.Wait(); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("deadline admission: err = %v, want DeadlineExceeded", err)
 			}
@@ -550,7 +510,7 @@ func TestSubmitWaitContextDeadline(t *testing.T) {
 					continue
 				}
 				want := int64(1) // the waiter
-				if tenant == DefaultTenant {
+				if tenant == piper.DefaultTenant {
 					want = 2 // and the gated pipeline
 				}
 				if ts.Submitted != want || ts.Canceled != 1 || ts.Rejected != 0 || ts.Waiting != 0 || ts.AdmissionWaitNs <= 0 {
@@ -571,10 +531,7 @@ func TestSubmitWaitContextDeadline(t *testing.T) {
 // allows through concurrent SubmitWait callers: every handle must resolve
 // successfully — saturation delays work, it never loses it.
 func TestSubmitWaitAdmitsAll(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 2
-	opts.MaxPending = 2
-	e := NewEngine(opts)
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(2))
 	defer e.Close()
 
 	const callers, per = 8, 25
@@ -587,7 +544,7 @@ func TestSubmitWaitAdmitsAll(t *testing.T) {
 			for q := 0; q < per; q++ {
 				i := 0
 				var sink atomic.Uint64
-				h := e.SubmitWait(nil, func() bool { i++; return i <= 3 }, func(it *Iter) {
+				h := e.SubmitWait(nil, func() bool { i++; return i <= 3 }, func(it *piper.Iter) {
 					sink.Add(workload.Spin(200))
 					it.Continue(1)
 					sink.Add(workload.Spin(200))
@@ -618,12 +575,9 @@ func TestSubmitWaitAdmitsAll(t *testing.T) {
 // the audit comment in Close).
 func TestCloseUnderChurn(t *testing.T) {
 	for round := 0; round < 40; round++ {
-		opts := DefaultOptions()
-		opts.Workers = 2
-		opts.MaxPending = 2
-		e := NewEngine(opts)
+		e := piper.NewEngine(piper.Workers(2), piper.MaxPending(2))
 		const submitters = 4
-		var handles [submitters][3]*Handle
+		var handles [submitters][3]*piper.Handle
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for s := 0; s < submitters; s++ {
@@ -634,7 +588,7 @@ func TestCloseUnderChurn(t *testing.T) {
 				<-start
 				for q := 0; q < 3; q++ {
 					i := 0
-					handles[s][q] = e.SubmitWait(nil, func() bool { i++; return i <= 2 }, func(it *Iter) {
+					handles[s][q] = e.SubmitWait(nil, func() bool { i++; return i <= 2 }, func(it *piper.Iter) {
 						it.Continue(1)
 					})
 				}
@@ -652,7 +606,7 @@ func TestCloseUnderChurn(t *testing.T) {
 		go func() {
 			for s := range handles {
 				for _, h := range handles[s] {
-					if err := h.Wait(); err != nil && !errors.Is(err, ErrEngineClosed) {
+					if err := h.Wait(); err != nil && !errors.Is(err, piper.ErrEngineClosed) {
 						t.Errorf("round %d: unexpected handle error: %v", round, err)
 					}
 				}

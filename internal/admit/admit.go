@@ -30,8 +30,8 @@ import (
 	"time"
 )
 
-// The errors name the engine, the semaphore's one user: package core
-// re-exports them as ErrSaturated and ErrEngineClosed.
+// The errors name the engine, the semaphore's one user: package piper
+// re-exports ErrSaturated and reports ErrClosed as its ErrEngineClosed.
 var (
 	// ErrSaturated is TryAcquire's refusal: the limit or the class quota
 	// has no free slot.
@@ -210,6 +210,7 @@ func (s *Sem) withdraw(ci int, w *waiter, cause error) error {
 	s.mu.Lock()
 	if i := slices.Index(c.q, w); i >= 0 {
 		c.q = slices.Delete(c.q, i, i+1)
+		c.st.Canceled++
 		s.resolveLocked(c, w, cause)
 	}
 	s.mu.Unlock()
@@ -225,6 +226,7 @@ func (s *Sem) Release(ci int) {
 	for c := s.pickLocked(); c != nil; c = s.pickLocked() {
 		w := c.q[0]
 		c.q = c.q[1:]
+		s.admitLocked(c)
 		s.resolveLocked(c, w, nil)
 	}
 	s.mu.Unlock()
@@ -237,6 +239,7 @@ func (s *Sem) Close() {
 	s.closed = true
 	for _, c := range s.classes {
 		for _, w := range c.q {
+			c.st.Rejected++
 			s.resolveLocked(c, w, ErrClosed)
 		}
 		c.q = nil
@@ -269,21 +272,13 @@ func (s *Sem) admitLocked(c *class) {
 	c.st.Admitted++
 }
 
-// resolveLocked settles waiter w, already unlinked from c's queue, with
-// verdict err: nil admits it, ErrClosed rejects it, any other error (its
-// context's cause) counts it canceled. The verdict goes to w's buffered
-// channel.
+// resolveLocked settles waiter w, already unlinked from c's queue and
+// counted by the path that unlinked it (admitted by Release, rejected by
+// Close, canceled by withdraw), and sends it verdict err: nil admits it.
+// The verdict goes to w's buffered channel.
 func (s *Sem) resolveLocked(c *class, w *waiter, err error) {
 	c.st.Waiting--
 	c.st.AdmissionWaitNs += int64(time.Since(w.enq))
-	switch err {
-	case nil:
-		s.admitLocked(c)
-	case ErrClosed:
-		c.st.Rejected++
-	default:
-		c.st.Canceled++
-	}
 	w.ch <- err
 }
 

@@ -197,6 +197,23 @@ func TestSemWithdrawAfterAdmit(t *testing.T) {
 	checkBalanced(t, s)
 }
 
+// TestSemWithdrawCountsCanceled pins that a withdrawn waiter counts as
+// canceled whatever its context's cause, even one equal to ErrClosed:
+// the path that resolved it classifies it, not its error value.
+func TestSemWithdrawCountsCanceled(t *testing.T) {
+	s := New(1, []Class{{}})
+	if err := s.TryAcquire(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.withdraw(0, enqueue(t, s, 0), ErrClosed); err != ErrClosed {
+		t.Fatalf("withdraw with cause ErrClosed: %v, want the cause", err)
+	}
+	if st := s.Stats()[0]; st.Canceled != 1 || st.Rejected != 0 {
+		t.Errorf("accounting: %+v, want Canceled 1, Rejected 0", st)
+	}
+	checkBalanced(t, s)
+}
+
 // TestSemAcquireContextDeadline pins that the caller's context bounds an
 // Acquire: a waiter whose ctx expires is withdrawn with DeadlineExceeded
 // and counted canceled, not rejected, with its wait charged to its class.

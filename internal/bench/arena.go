@@ -49,9 +49,7 @@ func ArenaAblation(pmax int, sz SizeSpec) *Table {
 			name = "arena off"
 		}
 		for _, wk := range works {
-			opts := core.DefaultOptions()
-			opts.Workers, opts.ArenaBuffers = pmax, enabled
-			e := core.NewEngine(opts)
+			e := piper.NewEngine(piper.Workers(pmax), func(o *core.Options) { o.ArenaBuffers = enabled })
 			wk.body(e) // warm pools, workers, and size classes
 
 			// Allocation counters bracket the timed reps; per-op numbers

@@ -173,115 +173,6 @@ func cancelStressNestedForkJoin(t *testing.T, mutate func(*Options)) {
 	checkGoroutinesSettle(t, base, 4)
 }
 
-// TestCancelStressSubmitWaitAdmissionRace storms the race between a
-// SubmitWaitThrottled caller's context cancellation and a freed
-// admission slot resolving simultaneously. The contract under test: the
-// Handle must report either a successful admission (launching the
-// pipeline, which a dead context then aborts through the ordinary
-// cancellation path) or the context's cause — never hang, and never
-// release a slot twice. The trailing capacity probe is the
-// double-release/leak detector: after the storm the budget must hold
-// exactly MaxPending slots, no more and no fewer.
-func TestCancelStressSubmitWaitAdmissionRace(t *testing.T) {
-	base := goroutineBaseline()
-	opts := DefaultOptions()
-	opts.Workers = 4
-	opts.MaxPending = 2
-	e := NewEngine(opts)
-
-	const callers = 240
-	rng := workload.NewRNG(0xad317)
-	var (
-		wg        sync.WaitGroup
-		completed atomic.Int64
-		canceled  atomic.Int64
-	)
-	for c := 0; c < callers; c++ {
-		// Cancellation delays are drawn across the whole admission-latency
-		// band (the short pipelines below run in tens to hundreds of
-		// microseconds), so many cancels land exactly while a freed slot
-		// is being handed to the waiter.
-		delay := time.Duration(rng.Intn(300)) * time.Microsecond
-		spin := int64(rng.Intn(1500))
-		ctx, cancel := context.WithCancel(context.Background())
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			time.Sleep(delay)
-			cancel()
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			i := 0
-			var sink atomic.Uint64
-			h := e.SubmitWaitThrottled(ctx, 2, func() bool { i++; return i <= 3 }, func(it *Iter) {
-				it.Continue(1)
-				sink.Add(workload.Spin(spin))
-				it.Wait(2)
-			})
-			select {
-			case <-h.Done():
-			case <-time.After(30 * time.Second):
-				t.Error("admission race hang: Handle never resolved")
-				return
-			}
-			switch err := h.Wait(); {
-			case err == nil:
-				completed.Add(1)
-			case errors.Is(err, context.Canceled):
-				canceled.Add(1)
-			default:
-				t.Errorf("Wait = %v, want nil or context.Canceled", err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if total := completed.Load() + canceled.Load(); total != callers {
-		t.Fatalf("accounting: %d completed + %d canceled != %d", completed.Load(), canceled.Load(), callers)
-	}
-	// Per-class admission accounting: every submission resolved exactly
-	// one way, and an admission canceled at launch still counts admitted
-	// (its slot traveled the full admit→release lifecycle).
-	ts := e.TenantStats()[0]
-	if ts.Submitted != callers {
-		t.Errorf("Submitted = %d, want %d", ts.Submitted, callers)
-	}
-	if ts.Admitted+ts.Rejected+ts.Canceled != ts.Submitted {
-		t.Errorf("sum: %+v, want Submitted == Admitted+Rejected+Canceled", ts)
-	}
-	if ts.Rejected != 0 {
-		t.Errorf("Rejected = %d on an open engine (only ctx or Close can end a wait), want 0", ts.Rejected)
-	}
-	if ts.Admitted < completed.Load() {
-		t.Errorf("Admitted = %d < %d completions", ts.Admitted, completed.Load())
-	}
-	if ts.Waiting != 0 || ts.Pending != 0 {
-		t.Errorf("gauges after storm: %+v, want zero Waiting/Pending", ts)
-	}
-
-	// Capacity probe: a leaked slot would reject one of the two gated
-	// submissions; a double-released slot would admit the third.
-	gate := make(chan struct{})
-	g1, g2 := gatedSubmit(e, gate), gatedSubmit(e, gate)
-	waitTenant(t, e, DefaultTenant, 5*time.Second, func(s TenantStats) bool { return s.Pending == 2 })
-	if err := e.Submit(nil, func() bool { return false }, func(*Iter) {}).Wait(); !errors.Is(err, ErrSaturated) {
-		t.Errorf("budget after storm: third submit err = %v, want ErrSaturated (slot double-release?)", err)
-	}
-	close(gate)
-	if err := g1.Wait(); err != nil {
-		t.Errorf("capacity probe 1: %v (slot leaked during the storm?)", err)
-	}
-	if err := g2.Wait(); err != nil {
-		t.Errorf("capacity probe 2: %v (slot leaked during the storm?)", err)
-	}
-
-	checkEngineDrained(t, e)
-	e.Close()
-	checkGoroutinesSettle(t, base, 4)
-}
-
 // TestCancelStressCancelRacesClose storms Handle.Cancel against
 // Engine.Close with the scheduler perturbation hooks active: submissions
 // keep arriving while Close fires mid-storm, and every handle is canceled

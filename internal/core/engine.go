@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"piper/internal/admit"
 	"piper/internal/arena"
 	"piper/internal/deque"
 	"piper/internal/workload"
@@ -18,25 +17,11 @@ type Options struct {
 	// Workers is the number of scheduling workers P, fixed for the
 	// engine's lifetime. Defaults to runtime.GOMAXPROCS(0).
 	Workers int
-	// MaxPending bounds the number of top-level pipelines admitted through
-	// Submit/SubmitWait and not yet completed — the serving layer's
-	// backpressure budget. 0 means unlimited. When the budget is
-	// exhausted, Submit rejects immediately (the Handle reports
-	// ErrSaturated) while SubmitWait blocks until a slot frees, its
-	// context is done, or the engine closes. Blocking PipeWhile launches
-	// are not admission-controlled: they already apply backpressure by
-	// occupying their caller.
+	// MaxPending and Tenants configure admission control, which package
+	// piper composes over Submit (see piper.MaxPending and piper.Tenants).
+	// The engine itself never reads them.
 	MaxPending int
-	// Tenants configures the engine's admission classes for multi-tenant
-	// QoS (see TenantClass): per-class pending quotas, weighted-fair
-	// (deficit round-robin) sharing of contended admission capacity, and
-	// per-class accounting; a SubmitWait caller's ctx is the only bound on
-	// its wait. The default class "" always exists (plain
-	// Submit/SubmitWait admit through it); listing a class named ""
-	// re-tunes it. Tenant classes without a MaxPending budget are legal:
-	// admission then only enforces per-class quotas and keeps per-class
-	// accounting.
-	Tenants []TenantClass
+	Tenants    []TenantClass
 	// Throttle is the default throttling limit K for pipelines started on
 	// this engine; 0 means 4·P, the paper's recommended setting.
 	Throttle int
@@ -84,9 +69,6 @@ func (o *Options) normalize() {
 	}
 	if o.Throttle <= 0 {
 		o.Throttle = 4 * o.Workers // the paper's recommended setting
-	}
-	if o.MaxPending < 0 {
-		o.MaxPending = 0
 	}
 }
 
@@ -160,13 +142,6 @@ type Engine struct {
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 
-	// adm is the admission semaphore (internal/admit): nil when the engine
-	// has neither a MaxPending budget nor tenant classes, and submissions
-	// skip admission. Otherwise every Submit/SubmitWait acquires a slot of
-	// its tenant class here, and finishTopLevel releases it at pipeline
-	// completion, waking queued SubmitWait callers in weighted-fair order.
-	adm *admit.Sem
-
 	// tracing enables per-segment event capture (see trace.go).
 	tracing atomic.Bool
 
@@ -183,9 +158,6 @@ func NewEngine(opts Options) *Engine {
 		opts:  opts,
 		hooks: opts.hooks,
 		arena: arena.New(opts.ArenaBuffers),
-	}
-	if opts.MaxPending > 0 || len(opts.Tenants) > 0 {
-		e.adm = admit.New(opts.MaxPending, append([]TenantClass{{Name: DefaultTenant}}, opts.Tenants...))
 	}
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
@@ -226,7 +198,6 @@ func (e *Engine) Arena() *arena.Arena { return e.arena }
 type statGauges struct {
 	poolHits, poolMisses              int64
 	liveIter, liveClosure, livePipes  int64
-	pendingAdmitted                   int64
 	arenaLive, arenaRecycled          int64
 	arenaGets, arenaPuts, arenaMisses int64
 }
@@ -238,9 +209,6 @@ func (e *Engine) readGauges() statGauges {
 		liveIter:    e.pools.liveIter.Load(),
 		liveClosure: e.pools.liveClosure.Load(),
 		livePipes:   e.pools.livePipeline.Load(),
-	}
-	if e.adm != nil {
-		g.pendingAdmitted = e.adm.Held()
 	}
 	ac := e.arena.Stats()
 	g.arenaLive = ac.LiveBytes
@@ -255,8 +223,8 @@ func (e *Engine) readGauges() statGauges {
 //
 // Consistency contract: the monotone event counters are each exact at
 // their own read instant (they only ever grow within an engine lifetime).
-// The gauges — Live*Frames, PendingAdmitted, and the arena
-// fields — describe a single instant only when that instant is stable:
+// The gauges — Live*Frames and the arena fields — describe a single
+// instant only when that instant is stable:
 // they are read through a bounded double-read loop that retries until two
 // consecutive passes over the whole gauge vector agree, so a snapshot
 // taken concurrently with scheduling activity can no longer pair, say, a
@@ -283,16 +251,11 @@ func (e *Engine) Stats() Stats {
 	s.LiveIterFrames = g.liveIter
 	s.LiveClosureFrames = g.liveClosure
 	s.LivePipelines = g.livePipes
-	s.PendingAdmitted = g.pendingAdmitted
 	s.LiveArenaBytes = g.arenaLive
 	s.ArenaBytesRecycled = g.arenaRecycled
 	s.ArenaGets = g.arenaGets
 	s.ArenaPuts = g.arenaPuts
 	s.ArenaMisses = g.arenaMisses
-	for _, c := range e.TenantStats() {
-		s.Saturations += c.Rejected + c.Canceled
-		s.AdmissionWaitNs += c.AdmissionWaitNs
-	}
 	return s
 }
 
@@ -307,14 +270,6 @@ func (e *Engine) Close() {
 	e.submitMu.Unlock()
 	if !closing {
 		return
-	}
-	// Release SubmitWait callers queued for admission before waking the
-	// workers: a waiter admitted after this point would inject into a
-	// closing engine, and one left queued would never return. The
-	// semaphore fails each with ErrEngineClosed and refuses later
-	// acquires under the same mutex, so no waiter can slip in between.
-	if e.adm != nil {
-		e.adm.Close()
 	}
 	// Wake every parked worker: each observes the closed flag, runs a
 	// final drain scan (ordered after the flag, hence after every
@@ -400,8 +355,8 @@ func (r PipelineReport) Parallelism() float64 {
 
 // RunPipeline is PipeWhileThrottled returning a space/shape report. It
 // waits on a Handle that finishTopLevel completes, as for a Submit, and
-// re-panics with the original value if the pipeline panicked. It is not
-// admission-controlled, cannot be canceled, and is not a Stats.Submits.
+// re-panics with the original value if the pipeline panicked. It cannot
+// be canceled and is not a Stats.Submits.
 func (e *Engine) RunPipeline(k int, cond func() bool, body func(*Iter)) PipelineReport {
 	h := &Handle{eng: e, done: make(chan struct{})}
 	e.submitMu.RLock()

@@ -223,8 +223,8 @@ func TestPerturbedCancelChurn(t *testing.T) {
 }
 
 // TestStatsDuringCancelStorm hammers Engine.Stats from concurrent readers
-// while a perturbed cancel storm churns frames, pipelines, and admission
-// slots underneath. It is the regression test for Stats read tearing: the
+// while a perturbed cancel storm churns frames and pipelines underneath.
+// It is the regression test for Stats read tearing: the
 // old snapshot loaded each gauge independently with no stability pass, so
 // a mid-churn reader could observe, e.g., a live pipeline count from
 // before a retirement paired with a frame count from after it. The
@@ -237,7 +237,6 @@ func TestPerturbedCancelChurn(t *testing.T) {
 func TestStatsDuringCancelStorm(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 2
-	opts.MaxPending = 8
 	opts.hooks = newPerturber(0x57a75)
 	e := NewEngine(opts)
 	defer e.Close()
@@ -256,7 +255,7 @@ func TestStatsDuringCancelStorm(t *testing.T) {
 				}
 				s := e.Stats()
 				if s.LiveIterFrames < 0 || s.LiveClosureFrames < 0 || s.LivePipelines < 0 ||
-					s.PendingAdmitted < 0 || s.LiveArenaBytes < 0 {
+					s.LiveArenaBytes < 0 {
 					t.Errorf("torn gauge snapshot: %+v", s)
 					return
 				}
@@ -267,7 +266,7 @@ func TestStatsDuringCancelStorm(t *testing.T) {
 	var wg sync.WaitGroup
 	for q := 0; q < 30; q++ {
 		i := 0
-		h := e.SubmitWait(nil, func() bool { i++; return i <= 30 }, func(it *Iter) {
+		h := e.Submit(nil, func() bool { i++; return i <= 30 }, func(it *Iter) {
 			it.Continue(1)
 			it.Wait(2)
 		})
@@ -286,9 +285,9 @@ func TestStatsDuringCancelStorm(t *testing.T) {
 
 	s := e.Stats()
 	if s.LiveIterFrames != 0 || s.LiveClosureFrames != 0 || s.LivePipelines != 0 ||
-		s.PendingAdmitted != 0 || s.LiveArenaBytes != 0 {
-		t.Errorf("quiescent gauges not exact: iter=%d closure=%d pipes=%d pending=%d arena=%d",
-			s.LiveIterFrames, s.LiveClosureFrames, s.LivePipelines, s.PendingAdmitted, s.LiveArenaBytes)
+		s.LiveArenaBytes != 0 {
+		t.Errorf("quiescent gauges not exact: iter=%d closure=%d pipes=%d arena=%d",
+			s.LiveIterFrames, s.LiveClosureFrames, s.LivePipelines, s.LiveArenaBytes)
 	}
 	checkEngineDrained(t, e)
 }

@@ -30,11 +30,6 @@ type pipeline struct {
 	// blocking launch waits on; completion is harvested into it by
 	// finishTopLevel.
 	sub *Handle
-	// admitted marks a submission holding an admission slot, released by
-	// finishTopLevel when the pipeline completes; tenant is the admission
-	// class index the slot is charged to (see admission.go).
-	admitted bool
-	tenant   int
 	// abort points at the submission's cancellation word, shared by every
 	// pipeline nested under the same Submit; nil when the pipeline cannot
 	// be canceled. The abortState is owned by the Handle and outlives this
@@ -104,10 +99,6 @@ func (it *Iter) Index() int64 { return it.f.index }
 
 // Stage reports the stage number of the node currently executing.
 func (it *Iter) Stage() int64 { return it.f.cur }
-
-// Engine returns the engine executing this iteration, for spawning nested
-// pipelines.
-func (it *Iter) Engine() *Engine { return it.f.eng }
 
 func (it *Iter) checkStageArg(j int64) {
 	if cur := it.f.cur; j <= cur {

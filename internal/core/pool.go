@@ -138,7 +138,6 @@ func (e *Engine) acquirePipeline() *pipeline {
 	}
 	// releasePipeline already cleared the references.
 	pl.live.n.Store(0)
-	pl.admitted, pl.tenant = false, 0
 	pl.nextIndex = 0
 	pl.phase = phaseLoop
 	// The claim starts every pipeline at 1; openBatch takes it from there.

@@ -155,3 +155,13 @@ func assertNoSpinOnWake(t *testing.T, p int) {
 		t.Errorf("%d unregistered work scans around one wake-up on a %d-worker engine with every peer parked, want at most 3 (no spin)", got, p)
 	}
 }
+
+// gatedSubmit submits a pipeline that blocks until gate closes, pinning
+// one worker for the duration.
+func gatedSubmit(e *Engine, gate <-chan struct{}) *Handle {
+	i := 0
+	return e.Submit(nil, func() bool { i++; return i == 1 }, func(it *Iter) {
+		it.Continue(1)
+		<-gate
+	})
+}

@@ -106,20 +106,22 @@ type Stats struct {
 	// engine all three are zero — the leak invariant the cancellation
 	// paths are tested against.
 	LiveIterFrames, LiveClosureFrames, LivePipelines int64
-	// Saturations counts admissions that failed on an engine with
-	// admission control: Submit calls rejected with ErrSaturated,
-	// SubmitWait calls whose context was done before a slot freed, and
-	// submissions refused or released by Close (ErrEngineClosed). It is
-	// Σ (Rejected + Canceled) over Engine.TenantStats, read from one
-	// snapshot.
+	// Saturations, AdmissionWaitNs and PendingAdmitted read 0 from
+	// Engine.Stats; piper.Engine.Stats fills them from one snapshot of its
+	// admission semaphore. Saturations counts admissions that failed:
+	// Submit calls rejected with ErrSaturated, SubmitWait calls whose
+	// context was done before a slot freed, and submissions refused or
+	// released by Close (ErrEngineClosed): Σ (Rejected + Canceled) over
+	// TenantStats.
 	Saturations int64
 	// AdmissionWaitNs is the total time SubmitWait callers spent queued
 	// for an admission slot, in nanoseconds: Σ AdmissionWaitNs over
-	// Engine.TenantStats.
+	// TenantStats.
 	AdmissionWaitNs int64
-	// PendingAdmitted is the gauge of admission slots currently held —
-	// top-level submitted pipelines admitted and not yet completed. Zero
-	// when MaxPending is 0 (no budget).
+	// PendingAdmitted is the gauge of admission slots held — submitted
+	// pipelines admitted and not yet completed: Σ Pending over
+	// TenantStats. Read outside the stable-gauge loop, it is exact on a
+	// quiescent engine.
 	PendingAdmitted int64
 	// LiveArenaBytes is the gauge of payload-buffer bytes currently
 	// checked out of the engine's arena (Engine.Arena): charged at Get,

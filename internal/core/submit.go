@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-
-	"piper/internal/admit"
 )
 
 // Async submission and cancellation (the serving layer).
@@ -41,48 +39,15 @@ import (
 // released.
 
 // ErrEngineClosed is reported through a Handle when Submit is called on an
-// engine that has already been closed, or when Close releases a
-// SubmitWait caller still queued for admission.
-var ErrEngineClosed = admit.ErrClosed
+// engine that has already been closed.
+var ErrEngineClosed = errors.New("piper: engine closed")
 
-// ErrSaturated is reported through a Handle when Submit finds the engine's
-// pending-pipeline budget (Options.MaxPending, or the tenant class's own
-// quota) exhausted. It is the reject admission policy: the caller learns
-// immediately, sheds or retries with its own policy, and no scheduler
-// state was allocated. SubmitWait is the blocking alternative — it never
-// reports ErrSaturated.
-var ErrSaturated = admit.ErrSaturated
-
-// ErrUnknownTenant is reported through a Handle when SubmitTenant names a
-// tenant class the engine was not configured with (Options.Tenants). It
-// is a configuration error, deliberately not a silent fallback to the
-// default class: misrouted traffic would otherwise corrupt both tenants'
-// QoS accounting.
-var ErrUnknownTenant = errors.New("piper: unknown tenant class")
-
-// DefaultTenant is the name of the implicit tenant class every engine
-// has: Submit/SubmitWait without a tenant name admit through it.
-const DefaultTenant = ""
-
-// TenantClass configures one admission class of a multi-tenant engine
-// (Options.Tenants): its name, deficit-round-robin weight, and optional
-// per-class pending quota. The policy lives in internal/admit.
-type TenantClass = admit.Class
-
-// TenantStats is the per-class admission snapshot (Engine.TenantStats).
-// Per class, Submitted == Admitted + Rejected + Canceled + Waiting in
-// every snapshot; at quiescence Pending and Waiting are zero.
-type TenantStats = admit.ClassStats
-
-// TenantStats returns the per-class admission snapshot, one entry per
-// tenant class (the default class "" first, then Options.Tenants in
-// registration order), or nil on an engine with no admission control (no
-// MaxPending budget and no tenant classes).
-func (e *Engine) TenantStats() []TenantStats {
-	if e.adm == nil {
-		return nil
-	}
-	return e.adm.Stats()
+// TenantClass configures one admission class (Options.Tenants). The
+// engine never reads it; package piper converts it to an admit.Class.
+type TenantClass struct {
+	Name       string
+	Weight     int
+	MaxPending int
 }
 
 // PanicError wraps a panic raised by a pipeline's condition or body (or a
@@ -143,9 +108,11 @@ type Handle struct {
 	// abort is shared with the pipeline tree by pointer; it stays valid
 	// after the pipeline recycles.
 	abort abortState
+	// then is SubmitThen's completion callback, or nil.
+	then func()
 
 	// rep and err are written by the completing worker before done is
-	// closed (or by Submit itself for an engine-closed handle).
+	// closed (or by Refused).
 	rep PipelineReport
 	err error
 }
@@ -178,98 +145,26 @@ func (h *Handle) Cancel() {
 	}
 }
 
-// Submit starts a pipeline asynchronously: it queues the pipeline and
-// returns immediately with a Handle for the result. If ctx is canceled
-// before the pipeline completes, the run is aborted at stage boundaries —
-// no further iterations start, live iterations unwind at their next Wait
-// or Continue (waking any successors parked on their cross edges),
-// throttling tokens are released, and all frames drain back to their
-// pools — and Wait returns the context's error. Unlike PipeWhile, a panic
-// in cond or body does not propagate to the caller; it is captured as a
-// *PanicError. ctx may be nil, meaning no cancellation.
+// Submit starts a pipeline asynchronously and returns a Handle for its
+// result. Canceling ctx (nil: never) aborts the run at stage boundaries,
+// as described above, and Wait returns the context's error; a panic in
+// cond or body is captured as a *PanicError.
 func (e *Engine) Submit(ctx context.Context, cond func() bool, body func(*Iter)) *Handle {
 	return e.SubmitThrottled(ctx, 0, cond, body)
 }
 
 // SubmitThrottled is Submit with an explicit throttling limit K
-// (0 means the engine default). Under a MaxPending budget it applies the
-// reject admission policy: a saturated engine fails the Handle immediately
-// with ErrSaturated.
-func (e *Engine) SubmitThrottled(ctx context.Context, k int, cond func() bool, body func(*Iter)) *Handle {
-	return e.submitClass(ctx, DefaultTenant, k, cond, body, false)
-}
-
-// SubmitTenant is Submit admitted through the named tenant class
-// (Options.Tenants): the submission counts against that class's quota
-// and QoS accounting instead of the default class's. An unconfigured
-// name fails the Handle with ErrUnknownTenant.
-func (e *Engine) SubmitTenant(ctx context.Context, tenant string, cond func() bool, body func(*Iter)) *Handle {
-	return e.submitClass(ctx, tenant, 0, cond, body, false)
-}
-
-// SubmitWait is Submit under the blocking admission policy: if the
-// engine's MaxPending budget (or the class quota) is exhausted it joins
-// the admission queue instead of rejecting. Queued submissions are
-// admitted in FIFO order within a class and weighted-fairly across
-// classes (see TenantClass). The wait is bounded only by ctx: it returns
-// a failed Handle only if ctx is done first (the Handle reports the
-// context's cause, e.g. context.DeadlineExceeded) or the engine closes
-// while waiting (ErrEngineClosed). Without a budget (MaxPending 0, no tenant classes)
-// it is identical to Submit.
-func (e *Engine) SubmitWait(ctx context.Context, cond func() bool, body func(*Iter)) *Handle {
-	return e.SubmitWaitThrottled(ctx, 0, cond, body)
-}
-
-// SubmitWaitTenant is SubmitWait admitted through the named tenant
-// class. An unconfigured name fails the Handle with ErrUnknownTenant.
-func (e *Engine) SubmitWaitTenant(ctx context.Context, tenant string, cond func() bool, body func(*Iter)) *Handle {
-	return e.submitClass(ctx, tenant, 0, cond, body, true)
-}
-
-// SubmitWaitThrottled is SubmitWait with an explicit throttling limit K
 // (0 means the engine default).
-func (e *Engine) SubmitWaitThrottled(ctx context.Context, k int, cond func() bool, body func(*Iter)) *Handle {
-	return e.submitClass(ctx, DefaultTenant, k, cond, body, true)
+func (e *Engine) SubmitThrottled(ctx context.Context, k int, cond func() bool, body func(*Iter)) *Handle {
+	return SubmitThen(e, ctx, k, cond, body, nil)
 }
 
-// submitClass routes a submission through the engine's admission queue
-// (when one is configured) and launches it. block selects the blocking
-// (SubmitWait) versus reject (Submit) admission policy.
-func (e *Engine) submitClass(ctx context.Context, tenant string, k int, cond func() bool, body func(*Iter), block bool) *Handle {
-	h := &Handle{eng: e, done: make(chan struct{})}
-	ci, admitted := 0, false
-	if e.adm != nil {
-		var ok bool
-		if ci, ok = e.adm.Lookup(tenant); !ok {
-			h.err = fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
-			close(h.done)
-			return h
-		}
-		var err error
-		if block {
-			err = e.adm.Acquire(ctx, ci)
-		} else {
-			err = e.adm.TryAcquire(ci)
-		}
-		if err != nil {
-			h.err = err
-			close(h.done)
-			return h
-		}
-		admitted = true
-	} else if tenant != DefaultTenant {
-		h.err = fmt.Errorf("%w: %q (engine has no tenant classes)", ErrUnknownTenant, tenant)
-		close(h.done)
-		return h
-	}
-	return e.submitAdmitted(ctx, k, cond, body, h, admitted, ci)
-}
-
-// submitAdmitted launches an already-admitted submission. admitted records
-// whether h holds an admission slot of tenant class ci; the slot is
-// released by finishTopLevel at completion, or right here if the engine
-// turns out to be closed.
-func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, body func(*Iter), h *Handle, admitted bool, ci int) *Handle {
+// SubmitThen is e.SubmitThrottled with a completion callback: then, if
+// not nil, runs exactly once, after the pipeline's result is set and
+// before its Handle completes, or at once if the engine is closed. It is
+// a function rather than a method so that a type embedding *Engine does
+// not inherit it.
+func SubmitThen(e *Engine, ctx context.Context, k int, cond func() bool, body func(*Iter), then func()) *Handle {
 	// The read side of submitMu spans the closed check and the inject, so
 	// a Submit racing Close either fails with ErrEngineClosed or has its
 	// root frame published before the closed flag flips — where the
@@ -277,19 +172,16 @@ func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, bo
 	e.submitMu.RLock()
 	if e.closed.Load() {
 		e.submitMu.RUnlock()
-		if admitted {
-			e.adm.Release(ci)
+		if then != nil {
+			then()
 		}
-		h.err = ErrEngineClosed
-		close(h.done)
-		return h
+		return Refused(e, ErrEngineClosed)
 	}
+	h := &Handle{eng: e, done: make(chan struct{}), then: then}
 	e.stats.submits.Add(1)
 	pl := e.newPipeline(k, cond, body)
 	pl.abort = &h.abort
 	pl.sub = h
-	pl.admitted = admitted
-	pl.tenant = ci
 	if ctx != nil {
 		if err := context.Cause(ctx); err != nil {
 			// Canceled before launch: mark the abort now, but still run the
@@ -310,6 +202,14 @@ func (e *Engine) submitAdmitted(ctx context.Context, k int, cond func() bool, bo
 	}
 	e.inject(pl.control)
 	e.submitMu.RUnlock()
+	return h
+}
+
+// Refused returns a Handle of e that has already completed with err: a
+// submission turned away before it reached the scheduler.
+func Refused(e *Engine, err error) *Handle {
+	h := &Handle{eng: e, done: make(chan struct{}), err: err}
+	close(h.done)
 	return h
 }
 
@@ -335,11 +235,10 @@ func (e *Engine) finishTopLevel(pl *pipeline) {
 		h.stop()
 		h.stop = nil
 	}
-	if pl.admitted {
-		// Release the admission slot before publishing completion, so a
-		// SubmitWait caller blocked on the budget is admitted no later
-		// than this handle's Wait returns.
-		e.adm.Release(pl.tenant)
+	if h.then != nil {
+		// Before publishing completion, so that whatever then frees is
+		// free by the time this Handle's Wait returns.
+		h.then()
 	}
 	e.releasePipeline(pl)
 	close(h.done)

@@ -253,6 +253,40 @@ func TestSubmitClosedEngine(t *testing.T) {
 	}
 }
 
+// TestSubmitThen pins the completion seam: then runs exactly once,
+// before Wait returns, for a completed, a canceled and a panicking
+// pipeline, and at once, with ErrEngineClosed, on a closed engine.
+func TestSubmitThen(t *testing.T) {
+	e := newTestEngine(t, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, c := range map[string]struct {
+		ctx  context.Context
+		body func(*Iter)
+		ok   bool
+	}{
+		"completed": {nil, func(*Iter) {}, true},
+		"canceled":  {ctx, func(*Iter) {}, false},
+		"panicked":  {nil, func(*Iter) { panic("boom") }, false},
+	} {
+		var calls atomic.Int64
+		i := 0
+		h := SubmitThen(e, c.ctx, 0, func() bool { i++; return i <= 3 }, c.body, func() { calls.Add(1) })
+		if err := h.Wait(); (err == nil) != c.ok {
+			t.Errorf("%s: Wait = %v", name, err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%s: then ran %d times before Wait returned, want 1", name, n)
+		}
+	}
+	e.Close()
+	called := false
+	h := SubmitThen(e, nil, 0, func() bool { return true }, func(*Iter) {}, func() { called = true })
+	if err := h.Wait(); err != ErrEngineClosed || !called {
+		t.Errorf("closed engine: Wait = %v, then called %v; want ErrEngineClosed and true", err, called)
+	}
+}
+
 // TestSubmitCloseRace: a Submit racing Engine.Close must never strand a
 // queued pipeline — every handle resolves, either with the pipeline's
 // result (the exiting workers drain it) or with ErrEngineClosed. A

@@ -277,9 +277,7 @@ func TestCompressPiperSteadyStateAllocs(t *testing.T) {
 	)
 	data := testData(1234, 1<<20, 0.35)
 	measure := func(arena bool) (float64, float64) {
-		opts := core.DefaultOptions()
-		opts.Workers, opts.ArenaBuffers = 2, arena
-		eng := core.NewEngine(opts)
+		eng := piper.NewEngine(piper.Workers(2), func(o *core.Options) { o.ArenaBuffers = arena })
 		defer eng.Close()
 		return steadyStateAllocs(func() { _ = CompressPiper(eng, 8, data, io.Discard) })
 	}

@@ -587,9 +587,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	data := workload.TextStream(1234, 1<<20, 4096, 0.35)
 	o := StreamOptions{Mode: ModeDense}
 	measure := func(arena bool) (float64, float64) {
-		opts := core.DefaultOptions()
-		opts.Workers, opts.ArenaBuffers = 2, arena
-		eng := core.NewEngine(opts)
+		eng := piper.NewEngine(piper.Workers(2), func(o *core.Options) { o.ArenaBuffers = arena })
 		defer eng.Close()
 		return steadyStateAllocs(func() { _, _ = StreamCompress(eng, io.Discard, bytes.NewReader(data), o) })
 	}

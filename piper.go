@@ -50,11 +50,26 @@
 //	})
 package piper
 
-import "piper/internal/core"
+import (
+	"errors"
+
+	"piper/internal/admit"
+	"piper/internal/core"
+)
+
+// engine lets Engine embed core.Engine as an unexported field.
+type engine = core.Engine
 
 // Engine is a PIPER scheduler instance: P workers with work-stealing
-// deques executing pipeline programs.
-type Engine = core.Engine
+// deques executing pipeline programs, with admission control composed
+// over its Submit (see SubmitWait). PipeWhile, PipeWhileThrottled,
+// RunPipeline, ProfilePipeline, Arena, Options, Workers, StartTrace and
+// StopTrace are the scheduler's own (internal/core).
+type Engine struct {
+	*engine
+	adm     *admit.Sem // nil without a MaxPending budget or tenant classes
+	release []func()   // release[ci] returns a slot of class ci
+}
 
 // Iter is the per-iteration handle passed to pipeline bodies.
 type Iter = core.Iter
@@ -74,22 +89,23 @@ type Handle = core.Handle
 type PanicError = core.PanicError
 
 // ErrEngineClosed is reported through a Handle when Submit is called on a
-// closed engine; a blocking launch there panics with an error matching it.
+// closed engine, or when Close releases a SubmitWait caller still queued
+// for admission; a blocking launch there panics with an error matching it.
 var ErrEngineClosed = core.ErrEngineClosed
 
 // ErrSaturated is reported through a Handle when Submit finds the
 // engine's pending-pipeline budget (MaxPending) or the tenant class's
 // quota exhausted — the reject admission policy. SubmitWait queues for a
 // slot instead.
-var ErrSaturated = core.ErrSaturated
+var ErrSaturated = admit.ErrSaturated
 
 // ErrUnknownTenant is reported through a Handle when SubmitTenant or
 // SubmitWaitTenant names a class the engine was not configured with.
-var ErrUnknownTenant = core.ErrUnknownTenant
+var ErrUnknownTenant = errors.New("piper: unknown tenant class")
 
 // DefaultTenant is the name of the implicit admission class every engine
 // has; Submit and SubmitWait admit through it.
-const DefaultTenant = core.DefaultTenant
+const DefaultTenant = ""
 
 // TenantClass configures one admission class of a multi-tenant engine:
 // a deficit-round-robin weight (contended admission capacity is split
@@ -103,7 +119,7 @@ type TenantClass = core.TenantClass
 // Submitted/Admitted/Rejected/Canceled counters, the class's share of
 // the admission-wait time, and the Pending/Waiting gauges. Once a class
 // has no queued waiter, Submitted == Admitted + Rejected + Canceled.
-type TenantStats = core.TenantStats
+type TenantStats = admit.ClassStats
 
 // PipelineReport summarizes a completed pipeline run.
 type PipelineReport = core.PipelineReport
@@ -174,7 +190,19 @@ func NewEngine(opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return core.NewEngine(o)
+	e := &Engine{engine: core.NewEngine(o)}
+	if o.MaxPending > 0 || len(o.Tenants) > 0 {
+		classes := []admit.Class{{Name: DefaultTenant}}
+		for _, c := range o.Tenants {
+			classes = append(classes, admit.Class(c))
+		}
+		e.adm = admit.New(o.MaxPending, classes)
+		e.release = make([]func(), len(e.adm.Stats()))
+		for ci := range e.release {
+			e.release[ci] = func() { e.adm.Release(ci) }
+		}
+	}
+	return e
 }
 
 // Run executes one pipeline on a transient engine, for programs that do
