@@ -69,13 +69,13 @@ func (e *Engine) SubmitWaitThrottled(ctx context.Context, k int, cond func() boo
 func (e *Engine) submit(ctx context.Context, tenant string, k int, cond func() bool, body func(*Iter), block bool) *Handle {
 	if e.adm == nil {
 		if tenant != DefaultTenant {
-			return core.Refused(e.engine, fmt.Errorf("%w: %q (engine has no tenant classes)", ErrUnknownTenant, tenant))
+			return core.Refused(fmt.Errorf("%w: %q (engine has no tenant classes)", ErrUnknownTenant, tenant))
 		}
 		return core.SubmitThen(e.engine, ctx, k, cond, body, nil)
 	}
 	ci, ok := e.adm.Lookup(tenant)
 	if !ok {
-		return core.Refused(e.engine, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant))
+		return core.Refused(fmt.Errorf("%w: %q", ErrUnknownTenant, tenant))
 	}
 	var err error
 	if block {
@@ -87,7 +87,7 @@ func (e *Engine) submit(ctx context.Context, tenant string, k int, cond func() b
 		err = ErrEngineClosed
 	}
 	if err != nil {
-		return core.Refused(e.engine, err)
+		return core.Refused(err)
 	}
 	return core.SubmitThen(e.engine, ctx, k, cond, body, e.release[ci])
 }

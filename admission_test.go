@@ -348,6 +348,41 @@ func TestSubmitRejectSaturated(t *testing.T) {
 	checkEngineDrained(t, e)
 }
 
+// TestRefusedCancelCountsNothing: a submission refused before it reached
+// the scheduler (an unknown tenant, a saturated budget, a closed engine,
+// with and without a budget) fails its Handle at once, and canceling
+// that Handle counts no CancelRequests, since no pipeline ran.
+func TestRefusedCancelCountsNothing(t *testing.T) {
+	cond, body := func() bool { return false }, func(*piper.Iter) {}
+	check := func(e *piper.Engine, name string, h *piper.Handle, want error) {
+		t.Helper()
+		if err := h.Wait(); !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want %v", name, err, want)
+		}
+		h.Cancel()
+		if n := e.Stats().CancelRequests; n != 0 {
+			t.Errorf("%s: CancelRequests = %d after Cancel, want 0", name, n)
+		}
+	}
+
+	plain := piper.NewEngine(piper.Workers(1))
+	check(plain, "unknown tenant, no classes", plain.SubmitTenant(nil, "nobody", cond, body), piper.ErrUnknownTenant)
+	plain.Close()
+	check(plain, "closed engine, no budget", plain.Submit(nil, cond, body), piper.ErrEngineClosed)
+
+	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1))
+	check(e, "unknown tenant", e.SubmitTenant(nil, "nobody", cond, body), piper.ErrUnknownTenant)
+	gate := make(chan struct{})
+	h := gatedSubmit(e, gate)
+	check(e, "saturated", e.Submit(nil, cond, body), piper.ErrSaturated)
+	close(gate)
+	if err := h.Wait(); err != nil {
+		t.Fatalf("gated pipeline failed: %v", err)
+	}
+	e.Close()
+	check(e, "closed engine", e.Submit(nil, cond, body), piper.ErrEngineClosed)
+}
+
 func TestSubmitWaitBlocksUntilAdmitted(t *testing.T) {
 	e := piper.NewEngine(piper.Workers(2), piper.MaxPending(1))
 	defer e.Close()

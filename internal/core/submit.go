@@ -101,7 +101,7 @@ type abortUnwind struct{}
 // Handle tracks one submitted pipeline. All methods are safe for
 // concurrent use; Wait and Report may be called any number of times.
 type Handle struct {
-	eng  *Engine
+	eng  *Engine // nil for a Refused handle
 	done chan struct{}
 	// stop cancels the context.AfterFunc registration, if any.
 	stop func() bool
@@ -175,7 +175,7 @@ func SubmitThen(e *Engine, ctx context.Context, k int, cond func() bool, body fu
 		if then != nil {
 			then()
 		}
-		return Refused(e, ErrEngineClosed)
+		return Refused(ErrEngineClosed)
 	}
 	h := &Handle{eng: e, done: make(chan struct{}), then: then}
 	e.stats.submits.Add(1)
@@ -205,10 +205,11 @@ func SubmitThen(e *Engine, ctx context.Context, k int, cond func() bool, body fu
 	return h
 }
 
-// Refused returns a Handle of e that has already completed with err: a
-// submission turned away before it reached the scheduler.
-func Refused(e *Engine, err error) *Handle {
-	h := &Handle{eng: e, done: make(chan struct{}), err: err}
+// Refused returns a Handle that has already completed with err: a
+// submission turned away before it reached the scheduler. It belongs to
+// no engine, so its Cancel counts no CancelRequests.
+func Refused(err error) *Handle {
+	h := &Handle{done: make(chan struct{}), err: err}
 	close(h.done)
 	return h
 }

@@ -10,6 +10,7 @@
 // suffix array that stores them by text position, as in KKP3 (Kärkkäinen,
 // Kempa and Puglisi, "Linear Time Lempel-Ziv Factorization: Simple, Fast,
 // Small", CPM 2013), so a block needs 3 int32 of scratch per byte.
+// Factorize and the stream's dense mode share one greedy pass over them.
 //
 // The suffix array is built by induced sorting (SA-IS: Nong, Zhang and
 // Chan, 2009) in linear time, with one port of the Go standard library's
@@ -48,47 +49,14 @@ func scratchLen(n int) int { return n + max(2*n, saisMinTmp(n)) }
 // Factorize computes the greedy LZ77 factorization of data: at each
 // position the longest match against any earlier position (or a literal
 // when no match exists). Factors never reference before the start of
-// data, so a block factorizes independently of its neighbours.
+// data, so a block factorizes independently of its neighbours. It is
+// the dense block factorizer on data as one block, at copy length 1.
 func Factorize(data []byte) []Factor {
 	n := len(data)
 	if n == 0 {
 		return nil
 	}
-	pn := blockIndex(data, make([]int32, scratchLen(n)))
-	dst := make([]Factor, 0, 16+n/8)
-
-	// Greedy pass: match lengths are computed by direct comparison, but
-	// only at factor start positions, so the total comparison work is
-	// bounded by n plus the number of factors — the memory-efficient
-	// trade the paper makes against storing full LCP/LPF arrays.
-	match := func(p int, q int32) int32 {
-		if q < 0 {
-			return 0
-		}
-		var l int32
-		for int(l) < n-p && data[int(q)+int(l)] == data[p+int(l)] {
-			l++
-		}
-		return l
-	}
-	for p := 0; p < n; {
-		q1, q2 := pn[2*p], pn[2*p+1]
-		l1, l2 := match(p, q1), match(p, q2)
-		src, l := q1, l1
-		if l2 > l1 || (l2 == l1 && q2 > q1) {
-			// Prefer the longer match; on ties the nearer source (larger
-			// position → smaller distance) encodes tighter.
-			src, l = q2, l2
-		}
-		if l == 0 {
-			dst = append(dst, Factor{Lit: data[p]})
-			p++
-			continue
-		}
-		dst = append(dst, Factor{Dist: int32(p) - src, Len: l})
-		p += int(l)
-	}
-	return dst
+	return factorizeBlockDense(data, nil, 0, n, make([]int32, scratchLen(n)), make([]Factor, 0, 16+n/8), 1)
 }
 
 // blockIndex builds the in-block match candidates of data in backing,

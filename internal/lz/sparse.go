@@ -219,14 +219,17 @@ func factorizeBlockSparse(chunk []byte, ix *chunkIndex, start, end int, scratch 
 	return dst
 }
 
-// factorizeBlockDense factorizes chunk[start:end] with the exact dense
-// in-block machinery of Factorize — a suffix array of just this block
-// with PSV/NSV candidates — merged at each factor start with the sparse
-// cross-block candidates of the chunk index. backing must hold
-// scratchLen(end-start) int32 elements. The in-block candidates dominate
-// length ties automatically (their positions are ≥ start, every
-// cross-block position is < start), matching bestBefore's tie rule.
-func factorizeBlockDense(chunk []byte, ix *chunkIndex, start, end int, backing []int32, dst []Factor) []Factor {
+// factorizeBlockDense factorizes chunk[start:end] greedily with the exact
+// dense in-block candidates (a suffix array of just this block, PSV/NSV),
+// merged at each factor start with the chunk index's sparse cross-block
+// candidates when start > 0 (ix is never read at start 0). Copies
+// shorter than minCopy are emitted as literals: the stream passes
+// minCopyLen, Factorize 1. backing must hold scratchLen(end-start) int32
+// elements. Match lengths are computed only at factor starts, the
+// memory-efficient trade arXiv:0903.4251 makes against LCP/LPF arrays.
+// The in-block candidates win length ties (their positions are ≥ start,
+// every cross-block position is < start), matching bestBefore's rule.
+func factorizeBlockDense(chunk []byte, ix *chunkIndex, start, end int, backing []int32, dst []Factor, minCopy int32) []Factor {
 	block := chunk[start:end]
 	nb := len(block)
 	if nb == 0 {
@@ -255,7 +258,7 @@ func factorizeBlockDense(chunk []byte, ix *chunkIndex, start, end int, backing [
 		if start > 0 {
 			bestSrc, bestL = ix.bestBefore(start, p, end-p, bestSrc, bestL)
 		}
-		if bestL >= minCopyLen {
+		if bestL >= minCopy {
 			dst = append(dst, Factor{Dist: int32(p) - bestSrc, Len: bestL})
 			pr += int(bestL)
 		} else {

@@ -516,7 +516,7 @@ func factorizeBlock(mode StreamMode, chunk []byte, ix *chunkIndex, start, end in
 	if mode == ModeSparse {
 		return factorizeBlockSparse(chunk, ix, start, end, scratch, dst)
 	}
-	return factorizeBlockDense(chunk, ix, start, end, scratch, dst)
+	return factorizeBlockDense(chunk, ix, start, end, scratch, dst, minCopyLen)
 }
 
 // StreamCompressSerial is the single-threaded reference: same chunking,

@@ -320,22 +320,6 @@ func searchSWAR(src, win []byte, stride, nx, zero, n int) (int, int64) {
 	return idx, best
 }
 
-// sad computes the sum of absolute differences between the MB at (x0,y0)
-// in src and the block at (x,y) in ref, with early exit past limit. The
-// returned sum, partial on an early exit, is that of a byte-by-byte loop
-// that checks the limit after every row. EncodeB compares its two
-// references with it; motionSearch has its own kernel.
-//
-// sad cuts each block's span, first row to last, out of its frame with
-// mbSpan and hands both to sadKernel: the SSE2 sadRows on amd64,
-// sadSWAR on every other GOARCH and under the race detector. mbSpan's
-// checks are the kernels' bounds checks; the assembly has none of its
-// own.
-func (e *Encoder) sad(src, ref []byte, x0, y0, x, y int, limit int64) int64 {
-	w := e.Video.W
-	return sadKernel(mbSpan(src, w, x0, y0), mbSpan(ref, w, x, y), w, limit)
-}
-
 // mbSpan is the span of the MB×MB block at (x, y) of frame p, w pixels
 // wide.
 func mbSpan(p []byte, w, x, y int) []byte { return span(p, w, x, y, MB, MB) }
@@ -349,13 +333,14 @@ func span(p []byte, w, x, y, bw, bh int) []byte {
 	return p[y*w+x : end]
 }
 
-// sadSWAR is the portable SAD kernel on two block spans whose rows start
-// every stride bytes. Each row is two 8-byte words per side. absDiff8
-// takes the per-byte differences, pairs16 folds them into four 16-bit
-// lanes, and acc accumulates those lanes over the rows: a lane gains at
-// most 4*255 per row, 16 rows keep it under 1<<14, and all four lanes
-// sum to under 1<<16, so the multiply by lanes16 leaves the running sum
-// exact in the top 16 bits.
+// sadSWAR is searchSWAR's per-candidate sum: the SAD of two block
+// spans whose rows start every stride bytes, with an exit after the
+// first row where the running sum reaches limit. Each row is two 8-byte
+// words per side. absDiff8 takes the per-byte differences, pairs16 folds
+// them into four 16-bit lanes, and acc accumulates those lanes over the
+// rows: a lane gains at most 4*255 per row, 16 rows keep it under 1<<14,
+// and all four lanes sum to under 1<<16, so the multiply by lanes16
+// leaves the running sum exact in the top 16 bits.
 func sadSWAR(a, b []byte, stride int, limit int64) int64 {
 	le := binary.LittleEndian
 	var acc uint64
@@ -407,6 +392,8 @@ func pairs16(x uint64) uint64 {
 // not references). fwd is the preceding I/P reconstruction (may be nil
 // right after a scene cut, when only backward prediction is safe), bwd
 // the succeeding one; both must be fully reconstructed.
+// Each macroblock takes the reference whose co-located block has the
+// smaller SAD (searchGrid's on a 1×1 grid), fwd on a tie.
 func (e *Encoder) EncodeB(bi int, fwd, bwd *Recon) (int64, uint64) {
 	v := e.Video
 	rows := v.Rows()
@@ -441,7 +428,7 @@ func (e *Encoder) EncodeB(bi int, fwd, bwd *Recon) (int64, uint64) {
 				if ref == nil {
 					continue
 				}
-				s := e.sad(src, ref.Pix, x0, y0, x0, y0, best)
+				_, s := searchGrid(mbSpan(src, v.W, x0, y0), mbSpan(ref.Pix, v.W, x0, y0), v.W, 1, 0, 1)
 				if s < best {
 					best = s
 					sig = uint64(ri)

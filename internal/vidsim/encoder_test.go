@@ -20,18 +20,96 @@ func flatVideo(w, h, n int, shade byte) *Video {
 	return v
 }
 
-// TestSADProperties: SAD of a block against itself is 0, and the
-// early-exit limit is respected.
-func TestSADProperties(t *testing.T) {
-	v := Generate(31, 64, 32, 2, 0)
-	e := NewEncoder(v, DefaultConfig())
-	if s := e.sad(v.Frames[0], v.Frames[0], 16, 16, 16, 16, 1<<62); s != 0 {
-		t.Fatalf("self-SAD = %d", s)
+// encodeBRef is EncodeB's definition: each reference's co-located block
+// summed by sadRef with an exit at the best sum so far, fwd first, and
+// the strictly smaller sum takes the block, so fwd keeps a tie; a block
+// with no reference intra-codes into a scratch reconstruction.
+func encodeBRef(e *Encoder, bi int, fwd, bwd *Recon) (int64, uint64) {
+	v := e.Video
+	src := v.Frames[bi]
+	scratch := &Recon{Pix: make([]byte, len(src))}
+	var bits int64
+	var sum uint64 = 1469598103934665603
+	for y0 := 0; y0 < v.H; y0 += MB {
+		for x0 := 0; x0 < v.W; x0 += MB {
+			best, pick := int64(1)<<62, -1
+			for ri, ref := range []*Recon{fwd, bwd} {
+				if ref == nil {
+					continue
+				}
+				if s := sadRef(v.W, src, ref.Pix, x0, y0, x0, y0, best); s < best {
+					best, pick = s, ri
+				}
+			}
+			if pick < 0 {
+				b, g := e.encodeIntraMB(bi, y0/MB, x0/MB, scratch, nil)
+				bits += b
+				sum = (sum ^ g) * 1099511628211
+				continue
+			}
+			bits += best>>e.Cfg.QShift + 4
+			sum = (sum ^ (uint64(pick)*2654435761 + uint64(best))) * 1099511628211
+		}
 	}
-	full := e.sad(v.Frames[0], v.Frames[1], 0, 0, 0, 0, 1<<62)
-	limited := e.sad(v.Frames[0], v.Frames[1], 0, 0, 0, 0, 1)
-	if full > 0 && limited > full {
-		t.Fatalf("early exit returned more than full SAD: %d vs %d", limited, full)
+	return bits, sum
+}
+
+// TestEncodeBMatchesReference pins EncodeB's choice between its two
+// references against encodeBRef on 64×48 frames: random, references a
+// small perturbation of the source (close sums), flat, and a constructed
+// tie (fwd = src+1, bwd = src−1), where EncodeB must read as with fwd
+// alone. Each runs with both references, only fwd, only bwd, and
+// neither (the intra fallback).
+func TestEncodeBMatchesReference(t *testing.T) {
+	const w, h = 64, 48
+	rng := workload.NewRNG(49)
+	src, fp, bp := make([]byte, w*h), make([]byte, w*h), make([]byte, w*h)
+	e := NewEncoder(&Video{W: w, H: h, Frames: [][]byte{src}}, DefaultConfig())
+	fwd, bwd := &Recon{Pix: fp}, &Recon{Pix: bp}
+	fwd.rowsDone.Store(h / MB)
+	bwd.rowsDone.Store(h / MB)
+	for i := 0; i < 32; i++ {
+		kind := [...]string{"random", "near", "flat", "tie"}[i%4]
+		switch kind {
+		case "random":
+			rng.Bytes(src)
+			rng.Bytes(fp)
+			rng.Bytes(bp)
+		case "near":
+			rng.Bytes(src)
+			for j := range src {
+				fp[j] = src[j] + byte(rng.Intn(5)) - 2
+				bp[j] = src[j] + byte(rng.Intn(5)) - 2
+			}
+		case "flat":
+			s, f, b := byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))
+			for j := range src {
+				src[j], fp[j], bp[j] = s, f, b
+			}
+		case "tie":
+			for j := range src {
+				src[j] = 1 + byte(rng.Intn(254))
+				fp[j], bp[j] = src[j]+1, src[j]-1
+			}
+		}
+		for _, c := range []struct {
+			name     string
+			fwd, bwd *Recon
+		}{{"both", fwd, bwd}, {"fwd only", fwd, nil}, {"bwd only", nil, bwd}, {"neither", nil, nil}} {
+			bits, sum := e.EncodeB(0, c.fwd, c.bwd)
+			if wb, ws := encodeBRef(e, 0, c.fwd, c.bwd); bits != wb || sum != ws {
+				t.Fatalf("%s frames, %s: EncodeB = %d bits sum %d, encodeBRef = %d bits sum %d", kind, c.name, bits, sum, wb, ws)
+			}
+		}
+		if kind == "tie" {
+			bits, sum := e.EncodeB(0, fwd, bwd)
+			if fb, fs := e.EncodeB(0, fwd, nil); bits != fb || sum != fs {
+				t.Fatalf("tie: EncodeB = %d bits sum %d, with fwd alone %d bits sum %d", bits, sum, fb, fs)
+			}
+		}
+	}
+	if n := e.Violations(); n != 0 {
+		t.Fatalf("violations = %d", n)
 	}
 }
 

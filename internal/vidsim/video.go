@@ -20,10 +20,12 @@
 // on every other GOARCH and under the race detector, SWAR arithmetic on
 // 8 pixels per word (searchSWAR over sadSWAR). Both pick the vector and
 // SAD of the byte loop that checks after every row, tie rule included
-// (motionSearchRef in kernel_test.go). Reconstruction quantizes eight
-// pixels a word with no branch and no clamp, leaves the quantized
-// residual for the bitstream sink, and then folds each output row into
-// the FNV-1a signature. On a 2-vCPU host with Go 1.24.0,
+// (motionSearchRef in kernel_test.go). It is the encoder's one SAD
+// kernel: EncodeB compares each co-located reference block with it too,
+// on a 1×1 grid, which returns the block's full SAD. Reconstruction
+// quantizes eight pixels a word with no branch and no clamp, leaves the
+// quantized residual for the bitstream sink, and then folds each output
+// row into the FNV-1a signature. On a 2-vCPU host with Go 1.24.0,
 // BenchmarkEncodeSerial (the 320×176, 120-frame video TestEncodeGolden
 // pins) read 368–412 ms/op with the byte loops, 138–149 with the SWAR
 // SAD kernel and 41–45 with the SSE2 one. With one search call per
